@@ -22,6 +22,7 @@ from .constraints import (
     bruteforce_family_oracle,
     compare_qdims,
     computed_qdim,
+    computed_qdims,
     derive_constraints,
     groebner,
     ideal_compare,
@@ -34,7 +35,7 @@ from .grading import WeightSystem, central_charge, euler_check, weights_from_pot
 from .matfac import MatrixFactorization, build_8x8, grading_check, square, verify_potential
 from .numberfield import QuotientSpec, certify_value, reduce
 from .polyring import Poly, VarTable, format_poly, parse_poly
-from .residue import grothendieck_residue, qdim_left, qdim_right
+from .residue import grothendieck_residue, qdim_left, qdim_pair, qdim_right
 
 __version__ = "0.1.0"
 
@@ -55,6 +56,7 @@ __all__ = [
     "certify_value",
     "compare_qdims",
     "computed_qdim",
+    "computed_qdims",
     "derive_constraints",
     "euler_check",
     "format_poly",
@@ -69,6 +71,7 @@ __all__ = [
     "paper_constraint_set",
     "parse_poly",
     "qdim_left",
+    "qdim_pair",
     "qdim_right",
     "reduce",
     "resolve_entry",

@@ -95,8 +95,3 @@ def _rank(a: Matrix) -> int:
         if r == rows:
             break
     return r
-
-
-def nullspace_contains_only_zero(a: Matrix) -> bool:
-    cols = len(a[0]) if a else 0
-    return _rank([row[:] for row in a]) == cols

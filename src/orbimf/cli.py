@@ -16,6 +16,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -99,7 +100,11 @@ def _grading_stage(entry: EquivalenceEntry) -> Tuple[bool, dict]:
 def verify_entry(
     entry: EquivalenceEntry, spair_cap: int = 50000, precision: int = 128
 ) -> dict:
-    """All checks for one entry; the returned dict is the JSON report."""
+    """All checks for one entry; the returned dict is the JSON report.
+
+    Each per-entry fact is computed once and handed to every stage that
+    reads it: one Groebner basis per distinct generator set and one
+    sixfold derivative product for both quantum dimensions."""
     report: dict = {"entry": entry.id, "stages": {}, "ok": True}
     started = time.perf_counter()
 
@@ -129,10 +134,9 @@ def verify_entry(
     )
 
     t0 = time.perf_counter()
+    basis_derived = con.groebner(derived, spair_cap)
     m = build_8x8(entry.six())
-    pot = verify_potential(
-        m, entry.potential_in(), entry.potential_out(), list(derived.generators), spair_cap
-    )
+    pot = verify_potential(m, entry.potential_in(), entry.potential_out(), basis_derived)
     stage(
         "potential",
         pot.ok,
@@ -142,8 +146,13 @@ def verify_entry(
 
     t0 = time.perf_counter()
     printed = con.paper_constraint_set(entry)
-    basis_derived = con.groebner(derived, spair_cap)
-    cmp_ = con.ideal_compare(printed, derived, spair_cap, basis_b=basis_derived)
+    if printed.generators == derived.generators:
+        basis_printed = basis_derived
+    else:
+        basis_printed = con.groebner(printed, spair_cap)
+    cmp_ = con.ideal_compare(
+        printed, derived, spair_cap, basis_a=basis_printed, basis_b=basis_derived
+    )
     ideal_detail = {
         "printed_in_derived": cmp_.a_in_b,
         "derived_in_printed": cmp_.b_in_a,
@@ -166,7 +175,7 @@ def verify_entry(
                 continue
             eliminated.append(name)
         if eliminated:
-            again = con.ideal_compare(printed, reduced, spair_cap)
+            again = con.ideal_compare(printed, reduced, spair_cap, basis_a=basis_printed)
             if again.equal:
                 ideal_detail["equal_after_eliminating"] = eliminated
     stage("ideal-compare", cmp_.a_in_b, ideal_detail, time.perf_counter() - t0)
@@ -185,7 +194,7 @@ def verify_entry(
     )
 
     t0 = time.perf_counter()
-    qdims = {side: con.computed_qdim(entry, side) for side in ("left", "right")}
+    qdims = con.computed_qdims(entry)
     non_detail = []
     non_ok = True
     for fam in entry.families:
@@ -212,7 +221,7 @@ def verify_entry(
     )
 
     t0 = time.perf_counter()
-    cq = con.compare_qdims(entry, basis=basis_derived)
+    cq = con.compare_qdims(entry, basis=basis_derived, computed=qdims)
     report["qdim_match"] = {
         "computed_left": format_poly(cq.computed_left),
         "computed_right": format_poly(cq.computed_right),
@@ -324,10 +333,15 @@ def _summary_table(reports: Sequence[dict], catalog) -> str:
     return "\n".join(lines)
 
 
+@lru_cache(maxsize=None)
+def _worker_catalog(catalog_dir: Optional[str]) -> Dict[str, EquivalenceEntry]:
+    """The catalog a pool worker reads, loaded once per worker process."""
+    return load_catalog(Path(catalog_dir) if catalog_dir else None)
+
+
 def _worker_verify(args: Tuple[Optional[str], str, int, int]) -> dict:
     catalog_dir, entry_id, spair_cap, precision = args
-    catalog = load_catalog(Path(catalog_dir) if catalog_dir else None)
-    return verify_entry(catalog[entry_id], spair_cap, precision)
+    return verify_entry(_worker_catalog(catalog_dir)[entry_id], spair_cap, precision)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -372,11 +386,16 @@ def cmd_qdim(args: argparse.Namespace) -> int:
     entry = resolve_entry(catalog, args.entry)
     sides = ("left", "right") if args.side == "both" else (args.side,)
     out: dict = {"schema": SCHEMA_VERSION, "entry": entry.id, "sides": {}}
-    if args.family:
-        fam = _find_family(entry, args.family)
+    fam = _find_family(entry, args.family) if args.family else None
+    # matching a printed form tries both computed sides
+    both = args.compare_paper and fam is None
+    qdims = con.computed_qdims(entry, ("left", "right") if both else sides)
+    if fam is not None:
         out["family"] = fam.label
         for side in sides:
-            nv = con.nonvanishing_check(entry, fam, side, precision_bits=args.precision)
+            nv = con.nonvanishing_check(
+                entry, fam, side, precision_bits=args.precision, computed_value=qdims[side]
+            )
             block = {"computed": _qdim_point_dict(nv.computed), "point": dict(nv.point)}
             if args.compare_paper:
                 block["printed"] = _qdim_point_dict(nv.printed)
@@ -384,18 +403,17 @@ def cmd_qdim(args: argparse.Namespace) -> int:
             out["sides"][side] = block
     else:
         if args.compare_paper:
-            cq = con.compare_qdims(entry, spair_cap=args.spair_cap)
+            cq = con.compare_qdims(entry, spair_cap=args.spair_cap, computed=qdims)
             for side in sides:
                 match = cq.left if side == "left" else cq.right
-                value = cq.computed_left if side == "left" else cq.computed_right
                 out["sides"][side] = {
-                    "computed": format_poly(value),
+                    "computed": format_poly(qdims[side]),
                     "printed": format_poly(entry.paper_qdim(side)),
                     "match": _match_dict(match),
                 }
         else:
             for side in sides:
-                out["sides"][side] = {"computed": format_poly(con.computed_qdim(entry, side))}
+                out["sides"][side] = {"computed": format_poly(qdims[side])}
     if args.json:
         print(json.dumps(out, indent=2))
         return 0

@@ -29,7 +29,7 @@ from .numberfield import (
     certify_value,
 )
 from .polyring import Poly, VarTable, format_poly, parse_poly
-from .residue import qdim_left, qdim_right
+from .residue import qdim_pair
 
 __all__ = [
     "ConstraintSet",
@@ -46,6 +46,7 @@ __all__ = [
     "NonvanishingReport",
     "nonvanishing_check",
     "computed_qdim",
+    "computed_qdims",
     "QdimMatch",
     "QdimComparison",
     "compare_qdims",
@@ -60,16 +61,6 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def _degrevlex_lead(p: Poly) -> Tuple[Tuple[int, ...], Fraction]:
-    best = None
-    for mono, coeff in p.terms():
-        key = (sum(mono), tuple(-e for e in reversed(mono)))
-        if best is None or key > best[0]:
-            best = (key, mono, coeff)
-    assert best is not None
-    return best[1], best[2]
-
-
 def _unit_normalize(p: Poly) -> Poly:
     """Integer coefficients with content 1 and positive leading sign."""
     den = 1
@@ -79,7 +70,7 @@ def _unit_normalize(p: Poly) -> Poly:
     for _, c in p.terms():
         num = gcd(num, abs((c * den).numerator))
     scaled = p.scale(Fraction(den, num))
-    _, lead = _degrevlex_lead(scaled)
+    lead = scaled.coefficient(scaled.leading_monomial())
     return scaled.scale(-1) if lead < 0 else scaled
 
 
@@ -187,11 +178,13 @@ def ideal_compare(
     basis_b: Optional[Sequence[Poly]] = None,
 ) -> IdealComparison:
     """Two-way membership of generators, so transformed generating sets of
-    one ideal still compare as equal.  Precomputed bases are reusable."""
+    one ideal still compare as equal.  Precomputed bases are reusable, and
+    identical generator sets share one basis."""
+    same = a.generators == b.generators
     if basis_b is None:
-        basis_b = groebner(b, spair_cap)
+        basis_b = basis_a if same and basis_a is not None else groebner(b, spair_cap)
     if basis_a is None:
-        basis_a = groebner(a, spair_cap)
+        basis_a = basis_b if same else groebner(a, spair_cap)
     failing_a = tuple(
         g for g in a.generators if not normal_form(g, basis_b).is_zero()
     )
@@ -286,13 +279,21 @@ def verify_family(
 # -- quantum dimensions ------------------------------------------------
 
 
-def computed_qdim(entry: EquivalenceEntry, side: str) -> Poly:
-    """Residue-computed quantum dimension; a polynomial in the parameters."""
-    if side not in ("left", "right"):
+def computed_qdims(
+    entry: EquivalenceEntry, sides: Sequence[str] = ("left", "right")
+) -> Dict[str, Poly]:
+    """Residue-computed quantum dimensions by side, polynomials in the
+    parameters, all from one sixfold derivative product."""
+    if any(side not in ("left", "right") for side in sides):
         raise ValueError("side must be left or right")
     m = build_8x8(entry.six())
-    fn = qdim_left if side == "left" else qdim_right
-    return fn(m, entry.potential_in(), entry.potential_out()).value
+    pair = qdim_pair(m, entry.potential_in(), entry.potential_out(), sides)
+    return {side: r.value for side, r in pair.items()}
+
+
+def computed_qdim(entry: EquivalenceEntry, side: str) -> Poly:
+    """Residue-computed quantum dimension; a polynomial in the parameters."""
+    return computed_qdims(entry, (side,))[side]
 
 
 @dataclass(frozen=True)
@@ -440,15 +441,19 @@ def compare_qdims(
     entry: EquivalenceEntry,
     basis: Optional[Sequence[Poly]] = None,
     spair_cap: int = 50000,
+    computed: Optional[Mapping[str, Poly]] = None,
 ) -> QdimComparison:
     """Match each printed quantum-dimension formula against the computed
     invariants: exact equality first, then equality modulo the derived
     ideal, then a global nonzero rational multiple (scalar recorded), each
-    tried on the same-name side before the opposite one."""
+    tried on the same-name side before the opposite one.  A precomputed
+    basis of the derived ideal and `computed_qdims` result are reusable."""
     if basis is None:
         basis = groebner(derive_constraints(entry), spair_cap)
-    cl = computed_qdim(entry, "left")
-    cr = computed_qdim(entry, "right")
+    if computed is None:
+        computed = computed_qdims(entry)
+    cl = computed["left"]
+    cr = computed["right"]
 
     def match(side: str) -> QdimMatch:
         printed = entry.paper_qdim(side)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ._groebner import groebner_basis, normal_form
+from ._groebner import normal_form
 from ._linalg import solve_dense
 from .grading import VariableWeights
 from .polyring import Poly, VarTable
@@ -123,14 +123,13 @@ def verify_potential(
     m: MatrixFactorization,
     v_in: Poly,
     w_out: Poly,
-    constraint_ideal: Sequence[Poly],
-    spair_cap: int = 50000,
+    basis: Sequence[Poly],
 ) -> PotentialReport:
     """Check square(m) = epsilon*(w_out - v_in)*Id modulo the ideal.
 
     Off-diagonal cells must vanish exactly, with no reduction; the
     diagonal residual is reduced coefficient-by-coefficient (over ring
-    monomials) against a Groebner basis of the constraint ideal.
+    monomials) against `basis`, a Groebner basis of the constraint ideal.
     """
     sq = square(m)
     failing: List[str] = []
@@ -145,7 +144,6 @@ def verify_potential(
     if not diag_ok:
         failing.append("diagonal cells disagree")
     delta = w_out - v_in
-    basis = groebner_basis([g for g in constraint_ideal], spair_cap=spair_cap)
     epsilon: Optional[int] = None
     if off_ok and diag_ok:
         for eps in (1, -1):

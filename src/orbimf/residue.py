@@ -14,7 +14,9 @@ product is order-sensitive and the order is part of the data).  With
 three variables a side, the global sign prefactor is +1.  The left
 dimension integrates the target variables out against the target
 potential's partials; the right one the source variables against the
-source potential's.  Both results must be free of ring variables.
+source potential's.  Both results must be free of ring variables.  Both
+sides read the same supertrace, so `qdim_pair` forms the product once
+and integrates it twice.
 """
 
 from __future__ import annotations
@@ -56,6 +58,21 @@ def derivative_matrix_product(m: MatrixFactorization, order: Sequence[str]) -> M
     acc = factors[0]
     for f in factors[1:]:
         acc = matmul(acc, f)
+    return acc
+
+
+def derivative_supertrace(m: MatrixFactorization, order: Sequence[str]) -> Poly:
+    """supertrace(derivative_matrix_product(m, order)), forming only the
+    diagonal of the last factor's product, the only cells it reads."""
+    head = derivative_matrix_product(m, order[:-1])
+    last = _partial_matrix(m, order[-1])
+    acc = Poly.zero(m.vt)
+    for i in range(8):
+        for k in range(8):
+            if head[i][k].is_zero() or last[k][i].is_zero():
+                continue
+            term = head[i][k] * last[k][i]
+            acc = acc + term if i < 4 else acc - term
     return acc
 
 
@@ -256,23 +273,28 @@ def _degree_cap_for(potential: Poly) -> int:
     return 3 * cap + 3
 
 
-def _qdim(
+def qdim_supertrace(m: MatrixFactorization, v_in: Poly, w_out: Poly) -> Poly:
+    """The supertrace both quantum dimensions integrate: sources first,
+    then targets, in declared order."""
+    sources = v_in.support_vars()
+    targets = w_out.support_vars()
+    if len(sources) != 3 or len(targets) != 3:
+        raise ResidueError("each potential must involve exactly three variables")
+    return derivative_supertrace(m, tuple(sources) + tuple(targets))
+
+
+def _integrate(
+    s: Poly,
     m: MatrixFactorization,
     v_in: Poly,
     w_out: Poly,
     side: str,
     lift: Optional[CofactorLift] = None,
 ) -> QdimResult:
-    sources = v_in.support_vars()
-    targets = w_out.support_vars()
-    if len(sources) != 3 or len(targets) != 3:
-        raise ResidueError("each potential must involve exactly three variables")
-    prod = derivative_matrix_product(m, tuple(sources) + tuple(targets))
-    s = supertrace(prod)
     if side == "left":
-        over, against = targets, w_out
+        over, against = w_out.support_vars(), w_out
     else:
-        over, against = sources, v_in
+        over, against = v_in.support_vars(), v_in
     partials = [against.partial(v) for v in over]
     if lift is None:
         lift = cofactor_lift(partials, over, _degree_cap_for(against))
@@ -283,13 +305,24 @@ def _qdim(
     return QdimResult(value, side, lift)
 
 
+def qdim_pair(
+    m: MatrixFactorization,
+    v_in: Poly,
+    w_out: Poly,
+    sides: Sequence[str] = ("left", "right"),
+) -> Dict[str, QdimResult]:
+    """The requested quantum dimensions, by side, from one supertrace."""
+    s = qdim_supertrace(m, v_in, w_out)
+    return {side: _integrate(s, m, v_in, w_out, side) for side in sides}
+
+
 def qdim_left(
     m: MatrixFactorization, v_in: Poly, w_out: Poly, lift: Optional[CofactorLift] = None
 ) -> QdimResult:
-    return _qdim(m, v_in, w_out, "left", lift)
+    return _integrate(qdim_supertrace(m, v_in, w_out), m, v_in, w_out, "left", lift)
 
 
 def qdim_right(
     m: MatrixFactorization, v_in: Poly, w_out: Poly, lift: Optional[CofactorLift] = None
 ) -> QdimResult:
-    return _qdim(m, v_in, w_out, "right", lift)
+    return _integrate(qdim_supertrace(m, v_in, w_out), m, v_in, w_out, "right", lift)

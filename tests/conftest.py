@@ -1,0 +1,30 @@
+"""Shared fixtures."""
+
+from __future__ import annotations
+
+import sys
+
+import pytest
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """`count_calls(module, name)` returns a list that receives the
+    positional arguments of every call to `module.name`, made through any
+    orbimf module global bound to it, for the rest of the test."""
+
+    def install(module, name):
+        original = getattr(module, name)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for mod in list(sys.modules.values()):
+            owned = getattr(mod, "__name__", "").partition(".")[0] == "orbimf"
+            if owned and vars(mod).get(name) is original:
+                monkeypatch.setattr(mod, name, counted)
+        return calls
+
+    return install

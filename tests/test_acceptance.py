@@ -71,7 +71,7 @@ def test_criterion_1_squaring_identity(catalog):
             build_8x8(entry.six()),
             entry.potential_in(),
             entry.potential_out(),
-            list(cs.generators),
+            con.groebner(cs),
         )
         elapsed = time.perf_counter() - t0
         notes.append(f"{eid}: {elapsed:.1f}s of 60s")

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from orbimf import _groebner
 from orbimf._groebner import BudgetExceeded, normal_form
 from orbimf.catalog import SolutionFamily, load_catalog
 from orbimf.constraints import (
@@ -113,6 +114,31 @@ def test_w12_needs_one_linear_elimination(catalog):
     assert format_poly(solved) == "-a1*b1 + 1/2*b1^2 + a1*b2 - b1*b2 + 1/2*b2^2"
     assert reduced.texts() == printed.texts()
     assert ideal_compare(printed, reduced).equal
+
+
+def test_ideal_compare_shares_one_basis_for_identical_generators(catalog, count_calls):
+    calls = count_calls(_groebner, "groebner_basis")
+    entry = catalog["W12v1_W12v2"]
+    derived = derive_constraints(entry)
+    same = ideal_compare(derived, ConstraintSet(derived.generators, "paper"))
+    assert len(calls) == 1
+    assert same.equal and not same.failing_a and not same.failing_b
+
+
+def test_ideal_compare_reports_failing_generators_on_w12(catalog, count_calls):
+    calls = count_calls(_groebner, "groebner_basis")
+    entry = catalog["W12v1_W12v2"]
+    derived = derive_constraints(entry)
+    printed = paper_constraint_set(entry)
+    cmp_ = ideal_compare(printed, derived)
+    assert len(calls) == 2
+    assert cmp_.failing_a == ()
+    printed_basis = groebner(printed)
+    outside = tuple(
+        g for g in derived.generators if not normal_form(g, printed_basis).is_zero()
+    )
+    assert outside and cmp_.failing_b == outside
+    assert all("a2" in g.support_vars() for g in cmp_.failing_b)
 
 
 def test_eliminate_linear_requires_linear_occurrence(catalog):

@@ -14,8 +14,11 @@ from orbimf.polyring import Poly, VarTable, format_poly, parse_poly
 from orbimf.residue import (
     ResidueError,
     cofactor_lift,
+    derivative_matrix_product,
+    derivative_supertrace,
     grothendieck_residue,
     qdim_left,
+    qdim_pair,
     qdim_right,
     supertrace,
 )
@@ -155,3 +158,17 @@ def test_qdim_results_live_in_parameters_only():
         for fn in (qdim_left, qdim_right):
             value = fn(m, entry.potential_in(), entry.potential_out()).value
             assert all(v in entry.parameters for v in value.support_vars()), entry.id
+
+
+def test_shared_supertrace_matches_full_product_and_separate_sides():
+    # the diagonal-only last factor against the whole sixfold product, and
+    # the one-product pair against one product per side
+    for entry in load_catalog().values():
+        m = build_8x8(entry.six())
+        v_in, w_out = entry.potential_in(), entry.potential_out()
+        order = v_in.support_vars() + w_out.support_vars()
+        full = supertrace(derivative_matrix_product(m, order))
+        assert derivative_supertrace(m, order) == full, entry.id
+        pair = qdim_pair(m, v_in, w_out)
+        assert pair["left"].value == qdim_left(m, v_in, w_out).value, entry.id
+        assert pair["right"].value == qdim_right(m, v_in, w_out).value, entry.id
