@@ -30,7 +30,7 @@ from .grading import (
     euler_check,
     weights_from_potential,
 )
-from .matfac import build_8x8, grading_check, verify_potential
+from .matfac import MatrixFactorization, build_8x8, grading_check, verify_potential
 from .numberfield import NonzeroCertificate
 from .polyring import Poly, format_poly
 from .residue import ResidueError
@@ -63,7 +63,7 @@ def _qdim_point_dict(p: con.QdimAtPoint) -> dict:
     return out
 
 
-def _grading_stage(entry: EquivalenceEntry) -> Tuple[bool, dict]:
+def _grading_stage(entry: EquivalenceEntry, m: MatrixFactorization) -> Tuple[bool, dict]:
     detail: dict = {}
     ok = True
     vws = {}
@@ -88,7 +88,7 @@ def _grading_stage(entry: EquivalenceEntry) -> Tuple[bool, dict]:
     equal_cc = detail["in"]["central_charge"] == detail["out"]["central_charge"]
     detail["central_charges_equal"] = equal_cc
     ok = ok and equal_cc
-    gr = grading_check(build_8x8(entry.six()), vws["in"].combine(vws["out"]))
+    gr = grading_check(m, vws["in"].combine(vws["out"]))
     detail["matrix"] = {
         "ok": gr.ok,
         "pair_sums": {k: str(v) for k, v in sorted(gr.pair_sums.items())},
@@ -103,8 +103,9 @@ def verify_entry(
     """All checks for one entry; the returned dict is the JSON report.
 
     Each per-entry fact is computed once and handed to every stage that
-    reads it: one Groebner basis per distinct generator set and one
-    sixfold derivative product for both quantum dimensions."""
+    reads it: one parse of the six generators into one factorization,
+    one Groebner basis per distinct generator set and one sixfold
+    derivative product for both quantum dimensions."""
     report: dict = {"entry": entry.id, "stages": {}, "ok": True}
     started = time.perf_counter()
 
@@ -116,15 +117,17 @@ def verify_entry(
         }
         report["ok"] = report["ok"] and bool(ok)
 
+    m = build_8x8(entry.six())
+
     t0 = time.perf_counter()
     try:
-        g_ok, g_detail = _grading_stage(entry)
+        g_ok, g_detail = _grading_stage(entry, m)
     except GradingError as exc:
         g_ok, g_detail = False, {"error": str(exc)}
     stage("grading", g_ok, g_detail, time.perf_counter() - t0)
 
     t0 = time.perf_counter()
-    derived = con.derive_constraints(entry)
+    derived = con.derive_constraints(entry, m)
     report["epsilon"] = derived.epsilon
     stage(
         "constraints",
@@ -135,7 +138,6 @@ def verify_entry(
 
     t0 = time.perf_counter()
     basis_derived = con.groebner(derived, spair_cap)
-    m = build_8x8(entry.six())
     pot = verify_potential(m, entry.potential_in(), entry.potential_out(), basis_derived)
     stage(
         "potential",
@@ -194,7 +196,7 @@ def verify_entry(
     )
 
     t0 = time.perf_counter()
-    qdims = con.computed_qdims(entry)
+    qdims = con.computed_qdims(entry, m)
     non_detail = []
     non_ok = True
     for fam in entry.families:
@@ -351,6 +353,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         ids = [resolve_entry(catalog, args.entry).id]
     if args.jobs > 1 and len(ids) > 1:
+        # longest generator texts first, so the dearest entries do not
+        # start last and bound the wall time
+        ids.sort(key=lambda i: sum(map(len, catalog[i].entry_texts.values())), reverse=True)
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             work = [
                 (str(args.catalog) if args.catalog else None, i, args.spair_cap, args.precision)
@@ -389,7 +394,7 @@ def cmd_qdim(args: argparse.Namespace) -> int:
     fam = _find_family(entry, args.family) if args.family else None
     # matching a printed form tries both computed sides
     both = args.compare_paper and fam is None
-    qdims = con.computed_qdims(entry, ("left", "right") if both else sides)
+    qdims = con.computed_qdims(entry, build_8x8(entry.six()), ("left", "right") if both else sides)
     if fam is not None:
         out["family"] = fam.label
         for side in sides:
@@ -438,7 +443,7 @@ def cmd_qdim(args: argparse.Namespace) -> int:
 def cmd_constraints(args: argparse.Namespace) -> int:
     catalog = load_catalog(args.catalog)
     entry = resolve_entry(catalog, args.entry)
-    derived = con.derive_constraints(entry)
+    derived = con.derive_constraints(entry, build_8x8(entry.six()))
     if args.compare_paper:
         printed = con.paper_constraint_set(entry)
         cmp_ = con.ideal_compare(printed, derived, args.spair_cap)

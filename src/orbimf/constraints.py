@@ -19,7 +19,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ._groebner import BudgetExceeded, groebner_basis, normal_form, resultant
 from .catalog import EquivalenceEntry, SolutionFamily
-from .matfac import build_8x8, square
+from .matfac import MatrixFactorization, build_8x8, square_scalar
 from .numberfield import (
     NonzeroCertificate,
     NumberFieldError,
@@ -106,36 +106,26 @@ class ConstraintSet:
         return tuple(format_poly(g) for g in self.generators)
 
 
-def derive_constraints(entry: EquivalenceEntry) -> ConstraintSet:
-    """Coefficients, over ring monomials, of square(d) - eps*(difference)*Id.
+def derive_constraints(entry: EquivalenceEntry, m: MatrixFactorization) -> ConstraintSet:
+    """Coefficients, over ring monomials, of square(d) - eps*(difference)*Id
+    for the entry's factorization `m`.
 
-    The sign eps is detected by trying +1 then -1 and keeping the first
-    choice whose residual system contains no nonzero constant (a constant
-    generator makes the system unsolvable, so the sign must be wrong).
-    An empty generator list means the identity holds for all parameters.
+    By the block layout (see `matfac`) the square is the scalar
+    `square_scalar(m)` times the identity, so the residual has one
+    distinct cell.  The sign eps is detected by trying +1 then -1 and
+    keeping the first choice whose residual system contains no nonzero
+    constant (a constant generator makes the system unsolvable, so the
+    sign must be wrong).  An empty generator list means the identity
+    holds for all parameters.
     """
-    m = build_8x8(entry.six())
-    sq = square(m)
+    sigma = square_scalar(m)
     delta = entry.difference()
     ring = entry.vt.ring_vars
     first: Optional[List[Poly]] = None
     for eps in (1, -1):
-        gens: List[Poly] = []
-        impossible = False
-        for i in range(8):
-            for j in range(8):
-                cell = sq[i][j]
-                if i == j:
-                    cell = cell - delta.scale(Fraction(eps))
-                if cell.is_zero():
-                    continue
-                for coeff in cell.coefficients_wrt(ring).values():
-                    if coeff.is_zero():
-                        continue
-                    if not coeff.support_vars():
-                        impossible = True
-                    gens.append(coeff)
-        if not impossible:
+        cell = sigma - delta.scale(Fraction(eps))
+        gens = [c for c in cell.coefficients_wrt(ring).values() if not c.is_zero()]
+        if all(c.support_vars() for c in gens):
             return ConstraintSet.from_polys(gens, "derived", epsilon=eps)
         if first is None:
             first = gens
@@ -266,7 +256,9 @@ def verify_family(
     """Substitute the family's bindings into every derived constraint and
     reduce in its quotient ring; each residue must vanish identically in
     the remaining free parameters."""
-    cs = constraints if constraints is not None else derive_constraints(entry)
+    cs = constraints
+    if cs is None:
+        cs = derive_constraints(entry, build_8x8(entry.six()))
     ring = _family_ring(entry, family)
     failures: List[Tuple[str, str]] = []
     for g in cs.generators:
@@ -280,20 +272,22 @@ def verify_family(
 
 
 def computed_qdims(
-    entry: EquivalenceEntry, sides: Sequence[str] = ("left", "right")
+    entry: EquivalenceEntry,
+    m: MatrixFactorization,
+    sides: Sequence[str] = ("left", "right"),
 ) -> Dict[str, Poly]:
-    """Residue-computed quantum dimensions by side, polynomials in the
-    parameters, all from one sixfold derivative product."""
+    """Residue-computed quantum dimensions by side of the entry's
+    factorization `m`, polynomials in the parameters, all from one
+    sixfold derivative product."""
     if any(side not in ("left", "right") for side in sides):
         raise ValueError("side must be left or right")
-    m = build_8x8(entry.six())
     pair = qdim_pair(m, entry.potential_in(), entry.potential_out(), sides)
     return {side: r.value for side, r in pair.items()}
 
 
 def computed_qdim(entry: EquivalenceEntry, side: str) -> Poly:
     """Residue-computed quantum dimension; a polynomial in the parameters."""
-    return computed_qdims(entry, (side,))[side]
+    return computed_qdims(entry, build_8x8(entry.six()), (side,))[side]
 
 
 @dataclass(frozen=True)
@@ -448,10 +442,12 @@ def compare_qdims(
     ideal, then a global nonzero rational multiple (scalar recorded), each
     tried on the same-name side before the opposite one.  A precomputed
     basis of the derived ideal and `computed_qdims` result are reusable."""
+    if basis is None or computed is None:
+        m = build_8x8(entry.six())
     if basis is None:
-        basis = groebner(derive_constraints(entry), spair_cap)
+        basis = groebner(derive_constraints(entry, m), spair_cap)
     if computed is None:
-        computed = computed_qdims(entry)
+        computed = computed_qdims(entry, m)
     cl = computed["left"]
     cr = computed["right"]
 
@@ -674,7 +670,7 @@ def bruteforce_family_oracle(
     candidate alone already satisfies the system.  No Groebner steps are
     involved, which is the point of the cross-check.
     """
-    cs = derive_constraints(entry)
+    cs = derive_constraints(entry, build_8x8(entry.six()))
     amap = {k: parse_poly(str(v), entry.vt) for k, v in assignments.items()}
     fixed = tuple(sorted((k, str(v)) for k, v in assignments.items()))
     base: List[Poly] = []

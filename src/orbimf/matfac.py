@@ -79,20 +79,9 @@ def build_8x8(six: Sequence[Poly]) -> MatrixFactorization:
 
 
 def matmul(x: Matrix8, y: Matrix8) -> Matrix8:
-    n = len(x)
-    out: List[Tuple[Poly, ...]] = []
-    for i in range(n):
-        row: List[Poly] = []
-        for j in range(n):
-            acc = None
-            for k in range(n):
-                if x[i][k].is_zero() or y[k][j].is_zero():
-                    continue
-                term = x[i][k] * y[k][j]
-                acc = term if acc is None else acc + term
-            row.append(acc if acc is not None else Poly.zero(x[0][0].vt))
-        out.append(tuple(row))
-    return tuple(out)
+    vt = x[0][0].vt
+    cols = tuple(zip(*y))
+    return tuple(tuple(Poly.dot(vt, zip(row, col)) for col in cols) for row in x)
 
 
 def square(m: MatrixFactorization) -> Matrix8:

@@ -28,10 +28,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple
+from math import lcm
+from operator import add
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 Monomial = Tuple[int, ...]
 Terms = Dict[Monomial, Fraction]
+IntTerms = List[Tuple[Monomial, int]]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -250,16 +253,40 @@ class Poly:
         a, b = self._terms, other._terms
         if len(a) > len(b):
             a, b = b, a
-        out: Terms = {}
-        for m1, c1 in a.items():
-            for m2, c2 in b.items():
-                m = tuple(e1 + e2 for e1, e2 in zip(m1, m2))
-                s = out.get(m, _ZERO) + c1 * c2
-                if s:
-                    out[m] = s
-                else:
-                    del out[m]
-        return Poly._raw(self.vt, out)
+        da, ia = _integer_terms(a)
+        db, ib = _integer_terms(b)
+        acc: Dict[Monomial, int] = {}
+        _accumulate(acc, ia, ib)
+        return Poly._raw(self.vt, _over(acc, da * db))
+
+    @staticmethod
+    def dot(vt: VarTable, pairs: Iterable[Tuple["Poly", "Poly"]]) -> "Poly":
+        """sum(x*y for x, y in pairs) over `vt`, zero for no pairs.
+
+        Every product is accumulated as integer numerators over one
+        common denominator, so the only Fractions made are the output
+        coefficients; pairs with a zero operand are skipped.
+        """
+        products = []
+        for x, y in pairs:
+            if (x.vt is not vt and x.vt != vt) or (y.vt is not vt and y.vt != vt):
+                raise VarTableMismatch("polynomials belong to different variable tables")
+            a, b = x._terms, y._terms
+            if not a or not b:
+                continue
+            if len(a) > len(b):
+                a, b = b, a
+            da, ia = _integer_terms(a)
+            db, ib = _integer_terms(b)
+            products.append((da * db, ia, ib))
+        den = lcm(*(d for d, _, _ in products))
+        acc: Dict[Monomial, int] = {}
+        for d, ia, ib in products:
+            if d != den:
+                s = den // d
+                ia = [(m, c * s) for m, c in ia]
+            _accumulate(acc, ia, ib)
+        return Poly._raw(vt, _over(acc, den))
 
     def scale(self, value) -> "Poly":
         q = Fraction(value)
@@ -404,6 +431,35 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({format_poly(self)!r})"
+
+
+# ---------------------------------------------------------------------
+# integer kernel of multiplication
+
+
+def _integer_terms(terms: Terms) -> Tuple[int, IntTerms]:
+    """(d, [(m, c*d)]) with d the lcm of the coefficient denominators,
+    so every scaled coefficient is an int."""
+    d = lcm(*(c.denominator for c in terms.values()))
+    if d == 1:
+        return 1, [(m, c.numerator) for m, c in terms.items()]
+    return d, [(m, c.numerator * (d // c.denominator)) for m, c in terms.items()]
+
+
+def _accumulate(acc: Dict[Monomial, int], ia: IntTerms, ib: IntTerms) -> None:
+    """Add the product of two integer term lists into `acc`."""
+    get = acc.get
+    for m1, c1 in ia:
+        for m2, c2 in ib:
+            m = tuple(map(add, m1, m2))
+            acc[m] = get(m, 0) + c1 * c2
+
+
+def _over(acc: Dict[Monomial, int], den: int) -> Terms:
+    """Canonical terms n/den of the nonzero integer numerators."""
+    if den == 1:
+        return {m: Fraction(n) for m, n in acc.items() if n}
+    return {m: Fraction(n, den) for m, n in acc.items() if n}
 
 
 # ---------------------------------------------------------------------

@@ -66,14 +66,11 @@ def derivative_supertrace(m: MatrixFactorization, order: Sequence[str]) -> Poly:
     diagonal of the last factor's product, the only cells it reads."""
     head = derivative_matrix_product(m, order[:-1])
     last = _partial_matrix(m, order[-1])
-    acc = Poly.zero(m.vt)
-    for i in range(8):
-        for k in range(8):
-            if head[i][k].is_zero() or last[k][i].is_zero():
-                continue
-            term = head[i][k] * last[k][i]
-            acc = acc + term if i < 4 else acc - term
-    return acc
+
+    def diagonal(rows: range) -> Poly:
+        return Poly.dot(m.vt, ((head[i][k], last[k][i]) for i in rows for k in range(8)))
+
+    return diagonal(range(4)) - diagonal(range(4, 8))
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,8 @@ import pytest
 def count_calls(monkeypatch):
     """`count_calls(module, name)` returns a list that receives the
     positional arguments of every call to `module.name`, made through any
-    orbimf module global bound to it, for the rest of the test."""
+    orbimf module global bound to it, for the rest of the test.  When
+    `module` is a class, its method `name` is counted instead."""
 
     def install(module, name):
         original = getattr(module, name)
@@ -21,6 +22,9 @@ def count_calls(monkeypatch):
             calls.append(args)
             return original(*args, **kwargs)
 
+        if isinstance(module, type):
+            monkeypatch.setattr(module, name, counted)
+            return calls
         for mod in list(sys.modules.values()):
             owned = getattr(mod, "__name__", "").partition(".")[0] == "orbimf"
             if owned and vars(mod).get(name) is original:

@@ -66,9 +66,10 @@ def test_criterion_1_squaring_identity(catalog):
     for eid in ENTRY_IDS:
         entry = catalog[eid]
         t0 = time.perf_counter()
-        cs = con.derive_constraints(entry)
+        m = build_8x8(entry.six())
+        cs = con.derive_constraints(entry, m)
         report = verify_potential(
-            build_8x8(entry.six()),
+            m,
             entry.potential_in(),
             entry.potential_out(),
             con.groebner(cs),
@@ -91,7 +92,7 @@ def test_criterion_2_constraint_containment(catalog):
     t0 = time.perf_counter()
     for eid in ENTRY_IDS:
         entry = catalog[eid]
-        derived = con.derive_constraints(entry)
+        derived = con.derive_constraints(entry, build_8x8(entry.six()))
         printed = con.paper_constraint_set(entry)
         cmp_ = con.ideal_compare(printed, derived)
         if not cmp_.a_in_b:
@@ -143,7 +144,7 @@ def test_criterion_4_families_satisfy_constraints(catalog):
     labels = []
     for eid in ENTRY_IDS:
         entry = catalog[eid]
-        cs = con.derive_constraints(entry)
+        cs = con.derive_constraints(entry, build_8x8(entry.six()))
         for fam in entry.families:
             t0 = time.perf_counter()
             report = con.verify_family(entry, fam, cs)

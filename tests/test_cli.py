@@ -8,11 +8,12 @@ from pathlib import Path
 
 import pytest
 
-from orbimf import _groebner, residue
-from orbimf.catalog import load_catalog
+from orbimf import _groebner, cli, matfac, residue
+from orbimf.catalog import EquivalenceEntry, load_catalog
 from orbimf.cli import SCHEMA_VERSION, main, verify_entry
 
 DEMO_DIR = Path(__file__).parent / "data" / "demo"
+SHIPPED_DIR = Path(cli.__file__).parent / "data"
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 ENTRY_IDS = (
@@ -118,6 +119,51 @@ def test_verify_all_with_jobs(capsys, tmp_path):
     assert "entry" in out and "result" in out  # summary table header
 
 
+def _three_entry_catalog(directory: Path) -> None:
+    # by total generator text length Z13 (1247) > U12v1 (281) > W12 (221),
+    # the reverse of the id order for W12 and U12v1
+    for name in ("potentials.json", "U12v1v3.json", "W12.json", "Z13.json"):
+        shutil.copy(SHIPPED_DIR / name, directory / name)
+
+
+def test_verify_jobs_2_reports_sorted_by_id(capsys, tmp_path):
+    _three_entry_catalog(tmp_path)
+    rc, out, _ = _run(
+        capsys, "verify", "--all", "--catalog", str(tmp_path), "--jobs", "2", "--json"
+    )
+    assert rc == 0
+    ids = [r["entry"] for r in json.loads(out)["reports"]]
+    assert ids == ["U12v1_U12v3", "W12v1_W12v2", "Z13v1_Z13v2"]
+
+
+def test_verify_jobs_submits_longest_entries_first(capsys, tmp_path, monkeypatch):
+    submitted = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, work):
+            submitted.extend(w[1] for w in work)
+            return map(fn, work)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    _three_entry_catalog(tmp_path)
+    rc, out, _ = _run(
+        capsys, "verify", "--all", "--catalog", str(tmp_path), "--jobs", "2", "--json"
+    )
+    assert rc == 0
+    assert submitted == ["Z13v1_Z13v2", "U12v1_U12v3", "W12v1_W12v2"]
+    ids = [r["entry"] for r in json.loads(out)["reports"]]
+    assert ids == sorted(submitted)
+
+
 def test_qdim_plain_text(capsys):
     rc, out, _ = _run(capsys, "qdim", "--entry", "E14", "--side", "right")
     assert rc == 0
@@ -190,7 +236,11 @@ def test_unknown_family_exits_2(capsys):
 def test_verify_entry_computes_each_fact_once(count_calls, entry_id):
     bases = count_calls(_groebner, "groebner_basis")
     products = count_calls(residue, "derivative_supertrace")
+    parses = count_calls(EquivalenceEntry, "six")
+    squares = count_calls(matfac, "square")
     verify_entry(load_catalog()[entry_id])
+    assert len(parses) == 1
+    assert len(squares) == 1
     sets = [frozenset(args[0]) for args in bases]
     # W12's printed set differs from the derived one (eliminating a2 from
     # the derived set gives the printed set again); every other entry

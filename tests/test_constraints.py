@@ -23,6 +23,7 @@ from orbimf.constraints import (
     uni_divides,
     verify_family,
 )
+from orbimf.matfac import build_8x8
 from orbimf.polyring import VarTable, format_poly, parse_poly
 
 
@@ -66,17 +67,17 @@ SHAPES = {
 
 def test_derived_generators_frozen(catalog):
     for eid, texts in DERIVED.items():
-        cs = derive_constraints(catalog[eid])
+        cs = derive_constraints(catalog[eid], build_8x8(catalog[eid].six()))
         assert cs.texts() == texts, eid
     for eid, shapes in SHAPES.items():
-        cs = derive_constraints(catalog[eid])
+        cs = derive_constraints(catalog[eid], build_8x8(catalog[eid].six()))
         got = tuple((g.num_terms(), g.total_degree()) for g in cs.generators)
         assert got == shapes, eid
 
 
 def test_epsilon_is_plus_one_everywhere(catalog):
     for entry in catalog.values():
-        assert derive_constraints(entry).epsilon == 1, entry.id
+        assert derive_constraints(entry, build_8x8(entry.six())).epsilon == 1, entry.id
 
 
 def test_constraint_set_normalizes_and_dedupes():
@@ -97,7 +98,8 @@ def test_constraint_set_normalizes_and_dedupes():
 def test_two_way_equality_where_it_holds_raw(catalog):
     for eid in ("E14v1_E14v2", "U12v1_U12v3", "U12v2_U12v3", "Z13v1_Z13v2", "W13v1_W13v2"):
         entry = catalog[eid]
-        cmp_ = ideal_compare(paper_constraint_set(entry), derive_constraints(entry))
+        derived = derive_constraints(entry, build_8x8(entry.six()))
+        cmp_ = ideal_compare(paper_constraint_set(entry), derived)
         assert cmp_.a_in_b and cmp_.b_in_a, eid
         assert cmp_.equal
         assert not cmp_.failing_a and not cmp_.failing_b
@@ -105,7 +107,7 @@ def test_two_way_equality_where_it_holds_raw(catalog):
 
 def test_w12_needs_one_linear_elimination(catalog):
     entry = catalog["W12v1_W12v2"]
-    derived = derive_constraints(entry)
+    derived = derive_constraints(entry, build_8x8(entry.six()))
     printed = paper_constraint_set(entry)
     raw = ideal_compare(printed, derived)
     # the derived system still carries the determined parameter a2
@@ -119,7 +121,7 @@ def test_w12_needs_one_linear_elimination(catalog):
 def test_ideal_compare_shares_one_basis_for_identical_generators(catalog, count_calls):
     calls = count_calls(_groebner, "groebner_basis")
     entry = catalog["W12v1_W12v2"]
-    derived = derive_constraints(entry)
+    derived = derive_constraints(entry, build_8x8(entry.six()))
     same = ideal_compare(derived, ConstraintSet(derived.generators, "paper"))
     assert len(calls) == 1
     assert same.equal and not same.failing_a and not same.failing_b
@@ -128,7 +130,7 @@ def test_ideal_compare_shares_one_basis_for_identical_generators(catalog, count_
 def test_ideal_compare_reports_failing_generators_on_w12(catalog, count_calls):
     calls = count_calls(_groebner, "groebner_basis")
     entry = catalog["W12v1_W12v2"]
-    derived = derive_constraints(entry)
+    derived = derive_constraints(entry, build_8x8(entry.six()))
     printed = paper_constraint_set(entry)
     cmp_ = ideal_compare(printed, derived)
     assert len(calls) == 2
@@ -143,13 +145,14 @@ def test_ideal_compare_reports_failing_generators_on_w12(catalog, count_calls):
 
 def test_eliminate_linear_requires_linear_occurrence(catalog):
     entry = catalog["E14v1_E14v2"]
-    cs = derive_constraints(entry)
+    cs = derive_constraints(entry, build_8x8(entry.six()))
     with pytest.raises(ValueError):
         eliminate_linear(cs, "c")  # only c^8 available
 
 
 def test_groebner_budget_is_enforced(catalog):
-    cs = derive_constraints(catalog["Q12v1_Q12v2"])
+    q12 = catalog["Q12v1_Q12v2"]
+    cs = derive_constraints(q12, build_8x8(q12.six()))
     with pytest.raises(BudgetExceeded):
         groebner(cs, spair_cap=5)
 
@@ -160,7 +163,7 @@ def test_groebner_budget_is_enforced(catalog):
 def test_every_shipped_family_satisfies_derived_constraints(catalog):
     seen = []
     for entry in catalog.values():
-        cs = derive_constraints(entry)
+        cs = derive_constraints(entry, build_8x8(entry.six()))
         for fam in entry.families:
             report = verify_family(entry, fam, cs)
             assert report.ok, (entry.id, fam.label, report.failures)
@@ -312,7 +315,7 @@ def test_qdim_product_reduces_to_one(catalog):
     expected_w13 = "-a1*d^2 - b*d^2 + c*d^2 + 1"
     for eid in ("E14v1_E14v2", "U12v1_U12v3", "U12v2_U12v3", "W12v1_W12v2", "Z13v1_Z13v2", "W13v1_W13v2"):
         entry = catalog[eid]
-        basis = groebner(derive_constraints(entry))
+        basis = groebner(derive_constraints(entry, build_8x8(entry.six())))
         product = computed_qdim(entry, "left") * computed_qdim(entry, "right")
         nf = normal_form(product, basis)
         if eid == "W13v1_W13v2":

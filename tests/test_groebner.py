@@ -115,9 +115,10 @@ def test_groebner_basis_matches_sympy_on_w13():
     sympy = pytest.importorskip("sympy")
     from orbimf.catalog import load_catalog
     from orbimf.constraints import derive_constraints
+    from orbimf.matfac import build_8x8
 
     entry = load_catalog()["W13v1_W13v2"]
-    gens = derive_constraints(entry).generators
+    gens = derive_constraints(entry, build_8x8(entry.six())).generators
     params = entry.parameters
     syms = sympy.symbols(params)
     local = dict(zip(params, syms))

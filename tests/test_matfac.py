@@ -102,7 +102,7 @@ def test_all_entries_have_24_cells_and_uniform_diagonal(catalog):
 def test_e14_potential_certificate(catalog):
     entry = catalog["E14v1_E14v2"]
     m = build_8x8(entry.six())
-    cs = derive_constraints(entry)
+    cs = derive_constraints(entry, m)
     report = verify_potential(
         m, entry.potential_in(), entry.potential_out(), groebner(cs)
     )

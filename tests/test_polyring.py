@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from orbimf.polyring import (
     ParseError,
@@ -122,6 +124,76 @@ def test_vartable_mismatch_raises():
     other = VarTable(names=("x", "y"))
     with pytest.raises(VarTableMismatch):
         _ = P("x") + Poly.var(other, "x")
+
+
+# -- the integer product kernel against a Fraction-by-Fraction reference --
+
+_MONOS = st.tuples(*[st.integers(0, 3)] * 3).map(lambda m: m + (0, 0, 0))
+_COEFFS = st.fractions(min_value=-20, max_value=20, max_denominator=12).filter(bool)
+_POLYS = st.dictionaries(_MONOS, _COEFFS, max_size=6).map(lambda t: Poly(VT, t))
+
+
+def _reference_product(pairs) -> dict:
+    """sum(x*y for x, y in pairs) with one Fraction product per term pair."""
+    out = {}
+    for x, y in pairs:
+        for m1, c1 in x.terms():
+            for m2, c2 in y.terms():
+                m = tuple(e1 + e2 for e1, e2 in zip(m1, m2))
+                out[m] = out.get(m, Fraction(0)) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def _assert_canonical(p: Poly) -> None:
+    for _, c in p.terms():
+        assert type(c) is Fraction and c
+        assert c.denominator > 0 and gcd(c.numerator, c.denominator) == 1
+
+
+@settings(deadline=None)
+@given(_POLYS, _POLYS)
+@example(Poly(VT), P("x + y/2"))
+@example(P("3/4*x*y"), P("-2/3*z"))
+@example(P("x + y/2"), P("x - y/2"))  # the x*y terms cancel
+def test_mul_matches_fraction_reference(a, b):
+    product = a * b
+    assert dict(product.terms()) == _reference_product([(a, b)])
+    assert product == b * a
+    _assert_canonical(product)
+
+
+@settings(deadline=None)
+@given(st.lists(st.tuples(_POLYS, _POLYS), max_size=5))
+@example([])
+@example([(P("x/3"), P("y/5")), (P("-x/5"), P("y/3"))])  # cancels to zero
+def test_dot_matches_sum_of_fraction_products(pairs):
+    got = Poly.dot(VT, pairs)
+    assert dict(got.terms()) == _reference_product(pairs)
+    assert got == Poly.dot(VT, [(y, x) for x, y in pairs])
+    _assert_canonical(got)
+
+
+@settings(deadline=None)
+@given(_POLYS, _POLYS)
+def test_dot_of_a_product_and_its_negation_is_zero(a, b):
+    assert Poly.dot(VT, [(a, b), (-a, b)]).is_zero()
+
+
+def test_dot_over_no_pairs_is_zero():
+    assert Poly.dot(VT, []) == Poly.zero(VT)
+    assert Poly.dot(VT, iter(())).is_zero()
+
+
+def test_product_and_dot_reject_mixed_tables():
+    other = VarTable(names=("x", "y"))
+    with pytest.raises(VarTableMismatch):
+        _ = P("x") * Poly.var(other, "x")
+    with pytest.raises(VarTableMismatch):
+        Poly.dot(VT, [(P("x"), Poly.var(other, "x"))])
+    with pytest.raises(VarTableMismatch):
+        Poly.dot(VT, [(Poly.zero(other), P("x"))])
+    with pytest.raises(VarTableMismatch):
+        Poly.dot(other, [(P("x"), P("y"))])
 
 
 def test_parse_rejects_undeclared_identifier():
