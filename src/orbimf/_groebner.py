@@ -5,6 +5,20 @@ The basis computation applies the coprimality and chain criteria and a
 normal selection strategy (smallest lcm first); work is bounded by an
 S-pair budget so a runaway system fails loudly instead of hanging.
 
+Reduction runs on Python ints.  A divisor record holds a lead monomial
+and its monic tail as integer numerators over one denominator, converted
+once per record; the polynomial being reduced is a dict of integer
+numerators over one common denominator, rescaled only when a divisor's
+denominator does not divide the step's coefficient, and only a final
+remainder term becomes a Fraction.  The records of one basis live in a
+`_Divisors` list, which remembers per monomial the first record whose
+lead divides it and, after a miss, how many records were scanned, so
+each monomial is tested against each lead at most once.  Buchberger
+only appends records, so the remembered divisor is always the first in
+list order.  `reducer(basis)` builds the records once for a stage that
+reduces many polynomials against one basis; `normal_form` is its
+one-shot form.
+
 The resultant uses fraction-free Bareiss elimination on the Sylvester
 matrix; the exact divisions it requires are performed by leading-term
 peeling, which must terminate with remainder zero for intermediate
@@ -15,11 +29,17 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Tuple
+from math import gcd, lcm
+from operator import add, le, sub
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .polyring import Monomial, Poly, degrevlex_key
+from .polyring import IntTerms, Monomial, Poly, Terms, _integer_terms, degrevlex_key
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+# (lead monomial, denominator, monic tail as integer numerators over it)
+Record = Tuple[Monomial, int, IntTerms]
 
 
 class BudgetExceeded(RuntimeError):
@@ -32,141 +52,179 @@ def _lead(p: Poly) -> Tuple[Monomial, Fraction]:
 
 
 def _divides(a: Monomial, b: Monomial) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def _mono_sub(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def _mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def _heap_key(m: Monomial):
     """degrevlex_key negated componentwise, so a min-heap pops the
     largest monomial first."""
-    return (-sum(m), tuple(e for e in reversed(m)))
+    return (-sum(m), m[::-1])
 
 
-def _normalized_tails(basis: Sequence[Poly]):
-    """Per divisor: leading monomial plus the monic tail as an item list."""
-    out = []
-    for g in basis:
-        glm, glc = _lead(g)
-        tail = [(gm, gc / glc) for gm, gc in g.terms() if gm != glm]
-        out.append((glm, tail))
-    return out
+def _record(terms: Terms) -> Record:
+    """Divisor record of a nonzero polynomial's terms: its lead and its
+    monic tail n/den, with den > 0 and the numerators sharing no factor
+    with it."""
+    lm = max(terms, key=degrevlex_key)
+    ints = dict(_integer_terms(terms)[1])
+    lead = ints.pop(lm)
+    g = gcd(lead, *ints.values())
+    if lead < 0:
+        g = -g
+    return lm, lead // g, [(m, n // g) for m, n in ints.items()]
 
 
-def _reduce_by(coeffs: dict, divisors) -> dict:
-    """Full reduction of the term dict against (lead, monic tail) pairs.
+def _monic_poly(vt, record: Record) -> Poly:
+    lm, den, tail = record
+    terms = {m: Fraction(n, den) for m, n in tail}
+    terms[lm] = _ONE
+    return Poly._raw(vt, terms)
 
-    Consumes `coeffs`; returns the remainder dict.  Terms are visited
-    largest-first through a lazily deduplicated heap.
+
+class _Divisors(list):
+    """The divisor records of one basis, in the order they were added.
+
+    A lookup remembers, per monomial, the first record whose lead divides
+    it; a miss remembers how many records it scanned, so a later lookup
+    scans only records appended since.  Records may only be appended.
     """
+
+    def __init__(self, polys: Iterable[Poly] = ()):
+        super().__init__(_record(p._terms) for p in polys)
+        self._hit: Dict[Monomial, Record] = {}
+        self._miss: Dict[Monomial, int] = {}
+
+    def first(self, m: Monomial) -> Optional[Record]:
+        """First record whose lead divides m, or None."""
+        record = self._hit.get(m)
+        if record is not None:
+            return record
+        for k in range(self._miss.get(m, 0), len(self)):
+            record = self[k]
+            if all(map(le, record[0], m)):
+                self._hit[m] = record
+                return record
+        self._miss[m] = len(self)
+        return None
+
+
+def _reduce_by(work: Tuple[int, Dict[Monomial, int]], divisors: _Divisors) -> Terms:
+    """Full reduction of `work` = (den, integer numerators) against the
+    divisor records.
+
+    Consumes the numerator dict; returns the remainder as Fractions.
+    Terms are visited largest-first through a lazily deduplicated heap.
+    """
+    den, coeffs = work
     heap = [(_heap_key(m), m) for m in coeffs]
     heapq.heapify(heap)
-    remainder: dict = {}
+    heappop, heappush = heapq.heappop, heapq.heappush
+    first = divisors.first
+    remainder: Terms = {}
     while heap:
-        _, m = heapq.heappop(heap)
-        c = coeffs.pop(m, _ZERO)
+        _, m = heappop(heap)
+        c = coeffs.pop(m, 0)
         if not c:
             continue
-        for glm, tail in divisors:
-            if _divides(glm, m):
-                shift = _mono_sub(m, glm)
-                for gm, gc in tail:
-                    t = _mono_mul(gm, shift)
-                    old = coeffs.get(t)
-                    if old is None:
-                        v = -c * gc
-                        if v:
-                            coeffs[t] = v
-                            heapq.heappush(heap, (_heap_key(t), t))
-                    else:
-                        v = old - c * gc
-                        if v:
-                            coeffs[t] = v
-                        else:
-                            del coeffs[t]
-                break
-        else:
-            remainder[m] = c
+        record = first(m)
+        if record is None:
+            remainder[m] = Fraction(c, den)
+            continue
+        glm, gden, tail = record
+        # c/den * (m + tail/gden) over den*s, with s = gden/gcd(c, gden)
+        g = gcd(c, gden)
+        s = gden // g
+        if s != 1:
+            for t in coeffs:
+                coeffs[t] *= s
+            den *= s
+        q = c // g
+        shift = tuple(map(sub, m, glm))
+        for gm, n in tail:
+            t = tuple(map(add, gm, shift))
+            old = coeffs.get(t)
+            if old is None:
+                coeffs[t] = -q * n
+                heappush(heap, ((-sum(t), t[::-1]), t))  # _heap_key(t)
+            else:
+                v = old - q * n
+                if v:
+                    coeffs[t] = v
+                else:
+                    del coeffs[t]
     return remainder
+
+
+def reducer(basis: Sequence[Poly]) -> Callable[[Poly], Poly]:
+    """p -> normal_form(p, basis), with the divisor records built once."""
+    divisors = _Divisors(b for b in basis if not b.is_zero())
+
+    def reduce(p: Poly) -> Poly:
+        if not divisors:
+            return p
+        den, items = _integer_terms(p._terms)
+        return Poly._raw(p.vt, _reduce_by((den, dict(items)), divisors))
+
+    return reduce
 
 
 def normal_form(p: Poly, basis: Sequence[Poly]) -> Poly:
     """Fully reduced remainder of p modulo the basis (zero iff member,
     when the basis is Groebner)."""
-    divisors = [d for d in _normalized_tails(b for b in basis if not b.is_zero())]
-    if not divisors:
-        return p
-    coeffs = {m: c for m, c in p.terms()}
-    return Poly(p.vt, _reduce_by(coeffs, divisors))
+    return reducer(basis)(p)
 
 
-def _monic(p: Poly) -> Poly:
-    _, lc = _lead(p)
-    return p.scale(1 / lc)
-
-
-def _spoly_dict(fi, fj) -> dict:
-    """Term dict of the S-polynomial from two (lead, tail) records."""
-    (mi, tail_i), (mj, tail_j) = fi, fj
-    lcm = _mono_lcm(mi, mj)
-    si, sj = _mono_sub(lcm, mi), _mono_sub(lcm, mj)
-    out: dict = {}
-    for gm, gc in tail_i:
-        t = _mono_mul(gm, si)
-        v = out.get(t, _ZERO) + gc
+def _spoly(fi: Record, fj: Record) -> Tuple[int, Dict[Monomial, int]]:
+    """(den, integer numerators) of the S-polynomial of two records."""
+    (mi, di, tail_i), (mj, dj, tail_j) = fi, fj
+    lcm_ij = _mono_lcm(mi, mj)
+    si, sj = _mono_sub(lcm_ij, mi), _mono_sub(lcm_ij, mj)
+    den = lcm(di, dj)
+    ui, uj = den // di, den // dj
+    out = {tuple(map(add, gm, si)): n * ui for gm, n in tail_i}
+    for gm, n in tail_j:
+        t = tuple(map(add, gm, sj))
+        v = out.get(t, 0) - n * uj
         if v:
             out[t] = v
         else:
-            out.pop(t, None)
-    for gm, gc in tail_j:
-        t = _mono_mul(gm, sj)
-        v = out.get(t, _ZERO) - gc
-        if v:
-            out[t] = v
-        else:
-            out.pop(t, None)
-    return out
+            del out[t]
+    return den, out
 
 
 def groebner_basis(gens: Iterable[Poly], spair_cap: int = 50000) -> List[Poly]:
     """Reduced Groebner basis of the given generators (degrevlex)."""
-    vt = None
-    basis: List[Poly] = []
-    for g in gens:
-        if not g.is_zero():
-            basis.append(_monic(g))
-            vt = g.vt
-    if not basis:
+    gens = [g for g in gens if not g.is_zero()]
+    if not gens:
         return []
-    leads: List[Monomial] = []
-    divisors = []  # (lead monomial, monic tail items), aligned with basis
-    for g in basis:
-        glm, tail = _normalized_tails([g])[0]
-        leads.append(glm)
-        divisors.append((glm, tail))
+    vt = gens[-1].vt
+    divisors = _Divisors(gens)
+    leads: List[Monomial] = [lm for lm, _, _ in divisors]
 
     pending: List[Tuple[tuple, Tuple[int, int]]] = []  # (key of lcm, (i, j))
     processed = set()
 
     def queue_pair(i: int, j: int) -> None:
-        lcm = _mono_lcm(leads[i], leads[j])
-        if lcm == _mono_mul(leads[i], leads[j]):  # coprime leads
+        lcm_ij = _mono_lcm(leads[i], leads[j])
+        if lcm_ij == _mono_mul(leads[i], leads[j]):  # coprime leads
             processed.add((i, j))
             return
-        heapq.heappush(pending, (degrevlex_key(lcm), (i, j)))
+        heapq.heappush(pending, (degrevlex_key(lcm_ij), (i, j)))
 
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
+    for i in range(len(leads)):
+        for j in range(i + 1, len(leads)):
             queue_pair(i, j)
     spent = 0
     while pending:
@@ -175,12 +233,10 @@ def groebner_basis(gens: Iterable[Poly], spair_cap: int = 50000) -> List[Poly]:
         spent += 1
         if spent > spair_cap:
             raise BudgetExceeded(f"S-pair budget of {spair_cap} exhausted")
-        lcm = _mono_lcm(leads[i], leads[j])
+        lcm_ij = _mono_lcm(leads[i], leads[j])
         skip = False
-        for k in range(len(basis)):
-            if k in (i, j):
-                continue
-            if not _divides(leads[k], lcm):
+        for k, lk in enumerate(leads):
+            if k in (i, j) or not all(map(le, lk, lcm_ij)):
                 continue
             pik = (min(i, k), max(i, k))
             pjk = (min(j, k), max(j, k))
@@ -189,18 +245,15 @@ def groebner_basis(gens: Iterable[Poly], spair_cap: int = 50000) -> List[Poly]:
                 break
         if skip:
             continue
-        remainder = _reduce_by(_spoly_dict(divisors[i], divisors[j]), divisors)
+        remainder = _reduce_by(_spoly(divisors[i], divisors[j]), divisors)
         if not remainder:
             continue
-        r = _monic(Poly(vt, remainder))
-        basis.append(r)
-        new = len(basis) - 1
-        glm, tail = _normalized_tails([r])[0]
-        leads.append(glm)
-        divisors.append((glm, tail))
+        divisors.append(_record(remainder))
+        leads.append(divisors[-1][0])
+        new = len(leads) - 1
         for k in range(new):
             queue_pair(k, new)
-    return interreduce(basis)
+    return interreduce([_monic_poly(vt, r) for r in divisors])
 
 
 def interreduce(basis: Sequence[Poly]) -> List[Poly]:
@@ -212,6 +265,7 @@ def interreduce(basis: Sequence[Poly]) -> List[Poly]:
     pass suffices: each element keeps its lead and its monic tail is
     fully reduced against the minimal basis as it stood before the pass.
     On a generating set that is not Groebner the result is not reduced.
+    Equal monomials of the result share one tuple.
     """
     work = [p for p in basis if not p.is_zero()]
     # Drop elements whose lead another lead divides (ties: keep one copy).
@@ -224,14 +278,16 @@ def interreduce(basis: Sequence[Poly]) -> List[Poly]:
             continue
         kept.append(p)
         kept_leads.append(lm)
-    divisors = _normalized_tails(kept)
+    divisors = _Divisors(kept)
+    shared: Dict[Monomial, Monomial] = {}
     out: List[Poly] = []
-    for p, (lm, tail) in zip(kept, divisors):
+    for p, (lm, den, tail) in zip(kept, divisors):
         # Tail terms and everything reduction makes of them lie below lm,
         # so no element's own lead ever fires on its tail.
-        remainder = _reduce_by(dict(tail), divisors)
-        remainder[lm] = Fraction(1)
-        out.append(Poly(p.vt, remainder))
+        remainder = _reduce_by((den, dict(tail)), divisors)
+        remainder[lm] = _ONE
+        terms = {shared.setdefault(m, m): c for m, c in remainder.items()}
+        out.append(Poly._raw(p.vt, terms))
     return out
 
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from ._groebner import BudgetExceeded, groebner_basis, normal_form, resultant
+from ._groebner import BudgetExceeded, groebner_basis, normal_form, reducer, resultant
 from .catalog import EquivalenceEntry, SolutionFamily
 from .matfac import MatrixFactorization, build_8x8, square_scalar
 from .numberfield import (
@@ -175,12 +175,10 @@ def ideal_compare(
         basis_b = basis_a if same and basis_a is not None else groebner(b, spair_cap)
     if basis_a is None:
         basis_a = basis_b if same else groebner(a, spair_cap)
-    failing_a = tuple(
-        g for g in a.generators if not normal_form(g, basis_b).is_zero()
-    )
-    failing_b = tuple(
-        g for g in b.generators if not normal_form(g, basis_a).is_zero()
-    )
+    reduce_b = reducer(basis_b)
+    reduce_a = reduce_b if basis_a is basis_b else reducer(basis_a)
+    failing_a = tuple(g for g in a.generators if not reduce_b(g).is_zero())
+    failing_b = tuple(g for g in b.generators if not reduce_a(g).is_zero())
     return IdealComparison(not failing_a, not failing_b, failing_a, failing_b)
 
 
@@ -450,6 +448,7 @@ def compare_qdims(
         computed = computed_qdims(entry, m)
     cl = computed["left"]
     cr = computed["right"]
+    reduce = reducer(basis)
 
     def match(side: str) -> QdimMatch:
         printed = entry.paper_qdim(side)
@@ -460,14 +459,14 @@ def compare_qdims(
             if printed == comp:
                 return QdimMatch(side, "exact", name, _ONE, False)
         for name, comp in order:
-            if normal_form(printed - comp, basis).is_zero():
+            if reduce(printed - comp).is_zero():
                 return QdimMatch(side, "exact_mod_ideal", name, _ONE, True)
         for name, comp in order:
             lam = _scalar_ratio(printed, comp)
             if lam is not None:
                 return QdimMatch(side, "unit_multiple", name, lam, False)
         for name, comp in order:
-            lam = _scalar_ratio(normal_form(printed, basis), normal_form(comp, basis))
+            lam = _scalar_ratio(reduce(printed), reduce(comp))
             if lam is not None:
                 return QdimMatch(side, "unit_multiple", name, lam, True)
         return QdimMatch(side, "unmatched", None, None, False)

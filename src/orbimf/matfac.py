@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ._groebner import normal_form
+from ._groebner import reducer
 from ._linalg import solve_dense
 from .grading import VariableWeights
 from .polyring import Poly, VarTable
@@ -135,10 +135,11 @@ def verify_potential(
     delta = w_out - v_in
     epsilon: Optional[int] = None
     if off_ok and diag_ok:
+        reduce = reducer(basis)
         for eps in (1, -1):
             residual = diag[0] - delta.scale(Fraction(eps))
             coeffs = residual.coefficients_wrt(m.vt.ring_vars)
-            if all(normal_form(c, basis).is_zero() for c in coeffs.values()):
+            if all(reduce(c).is_zero() for c in coeffs.values()):
                 epsilon = eps
                 break
         if epsilon is None:

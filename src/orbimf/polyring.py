@@ -360,7 +360,8 @@ class Poly:
                 power_cache[key] = got
             return got
 
-        acc = Poly.zero(target)
+        acc: Terms = {}
+        get = acc.get
         for m, c in self._terms.items():
             part = Poly.const(target, c)
             for i, e in enumerate(m):
@@ -375,8 +376,9 @@ class Poly:
                             f"variable {self.vt.names[i]!r} is unbound and missing from the target table"
                         )
                     part = part * _pow(i, e, base)
-            acc = acc + part
-        return acc
+            for pm, pc in part._terms.items():
+                acc[pm] = get(pm, _ZERO) + pc
+        return Poly._raw(target, {m: c for m, c in acc.items() if c})
 
     def convert(self, target: VarTable, rename: Optional[Mapping[str, str]] = None) -> "Poly":
         """Re-express over another table, matching variables by name.

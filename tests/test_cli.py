@@ -8,9 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from orbimf import _groebner, cli, matfac, residue
+from orbimf import _groebner, cli, constraints, matfac, residue
 from orbimf.catalog import EquivalenceEntry, load_catalog
 from orbimf.cli import SCHEMA_VERSION, main, verify_entry
+from orbimf.matfac import build_8x8
+from orbimf.polyring import Poly, parse_poly
 
 DEMO_DIR = Path(__file__).parent / "data" / "demo"
 SHIPPED_DIR = Path(cli.__file__).parent / "data"
@@ -235,6 +237,9 @@ def test_unknown_family_exits_2(capsys):
 @pytest.mark.parametrize("entry_id", ENTRY_IDS)
 def test_verify_entry_computes_each_fact_once(count_calls, entry_id):
     bases = count_calls(_groebner, "groebner_basis")
+    reducers = count_calls(_groebner, "reducer")
+    normal_forms = count_calls(_groebner, "normal_form")
+    divisor_sets = count_calls(_groebner, "_Divisors")
     products = count_calls(residue, "derivative_supertrace")
     parses = count_calls(EquivalenceEntry, "six")
     squares = count_calls(matfac, "square")
@@ -245,5 +250,47 @@ def test_verify_entry_computes_each_fact_once(count_calls, entry_id):
     # W12's printed set differs from the derived one (eliminating a2 from
     # the derived set gives the printed set again); every other entry
     # ships printed generators identical to the derived ones
-    assert len(sets) == len(set(sets)) == (2 if entry_id == "W12v1_W12v2" else 1)
+    w12 = entry_id == "W12v1_W12v2"
+    assert len(sets) == len(set(sets)) == (2 if w12 else 1)
     assert len(products) == 1
+    # divisor records are built once per basis in the potential stage, in
+    # each ideal_compare call (W12 calls it twice, first with two bases)
+    # and in qdim-match, never once per reduced polynomial
+    assert not normal_forms
+    assert len(reducers) == (5 if w12 else 3)
+    # groebner_basis and interreduce build one record set each
+    assert len(divisor_sets) == 2 * len(bases) + len(reducers)
+
+
+def _substitute_by_adding(p, bindings):
+    """Poly.substitute as a sum of per-term products, one `+` per term."""
+    target = next(iter(bindings.values())).vt
+    acc = Poly.zero(target)
+    for m, c in p.terms():
+        part = Poly.const(target, c)
+        for name, e in zip(p.vt.names, m):
+            if e:
+                base = bindings[name] if name in bindings else Poly.var(target, name)
+                part = part * base**e
+        acc = acc + part
+    return acc
+
+
+def test_substitute_matches_sum_of_terms_on_w13_families():
+    entry = load_catalog()["W13v1_W13v2"]
+    m = build_8x8(entry.six())
+    polys = list(constraints.derive_constraints(entry, m).generators)
+    polys += constraints.computed_qdims(entry, m).values()
+    polys += [entry.paper_qdim(side) for side in ("left", "right")]
+    assert entry.families
+    for family in entry.families:
+        ring = constraints._family_ring(entry, family)
+        point = {
+            f: parse_poly(str(family.default_value(f)), ring.spec.vt) for f in family.free
+        }
+        for p in polys:
+            q = p.substitute(ring.bindings)
+            assert q == _substitute_by_adding(p, ring.bindings)
+            assert all(c for _, c in q.terms())
+            if point:
+                assert q.substitute(point) == _substitute_by_adding(q, point)

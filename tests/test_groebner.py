@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from orbimf import _groebner
 from orbimf._groebner import (
@@ -14,9 +15,10 @@ from orbimf._groebner import (
     interreduce,
     is_member,
     normal_form,
+    reducer,
     resultant,
 )
-from orbimf.polyring import Poly, VarTable, parse_poly
+from orbimf.polyring import Poly, VarTable, degrevlex_key, parse_poly
 
 
 def _vt(*names):
@@ -131,6 +133,116 @@ def test_groebner_basis_matches_sympy_on_w13():
     assert {frozenset((m[offset:], c) for m, c in p.terms()) for p in ours} == {
         frozenset((m, Fraction(int(c.p), int(c.q))) for m, c in q.terms()) for q in theirs.polys
     }
+
+
+# -- the integer reduction kernel against a Fraction reference -----------
+
+XYZ = _vt("x", "y", "z")
+
+_monos = st.tuples(*[st.integers(0, 2)] * 3)
+_coeffs = st.builds(
+    Fraction, st.integers(-6, 6).filter(bool), st.sampled_from((1, 2, 3, 4, 5, 6, 7, 12))
+)
+_polys = st.dictionaries(_monos, _coeffs, min_size=1, max_size=4).map(lambda t: Poly(XYZ, t))
+_bases = st.lists(_polys, min_size=1, max_size=3)
+
+
+def _reference_normal_form(p, basis):
+    """Full reduction term by term in Fractions: the largest term left is
+    reduced by the first basis element, in list order, whose lead
+    divides it, or else moved to the remainder."""
+    divisors = [(g.leading_monomial(), g) for g in basis if not g.is_zero()]
+    work = dict(p.terms())
+    remainder = {}
+    while work:
+        m = max(work, key=degrevlex_key)
+        c = work.pop(m)
+        for lm, g in divisors:
+            if all(x <= y for x, y in zip(lm, m)):
+                q = c / g.coefficient(lm)
+                shift = tuple(x - y for x, y in zip(m, lm))
+                for gm, gc in g.terms():
+                    if gm != lm:
+                        t = tuple(x + y for x, y in zip(gm, shift))
+                        v = work.get(t, Fraction(0)) - q * gc
+                        if v:
+                            work[t] = v
+                        else:
+                            work.pop(t, None)
+                break
+        else:
+            remainder[m] = c
+    return Poly(p.vt, remainder)
+
+
+def _canonical(p):
+    return all(
+        type(c) is Fraction and c and len(m) == len(p.vt) for m, c in p.terms()
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(_bases, _polys, _polys)
+@example(
+    [parse_poly("3/7*x*y - 5/12*z + 1/4", XYZ), parse_poly("-2*y^2 + 1/5*x", XYZ)],
+    parse_poly("x^2*y^2 - 1/6*z^2", XYZ),
+    parse_poly("1/3*x", XYZ),
+)
+def test_normal_form_matches_fraction_reference(basis, h, r):
+    # h * basis[0] makes terms cancel on the way; the other elements and
+    # r keep the remainder nonzero in general
+    p = h * basis[0] + r
+    nf = normal_form(p, basis)
+    assert nf == _reference_normal_form(p, basis)
+    assert _canonical(nf)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_polys, _polys)
+def test_normal_form_of_a_multiple_is_zero(g, h):
+    # a single generator is a Groebner basis, with any lead coefficient
+    assert normal_form(h * g, [g]).is_zero()
+    assert normal_form(h * g, [g.scale(Fraction(-7, 12))]).is_zero()
+
+
+@settings(max_examples=80, deadline=None)
+@given(_bases, st.lists(_polys, min_size=1, max_size=5))
+def test_reducer_agrees_with_normal_form(basis, ps):
+    reduce = reducer(basis)
+    for p in ps + ps:
+        nf = reduce(p)
+        assert nf == normal_form(p, basis) == _reference_normal_form(p, basis)
+        assert _canonical(nf)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(_polys, min_size=1, max_size=6),
+    st.integers(0, 6),
+    st.lists(_monos, min_size=1, max_size=8),
+)
+@example([parse_poly("y", XYZ), parse_poly("x", XYZ)], 1, [(1, 0, 0), (1, 1, 0)])
+def test_divisor_lookup_is_first_in_list_order(polys, cut, probes):
+    cut = min(cut, len(polys))
+    leads = [p.leading_monomial() for p in polys]
+
+    def expected(m, n):
+        return next((k for k in range(n) if all(a <= b for a, b in zip(leads[k], m))), None)
+
+    divisors = _groebner._Divisors(polys[:cut])
+
+    def found(m):
+        record = divisors.first(m)
+        return None if record is None else next(k for k, r in enumerate(divisors) if r is record)
+
+    # probes hit or miss against the first records, then more are appended:
+    # a miss must find a new divisor, a hit keeps its first-in-order record
+    for m in probes:
+        assert found(m) == expected(m, cut)
+    for p in polys[cut:]:
+        divisors.append(_groebner._record(dict(p.terms())))
+    for m in probes:
+        assert found(m) == expected(m, len(polys))
 
 
 def test_budget_exceeded():
