@@ -19,6 +19,7 @@ from .catalog import (
 )
 from .constraints import (
     ConstraintSet,
+    EntryWork,
     bruteforce_family_oracle,
     compare_qdims,
     computed_qdim,
@@ -42,6 +43,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CatalogError",
     "ConstraintSet",
+    "EntryWork",
     "EquivalenceEntry",
     "MatrixFactorization",
     "Poly",

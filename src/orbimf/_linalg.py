@@ -22,6 +22,11 @@ def solve_dense(a: Matrix, b: List[Fraction]) -> Optional[List[Fraction]]:
     Free columns are set to zero.  `a` and `b` are consumed destructively
     by row reduction; pass copies if the caller needs them again.
     """
+    return _eliminate(a, b)[0]
+
+
+def _eliminate(a: Matrix, b: List[Fraction]) -> Tuple[Optional[List[Fraction]], int]:
+    """`solve_dense`'s answer and the number of pivot columns (the rank)."""
     rows = len(a)
     cols = len(a[0]) if rows else 0
     pivot_of_col: List[int] = []
@@ -50,48 +55,21 @@ def solve_dense(a: Matrix, b: List[Fraction]) -> Optional[List[Fraction]]:
             break
     for i in range(r, rows):
         if b[i]:
-            return None
+            return None, r
     x = [Fraction(0)] * cols
     for row, c in enumerate(pivot_of_col):
         x[c] = b[row]
-    return x
+    return x, r
 
 
 def solve_unique(a: Matrix, b: List[Fraction]) -> List[Fraction]:
     """Solution of A x = b that must exist and be unique."""
     cols = len(a[0]) if a else 0
-    work_a = [row[:] for row in a]
-    work_b = b[:]
-    x = solve_dense(work_a, work_b)
+    x, rank = _eliminate([row[:] for row in a], b[:])
     if x is None:
         raise LinearSystemError("inconsistent linear system")
     # Uniqueness: perturbing any free column would give another solution,
     # so demand full column rank.
-    if _rank([row[:] for row in a]) != cols:
+    if rank != cols:
         raise LinearSystemError("underdetermined linear system")
     return x
-
-
-def _rank(a: Matrix) -> int:
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    r = 0
-    for c in range(cols):
-        pivot = None
-        for i in range(r, rows):
-            if a[i][c]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(r + 1, rows):
-            if a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        r += 1
-        if r == rows:
-            break
-    return r

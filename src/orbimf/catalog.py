@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from .grading import WeightSystem
 from .polyring import ParseError, Poly, VarTable, parse_poly
@@ -244,13 +244,8 @@ def load_entry(path: Path) -> EquivalenceEntry:
     return entry
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    problems: Tuple[str, ...]
-
-
-def validate(entry: EquivalenceEntry) -> ValidationReport:
+def validate(entry: EquivalenceEntry) -> None:
+    """Raise CatalogError naming every problem found in the entry."""
     problems: List[str] = []
     try:
         defs = entry.defs_polys()
@@ -304,7 +299,6 @@ def validate(entry: EquivalenceEntry) -> ValidationReport:
             )
     if problems:
         raise CatalogError(f"{entry.id}: " + "; ".join(problems))
-    return ValidationReport(True, ())
 
 
 def default_catalog_dir() -> Path:

@@ -30,9 +30,9 @@ from .grading import (
     euler_check,
     weights_from_potential,
 )
-from .matfac import MatrixFactorization, build_8x8, grading_check, verify_potential
+from .matfac import MatrixFactorization, grading_check, verify_potential
 from .numberfield import NonzeroCertificate
-from .polyring import Poly, format_poly
+from .polyring import format_poly
 from .residue import ResidueError
 
 SCHEMA_VERSION = "orbimf-report/1"
@@ -102,12 +102,13 @@ def verify_entry(
 ) -> dict:
     """All checks for one entry; the returned dict is the JSON report.
 
-    Each per-entry fact is computed once and handed to every stage that
-    reads it: one parse of the six generators into one factorization,
-    one Groebner basis per distinct generator set and one sixfold
-    derivative product for both quantum dimensions."""
+    Every stage reads its facts from one `EntryWork`, which computes each
+    once: one factorization, one derived constraint set with its sign,
+    one Groebner basis and reducer per distinct generator set, and both
+    quantum dimensions from one sixfold derivative product."""
     report: dict = {"entry": entry.id, "stages": {}, "ok": True}
     started = time.perf_counter()
+    work = con.EntryWork(entry, spair_cap)
 
     def stage(name: str, ok: bool, detail, seconds: float) -> None:
         report["stages"][name] = {
@@ -117,17 +118,15 @@ def verify_entry(
         }
         report["ok"] = report["ok"] and bool(ok)
 
-    m = build_8x8(entry.six())
-
     t0 = time.perf_counter()
     try:
-        g_ok, g_detail = _grading_stage(entry, m)
+        g_ok, g_detail = _grading_stage(entry, work.m)
     except GradingError as exc:
         g_ok, g_detail = False, {"error": str(exc)}
     stage("grading", g_ok, g_detail, time.perf_counter() - t0)
 
     t0 = time.perf_counter()
-    derived = con.derive_constraints(entry, m)
+    derived = work.derived
     report["epsilon"] = derived.epsilon
     stage(
         "constraints",
@@ -137,8 +136,8 @@ def verify_entry(
     )
 
     t0 = time.perf_counter()
-    basis_derived = con.groebner(derived, spair_cap)
-    pot = verify_potential(m, entry.potential_in(), entry.potential_out(), basis_derived)
+    reduce = work.reducer_for(derived)
+    pot = verify_potential(work.m, entry.potential_in(), entry.potential_out(), reduce, derived.epsilon)
     stage(
         "potential",
         pot.ok,
@@ -147,14 +146,8 @@ def verify_entry(
     )
 
     t0 = time.perf_counter()
-    printed = con.paper_constraint_set(entry)
-    if printed.generators == derived.generators:
-        basis_printed = basis_derived
-    else:
-        basis_printed = con.groebner(printed, spair_cap)
-    cmp_ = con.ideal_compare(
-        printed, derived, spair_cap, basis_a=basis_printed, basis_b=basis_derived
-    )
+    printed = work.printed
+    cmp_ = con.ideal_compare(work, printed, derived)
     ideal_detail = {
         "printed_in_derived": cmp_.a_in_b,
         "derived_in_printed": cmp_.b_in_a,
@@ -177,13 +170,13 @@ def verify_entry(
                 continue
             eliminated.append(name)
         if eliminated:
-            again = con.ideal_compare(printed, reduced, spair_cap, basis_a=basis_printed)
+            again = con.ideal_compare(work, printed, reduced)
             if again.equal:
                 ideal_detail["equal_after_eliminating"] = eliminated
     stage("ideal-compare", cmp_.a_in_b, ideal_detail, time.perf_counter() - t0)
 
     t0 = time.perf_counter()
-    fam_reports = [con.verify_family(entry, fam, derived) for fam in entry.families]
+    fam_reports = [con.verify_family(work, fam) for fam in entry.families]
     stage(
         "families",
         all(r.ok for r in fam_reports),
@@ -196,14 +189,11 @@ def verify_entry(
     )
 
     t0 = time.perf_counter()
-    qdims = con.computed_qdims(entry, m)
     non_detail = []
     non_ok = True
     for fam in entry.families:
         for side in ("left", "right"):
-            nv = con.nonvanishing_check(
-                entry, fam, side, precision_bits=precision, computed_value=qdims[side]
-            )
+            nv = con.nonvanishing_check(work, fam, side, precision_bits=precision)
             non_ok = non_ok and nv.ok
             non_detail.append(
                 {
@@ -223,7 +213,7 @@ def verify_entry(
     )
 
     t0 = time.perf_counter()
-    cq = con.compare_qdims(entry, basis=basis_derived, computed=qdims)
+    cq = con.compare_qdims(work)
     report["qdim_match"] = {
         "computed_left": format_poly(cq.computed_left),
         "computed_right": format_poly(cq.computed_right),
@@ -389,36 +379,30 @@ def _find_family(entry: EquivalenceEntry, label: str):
 def cmd_qdim(args: argparse.Namespace) -> int:
     catalog = load_catalog(args.catalog)
     entry = resolve_entry(catalog, args.entry)
+    work = con.EntryWork(entry, args.spair_cap)
     sides = ("left", "right") if args.side == "both" else (args.side,)
     out: dict = {"schema": SCHEMA_VERSION, "entry": entry.id, "sides": {}}
     fam = _find_family(entry, args.family) if args.family else None
-    # matching a printed form tries both computed sides
-    both = args.compare_paper and fam is None
-    qdims = con.computed_qdims(entry, build_8x8(entry.six()), ("left", "right") if both else sides)
     if fam is not None:
         out["family"] = fam.label
         for side in sides:
-            nv = con.nonvanishing_check(
-                entry, fam, side, precision_bits=args.precision, computed_value=qdims[side]
-            )
+            nv = con.nonvanishing_check(work, fam, side, precision_bits=args.precision)
             block = {"computed": _qdim_point_dict(nv.computed), "point": dict(nv.point)}
             if args.compare_paper:
                 block["printed"] = _qdim_point_dict(nv.printed)
                 block["agree"] = nv.agree
             out["sides"][side] = block
+    elif args.compare_paper:
+        cq = con.compare_qdims(work)
+        for side in sides:
+            out["sides"][side] = {
+                "computed": format_poly(work.qdims[side]),
+                "printed": format_poly(entry.paper_qdim(side)),
+                "match": _match_dict(cq.left if side == "left" else cq.right),
+            }
     else:
-        if args.compare_paper:
-            cq = con.compare_qdims(entry, spair_cap=args.spair_cap, computed=qdims)
-            for side in sides:
-                match = cq.left if side == "left" else cq.right
-                out["sides"][side] = {
-                    "computed": format_poly(qdims[side]),
-                    "printed": format_poly(entry.paper_qdim(side)),
-                    "match": _match_dict(match),
-                }
-        else:
-            for side in sides:
-                out["sides"][side] = {"computed": format_poly(qdims[side])}
+        for side in sides:
+            out["sides"][side] = {"computed": format_poly(work.qdims[side])}
     if args.json:
         print(json.dumps(out, indent=2))
         return 0
@@ -443,10 +427,11 @@ def cmd_qdim(args: argparse.Namespace) -> int:
 def cmd_constraints(args: argparse.Namespace) -> int:
     catalog = load_catalog(args.catalog)
     entry = resolve_entry(catalog, args.entry)
-    derived = con.derive_constraints(entry, build_8x8(entry.six()))
+    work = con.EntryWork(entry, args.spair_cap)
+    derived = work.derived
     if args.compare_paper:
-        printed = con.paper_constraint_set(entry)
-        cmp_ = con.ideal_compare(printed, derived, args.spair_cap)
+        printed = work.printed
+        cmp_ = con.ideal_compare(work, printed, derived)
         payload = {
             "schema": SCHEMA_VERSION,
             "entry": entry.id,

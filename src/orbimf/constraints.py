@@ -14,8 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ._groebner import BudgetExceeded, groebner_basis, normal_form, reducer, resultant
 from .catalog import EquivalenceEntry, SolutionFamily
@@ -33,6 +34,7 @@ from .residue import qdim_pair
 
 __all__ = [
     "ConstraintSet",
+    "EntryWork",
     "derive_constraints",
     "paper_constraint_set",
     "groebner",
@@ -137,15 +139,44 @@ def paper_constraint_set(entry: EquivalenceEntry) -> ConstraintSet:
     return ConstraintSet.from_polys(entry.paper_constraints(), "paper")
 
 
-def groebner(
-    constraints: Union[ConstraintSet, Sequence[Poly]], spair_cap: int = 50000
-) -> List[Poly]:
-    gens = (
-        list(constraints.generators)
-        if isinstance(constraints, ConstraintSet)
-        else list(constraints)
-    )
-    return groebner_basis(gens, spair_cap=spair_cap)
+def groebner(constraints: ConstraintSet, spair_cap: int = 50000) -> List[Poly]:
+    return groebner_basis(list(constraints.generators), spair_cap=spair_cap)
+
+
+class EntryWork:
+    """The facts the stages of one entry read, each computed on first use
+    and then kept: the factorization `m`, the `derived` and `printed`
+    constraint sets, both quantum dimensions `qdims`, and one Groebner
+    basis with its reducer per distinct generator set."""
+
+    def __init__(self, entry: EquivalenceEntry, spair_cap: int = 50000):
+        self.entry = entry
+        self.spair_cap = spair_cap
+        self._reducers: Dict[Tuple[Poly, ...], Callable[[Poly], Poly]] = {}
+
+    @cached_property
+    def m(self) -> MatrixFactorization:
+        return build_8x8(self.entry.six())
+
+    @cached_property
+    def derived(self) -> ConstraintSet:
+        return derive_constraints(self.entry, self.m)
+
+    @cached_property
+    def printed(self) -> ConstraintSet:
+        return paper_constraint_set(self.entry)
+
+    @cached_property
+    def qdims(self) -> Dict[str, Poly]:
+        return computed_qdims(self.entry, self.m)
+
+    def reducer_for(self, cs: ConstraintSet) -> Callable[[Poly], Poly]:
+        """Normal forms modulo the ideal of `cs`; identical generator sets
+        share one basis."""
+        reduce = self._reducers.get(cs.generators)
+        if reduce is None:
+            reduce = self._reducers[cs.generators] = reducer(groebner(cs, self.spair_cap))
+        return reduce
 
 
 @dataclass(frozen=True)
@@ -160,23 +191,12 @@ class IdealComparison:
         return self.a_in_b and self.b_in_a
 
 
-def ideal_compare(
-    a: ConstraintSet,
-    b: ConstraintSet,
-    spair_cap: int = 50000,
-    basis_a: Optional[Sequence[Poly]] = None,
-    basis_b: Optional[Sequence[Poly]] = None,
-) -> IdealComparison:
+def ideal_compare(work: EntryWork, a: ConstraintSet, b: ConstraintSet) -> IdealComparison:
     """Two-way membership of generators, so transformed generating sets of
-    one ideal still compare as equal.  Precomputed bases are reusable, and
-    identical generator sets share one basis."""
-    same = a.generators == b.generators
-    if basis_b is None:
-        basis_b = basis_a if same and basis_a is not None else groebner(b, spair_cap)
-    if basis_a is None:
-        basis_a = basis_b if same else groebner(a, spair_cap)
-    reduce_b = reducer(basis_b)
-    reduce_a = reduce_b if basis_a is basis_b else reducer(basis_a)
+    one ideal still compare as equal.  Each side's generators reduce
+    against `work`'s basis of the other side."""
+    reduce_a = work.reducer_for(a)
+    reduce_b = work.reducer_for(b)
     failing_a = tuple(g for g in a.generators if not reduce_b(g).is_zero())
     failing_b = tuple(g for g in b.generators if not reduce_a(g).is_zero())
     return IdealComparison(not failing_a, not failing_b, failing_a, failing_b)
@@ -246,24 +266,18 @@ class FamilyReport:
     failures: Tuple[Tuple[str, str], ...]  # (generator, nonzero residue)
 
 
-def verify_family(
-    entry: EquivalenceEntry,
-    family: SolutionFamily,
-    constraints: Optional[ConstraintSet] = None,
-) -> FamilyReport:
+def verify_family(work: EntryWork, family: SolutionFamily) -> FamilyReport:
     """Substitute the family's bindings into every derived constraint and
     reduce in its quotient ring; each residue must vanish identically in
     the remaining free parameters."""
-    cs = constraints
-    if cs is None:
-        cs = derive_constraints(entry, build_8x8(entry.six()))
-    ring = _family_ring(entry, family)
+    gens = work.derived.generators
+    ring = _family_ring(work.entry, family)
     failures: List[Tuple[str, str]] = []
-    for g in cs.generators:
+    for g in gens:
         residue = quotient_reduce(g.substitute(ring.bindings), ring.spec)
         if not residue.is_zero():
             failures.append((format_poly(g), format_poly(residue.rep)))
-    return FamilyReport(entry.id, family.label, not failures, len(cs.generators), tuple(failures))
+    return FamilyReport(work.entry.id, family.label, not failures, len(gens), tuple(failures))
 
 
 # -- quantum dimensions ------------------------------------------------
@@ -277,10 +291,7 @@ def computed_qdims(
     """Residue-computed quantum dimensions by side of the entry's
     factorization `m`, polynomials in the parameters, all from one
     sixfold derivative product."""
-    if any(side not in ("left", "right") for side in sides):
-        raise ValueError("side must be left or right")
-    pair = qdim_pair(m, entry.potential_in(), entry.potential_out(), sides)
-    return {side: r.value for side, r in pair.items()}
+    return qdim_pair(m, entry.potential_in(), entry.potential_out(), sides)
 
 
 def computed_qdim(entry: EquivalenceEntry, side: str) -> Poly:
@@ -343,12 +354,11 @@ def _certify_at(
 
 
 def nonvanishing_check(
-    entry: EquivalenceEntry,
+    work: EntryWork,
     family: SolutionFamily,
     side: str,
     point: Optional[Mapping[str, str]] = None,
     precision_bits: int = 128,
-    computed_value: Optional[Poly] = None,
 ) -> NonvanishingReport:
     """Certify the quantum dimension nonzero at one concrete family point.
 
@@ -360,8 +370,7 @@ def nonvanishing_check(
     notes describe.  Exact quotient fields certify by representation,
     anything else by an interval around the declared root.
     """
-    if computed_value is None:
-        computed_value = computed_qdim(entry, side)
+    entry = work.entry
     ring = _family_ring(entry, family)
     chosen: Dict[str, str] = {}
     for free in family.free:
@@ -377,7 +386,7 @@ def nonvanishing_check(
             q = q.substitute(free_map)
         return quotient_reduce(q, ring.spec)
 
-    computed = _certify_at(at_point(computed_value), family, "computed", precision_bits)
+    computed = _certify_at(at_point(work.qdims[side]), family, "computed", precision_bits)
     printed = _certify_at(at_point(entry.paper_qdim(side)), family, "printed", precision_bits)
     return NonvanishingReport(
         entry.id, family.label, side, tuple(sorted(chosen.items())), computed, printed
@@ -429,26 +438,15 @@ def _scalar_ratio(a: Poly, b: Poly) -> Optional[Fraction]:
     return lam
 
 
-def compare_qdims(
-    entry: EquivalenceEntry,
-    basis: Optional[Sequence[Poly]] = None,
-    spair_cap: int = 50000,
-    computed: Optional[Mapping[str, Poly]] = None,
-) -> QdimComparison:
+def compare_qdims(work: EntryWork) -> QdimComparison:
     """Match each printed quantum-dimension formula against the computed
-    invariants: exact equality first, then equality modulo the derived
-    ideal, then a global nonzero rational multiple (scalar recorded), each
-    tried on the same-name side before the opposite one.  A precomputed
-    basis of the derived ideal and `computed_qdims` result are reusable."""
-    if basis is None or computed is None:
-        m = build_8x8(entry.six())
-    if basis is None:
-        basis = groebner(derive_constraints(entry, m), spair_cap)
-    if computed is None:
-        computed = computed_qdims(entry, m)
-    cl = computed["left"]
-    cr = computed["right"]
-    reduce = reducer(basis)
+    invariants of `work`: exact equality first, then equality modulo the
+    derived ideal, then a global nonzero rational multiple (scalar
+    recorded), each tried on the same-name side before the opposite one."""
+    entry = work.entry
+    cl = work.qdims["left"]
+    cr = work.qdims["right"]
+    reduce = work.reducer_for(work.derived)
 
     def match(side: str) -> QdimMatch:
         printed = entry.paper_qdim(side)
@@ -496,17 +494,6 @@ class OracleReport:
     candidates: Tuple[CandidateRelation, ...]
     inconsistent: bool
     notes: Tuple[str, ...]
-
-
-def _dense_coeffs(p: Poly, name: str) -> List[Fraction]:
-    other = [v for v in p.support_vars() if v != name]
-    if other:
-        raise ValueError(f"not univariate in {name!r}: {other}")
-    i = p.vt.index(name)
-    out = [_ZERO] * (p.degree_in(name) + 1)
-    for mono, c in p.terms():
-        out[mono[i]] += c
-    return out
 
 
 def _from_dense(coeffs: Sequence[Fraction], name: str, vt: VarTable) -> Poly:
@@ -561,7 +548,7 @@ def _dense_div_exact(a: List[Fraction], b: List[Fraction]) -> Optional[List[Frac
 
 
 def _squarefree_part(p: Poly, name: str) -> Poly:
-    coeffs = _dense_coeffs(p, name)
+    coeffs = p.univariate_coeffs(name)
     deriv = [coeffs[e] * e for e in range(1, len(coeffs))]
     g = _dense_gcd(coeffs, deriv)
     if len(g) <= 1:
@@ -573,11 +560,7 @@ def _squarefree_part(p: Poly, name: str) -> Poly:
 
 def uni_divides(d: Poly, p: Poly, name: str) -> bool:
     """Does the univariate d divide the univariate p exactly?"""
-    return _dense_div_exact(_dense_coeffs(p, name), _dense_coeffs(d, name)) is not None
-
-
-def _total_degree(p: Poly) -> int:
-    return max((sum(m) for m in p.monomials()), default=0)
+    return _dense_div_exact(p.univariate_coeffs(name), d.univariate_coeffs(name)) is not None
 
 
 def _project_onto(
@@ -622,7 +605,7 @@ def _project_onto(
             if not r.support_vars():
                 return None, True
             r = _unit_normalize(r)
-            if _total_degree(r) > degree_cap or len(dict(r.terms())) > term_cap:
+            if r.total_degree() > degree_cap or len(dict(r.terms())) > term_cap:
                 raise OracleBudgetExceeded(
                     f"projection past {var} exceeds the degree/term budget"
                 )
@@ -637,16 +620,16 @@ def _project_onto(
     univariates = [g for g in univariates if g.support_vars()]
     if not univariates:
         return None, False
-    acc = _dense_coeffs(univariates[0], target)
+    acc = univariates[0].univariate_coeffs(target)
     for g in univariates[1:]:
-        acc = _dense_gcd(acc, _dense_coeffs(g, target))
+        acc = _dense_gcd(acc, g.univariate_coeffs(target))
         if len(acc) <= 1:
             return None, False  # projections only share a trivial consequence
     return _from_dense(acc, target, univariates[0].vt), False
 
 
 def _monic_in(p: Poly, name: str) -> Poly:
-    coeffs = _dense_coeffs(p, name)
+    coeffs = p.univariate_coeffs(name)
     return _from_dense([c / coeffs[-1] for c in coeffs], name, p.vt)
 
 

@@ -20,9 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ._groebner import reducer
 from ._linalg import solve_dense
 from .grading import VariableWeights
 from .polyring import Poly, VarTable
@@ -112,13 +111,16 @@ def verify_potential(
     m: MatrixFactorization,
     v_in: Poly,
     w_out: Poly,
-    basis: Sequence[Poly],
+    reduce: Callable[[Poly], Poly],
+    epsilon: int,
 ) -> PotentialReport:
     """Check square(m) = epsilon*(w_out - v_in)*Id modulo the ideal.
 
     Off-diagonal cells must vanish exactly, with no reduction; the
     diagonal residual is reduced coefficient-by-coefficient (over ring
-    monomials) against `basis`, a Groebner basis of the constraint ideal.
+    monomials) by `reduce`, the normal form modulo the constraint ideal,
+    for the sign `epsilon` the constraint derivation found.  The unit
+    ideal fails: no parameter values satisfy its constraints.
     """
     sq = square(m)
     failing: List[str] = []
@@ -132,20 +134,14 @@ def verify_potential(
     diag_ok = all(d == diag[0] for d in diag)
     if not diag_ok:
         failing.append("diagonal cells disagree")
-    delta = w_out - v_in
-    epsilon: Optional[int] = None
     if off_ok and diag_ok:
-        reduce = reducer(basis)
-        for eps in (1, -1):
-            residual = diag[0] - delta.scale(Fraction(eps))
-            coeffs = residual.coefficients_wrt(m.vt.ring_vars)
-            if all(reduce(c).is_zero() for c in coeffs.values()):
-                epsilon = eps
-                break
-        if epsilon is None:
-            failing.append("diagonal residual not in the constraint ideal for either sign")
-    ok = off_ok and diag_ok and epsilon is not None
-    return PotentialReport(ok, epsilon, off_ok, diag_ok, tuple(failing))
+        residual = diag[0] - (w_out - v_in).scale(Fraction(epsilon))
+        if reduce(Poly.const(m.vt, 1)).is_zero():
+            failing.append("the constraint ideal is the unit ideal: no parameter values satisfy it")
+        elif not all(reduce(c).is_zero() for c in residual.coefficients_wrt(m.vt.ring_vars).values()):
+            failing.append(f"diagonal residual not in the constraint ideal for sign {epsilon:+d}")
+    ok = not failing
+    return PotentialReport(ok, epsilon if ok else None, off_ok, diag_ok, tuple(failing))
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import mpmath
 
 from ._linalg import solve_dense
-from .polyring import Monomial, Poly, PolyError, VarTable
+from .polyring import Monomial, Poly, VarTable
 
 _ZERO = Fraction(0)
 
@@ -138,24 +138,18 @@ def reduce(p: Poly, spec: QuotientSpec) -> QuotientElem:
     """Rewrite every generator exponent below its minimal-poly degree."""
     if p.vt != spec.vt:
         raise NumberFieldError("polynomial does not live in the quotient's table")
-    tables: Dict[str, List[Poly]] = {}
+    tables: Dict[str, Tuple[int, Poly, Poly, List[Poly]]] = {}
 
     def power_rep(name: str, e: int) -> Poly:
         # residues of name^k modulo its minimal polynomial, built on demand
-        tab = tables.get(name)
-        if tab is None:
+        if name not in tables:
             mp = spec.minimal_polys[spec.generators.index(name)]
             d = mp.degree_in(name)
             gen = Poly.var(spec.vt, name)
             tail = gen ** d - mp  # name^d = tail, deg(tail) < d
-            tab = [Poly.const(spec.vt, 1)]
-            tables[name] = tab
-            tab.append(gen if d > 1 else tail)
+            tables[name] = (d, gen, tail, [Poly.const(spec.vt, 1), gen if d > 1 else tail])
+        d, gen, tail, tab = tables[name]
         while len(tab) <= e:
-            mp = spec.minimal_polys[spec.generators.index(name)]
-            d = mp.degree_in(name)
-            gen = Poly.var(spec.vt, name)
-            tail = gen ** d - mp
             nxt = tab[-1] * gen
             if nxt.degree_in(name) >= d:
                 # single rewrite suffices: previous entry had degree < d
@@ -306,15 +300,6 @@ def _sqrt_upper(q: Fraction) -> Fraction:
     return Fraction(math.isqrt(n * d) + 1, d)
 
 
-def _univariate_coeffs(mp: Poly, name: str) -> List[Fraction]:
-    i = mp.vt.index(name)
-    d = mp.degree_in(name)
-    coeffs = [_ZERO] * (d + 1)
-    for m, c in mp.terms():
-        coeffs[m[i]] = c
-    return coeffs
-
-
 def _eval_rational_complex(coeffs: Sequence[Fraction], re: Fraction, im: Fraction) -> Tuple[Fraction, Fraction]:
     """Exact Horner evaluation of a rational polynomial at re + im*i."""
     acc_re, acc_im = _ZERO, _ZERO
@@ -330,7 +315,7 @@ def certified_root_box(mp: Poly, name: str, approx: Tuple[str, str], precision_b
     working precision; the returned radius is certified from the exact
     rational values m(z0), m'(z0) via  n*|m(z0)|/|m'(z0)|.
     """
-    coeffs = _univariate_coeffs(mp, name)
+    coeffs = mp.univariate_coeffs(name)
     deriv = [c * k for k, c in enumerate(coeffs)][1:]
     n = len(coeffs) - 1
     with mpmath.workprec(precision_bits + 32):

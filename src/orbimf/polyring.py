@@ -188,6 +188,17 @@ class Poly:
             return -1
         return max(m[i] for m in self._terms)
 
+    def univariate_coeffs(self, name: str) -> List[Fraction]:
+        """Coefficients, lowest degree first, of a polynomial in `name` alone."""
+        other = [v for v in self.support_vars() if v != name]
+        if other:
+            raise PolyError(f"not univariate in {name!r}: {other}")
+        i = self.vt.index(name)
+        out = [_ZERO] * (self.degree_in(name) + 1)
+        for m, c in self._terms.items():
+            out[m[i]] = c
+        return out
+
     def support_vars(self) -> Tuple[str, ...]:
         used = [False] * len(self.vt)
         for m in self._terms:

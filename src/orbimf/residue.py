@@ -256,13 +256,6 @@ def grothendieck_residue(
     return groups.get(tuple(key), Poly.zero(vt))
 
 
-@dataclass(frozen=True)
-class QdimResult:
-    value: Poly
-    side: str
-    lift: CofactorLift
-
-
 def _degree_cap_for(potential: Poly) -> int:
     cap = 0
     for mono in potential.monomials():
@@ -280,26 +273,20 @@ def qdim_supertrace(m: MatrixFactorization, v_in: Poly, w_out: Poly) -> Poly:
     return derivative_supertrace(m, tuple(sources) + tuple(targets))
 
 
-def _integrate(
-    s: Poly,
-    m: MatrixFactorization,
-    v_in: Poly,
-    w_out: Poly,
-    side: str,
-    lift: Optional[CofactorLift] = None,
-) -> QdimResult:
+def _integrate(s: Poly, m: MatrixFactorization, v_in: Poly, w_out: Poly, side: str) -> Poly:
     if side == "left":
         over, against = w_out.support_vars(), w_out
-    else:
+    elif side == "right":
         over, against = v_in.support_vars(), v_in
+    else:
+        raise ResidueError("side must be left or right")
     partials = [against.partial(v) for v in over]
-    if lift is None:
-        lift = cofactor_lift(partials, over, _degree_cap_for(against))
+    lift = cofactor_lift(partials, over, _degree_cap_for(against))
     value = grothendieck_residue(s, partials, over, lift)
     ring_left = [v for v in value.support_vars() if v in m.vt.ring_vars]
     if ring_left:
         raise ResidueError(f"qdim_{side} retains ring variables {ring_left}")
-    return QdimResult(value, side, lift)
+    return value
 
 
 def qdim_pair(
@@ -307,19 +294,15 @@ def qdim_pair(
     v_in: Poly,
     w_out: Poly,
     sides: Sequence[str] = ("left", "right"),
-) -> Dict[str, QdimResult]:
+) -> Dict[str, Poly]:
     """The requested quantum dimensions, by side, from one supertrace."""
     s = qdim_supertrace(m, v_in, w_out)
     return {side: _integrate(s, m, v_in, w_out, side) for side in sides}
 
 
-def qdim_left(
-    m: MatrixFactorization, v_in: Poly, w_out: Poly, lift: Optional[CofactorLift] = None
-) -> QdimResult:
-    return _integrate(qdim_supertrace(m, v_in, w_out), m, v_in, w_out, "left", lift)
+def qdim_left(m: MatrixFactorization, v_in: Poly, w_out: Poly) -> Poly:
+    return qdim_pair(m, v_in, w_out, ("left",))["left"]
 
 
-def qdim_right(
-    m: MatrixFactorization, v_in: Poly, w_out: Poly, lift: Optional[CofactorLift] = None
-) -> QdimResult:
-    return _integrate(qdim_supertrace(m, v_in, w_out), m, v_in, w_out, "right", lift)
+def qdim_right(m: MatrixFactorization, v_in: Poly, w_out: Poly) -> Poly:
+    return qdim_pair(m, v_in, w_out, ("right",))["right"]

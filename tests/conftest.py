@@ -6,6 +6,24 @@ import sys
 
 import pytest
 
+from orbimf.catalog import load_catalog
+from orbimf.constraints import EntryWork
+
+
+@pytest.fixture(scope="session")
+def shipped_work():
+    """`shipped_work(entry_id)` returns one `EntryWork` per shipped entry,
+    shared by every untimed test that reads the same per-entry facts."""
+    catalog = load_catalog()
+    works = {}
+
+    def get(entry_id):
+        if entry_id not in works:
+            works[entry_id] = EntryWork(catalog[entry_id])
+        return works[entry_id]
+
+    return get
+
 
 @pytest.fixture
 def count_calls(monkeypatch):

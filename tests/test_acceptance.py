@@ -66,13 +66,13 @@ def test_criterion_1_squaring_identity(catalog):
     for eid in ENTRY_IDS:
         entry = catalog[eid]
         t0 = time.perf_counter()
-        m = build_8x8(entry.six())
-        cs = con.derive_constraints(entry, m)
+        work = con.EntryWork(entry)
         report = verify_potential(
-            m,
+            work.m,
             entry.potential_in(),
             entry.potential_out(),
-            con.groebner(cs),
+            work.reducer_for(work.derived),
+            work.derived.epsilon,
         )
         elapsed = time.perf_counter() - t0
         notes.append(f"{eid}: {elapsed:.1f}s of 60s")
@@ -91,10 +91,10 @@ def test_criterion_2_constraint_containment(catalog):
     issues = []
     t0 = time.perf_counter()
     for eid in ENTRY_IDS:
-        entry = catalog[eid]
-        derived = con.derive_constraints(entry, build_8x8(entry.six()))
-        printed = con.paper_constraint_set(entry)
-        cmp_ = con.ideal_compare(printed, derived)
+        work = con.EntryWork(catalog[eid])
+        derived = work.derived
+        printed = work.printed
+        cmp_ = con.ideal_compare(work, printed, derived)
         if not cmp_.a_in_b:
             issues.append(f"{eid}: a printed constraint falls outside the derived ideal")
             continue
@@ -102,7 +102,7 @@ def test_criterion_2_constraint_containment(catalog):
             # the printed system already solved the linear parameter a2
             # away; equality is checked in the smaller ring
             reduced, _ = con.eliminate_linear(derived, "a2")
-            if not con.ideal_compare(printed, reduced).equal:
+            if not con.ideal_compare(work, printed, reduced).equal:
                 issues.append(f"{eid}: not equal even after eliminating a2")
         elif not cmp_.b_in_a:
             issues.append(f"{eid}: derived ideal is strictly larger than the printed one")
@@ -120,7 +120,7 @@ def test_criterion_3_printed_qdim_formulas(catalog):
     for eid in ENTRY_IDS:
         entry = catalog[eid]
         t0 = time.perf_counter()
-        cq = con.compare_qdims(entry)
+        cq = con.compare_qdims(con.EntryWork(entry))
         elapsed = time.perf_counter() - t0
         for side, match in (("left", cq.left), ("right", cq.right)):
             if match.passes(allow_unit=eid in allow_unit):
@@ -144,10 +144,9 @@ def test_criterion_4_families_satisfy_constraints(catalog):
     labels = []
     for eid in ENTRY_IDS:
         entry = catalog[eid]
-        cs = con.derive_constraints(entry, build_8x8(entry.six()))
         for fam in entry.families:
             t0 = time.perf_counter()
-            report = con.verify_family(entry, fam, cs)
+            report = con.verify_family(con.EntryWork(entry), fam)
             elapsed = time.perf_counter() - t0
             labels.append(fam.label)
             if not report.ok:
@@ -192,7 +191,7 @@ def test_criterion_5_nonvanishing_and_exclusions(catalog):
         for fam in entry.families:
             for side in ("left", "right"):
                 t0 = time.perf_counter()
-                nv = con.nonvanishing_check(entry, fam, side)
+                nv = con.nonvanishing_check(con.EntryWork(entry), fam, side)
                 elapsed = time.perf_counter() - t0
                 if not nv.ok:
                     status = nv.computed.certificate.status if nv.computed.certificate else nv.computed.error
@@ -206,7 +205,7 @@ def test_criterion_5_nonvanishing_and_exclusions(catalog):
                     issues.append(f"{eid} / {fam.label} {side}: took {elapsed:.1f}s > 10s")
     # discarded solutions must be zeros of the invariant that excluded them
     w12 = catalog["W12v1_W12v2"]
-    nv = con.nonvanishing_check(w12, W12_DISCARDED, "left")
+    nv = con.nonvanishing_check(con.EntryWork(w12), W12_DISCARDED, "left")
     if nv.printed.certificate.status != "zero":
         issues.append("W12 discarded point: printed left form unexpectedly nonzero")
     if not nv.excluded:
@@ -215,7 +214,7 @@ def test_criterion_5_nonvanishing_and_exclusions(catalog):
             f"{nv.computed.value}, not zero; the printed discard rule is not reproduced"
         )
     e14 = catalog["E14v1_E14v2"]
-    nv = con.nonvanishing_check(e14, e14.families[0], "left", point={"a3": "-4*c"})
+    nv = con.nonvanishing_check(con.EntryWork(e14), e14.families[0], "left", point={"a3": "-4*c"})
     if nv.printed.certificate.status != "zero":
         issues.append("E14 avoided locus: printed left form unexpectedly nonzero")
     if not nv.excluded:

@@ -11,7 +11,6 @@ import pytest
 from orbimf import _groebner, cli, constraints, matfac, residue
 from orbimf.catalog import EquivalenceEntry, load_catalog
 from orbimf.cli import SCHEMA_VERSION, main, verify_entry
-from orbimf.matfac import build_8x8
 from orbimf.polyring import Poly, parse_poly
 
 DEMO_DIR = Path(__file__).parent / "data" / "demo"
@@ -225,6 +224,25 @@ def test_constraints_compare_paper_json_e14(capsys):
     assert payload["printed"] == ["c^8 + 4"]
 
 
+def test_verify_fails_potential_on_unsatisfiable_constraints(capsys, tmp_path):
+    # grading still passes, but the derived constraints 1, k, k^2 - 1
+    # admit no value of k: their Groebner basis is [1], against which
+    # every residual would otherwise reduce to zero
+    shutil.copy(DEMO_DIR / "potentials.json", tmp_path / "potentials.json")
+    entry = json.loads((DEMO_DIR / "DEMO.json").read_text())
+    entry["parameters"] = ["k"]
+    entry["entries"]["d15"] = "k*u"
+    entry["entries"]["d26"] = "k*u + x"
+    (tmp_path / "DEMO.json").write_text(json.dumps(entry))
+    rc, out, _ = _run(capsys, "verify", "--entry", "DEMO", "--catalog", str(tmp_path), "--json")
+    assert rc == 1
+    stages = json.loads(out)["reports"][0]["stages"]
+    assert stages["grading"]["ok"]
+    assert stages["constraints"]["detail"]["generators"] == ["1", "k", "k^2 - 1"]
+    assert stages["potential"]["ok"] is False
+    assert "unit ideal" in stages["potential"]["detail"]["message"]
+
+
 def test_unknown_family_exits_2(capsys):
     rc, _, err = _run(capsys, "qdim", "--entry", "E14", "--family", "nope")
     assert rc == 2
@@ -253,11 +271,10 @@ def test_verify_entry_computes_each_fact_once(count_calls, entry_id):
     w12 = entry_id == "W12v1_W12v2"
     assert len(sets) == len(set(sets)) == (2 if w12 else 1)
     assert len(products) == 1
-    # divisor records are built once per basis in the potential stage, in
-    # each ideal_compare call (W12 calls it twice, first with two bases)
-    # and in qdim-match, never once per reduced polynomial
+    # divisor records are built once per basis, and every stage that
+    # reduces shares them, never once per reduced polynomial
     assert not normal_forms
-    assert len(reducers) == (5 if w12 else 3)
+    assert len(reducers) == (2 if w12 else 1)
     # groebner_basis and interreduce build one record set each
     assert len(divisor_sets) == 2 * len(bases) + len(reducers)
 
@@ -276,11 +293,10 @@ def _substitute_by_adding(p, bindings):
     return acc
 
 
-def test_substitute_matches_sum_of_terms_on_w13_families():
-    entry = load_catalog()["W13v1_W13v2"]
-    m = build_8x8(entry.six())
-    polys = list(constraints.derive_constraints(entry, m).generators)
-    polys += constraints.computed_qdims(entry, m).values()
+def test_substitute_matches_sum_of_terms_on_w13_families(shipped_work):
+    work = shipped_work("W13v1_W13v2")
+    entry = work.entry
+    polys = list(work.derived.generators) + list(work.qdims.values())
     polys += [entry.paper_qdim(side) for side in ("left", "right")]
     assert entry.families
     for family in entry.families:

@@ -11,6 +11,7 @@ from orbimf._groebner import BudgetExceeded, normal_form
 from orbimf.catalog import SolutionFamily, load_catalog
 from orbimf.constraints import (
     ConstraintSet,
+    EntryWork,
     bruteforce_family_oracle,
     compare_qdims,
     computed_qdim,
@@ -19,7 +20,6 @@ from orbimf.constraints import (
     groebner,
     ideal_compare,
     nonvanishing_check,
-    paper_constraint_set,
     uni_divides,
     verify_family,
 )
@@ -95,44 +95,43 @@ def test_constraint_set_normalizes_and_dedupes():
 # -- ideal comparison ----------------------------------------------------
 
 
-def test_two_way_equality_where_it_holds_raw(catalog):
+def test_two_way_equality_where_it_holds_raw(shipped_work):
     for eid in ("E14v1_E14v2", "U12v1_U12v3", "U12v2_U12v3", "Z13v1_Z13v2", "W13v1_W13v2"):
-        entry = catalog[eid]
-        derived = derive_constraints(entry, build_8x8(entry.six()))
-        cmp_ = ideal_compare(paper_constraint_set(entry), derived)
+        work = shipped_work(eid)
+        cmp_ = ideal_compare(work, work.printed, work.derived)
         assert cmp_.a_in_b and cmp_.b_in_a, eid
         assert cmp_.equal
         assert not cmp_.failing_a and not cmp_.failing_b
 
 
-def test_w12_needs_one_linear_elimination(catalog):
-    entry = catalog["W12v1_W12v2"]
-    derived = derive_constraints(entry, build_8x8(entry.six()))
-    printed = paper_constraint_set(entry)
-    raw = ideal_compare(printed, derived)
+def test_w12_needs_one_linear_elimination(shipped_work):
+    work = shipped_work("W12v1_W12v2")
+    derived = work.derived
+    printed = work.printed
+    raw = ideal_compare(work, printed, derived)
     # the derived system still carries the determined parameter a2
     assert raw.a_in_b and not raw.b_in_a
     reduced, solved = eliminate_linear(derived, "a2")
     assert format_poly(solved) == "-a1*b1 + 1/2*b1^2 + a1*b2 - b1*b2 + 1/2*b2^2"
     assert reduced.texts() == printed.texts()
-    assert ideal_compare(printed, reduced).equal
+    assert ideal_compare(work, printed, reduced).equal
 
 
 def test_ideal_compare_shares_one_basis_for_identical_generators(catalog, count_calls):
     calls = count_calls(_groebner, "groebner_basis")
-    entry = catalog["W12v1_W12v2"]
-    derived = derive_constraints(entry, build_8x8(entry.six()))
-    same = ideal_compare(derived, ConstraintSet(derived.generators, "paper"))
+    work = EntryWork(catalog["W12v1_W12v2"])
+    derived = work.derived
+    same = ideal_compare(work, derived, ConstraintSet(derived.generators, "paper"))
     assert len(calls) == 1
     assert same.equal and not same.failing_a and not same.failing_b
 
 
 def test_ideal_compare_reports_failing_generators_on_w12(catalog, count_calls):
     calls = count_calls(_groebner, "groebner_basis")
-    entry = catalog["W12v1_W12v2"]
-    derived = derive_constraints(entry, build_8x8(entry.six()))
-    printed = paper_constraint_set(entry)
-    cmp_ = ideal_compare(printed, derived)
+    work = EntryWork(catalog["W12v1_W12v2"])
+    derived = work.derived
+    printed = work.printed
+    cmp_ = ideal_compare(work, printed, derived)
     assert len(calls) == 2
     assert cmp_.failing_a == ()
     printed_basis = groebner(printed)
@@ -160,20 +159,19 @@ def test_groebner_budget_is_enforced(catalog):
 # -- solution families ----------------------------------------------------
 
 
-def test_every_shipped_family_satisfies_derived_constraints(catalog):
+def test_every_shipped_family_satisfies_derived_constraints(catalog, shipped_work):
     seen = []
     for entry in catalog.values():
-        cs = derive_constraints(entry, build_8x8(entry.six()))
+        work = shipped_work(entry.id)
         for fam in entry.families:
-            report = verify_family(entry, fam, cs)
+            report = verify_family(work, fam)
             assert report.ok, (entry.id, fam.label, report.failures)
-            assert report.checked == len(cs.generators)
+            assert report.checked == len(work.derived.generators)
             seen.append(fam.label)
     assert len(seen) == 12
 
 
-def test_wrong_minimal_polynomial_is_caught(catalog):
-    entry = catalog["E14v1_E14v2"]
+def test_wrong_minimal_polynomial_is_caught(shipped_work):
     broken = SolutionFamily(
         label="broken",
         generators=(("c", "c^4 - 2*c^2 + 1"),),
@@ -183,7 +181,7 @@ def test_wrong_minimal_polynomial_is_caught(catalog):
         free_defaults={},
         root_choice={"c": ("1", "1")},
     )
-    report = verify_family(entry, broken)
+    report = verify_family(shipped_work("E14v1_E14v2"), broken)
     assert not report.ok
     assert report.failures
 
@@ -191,11 +189,11 @@ def test_wrong_minimal_polynomial_is_caught(catalog):
 # -- nonvanishing at concrete points --------------------------------------
 
 
-def test_e14_family_point_certificates(catalog):
-    entry = catalog["E14v1_E14v2"]
-    fam = entry.families[0]
-    left = nonvanishing_check(entry, fam, "left")
-    right = nonvanishing_check(entry, fam, "right")
+def test_e14_family_point_certificates(shipped_work):
+    work = shipped_work("E14v1_E14v2")
+    fam = work.entry.families[0]
+    left = nonvanishing_check(work, fam, "left")
+    right = nonvanishing_check(work, fam, "right")
     assert left.computed.certificate.status == "nonzero_exact"
     assert left.computed.value == "-1/2*c^3 + c"
     assert left.printed.value == "-1/2*c"
@@ -204,21 +202,21 @@ def test_e14_family_point_certificates(catalog):
     assert left.ok and right.ok and left.agree and right.agree
 
 
-def test_w13_families_vanish_in_the_computed_channel(catalog):
+def test_w13_families_vanish_in_the_computed_channel(shipped_work):
     # every shipped W13 family sits on the branch where both invariants
     # are exactly zero, while the printed closed forms stay nonzero
-    entry = catalog["W13v1_W13v2"]
-    for fam in entry.families:
+    work = shipped_work("W13v1_W13v2")
+    for fam in work.entry.families:
         for side in ("left", "right"):
-            nv = nonvanishing_check(entry, fam, side)
+            nv = nonvanishing_check(work, fam, side)
             assert nv.computed.certificate.status == "zero", (fam.label, side)
             assert nv.printed.certificate.status in ("nonzero_exact", "nonzero_interval")
             assert nv.excluded and not nv.ok and not nv.agree
 
 
-def test_z13_right_value_matches_printed_at_point(catalog):
-    entry = catalog["Z13v1_Z13v2"]
-    nv = nonvanishing_check(entry, entry.families[0], "right")
+def test_z13_right_value_matches_printed_at_point(shipped_work):
+    work = shipped_work("Z13v1_Z13v2")
+    nv = nonvanishing_check(work, work.entry.families[0], "right")
     assert nv.computed.value == nv.printed.value == "-t^2"
     assert nv.ok and nv.agree
 
@@ -234,37 +232,34 @@ W12_DISCARDED = SolutionFamily(
 )
 
 
-def test_w12_discarded_points_lie_on_the_variety(catalog):
-    entry = catalog["W12v1_W12v2"]
-    report = verify_family(entry, W12_DISCARDED)
+def test_w12_discarded_points_lie_on_the_variety(shipped_work):
+    report = verify_family(shipped_work("W12v1_W12v2"), W12_DISCARDED)
     assert report.ok
 
 
-def test_w12_discard_rule_not_reproduced_by_computed_invariant(catalog):
+def test_w12_discard_rule_not_reproduced_by_computed_invariant(shipped_work):
     # the printed left formula vanishes at a1=b1=0, which is the stated
     # reason those four solutions were discarded; the residue-computed
     # invariant is nonzero there, so the two channels disagree
-    entry = catalog["W12v1_W12v2"]
-    nv = nonvanishing_check(entry, W12_DISCARDED, "left")
+    nv = nonvanishing_check(shipped_work("W12v1_W12v2"), W12_DISCARDED, "left")
     assert nv.printed.certificate.status == "zero"
     assert nv.computed.certificate.status == "nonzero_interval"
     assert nv.computed.value == "1/4*b2^3"
     assert not nv.agree and not nv.excluded
 
 
-def test_e14_avoidance_rule_not_reproduced_by_computed_invariant(catalog):
+def test_e14_avoidance_rule_not_reproduced_by_computed_invariant(shipped_work):
     # same story for the locus a3 - b3 + 4c = 0 on an E14 family
-    entry = catalog["E14v1_E14v2"]
-    nv = nonvanishing_check(entry, entry.families[0], "left", point={"a3": "-4*c"})
+    work = shipped_work("E14v1_E14v2")
+    nv = nonvanishing_check(work, work.entry.families[0], "left", point={"a3": "-4*c"})
     assert nv.printed.certificate.status == "zero"
     assert nv.computed.certificate.status == "nonzero_exact"
     assert not nv.agree
 
 
-def test_point_values_override_defaults(catalog):
-    entry = catalog["E14v1_E14v2"]
-    fam = entry.families[0]
-    nv = nonvanishing_check(entry, fam, "left", point={"a3": "8", "b3": "0"})
+def test_point_values_override_defaults(shipped_work):
+    work = shipped_work("E14v1_E14v2")
+    nv = nonvanishing_check(work, work.entry.families[0], "left", point={"a3": "8", "b3": "0"})
     assert dict(nv.point)["a3"] == "8"
     # printed -(a3 - b3 + 4c)/8 becomes -1 - c/2
     assert nv.printed.value == "-1/2*c - 1"
@@ -292,9 +287,9 @@ COMPUTED_RIGHT = {
 }
 
 
-def test_qdim_match_table_frozen(catalog):
+def test_qdim_match_table_frozen(shipped_work):
     for eid, (left, right) in MATCHES.items():
-        cq = compare_qdims(catalog[eid])
+        cq = compare_qdims(shipped_work(eid))
         got = (
             (cq.left.status, cq.left.matched_side, cq.left.scalar),
             (cq.right.status, cq.right.matched_side, cq.right.scalar),
@@ -302,7 +297,7 @@ def test_qdim_match_table_frozen(catalog):
         assert got == (left, right), eid
         assert format_poly(cq.computed_right) == COMPUTED_RIGHT[eid]
     # the one mod-ideal unit match
-    w12 = compare_qdims(catalog["W12v1_W12v2"])
+    w12 = compare_qdims(shipped_work("W12v1_W12v2"))
     assert w12.right.mod_ideal and not w12.left.matched
     assert not w12.right.passes()
     assert w12.right.passes(allow_unit=True)

@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
+from orbimf._groebner import reducer
 from orbimf.catalog import load_catalog
-from orbimf.constraints import derive_constraints, groebner
+from orbimf.constraints import derive_constraints
 from orbimf.grading import weights_from_potential
 from orbimf.matfac import (
     MatFacError,
@@ -84,7 +85,8 @@ def test_matmul_identity(demo):
 def test_demo_square_equals_difference_exactly(demo):
     m = build_8x8(demo.six())
     assert square_scalar(m) == demo.difference()
-    report = verify_potential(m, demo.potential_in(), demo.potential_out(), [])
+    eps = derive_constraints(demo, m).epsilon
+    report = verify_potential(m, demo.potential_in(), demo.potential_out(), reducer([]), eps)
     assert report.ok and report.epsilon == 1
 
 
@@ -99,12 +101,15 @@ def test_all_entries_have_24_cells_and_uniform_diagonal(catalog):
                 assert sq[i][j] == (sigma if i == j else Poly.zero(entry.vt))
 
 
-def test_e14_potential_certificate(catalog):
-    entry = catalog["E14v1_E14v2"]
-    m = build_8x8(entry.six())
-    cs = derive_constraints(entry, m)
+def test_e14_potential_certificate(shipped_work):
+    work = shipped_work("E14v1_E14v2")
+    entry = work.entry
     report = verify_potential(
-        m, entry.potential_in(), entry.potential_out(), groebner(cs)
+        work.m,
+        entry.potential_in(),
+        entry.potential_out(),
+        work.reducer_for(work.derived),
+        work.derived.epsilon,
     )
     assert report.ok
     assert report.epsilon == 1
@@ -114,9 +119,9 @@ def test_e14_potential_certificate(catalog):
 def test_e14_wrong_ideal_fails(catalog):
     entry = catalog["E14v1_E14v2"]
     m = build_8x8(entry.six())
-    report = verify_potential(m, entry.potential_in(), entry.potential_out(), [])
+    report = verify_potential(m, entry.potential_in(), entry.potential_out(), reducer([]), 1)
     assert not report.ok
-    assert "either sign" in report.message()
+    assert "not in the constraint ideal for sign +1" in report.message()
 
 
 def _combined_weights(entry):
