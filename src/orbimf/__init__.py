@@ -23,7 +23,6 @@ from .constraints import (
     bruteforce_family_oracle,
     compare_qdims,
     computed_qdim,
-    computed_qdims,
     derive_constraints,
     groebner,
     ideal_compare,
@@ -58,7 +57,6 @@ __all__ = [
     "certify_value",
     "compare_qdims",
     "computed_qdim",
-    "computed_qdims",
     "derive_constraints",
     "euler_check",
     "format_poly",

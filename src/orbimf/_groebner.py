@@ -17,7 +17,9 @@ each monomial is tested against each lead at most once.  Buchberger
 only appends records, so the remembered divisor is always the first in
 list order.  `reducer(basis)` builds the records once for a stage that
 reduces many polynomials against one basis; `normal_form` is its
-one-shot form.
+one-shot form.  `numberfield` reduces quotient-ring elements through
+`reducer` too, its monic univariate minimal polynomials being a Groebner
+basis already.
 
 The resultant uses fraction-free Bareiss elimination on the Sylvester
 matrix; the exact divisions it requires are performed by leading-term
@@ -35,7 +37,6 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .polyring import IntTerms, Monomial, Poly, Terms, _integer_terms, degrevlex_key
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 # (lead monomial, denominator, monic tail as integer numerators over it)
@@ -316,14 +317,11 @@ def _divide_exact(f: Poly, g: Poly) -> Poly:
 
 def _univariate_coeffs_in(p: Poly, var: str) -> List[Poly]:
     """Coefficients of p as a polynomial in var, low to high, as Polys."""
-    vt = p.vt
-    i = vt.index(var)
-    deg = p.degree_in(var)
-    buckets: List[dict] = [dict() for _ in range(deg + 1)]
-    for m, c in p.terms():
-        rest = m[:i] + (0,) + m[i + 1:]
-        buckets[m[i]][rest] = buckets[m[i]].get(rest, _ZERO) + c
-    return [Poly(vt, b) for b in buckets]
+    i = p.vt.index(var)
+    out = [Poly.zero(p.vt)] * (p.degree_in(var) + 1)
+    for m, c in p.coefficients_wrt([var]).items():
+        out[m[i]] = c
+    return out
 
 
 def _bareiss_determinant(matrix: List[List[Poly]], vt) -> Poly:

@@ -109,10 +109,10 @@ class EquivalenceEntry:
             out[name] = _collapse(p, self.vt, out)
         return out
 
-    def entry_poly(self, name: str, text: Optional[str] = None) -> Poly:
+    def entry_poly(self, name: str) -> Poly:
         defs = self.defs_polys()
         ext = _extended_table(self.vt, tuple(defs))
-        p = parse_poly(self.entry_texts[name] if text is None else text, ext)
+        p = parse_poly(self.entry_texts[name], ext)
         return _collapse(p, self.vt, defs)
 
     def six(self) -> Tuple[Poly, ...]:

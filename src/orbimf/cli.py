@@ -148,13 +148,7 @@ def verify_entry(
     t0 = time.perf_counter()
     printed = work.printed
     cmp_ = con.ideal_compare(work, printed, derived)
-    ideal_detail = {
-        "printed_in_derived": cmp_.a_in_b,
-        "derived_in_printed": cmp_.b_in_a,
-        "equal": cmp_.equal,
-        "failing_printed": [format_poly(g) for g in cmp_.failing_a],
-        "failing_derived": [format_poly(g) for g in cmp_.failing_b],
-    }
+    ideal_detail = _ideal_dict(cmp_)
     if not cmp_.equal and cmp_.a_in_b:
         # the printed set may live in a smaller ring with a determined
         # parameter already solved away; eliminating it restores equality
@@ -230,6 +224,17 @@ def verify_entry(
     ]
     report["seconds"] = round(time.perf_counter() - started, 3)
     return report
+
+
+def _ideal_dict(cmp_: con.IdealComparison) -> dict:
+    """The report keys of a printed-against-derived ideal comparison."""
+    return {
+        "printed_in_derived": cmp_.a_in_b,
+        "derived_in_printed": cmp_.b_in_a,
+        "equal": cmp_.equal,
+        "failing_printed": [format_poly(g) for g in cmp_.failing_a],
+        "failing_derived": [format_poly(g) for g in cmp_.failing_b],
+    }
 
 
 def _match_dict(match: con.QdimMatch) -> dict:
@@ -429,21 +434,11 @@ def cmd_constraints(args: argparse.Namespace) -> int:
     entry = resolve_entry(catalog, args.entry)
     work = con.EntryWork(entry, args.spair_cap)
     derived = work.derived
+    payload = {"schema": SCHEMA_VERSION, "entry": entry.id, "epsilon": derived.epsilon}
     if args.compare_paper:
         printed = work.printed
         cmp_ = con.ideal_compare(work, printed, derived)
-        payload = {
-            "schema": SCHEMA_VERSION,
-            "entry": entry.id,
-            "epsilon": derived.epsilon,
-            "derived": list(derived.texts()),
-            "printed": list(printed.texts()),
-            "printed_in_derived": cmp_.a_in_b,
-            "derived_in_printed": cmp_.b_in_a,
-            "equal": cmp_.equal,
-            "failing_printed": [format_poly(g) for g in cmp_.failing_a],
-            "failing_derived": [format_poly(g) for g in cmp_.failing_b],
-        }
+        payload.update(derived=list(derived.texts()), printed=list(printed.texts()), **_ideal_dict(cmp_))
         if args.json:
             print(json.dumps(payload, indent=2))
         else:
@@ -454,17 +449,8 @@ def cmd_constraints(args: argparse.Namespace) -> int:
                 print(f"  derived generator outside the printed ideal: {g}")
         return 0 if cmp_.a_in_b else 1
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "schema": SCHEMA_VERSION,
-                    "entry": entry.id,
-                    "epsilon": derived.epsilon,
-                    "generators": list(derived.texts()),
-                },
-                indent=2,
-            )
-        )
+        payload["generators"] = list(derived.texts())
+        print(json.dumps(payload, indent=2))
         return 0
     if not derived.generators:
         print("(no constraints)")
@@ -521,7 +507,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except CatalogError as exc:
         print(f"unknown entry or bad catalog: {exc}", file=sys.stderr)
         return 2
-    except (BudgetExceeded, ResidueError, con.OracleBudgetExceeded) as exc:
+    except (BudgetExceeded, ResidueError) as exc:
         print(f"verification aborted: {exc}", file=sys.stderr)
         return 1
 

@@ -7,7 +7,7 @@ downstream works with that ideal: membership tests against the printed
 generating sets, verification of shipped solution families inside their
 quotient rings, non-vanishing certificates for quantum dimensions at
 concrete points, and a resultant-based elimination oracle that rediscovers
-one-parameter relations without touching the Groebner machinery.
+one-parameter relations without computing a Groebner basis.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from math import gcd
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ._groebner import BudgetExceeded, groebner_basis, normal_form, reducer, resultant
+from ._groebner import _univariate_coeffs_in
 from .catalog import EquivalenceEntry, SolutionFamily
 from .matfac import MatrixFactorization, build_8x8, square_scalar
 from .numberfield import (
@@ -29,7 +30,7 @@ from .numberfield import (
     reduce as quotient_reduce,
     certify_value,
 )
-from .polyring import Poly, VarTable, format_poly, parse_poly
+from .polyring import Poly, VarTable, _integer_terms, format_poly, parse_poly
 from .residue import qdim_pair
 
 __all__ = [
@@ -48,7 +49,6 @@ __all__ = [
     "NonvanishingReport",
     "nonvanishing_check",
     "computed_qdim",
-    "computed_qdims",
     "QdimMatch",
     "QdimComparison",
     "compare_qdims",
@@ -65,15 +65,11 @@ _ONE = Fraction(1)
 
 def _unit_normalize(p: Poly) -> Poly:
     """Integer coefficients with content 1 and positive leading sign."""
-    den = 1
-    for _, c in p.terms():
-        den = den * c.denominator // gcd(den, c.denominator)
-    num = 0
-    for _, c in p.terms():
-        num = gcd(num, abs((c * den).numerator))
-    scaled = p.scale(Fraction(den, num))
-    lead = scaled.coefficient(scaled.leading_monomial())
-    return scaled.scale(-1) if lead < 0 else scaled
+    den, numerators = _integer_terms(p._terms)
+    content = gcd(*(n for _, n in numerators))
+    if p.coefficient(p.leading_monomial()) < 0:
+        content = -content
+    return p.scale(Fraction(den, content))
 
 
 @dataclass(frozen=True)
@@ -168,7 +164,8 @@ class EntryWork:
 
     @cached_property
     def qdims(self) -> Dict[str, Poly]:
-        return computed_qdims(self.entry, self.m)
+        """Both quantum dimensions from one sixfold derivative product."""
+        return qdim_pair(self.m, self.entry.potential_in(), self.entry.potential_out())
 
     def reducer_for(self, cs: ConstraintSet) -> Callable[[Poly], Poly]:
         """Normal forms modulo the ideal of `cs`; identical generator sets
@@ -214,13 +211,9 @@ def eliminate_linear(
     for g in constraints.generators:
         if g.degree_in(name) != 1:
             continue
-        width = len(g.vt)
-        i = g.vt.index(name)
-        groups = g.coefficients_wrt([name])
-        lin = groups.get(tuple(1 if j == i else 0 for j in range(width)))
-        if lin is None or lin.support_vars():
+        rest, lin = _univariate_coeffs_in(g, name)
+        if lin.support_vars():
             continue
-        rest = groups.get((0,) * width, Poly.zero(g.vt))
         solved = rest.scale(Fraction(-1) / lin.constant_value())
         reduced = [
             h.substitute({name: solved}) for h in constraints.generators if h is not g
@@ -283,20 +276,10 @@ def verify_family(work: EntryWork, family: SolutionFamily) -> FamilyReport:
 # -- quantum dimensions ------------------------------------------------
 
 
-def computed_qdims(
-    entry: EquivalenceEntry,
-    m: MatrixFactorization,
-    sides: Sequence[str] = ("left", "right"),
-) -> Dict[str, Poly]:
-    """Residue-computed quantum dimensions by side of the entry's
-    factorization `m`, polynomials in the parameters, all from one
-    sixfold derivative product."""
-    return qdim_pair(m, entry.potential_in(), entry.potential_out(), sides)
-
-
 def computed_qdim(entry: EquivalenceEntry, side: str) -> Poly:
     """Residue-computed quantum dimension; a polynomial in the parameters."""
-    return computed_qdims(entry, build_8x8(entry.six()), (side,))[side]
+    m = build_8x8(entry.six())
+    return qdim_pair(m, entry.potential_in(), entry.potential_out(), (side,))[side]
 
 
 @dataclass(frozen=True)
@@ -512,39 +495,31 @@ def _dense_trim(a: List[Fraction]) -> List[Fraction]:
     return a
 
 
-def _dense_rem(a: List[Fraction], b: List[Fraction]) -> List[Fraction]:
-    a = list(a)
-    while len(a) >= len(b) and _dense_trim(a):
-        factor = a[-1] / b[-1]
-        shift = len(a) - len(b)
+def _dense_divmod(
+    a: List[Fraction], b: List[Fraction]
+) -> Tuple[List[Fraction], List[Fraction]]:
+    """Quotient and trimmed remainder of univariate long division of a by
+    the trimmed b, coefficients lowest degree first."""
+    r = _dense_trim(list(a))
+    q = [_ZERO] * max(len(r) - len(b) + 1, 0)
+    while len(r) >= len(b) and r:
+        factor = r[-1] / b[-1]
+        shift = len(r) - len(b)
+        q[shift] = factor
         for k in range(len(b)):
-            a[shift + k] -= factor * b[k]
-        _dense_trim(a)
-    return a
+            r[shift + k] -= factor * b[k]
+        _dense_trim(r)
+    return q, r
 
 
 def _dense_gcd(a: List[Fraction], b: List[Fraction]) -> List[Fraction]:
     a, b = _dense_trim(list(a)), _dense_trim(list(b))
     while b:
-        a, b = b, _dense_rem(a, b)
-        _dense_trim(b)
+        a, b = b, _dense_divmod(a, b)[1]
     if a:
         lead = a[-1]
         a = [c / lead for c in a]
     return a
-
-
-def _dense_div_exact(a: List[Fraction], b: List[Fraction]) -> Optional[List[Fraction]]:
-    a = _dense_trim(list(a))
-    q = [_ZERO] * (len(a) - len(b) + 1) if len(a) >= len(b) else []
-    while len(a) >= len(b) and a:
-        factor = a[-1] / b[-1]
-        shift = len(a) - len(b)
-        q[shift] = factor
-        for k in range(len(b)):
-            a[shift + k] -= factor * b[k]
-        _dense_trim(a)
-    return None if a else q
 
 
 def _squarefree_part(p: Poly, name: str) -> Poly:
@@ -553,14 +528,14 @@ def _squarefree_part(p: Poly, name: str) -> Poly:
     g = _dense_gcd(coeffs, deriv)
     if len(g) <= 1:
         return p
-    q = _dense_div_exact(coeffs, g)
-    assert q is not None
+    q, r = _dense_divmod(coeffs, g)
+    assert not r
     return _from_dense(q, name, p.vt)
 
 
 def uni_divides(d: Poly, p: Poly, name: str) -> bool:
     """Does the univariate d divide the univariate p exactly?"""
-    return _dense_div_exact(p.univariate_coeffs(name), d.univariate_coeffs(name)) is not None
+    return not _dense_divmod(p.univariate_coeffs(name), d.univariate_coeffs(name))[1]
 
 
 def _project_onto(
@@ -628,11 +603,6 @@ def _project_onto(
     return _from_dense(acc, target, univariates[0].vt), False
 
 
-def _monic_in(p: Poly, name: str) -> Poly:
-    coeffs = p.univariate_coeffs(name)
-    return _from_dense([c / coeffs[-1] for c in coeffs], name, p.vt)
-
-
 def bruteforce_family_oracle(
     entry: EquivalenceEntry,
     assignments: Mapping[str, Union[str, int, Fraction]],
@@ -649,8 +619,10 @@ def bruteforce_family_oracle(
     squarefree part is the candidate relation, re-checked by reducing the
     substituted system modulo the candidate: a generator collapsing to a
     nonzero constant refutes it, and all generators vanishing means the
-    candidate alone already satisfies the system.  No Groebner steps are
-    involved, which is the point of the cross-check.
+    candidate alone already satisfies the system.  No Groebner basis is
+    computed, which is the point of the cross-check; the final candidate
+    check reduces modulo a single monic univariate through the shared
+    kernel (`numberfield.reduce`, hence `_groebner.reducer`).
     """
     cs = derive_constraints(entry, build_8x8(entry.six()))
     amap = {k: parse_poly(str(v), entry.vt) for k, v in assignments.items()}
@@ -690,9 +662,8 @@ def bruteforce_family_oracle(
             notes.append(f"{target}: no univariate consequence survived")
             continue
         candidate = _unit_normalize(_squarefree_part(proj, target))
-        spec = QuotientSpec(
-            entry.vt, (target,), (_monic_in(candidate, target),), is_field=False
-        )
+        monic = candidate / candidate.coefficient(candidate.leading_monomial())
+        spec = QuotientSpec(entry.vt, (target,), (monic,), is_field=False)
         refuted = False
         fully = True
         for g in base:

@@ -64,12 +64,6 @@ class VariableWeights:
     def as_dict(self) -> Dict[str, Fraction]:
         return dict(self.weights)
 
-    def __getitem__(self, name: str) -> Fraction:
-        for n, w in self.weights:
-            if n == name:
-                return w
-        raise KeyError(name)
-
     def names(self) -> Tuple[str, ...]:
         return tuple(n for n, _ in self.weights)
 

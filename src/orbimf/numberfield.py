@@ -1,10 +1,14 @@
 """Quotient rings Q[t1,...,tk]/(m1(t1),...,mk(tk)) and certified embeddings.
 
-Each generator carries its own monic univariate minimal polynomial, so
-reduction rewrites one exponent slot at a time and always terminates.
-Elements are represented by reduced polynomials; the representative may
-also involve extra "spectator" variables (free parameters riding along),
-which reduction never touches.
+Each generator carries its own monic univariate minimal polynomial.  The
+leads of these, powers of distinct generators, are pairwise coprime, so
+the minimal polynomials already form a Groebner basis (Buchberger's
+first criterion) and reduction is the normal form modulo them through
+the shared kernel `_groebner.reducer`, whose divisor records each
+quotient builds once.  That normal form is unique: every generator
+exponent lies below its minimal polynomial's degree.  The representative
+may also involve extra "spectator" variables (free parameters riding
+along), which reduction never touches.
 
 Inversion solves an exact linear system over the monomial basis of the
 quotient (representatives must be supported on generators only).  When a
@@ -25,12 +29,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import mpmath
 
+from ._groebner import reducer
 from ._linalg import solve_dense
-from .polyring import Monomial, Poly, VarTable
+from .polyring import Monomial, Poly, VarTable, parse_poly
 
 _ZERO = Fraction(0)
 
@@ -71,22 +77,17 @@ class QuotientSpec:
                 raise NumberFieldError(
                     f"minimal polynomial of {name!r} must be univariate in it, uses {support}"
                 )
-            d = mp.degree_in(name)
-            if d < 1:
+            if mp.degree_in(name) < 1:
                 raise NumberFieldError(f"minimal polynomial of {name!r} must have degree >= 1")
-            i = self.vt.index(name)
-            lead = mp.coefficient(tuple(d if j == i else 0 for j in range(len(self.vt))))
-            if lead != 1:
+            if mp.univariate_coeffs(name)[-1] != 1:
                 raise NumberFieldError(f"minimal polynomial of {name!r} must be monic")
 
     def degree(self, name: str) -> int:
         return self.minimal_polys[self.generators.index(name)].degree_in(name)
 
-    def basis_size(self) -> int:
-        n = 1
-        for g in self.generators:
-            n *= self.degree(g)
-        return n
+    @cached_property
+    def _normal_form(self) -> Callable[[Poly], Poly]:
+        return reducer(self.minimal_polys)
 
 
 @dataclass(frozen=True)
@@ -135,55 +136,17 @@ class QuotientElem:
 
 
 def reduce(p: Poly, spec: QuotientSpec) -> QuotientElem:
-    """Rewrite every generator exponent below its minimal-poly degree."""
+    """Normal form of p modulo the minimal polynomials: every generator
+    exponent below its minimal polynomial's degree."""
     if p.vt != spec.vt:
         raise NumberFieldError("polynomial does not live in the quotient's table")
-    tables: Dict[str, Tuple[int, Poly, Poly, List[Poly]]] = {}
-
-    def power_rep(name: str, e: int) -> Poly:
-        # residues of name^k modulo its minimal polynomial, built on demand
-        if name not in tables:
-            mp = spec.minimal_polys[spec.generators.index(name)]
-            d = mp.degree_in(name)
-            gen = Poly.var(spec.vt, name)
-            tail = gen ** d - mp  # name^d = tail, deg(tail) < d
-            tables[name] = (d, gen, tail, [Poly.const(spec.vt, 1), gen if d > 1 else tail])
-        d, gen, tail, tab = tables[name]
-        while len(tab) <= e:
-            nxt = tab[-1] * gen
-            if nxt.degree_in(name) >= d:
-                # single rewrite suffices: previous entry had degree < d
-                i = spec.vt.index(name)
-                carry = Poly.zero(spec.vt)
-                keep = {}
-                for m, c in nxt.terms():
-                    if m[i] >= d:
-                        lower = m[:i] + (m[i] - d,) + m[i + 1:]
-                        carry = carry + Poly(spec.vt, {lower: c}) * tail
-                    else:
-                        keep[m] = c
-                nxt = Poly(spec.vt, keep) + carry
-            tab.append(nxt)
-        return tab[e]
-
-    gen_idx = {spec.vt.index(g): g for g in spec.generators}
-    acc = Poly.zero(spec.vt)
-    for m, c in p.terms():
-        factor = Poly(spec.vt, {tuple(0 if i in gen_idx else e for i, e in enumerate(m)): c})
-        for i, name in gen_idx.items():
-            e = m[i]
-            if e:
-                factor = factor * power_rep(name, e)
-        acc = acc + factor
-    return QuotientElem(spec, acc)
+    return QuotientElem(spec, spec._normal_form(p))
 
 
 def element(text_or_poly, spec: QuotientSpec) -> QuotientElem:
-    from .polyring import parse_poly
-
-    if isinstance(text_or_poly, Poly):
-        return reduce(text_or_poly, spec)
-    return reduce(parse_poly(str(text_or_poly), spec.vt), spec)
+    if not isinstance(text_or_poly, Poly):
+        text_or_poly = parse_poly(str(text_or_poly), spec.vt)
+    return reduce(text_or_poly, spec)
 
 
 def _basis_monomials(spec: QuotientSpec) -> List[Monomial]:
@@ -206,14 +169,11 @@ def invert(elem: QuotientElem) -> QuotientElem:
         raise ZeroDivisorError("zero is not invertible")
     basis = _basis_monomials(spec)
     pos = {m: i for i, m in enumerate(basis)}
-    cols = []
-    for m in basis:
-        prod = reduce(elem.rep * Poly(spec.vt, {m: Fraction(1)}), spec)
-        col = [_ZERO] * len(basis)
-        for mono, c in prod.rep.terms():
-            col[pos[mono]] = c
-        cols.append(col)
-    a = [[cols[j][i] for j in range(len(basis))] for i in range(len(basis))]
+    # column j holds the coordinates of elem * basis[j]
+    a = [[_ZERO] * len(basis) for _ in basis]
+    for j, m in enumerate(basis):
+        for mono, c in reduce(elem.rep * Poly(spec.vt, {m: Fraction(1)}), spec).rep.terms():
+            a[pos[mono]][j] = c
     b = [_ZERO] * len(basis)
     b[pos[(0,) * len(spec.vt)]] = Fraction(1)
     x = solve_dense(a, b)
@@ -271,11 +231,6 @@ class ComplexBox:
             max(cross1) + max(cross2),
         )
 
-    def scale(self, q: Fraction) -> "ComplexBox":
-        a, b = self.re_lo * q, self.re_hi * q
-        c, d = self.im_lo * q, self.im_hi * q
-        return ComplexBox(min(a, b), max(a, b), min(c, d), max(c, d))
-
     def __pow__(self, n: int) -> "ComplexBox":
         acc = ComplexBox.point(1)
         for _ in range(n):
@@ -284,10 +239,6 @@ class ComplexBox:
 
     def midpoint(self) -> Tuple[Fraction, Fraction]:
         return ((self.re_lo + self.re_hi) / 2, (self.im_lo + self.im_hi) / 2)
-
-
-def _decimal_to_fraction(text: str) -> Fraction:
-    return Fraction(str(text).strip())
 
 
 def _sqrt_upper(q: Fraction) -> Fraction:
@@ -332,8 +283,8 @@ def certified_root_box(mp: Poly, name: str, approx: Tuple[str, str], precision_b
             if abs(step) < mpmath.mpf(2) ** (-precision_bits - 8):
                 break
         digits = max(20, int(precision_bits * 0.302) + 5)
-        re = _decimal_to_fraction(mpmath.nstr(z.real, digits, strip_zeros=False))
-        im = _decimal_to_fraction(mpmath.nstr(z.imag, digits, strip_zeros=False))
+        re = Fraction(mpmath.nstr(z.real, digits, strip_zeros=False))
+        im = Fraction(mpmath.nstr(z.imag, digits, strip_zeros=False))
     f_re, f_im = _eval_rational_complex(coeffs, re, im)
     d_re, d_im = _eval_rational_complex(deriv, re, im)
     d_norm2 = d_re * d_re + d_im * d_im

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from orbimf import _groebner, cli, constraints, matfac, residue
+from orbimf import _groebner, cli, constraints, matfac, numberfield, residue
 from orbimf.catalog import EquivalenceEntry, load_catalog
 from orbimf.cli import SCHEMA_VERSION, main, verify_entry
 from orbimf.polyring import Poly, parse_poly
@@ -77,6 +77,15 @@ def test_verify_demo_json_matches_golden(capsys):
     assert rc == 0
     golden = json.loads((GOLDEN_DIR / "verify_demo.json").read_text())
     assert _mask_seconds(json.loads(out)) == golden
+
+
+@pytest.mark.parametrize("entry_id", [i for i in ENTRY_IDS if i != "Q12v1_Q12v2"])
+def test_verify_entry_report_matches_golden(entry_id):
+    # byte for byte, key order included; Q12 is pinned by its constraints
+    # golden and the benchmark's sympy slice check instead
+    report = _mask_seconds(verify_entry(load_catalog()[entry_id]))
+    golden = (GOLDEN_DIR / f"verify_{entry_id}.json").read_text()
+    assert json.dumps(report, indent=2) + "\n" == golden
 
 
 def test_verify_demo_text_mentions_every_stage(capsys):
@@ -261,9 +270,12 @@ def test_verify_entry_computes_each_fact_once(count_calls, entry_id):
     products = count_calls(residue, "derivative_supertrace")
     parses = count_calls(EquivalenceEntry, "six")
     squares = count_calls(matfac, "square")
-    verify_entry(load_catalog()[entry_id])
+    specs = count_calls(numberfield, "QuotientSpec")
+    entry = load_catalog()[entry_id]
+    verify_entry(entry)
     assert len(parses) == 1
-    assert len(squares) == 1
+    # the square is square_scalar times the identity; no stage forms it
+    assert not squares
     sets = [frozenset(args[0]) for args in bases]
     # W12's printed set differs from the derived one (eliminating a2 from
     # the derived set gives the printed set again); every other entry
@@ -271,12 +283,23 @@ def test_verify_entry_computes_each_fact_once(count_calls, entry_id):
     w12 = entry_id == "W12v1_W12v2"
     assert len(sets) == len(set(sets)) == (2 if w12 else 1)
     assert len(products) == 1
+    # quotient rings reduce through `reducer` too, over their minimal
+    # polynomials, which live in the family's own table
+    def over_entry(args):
+        return all(p.vt == entry.vt for p in args[0])
+
+    constraint_reducers = [args for args in reducers if over_entry(args)]
+    quotient_reducers = [args for args in reducers if not over_entry(args)]
+    assert bool(quotient_reducers) == bool(entry.families)
     # divisor records are built once per basis, and every stage that
     # reduces shares them, never once per reduced polynomial
     assert not normal_forms
-    assert len(reducers) == (2 if w12 else 1)
+    assert len(constraint_reducers) == (2 if w12 else 1)
+    # and once per quotient ring, however many elements it reduces
+    assert len({id(args[0]) for args in quotient_reducers}) == len(quotient_reducers)
+    assert len(quotient_reducers) <= len(specs)
     # groebner_basis and interreduce build one record set each
-    assert len(divisor_sets) == 2 * len(bases) + len(reducers)
+    assert len(divisor_sets) == 2 * len(bases) + len(constraint_reducers) + len(quotient_reducers)
 
 
 def _substitute_by_adding(p, bindings):

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orbimf.numberfield import (
     ComplexBox,
@@ -74,6 +75,59 @@ def test_spectator_variables_ride_along():
     spec = QuotientSpec(vt, ("c",), (parse_poly("c^4 - 2*c^2 + 2", vt),))
     e = element("b*c^4 + b", spec)
     assert e.rep == parse_poly("2*b*c^2 - b", vt)
+
+
+# the table carries two candidate generators and two spectators; a spec
+# takes one or both candidates, so `u` is a spectator too when it is left out
+TUSW = VarTable(("t", "u", "s", "w"), param_vars=("t", "u", "s", "w"))
+
+_rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12))
+
+
+@st.composite
+def _specs(draw):
+    generators = ("t", "u")[: draw(st.integers(1, 2))]
+    mps = []
+    for name in generators:
+        i = TUSW.index(name)
+        lower = draw(st.lists(_rationals, min_size=draw(st.integers(1, 8)), max_size=8))
+        terms = {tuple(k if j == i else 0 for j in range(4)): c for k, c in enumerate(lower)}
+        terms[tuple(len(lower) if j == i else 0 for j in range(4))] = Fraction(1)
+        mps.append(Poly(TUSW, terms))
+    return QuotientSpec(TUSW, generators, tuple(mps))
+
+
+# generator exponents run past every degree, spectator exponents stay small
+_tusw_monos = st.tuples(st.integers(0, 12), st.integers(0, 12), st.integers(0, 2), st.integers(0, 2))
+_tusw_polys = st.dictionaries(_tusw_monos, _rationals.filter(bool), max_size=6).map(
+    lambda t: Poly(TUSW, t)
+)
+
+
+def _sympy_remainder(p, spec):
+    sympy = pytest.importorskip("sympy")
+    syms = sympy.symbols(TUSW.names)
+
+    def to_sympy(q):
+        terms = {m: sympy.Rational(c.numerator, c.denominator) for m, c in q.terms()}
+        return sympy.Poly.from_dict(terms or {(0, 0, 0, 0): 0}, *syms, domain="QQ")
+
+    _, r = sympy.reduced(
+        to_sympy(p), [to_sympy(mp) for mp in spec.minimal_polys], *syms,
+        order="grevlex", polys=True,
+    )
+    return Poly(TUSW, {m: Fraction(int(c.p), int(c.q)) for m, c in r.terms() if c})
+
+
+@settings(max_examples=120, deadline=None)
+@given(_specs(), _tusw_polys)
+def test_reduce_matches_sympy_reduced(spec, p):
+    # monic univariates in distinct generators are a Groebner basis, so
+    # the remainder is unique and sympy's division must give it too
+    got = reduce(p, spec).rep
+    assert got == _sympy_remainder(p, spec)
+    for name in spec.generators:
+        assert got.degree_in(name) < spec.degree(name)
 
 
 # -- inversion ----------------------------------------------------------
