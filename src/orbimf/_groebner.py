@@ -1,84 +1,111 @@
-"""Buchberger's algorithm, normal forms, and Sylvester resultants.
+"""Buchberger's algorithm, normal forms, and Sylvester resultants over Q,
+in the degrevlex order fixed by the VarTable.
 
-Everything runs over Q with the degrevlex order fixed by the VarTable.
-The basis computation applies the coprimality and chain criteria and a
-normal selection strategy (smallest lcm first); work is bounded by an
-S-pair budget so a runaway system fails loudly instead of hanging.
+Inside the kernel a monomial is one int, packed by a `_Layout` over some
+table slots: per slot, first slot lowest, a field holding `cap - e` under
+a guard bit; the total degree sits above every field.  So integer order
+is degrevlex, a tail monomial t of a divisor with lead g becomes
+`t + m - g` when g reduces m, and g divides m when no field of
+`g - m + guard` borrows (every guard bit stays set).  Exponents never
+exceed the degree, and `pack` refuses a degree above `cap` instead of
+wrapping: `reducer` then rebuilds its records, and `groebner_basis`
+restarts, with wider fields.  `groebner_basis` packs only the slots its
+generators use (S-polynomials and remainders never leave them, and
+degrevlex restricted to them is the same order), `interreduce` the
+support of its input, `reducer` the whole table; Polys are converted
+only there.
 
-Reduction runs on Python ints.  A divisor record holds a lead monomial
-and its monic tail as integer numerators over one denominator, converted
-once per record; the polynomial being reduced is a dict of integer
-numerators over one common denominator, rescaled only when a divisor's
-denominator does not divide the step's coefficient, and only a final
-remainder term becomes a Fraction.  The records of one basis live in a
-`_Divisors` list, which remembers per monomial the first record whose
-lead divides it and, after a miss, how many records were scanned, so
-each monomial is tested against each lead at most once.  Buchberger
-only appends records, so the remembered divisor is always the first in
-list order.  `reducer(basis)` builds the records once for a stage that
-reduces many polynomials against one basis; `normal_form` is its
-one-shot form.  `numberfield` reduces quotient-ring elements through
-`reducer` too, its monic univariate minimal polynomials being a Groebner
-basis already.
+Pairs follow the Gebauer-Moeller update (J. Symb. Comp. 6, 1988), so no
+popped pair is scanned against the leads: a new element h keeps one new
+pair per divisibility-minimal lcm, none whose lcm a pair of coprime
+leads shares; an old pair goes when lead(h) divides its lcm and equals
+neither lcm with h; elements whose lead lead(h) divides form no more
+pairs.  Each pair popped, smallest lcm first, is reduced and counts
+against the S-pair budget, so a runaway system fails loudly.
 
-The resultant uses fraction-free Bareiss elimination on the Sylvester
-matrix; the exact divisions it requires are performed by leading-term
-peeling, which must terminate with remainder zero for intermediate
-Bareiss entries.
+Reduction runs on ints: a divisor record holds a lead and its monic
+tail as numerators over one denominator; the polynomial being reduced
+is numerators over a common denominator, rescaled only when a divisor's
+denominator does not divide the step's coefficient; only remainder
+terms become Fractions.  `_Divisors` remembers per monomial the first
+record whose lead divides it and, after a miss, how many records it
+scanned; records are only appended, so that record is the first in list
+order.  `reducer(basis)` builds the records once for many reductions
+(`numberfield` too: monic univariate minimal polynomials are a Groebner
+basis); `normal_form` is its one-shot form.  The resultant is Bareiss
+elimination on the Sylvester matrix; its exact divisions peel leads.
 """
 
 from __future__ import annotations
 
 import heapq
 from fractions import Fraction
+from functools import lru_cache
+from itertools import count
 from math import gcd, lcm
-from operator import add, le, sub
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .polyring import IntTerms, Monomial, Poly, Terms, _integer_terms, degrevlex_key
+from .polyring import Monomial, Poly, Terms, VarTable, _integer_terms
 
 _ONE = Fraction(1)
 
-# (lead monomial, denominator, monic tail as integer numerators over it)
-Record = Tuple[Monomial, int, IntTerms]
+# (packed lead, denominator, monic tail as (packed monomial, numerator))
+Record = Tuple[int, int, List[Tuple[int, int]]]
 
 
 class BudgetExceeded(RuntimeError):
     """S-pair budget exhausted before the basis stabilized."""
 
 
-def _lead(p: Poly) -> Tuple[Monomial, Fraction]:
-    lm = p.leading_monomial()
-    return lm, p.coefficient(lm)
+class _Overflow(ArithmeticError):
+    """A monomial's degree, args[0], exceeds its layout's exponent cap."""
 
 
-def _divides(a: Monomial, b: Monomial) -> bool:
-    return all(map(le, a, b))
+class _Layout:
+    """Packs monomials of a `size`-slot table, supported on `slots`, into
+    ints whose fields hold exponents up to at least `degree`."""
+
+    def __init__(self, size: int, slots: Iterable[int], degree: int):
+        self.size, self.slots = size, tuple(slots)
+        bits = max(8, (degree + 1).bit_length() + 1)
+        self.cap, self._mask = (1 << (bits - 1)) - 1, (1 << bits) - 1
+        self.shifts = tuple(bits * k for k in range(len(self.slots)))
+        self.top = bits * len(self.slots)
+        self.guard = sum(1 << (s + bits - 1) for s in self.shifts)
+        self.one = sum(self.cap << s for s in self.shifts)
+
+    def pack_exponents(self, exps: Sequence[int]) -> int:
+        d = sum(exps)
+        if d > self.cap:
+            raise _Overflow(d)
+        return (d << self.top) + self.one - sum(e << s for e, s in zip(exps, self.shifts))
+
+    def exponents(self, m: int) -> Tuple[int, ...]:
+        return tuple(self.cap - ((m >> s) & self._mask) for s in self.shifts)
+
+    def pack(self, m: Monomial) -> int:
+        return self.pack_exponents([m[i] for i in self.slots])
+
+    def unpack(self, m: int) -> Monomial:
+        out = [0] * self.size
+        for i, e in zip(self.slots, self.exponents(m)):
+            out[i] = e
+        return tuple(out)
+
+    def pack_terms(self, terms: Terms) -> Dict[int, Fraction]:
+        return {self.pack(m): c for m, c in terms.items()}
 
 
-def _mono_sub(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(map(sub, a, b))
+def _support(polys: Sequence[Poly]) -> List[int]:
+    return sorted({i for p in polys for m in p._terms for i, e in enumerate(m) if e})
 
 
-def _mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(map(max, a, b))
-
-
-def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(map(add, a, b))
-
-
-def _heap_key(m: Monomial):
-    """degrevlex_key negated componentwise, so a min-heap pops the
-    largest monomial first."""
-    return (-sum(m), m[::-1])
-
-
-def _record(terms: Terms) -> Record:
-    """Divisor record of a nonzero polynomial's terms: its lead and its
-    monic tail n/den, with den > 0 and the numerators sharing no factor
-    with it."""
-    lm = max(terms, key=degrevlex_key)
+def _record(terms: Dict[int, Fraction]) -> Record:
+    """Divisor record of a nonzero polynomial's packed terms: its lead
+    and its monic tail n/den, with den > 0 and the numerators sharing no
+    factor with it."""
+    lm = max(terms)
     ints = dict(_integer_terms(terms)[1])
     lead = ints.pop(lm)
     g = gcd(lead, *ints.values())
@@ -87,55 +114,52 @@ def _record(terms: Terms) -> Record:
     return lm, lead // g, [(m, n // g) for m, n in ints.items()]
 
 
-def _monic_poly(vt, record: Record) -> Poly:
-    lm, den, tail = record
-    terms = {m: Fraction(n, den) for m, n in tail}
-    terms[lm] = _ONE
-    return Poly._raw(vt, terms)
-
-
 class _Divisors(list):
-    """The divisor records of one basis, in the order they were added.
+    """The divisor records of one basis over one layout, in the order
+    they were added.
 
     A lookup remembers, per monomial, the first record whose lead divides
     it; a miss remembers how many records it scanned, so a later lookup
     scans only records appended since.  Records may only be appended.
     """
 
-    def __init__(self, polys: Iterable[Poly] = ()):
-        super().__init__(_record(p._terms) for p in polys)
-        self._hit: Dict[Monomial, Record] = {}
-        self._miss: Dict[Monomial, int] = {}
+    def __init__(self, layout: _Layout, records: Iterable[Record] = ()):
+        super().__init__(records)
+        self._guard = layout.guard
+        self._hit: Dict[int, Record] = {}
+        self._miss: Dict[int, int] = {}
 
-    def first(self, m: Monomial) -> Optional[Record]:
+    def first(self, m: int) -> Optional[Record]:
         """First record whose lead divides m, or None."""
         record = self._hit.get(m)
         if record is not None:
             return record
+        guard = self._guard
         for k in range(self._miss.get(m, 0), len(self)):
             record = self[k]
-            if all(map(le, record[0], m)):
+            if (record[0] - m + guard) & guard == guard:
                 self._hit[m] = record
                 return record
         self._miss[m] = len(self)
         return None
 
 
-def _reduce_by(work: Tuple[int, Dict[Monomial, int]], divisors: _Divisors) -> Terms:
+def _reduce_by(work: Tuple[int, Dict[int, int]], divisors: _Divisors) -> Dict[int, Fraction]:
     """Full reduction of `work` = (den, integer numerators) against the
     divisor records.
 
     Consumes the numerator dict; returns the remainder as Fractions.
-    Terms are visited largest-first through a lazily deduplicated heap.
+    Terms are visited largest-first through a lazily deduplicated heap
+    of negated monomials.
     """
     den, coeffs = work
-    heap = [(_heap_key(m), m) for m in coeffs]
+    heap = [-m for m in coeffs]
     heapq.heapify(heap)
     heappop, heappush = heapq.heappop, heapq.heappush
-    first = divisors.first
-    remainder: Terms = {}
+    first, get = divisors.first, coeffs.get
+    remainder: Dict[int, Fraction] = {}
     while heap:
-        _, m = heappop(heap)
+        m = -heappop(heap)
         c = coeffs.pop(m, 0)
         if not c:
             continue
@@ -151,16 +175,16 @@ def _reduce_by(work: Tuple[int, Dict[Monomial, int]], divisors: _Divisors) -> Te
             for t in coeffs:
                 coeffs[t] *= s
             den *= s
-        q = c // g
-        shift = tuple(map(sub, m, glm))
+        q = -(c // g)
+        shift = m - glm
         for gm, n in tail:
-            t = tuple(map(add, gm, shift))
-            old = coeffs.get(t)
+            t = gm + shift
+            old = get(t)
             if old is None:
-                coeffs[t] = -q * n
-                heappush(heap, ((-sum(t), t[::-1]), t))  # _heap_key(t)
+                coeffs[t] = q * n
+                heappush(heap, -t)
             else:
-                v = old - q * n
+                v = old + q * n
                 if v:
                     coeffs[t] = v
                 else:
@@ -169,14 +193,29 @@ def _reduce_by(work: Tuple[int, Dict[Monomial, int]], divisors: _Divisors) -> Te
 
 
 def reducer(basis: Sequence[Poly]) -> Callable[[Poly], Poly]:
-    """p -> normal_form(p, basis), with the divisor records built once."""
-    divisors = _Divisors(b for b in basis if not b.is_zero())
+    """p -> normal_form(p, basis), with the divisor records built once,
+    and again with wider fields for a p of higher degree than they hold."""
+    polys = [b for b in basis if not b.is_zero()]
+    size = len(polys[0].vt) if polys else 0
+
+    def build(degree: int) -> Tuple[_Layout, _Divisors]:
+        layout = _Layout(size, range(size), degree)
+        return layout, _Divisors(layout, [_record(layout.pack_terms(b._terms)) for b in polys])
+
+    layout, divisors = build(max((b.total_degree() for b in polys), default=0))
 
     def reduce(p: Poly) -> Poly:
+        nonlocal layout, divisors
         if not divisors:
             return p
         den, items = _integer_terms(p._terms)
-        return Poly._raw(p.vt, _reduce_by((den, dict(items)), divisors))
+        try:
+            work = {layout.pack(m): n for m, n in items}
+        except _Overflow:
+            layout, divisors = build(p.total_degree())
+            return reduce(p)
+        unpack = layout.unpack
+        return Poly._raw(p.vt, {unpack(m): c for m, c in _reduce_by((den, work), divisors).items()})
 
     return reduce
 
@@ -187,16 +226,16 @@ def normal_form(p: Poly, basis: Sequence[Poly]) -> Poly:
     return reducer(basis)(p)
 
 
-def _spoly(fi: Record, fj: Record) -> Tuple[int, Dict[Monomial, int]]:
-    """(den, integer numerators) of the S-polynomial of two records."""
+def _spoly(fi: Record, fj: Record, lcm_ij: int) -> Tuple[int, Dict[int, int]]:
+    """(den, integer numerators) of the S-polynomial of two records whose
+    leads have the lcm `lcm_ij`."""
     (mi, di, tail_i), (mj, dj, tail_j) = fi, fj
-    lcm_ij = _mono_lcm(mi, mj)
-    si, sj = _mono_sub(lcm_ij, mi), _mono_sub(lcm_ij, mj)
+    si, sj = lcm_ij - mi, lcm_ij - mj
     den = lcm(di, dj)
     ui, uj = den // di, den // dj
-    out = {tuple(map(add, gm, si)): n * ui for gm, n in tail_i}
+    out = {gm + si: n * ui for gm, n in tail_i}
     for gm, n in tail_j:
-        t = tuple(map(add, gm, sj))
+        t = gm + sj
         v = out.get(t, 0) - n * uj
         if v:
             out[t] = v
@@ -211,50 +250,66 @@ def groebner_basis(gens: Iterable[Poly], spair_cap: int = 50000) -> List[Poly]:
     if not gens:
         return []
     vt = gens[-1].vt
-    divisors = _Divisors(gens)
-    leads: List[Monomial] = [lm for lm, _, _ in divisors]
+    popped = count(1)  # shared by restarts, so the budget bounds all work
+    degree = max(g.total_degree() for g in gens)
+    while True:
+        layout = _Layout(len(vt), _support(gens), 2 * degree)
+        try:
+            minimal = _buchberger(layout, gens, popped, spair_cap)
+        except _Overflow as exc:
+            degree = exc.args[0]
+            continue
+        unpack = layout.unpack
+        return interreduce([
+            Poly._raw(vt, {unpack(lm): _ONE, **{unpack(m): Fraction(n, den) for m, n in tail}})
+            for lm, den, tail in minimal
+        ])
 
-    pending: List[Tuple[tuple, Tuple[int, int]]] = []  # (key of lcm, (i, j))
-    processed = set()
 
-    def queue_pair(i: int, j: int) -> None:
-        lcm_ij = _mono_lcm(leads[i], leads[j])
-        if lcm_ij == _mono_mul(leads[i], leads[j]):  # coprime leads
-            processed.add((i, j))
-            return
-        heapq.heappush(pending, (degrevlex_key(lcm_ij), (i, j)))
+def _buchberger(
+    layout: _Layout, gens: Sequence[Poly], popped: Iterator[int], spair_cap: int
+) -> List[Record]:
+    """Records of a minimal Groebner basis of the generators: Buchberger
+    with the Gebauer-Moeller update, reducing against every record."""
+    divisors = _Divisors(layout, [_record(layout.pack_terms(g._terms)) for g in gens])
+    guard, top, pack = layout.guard, layout.top, layout.pack_exponents
+    exps: List[Tuple[int, ...]] = []  # lead exponents in the layout's slots
+    pairs: List[Tuple[int, int, int]] = []  # heap of (lcm, i, j), i < j
+    live: List[int] = []  # records no later lead divides: they form pairs
 
-    for i in range(len(leads)):
-        for j in range(i + 1, len(leads)):
-            queue_pair(i, j)
-    spent = 0
-    while pending:
-        _, (i, j) = heapq.heappop(pending)
-        processed.add((i, j))
-        spent += 1
-        if spent > spair_cap:
+    def update(h: int) -> None:
+        nonlocal pairs, live
+        lh = divisors[h][0]
+        eh = layout.exponents(lh)
+        lcms = [pack(tuple(map(max, eh, e))) for e in exps]
+        exps.append(eh)
+        # new pairs, coprime leads first among equal lcms so that they
+        # drop the rest; then one pair per divisibility-minimal lcm
+        new = sorted((lcms[k], lcms[k] >> top != (lh >> top) + (divisors[k][0] >> top), k) for k in live)
+        kept: List[Tuple[int, bool, int]] = []
+        for pair in new:
+            if not any((m - pair[0] + guard) & guard == guard for m, _, _ in kept):
+                kept.append(pair)
+        pairs = [  # criterion B
+            p
+            for p in pairs
+            if (lh - p[0] + guard) & guard != guard or p[0] in (lcms[p[1]], lcms[p[2]])
+        ]
+        pairs.extend((lk, k, h) for lk, not_coprime, k in kept if not_coprime)
+        heapq.heapify(pairs)
+        live = [k for k in live if (lh - divisors[k][0] + guard) & guard != guard] + [h]
+
+    for h in range(len(divisors)):
+        update(h)
+    while pairs:
+        lcm_ij, i, j = heapq.heappop(pairs)
+        if next(popped) > spair_cap:
             raise BudgetExceeded(f"S-pair budget of {spair_cap} exhausted")
-        lcm_ij = _mono_lcm(leads[i], leads[j])
-        skip = False
-        for k, lk in enumerate(leads):
-            if k in (i, j) or not all(map(le, lk, lcm_ij)):
-                continue
-            pik = (min(i, k), max(i, k))
-            pjk = (min(j, k), max(j, k))
-            if pik in processed and pjk in processed:
-                skip = True
-                break
-        if skip:
-            continue
-        remainder = _reduce_by(_spoly(divisors[i], divisors[j]), divisors)
-        if not remainder:
-            continue
-        divisors.append(_record(remainder))
-        leads.append(divisors[-1][0])
-        new = len(leads) - 1
-        for k in range(new):
-            queue_pair(k, new)
-    return interreduce([_monic_poly(vt, r) for r in divisors])
+        remainder = _reduce_by(_spoly(divisors[i], divisors[j], lcm_ij), divisors)
+        if remainder:
+            divisors.append(_record(remainder))
+            update(len(divisors) - 1)
+    return [divisors[k] for k in live]
 
 
 def interreduce(basis: Sequence[Poly]) -> List[Poly]:
@@ -269,26 +324,25 @@ def interreduce(basis: Sequence[Poly]) -> List[Poly]:
     Equal monomials of the result share one tuple.
     """
     work = [p for p in basis if not p.is_zero()]
-    # Drop elements whose lead another lead divides (ties: keep one copy).
-    work.sort(key=lambda p: degrevlex_key(p.leading_monomial()))
-    kept: List[Poly] = []
-    kept_leads: List[Monomial] = []
-    for p in work:
-        lm = p.leading_monomial()
-        if any(_divides(q, lm) for q in kept_leads):
-            continue
-        kept.append(p)
-        kept_leads.append(lm)
-    divisors = _Divisors(kept)
-    shared: Dict[Monomial, Monomial] = {}
+    if not work:
+        return []
+    vt = work[0].vt
+    layout = _Layout(len(vt), _support(work), max(p.total_degree() for p in work))
+    guard = layout.guard
+    # Drop records whose lead another lead divides (ties: keep one copy).
+    kept: List[Record] = []
+    for r in sorted((_record(layout.pack_terms(p._terms)) for p in work), key=itemgetter(0)):
+        if not any((k[0] - r[0] + guard) & guard == guard for k in kept):
+            kept.append(r)
+    divisors = _Divisors(layout, kept)
+    unpack = lru_cache(maxsize=None)(layout.unpack)
     out: List[Poly] = []
-    for p, (lm, den, tail) in zip(kept, divisors):
+    for lm, den, tail in kept:
         # Tail terms and everything reduction makes of them lie below lm,
         # so no element's own lead ever fires on its tail.
         remainder = _reduce_by((den, dict(tail)), divisors)
         remainder[lm] = _ONE
-        terms = {shared.setdefault(m, m): c for m, c in remainder.items()}
-        out.append(Poly._raw(p.vt, terms))
+        out.append(Poly._raw(vt, {unpack(m): c for m, c in remainder.items()}))
     return out
 
 
@@ -302,14 +356,14 @@ def is_member(p: Poly, basis: Sequence[Poly]) -> bool:
 
 def _divide_exact(f: Poly, g: Poly) -> Poly:
     """Quotient f/g when the division is exact (leading-term peeling)."""
-    vt = f.vt
-    quot = Poly.zero(vt)
-    glm, glc = _lead(g)
+    quot = Poly.zero(f.vt)
+    glm = g.leading_monomial()
     while not f.is_zero():
-        flm, flc = _lead(f)
-        if not _divides(glm, flm):
+        flm = f.leading_monomial()
+        shift = tuple(a - b for a, b in zip(flm, glm))
+        if min(shift, default=0) < 0:
             raise ArithmeticError("division is not exact")
-        t = Poly(vt, {_mono_sub(flm, glm): flc / glc})
+        t = Poly(f.vt, {shift: f.coefficient(flm) / g.coefficient(glm)})
         quot = quot + t
         f = f - t * g
     return quot
@@ -361,18 +415,7 @@ def resultant(p: Poly, q: Poly, var: str) -> Poly:
         return a[0] ** n
     if n == 0:
         return b[0] ** m
-    vt = p.vt
-    size = m + n
-    zero = Poly.zero(vt)
-    rows: List[List[Poly]] = []
-    for shift in range(n):
-        row = [zero] * size
-        for k, c in enumerate(reversed(a)):
-            row[shift + k] = c
-        rows.append(row)
-    for shift in range(m):
-        row = [zero] * size
-        for k, c in enumerate(reversed(b)):
-            row[shift + k] = c
-        rows.append(row)
-    return _bareiss_determinant(rows, vt)
+    zero = Poly.zero(p.vt)
+    rows = [[zero] * s + a[::-1] + [zero] * (n - 1 - s) for s in range(n)]
+    rows += [[zero] * s + b[::-1] + [zero] * (m - 1 - s) for s in range(m)]
+    return _bareiss_determinant(rows, p.vt)

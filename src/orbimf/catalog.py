@@ -20,6 +20,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Tuple
@@ -101,17 +102,21 @@ class EquivalenceEntry:
 
     # -- parsed views ---------------------------------------------------
 
-    def defs_polys(self) -> Dict[str, Poly]:
+    @cached_property
+    def _parsed_defs(self) -> Tuple[Dict[str, Poly], VarTable]:
+        """The expanded defs, parsed once, and the table that names them."""
         out: Dict[str, Poly] = {}
         for name, text in self.defs:
             ext = _extended_table(self.vt, tuple(out))
             p = parse_poly(text, ext)
             out[name] = _collapse(p, self.vt, out)
-        return out
+        return out, _extended_table(self.vt, tuple(out))
+
+    def defs_polys(self) -> Dict[str, Poly]:
+        return dict(self._parsed_defs[0])
 
     def entry_poly(self, name: str) -> Poly:
-        defs = self.defs_polys()
-        ext = _extended_table(self.vt, tuple(defs))
+        defs, ext = self._parsed_defs
         p = parse_poly(self.entry_texts[name], ext)
         return _collapse(p, self.vt, defs)
 

@@ -107,45 +107,32 @@ def verify_entry(
     one Groebner basis and reducer per distinct generator set, and both
     quantum dimensions from one sixfold derivative product."""
     report: dict = {"entry": entry.id, "stages": {}, "ok": True}
-    started = time.perf_counter()
     work = con.EntryWork(entry, spair_cap)
+    started = time.perf_counter()
+    last = [started]  # when the previous stage ended
 
-    def stage(name: str, ok: bool, detail, seconds: float) -> None:
-        report["stages"][name] = {
-            "ok": bool(ok),
-            "detail": detail,
-            "seconds": round(seconds, 3),
-        }
+    def elapsed() -> float:
+        start, last[0] = last[0], time.perf_counter()
+        return round(last[0] - start, 3)
+
+    def stage(name: str, ok: bool, detail) -> None:
+        report["stages"][name] = {"ok": bool(ok), "detail": detail, "seconds": elapsed()}
         report["ok"] = report["ok"] and bool(ok)
 
-    t0 = time.perf_counter()
     try:
         g_ok, g_detail = _grading_stage(entry, work.m)
     except GradingError as exc:
         g_ok, g_detail = False, {"error": str(exc)}
-    stage("grading", g_ok, g_detail, time.perf_counter() - t0)
+    stage("grading", g_ok, g_detail)
 
-    t0 = time.perf_counter()
     derived = work.derived
     report["epsilon"] = derived.epsilon
-    stage(
-        "constraints",
-        True,
-        {"count": len(derived.generators), "generators": list(derived.texts())},
-        time.perf_counter() - t0,
-    )
+    stage("constraints", True, {"count": len(derived.generators), "generators": list(derived.texts())})
 
-    t0 = time.perf_counter()
     reduce = work.reducer_for(derived)
     pot = verify_potential(work.m, entry.potential_in(), entry.potential_out(), reduce, derived.epsilon)
-    stage(
-        "potential",
-        pot.ok,
-        {"epsilon": pot.epsilon, "message": pot.message()},
-        time.perf_counter() - t0,
-    )
+    stage("potential", pot.ok, {"epsilon": pot.epsilon, "message": pot.message()})
 
-    t0 = time.perf_counter()
     printed = work.printed
     cmp_ = con.ideal_compare(work, printed, derived)
     ideal_detail = _ideal_dict(cmp_)
@@ -167,9 +154,8 @@ def verify_entry(
             again = con.ideal_compare(work, printed, reduced)
             if again.equal:
                 ideal_detail["equal_after_eliminating"] = eliminated
-    stage("ideal-compare", cmp_.a_in_b, ideal_detail, time.perf_counter() - t0)
+    stage("ideal-compare", cmp_.a_in_b and not cmp_.vacuous, ideal_detail)
 
-    t0 = time.perf_counter()
     fam_reports = [con.verify_family(work, fam) for fam in entry.families]
     stage(
         "families",
@@ -179,10 +165,8 @@ def verify_entry(
             for r in fam_reports
         ]
         or "no families shipped",
-        time.perf_counter() - t0,
     )
 
-    t0 = time.perf_counter()
     non_detail = []
     non_ok = True
     for fam in entry.families:
@@ -199,14 +183,8 @@ def verify_entry(
                     "agree": nv.agree,
                 }
             )
-    stage(
-        "nonvanishing",
-        non_ok,
-        non_detail or "no families shipped",
-        time.perf_counter() - t0,
-    )
+    stage("nonvanishing", non_ok, non_detail or "no families shipped")
 
-    t0 = time.perf_counter()
     cq = con.compare_qdims(work)
     report["qdim_match"] = {
         "computed_left": format_poly(cq.computed_left),
@@ -215,7 +193,7 @@ def verify_entry(
         "printed_right": format_poly(entry.paper_qdim("right")),
         "left": _match_dict(cq.left),
         "right": _match_dict(cq.right),
-        "seconds": round(time.perf_counter() - t0, 3),
+        "seconds": elapsed(),
     }
 
     report["corrections"] = [
@@ -226,15 +204,29 @@ def verify_entry(
     return report
 
 
+_VACUOUS = "the derived ideal is the unit ideal"
+
+
 def _ideal_dict(cmp_: con.IdealComparison) -> dict:
     """The report keys of a printed-against-derived ideal comparison."""
-    return {
+    out = {
         "printed_in_derived": cmp_.a_in_b,
         "derived_in_printed": cmp_.b_in_a,
         "equal": cmp_.equal,
         "failing_printed": [format_poly(g) for g in cmp_.failing_a],
         "failing_derived": [format_poly(g) for g in cmp_.failing_b],
     }
+    if cmp_.vacuous:
+        out["vacuous"] = _VACUOUS
+    return out
+
+
+def _render_ideal(d: dict) -> str:
+    if "vacuous" in d:
+        printed_in = f"vacuous ({d['vacuous']})"
+    else:
+        printed_in = _yn(d["printed_in_derived"])
+    return f"printed<=derived: {printed_in}, derived<=printed: {_yn(d['derived_in_printed'])}"
 
 
 def _match_dict(match: con.QdimMatch) -> dict:
@@ -249,6 +241,8 @@ def _match_dict(match: con.QdimMatch) -> dict:
 def _render_match(match: dict) -> str:
     if match["status"] == "unmatched":
         return "unmatched"
+    if match["status"] == "vacuous":
+        return f"vacuous ({_VACUOUS})"
     where = "modulo the derived ideal" if match["mod_ideal"] else "exactly"
     if match["status"] == "unit_multiple":
         return f"{match['scalar']} * computed {match['matched_side']} {where}"
@@ -269,10 +263,7 @@ def render_verify_text(report: dict) -> str:
             extra = st["detail"]["message"]
         elif name == "ideal-compare":
             d = st["detail"]
-            extra = (
-                f"printed<=derived: {_yn(d['printed_in_derived'])}, "
-                f"derived<=printed: {_yn(d['derived_in_printed'])}"
-            )
+            extra = _render_ideal(d)
             if d.get("equal_after_eliminating"):
                 extra += f" (equal after eliminating {', '.join(d['equal_after_eliminating'])})"
         elif name == "families":
@@ -442,12 +433,12 @@ def cmd_constraints(args: argparse.Namespace) -> int:
         if args.json:
             print(json.dumps(payload, indent=2))
         else:
-            print(f"{entry.id}: printed<=derived: {_yn(cmp_.a_in_b)}, derived<=printed: {_yn(cmp_.b_in_a)}")
+            print(f"{entry.id}: {_render_ideal(payload)}")
             for g in payload["failing_printed"]:
                 print(f"  printed generator outside the derived ideal: {g}")
             for g in payload["failing_derived"]:
                 print(f"  derived generator outside the printed ideal: {g}")
-        return 0 if cmp_.a_in_b else 1
+        return 0 if cmp_.a_in_b and not cmp_.vacuous else 1
     if args.json:
         payload["generators"] = list(derived.texts())
         print(json.dumps(payload, indent=2))

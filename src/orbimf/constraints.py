@@ -33,32 +33,6 @@ from .numberfield import (
 from .polyring import Poly, VarTable, _integer_terms, format_poly, parse_poly
 from .residue import qdim_pair
 
-__all__ = [
-    "ConstraintSet",
-    "EntryWork",
-    "derive_constraints",
-    "paper_constraint_set",
-    "groebner",
-    "normal_form",
-    "IdealComparison",
-    "ideal_compare",
-    "eliminate_linear",
-    "FamilyReport",
-    "verify_family",
-    "QdimAtPoint",
-    "NonvanishingReport",
-    "nonvanishing_check",
-    "computed_qdim",
-    "QdimMatch",
-    "QdimComparison",
-    "compare_qdims",
-    "CandidateRelation",
-    "OracleReport",
-    "OracleBudgetExceeded",
-    "bruteforce_family_oracle",
-    "BudgetExceeded",
-]
-
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
@@ -142,13 +116,15 @@ def groebner(constraints: ConstraintSet, spair_cap: int = 50000) -> List[Poly]:
 class EntryWork:
     """The facts the stages of one entry read, each computed on first use
     and then kept: the factorization `m`, the `derived` and `printed`
-    constraint sets, both quantum dimensions `qdims`, and one Groebner
-    basis with its reducer per distinct generator set."""
+    constraint sets, both quantum dimensions `qdims`, one Groebner basis
+    with its reducer per distinct generator set, and one quotient ring
+    per solution family."""
 
     def __init__(self, entry: EquivalenceEntry, spair_cap: int = 50000):
         self.entry = entry
         self.spair_cap = spair_cap
         self._reducers: Dict[Tuple[Poly, ...], Callable[[Poly], Poly]] = {}
+        self._rings: List[Tuple[SolutionFamily, "_FamilyRing"]] = []
 
     @cached_property
     def m(self) -> MatrixFactorization:
@@ -175,6 +151,29 @@ class EntryWork:
             reduce = self._reducers[cs.generators] = reducer(groebner(cs, self.spair_cap))
         return reduce
 
+    def is_unit(self, cs: ConstraintSet) -> bool:
+        """Is the ideal of `cs` the whole ring, so that no parameter values
+        satisfy it and everything lies in it?"""
+        return self.reducer_for(cs)(Poly.const(self.entry.vt, 1)).is_zero()
+
+    def family_ring(self, family: SolutionFamily) -> "_FamilyRing":
+        """The quotient ring of `family` and its bindings of every entry
+        parameter (free ones map to themselves), built once."""
+        for known, ring in self._rings:
+            if known == family:
+                return ring
+        gen_names = tuple(g for g, _ in family.generators)
+        names = gen_names + tuple(v for v in family.free if v not in gen_names)
+        qvt = VarTable(names, param_vars=names)
+        mps = tuple(parse_poly(text, qvt) for _, text in family.generators)
+        bindings = {
+            p: parse_poly(family.bindings[p], qvt) if p in family.bindings else Poly.var(qvt, p)
+            for p in self.entry.parameters
+        }
+        ring = _FamilyRing(QuotientSpec(qvt, gen_names, mps, family.is_field), bindings)
+        self._rings.append((family, ring))
+        return ring
+
 
 @dataclass(frozen=True)
 class IdealComparison:
@@ -182,6 +181,7 @@ class IdealComparison:
     b_in_a: bool
     failing_a: Tuple[Poly, ...]  # generators of A outside the ideal of B
     failing_b: Tuple[Poly, ...]
+    vacuous: bool  # B is the unit ideal, so a_in_b holds for any A
 
     @property
     def equal(self) -> bool:
@@ -196,7 +196,7 @@ def ideal_compare(work: EntryWork, a: ConstraintSet, b: ConstraintSet) -> IdealC
     reduce_b = work.reducer_for(b)
     failing_a = tuple(g for g in a.generators if not reduce_b(g).is_zero())
     failing_b = tuple(g for g in b.generators if not reduce_a(g).is_zero())
-    return IdealComparison(not failing_a, not failing_b, failing_a, failing_b)
+    return IdealComparison(not failing_a, not failing_b, failing_a, failing_b, work.is_unit(b))
 
 
 def eliminate_linear(
@@ -234,22 +234,6 @@ class _FamilyRing:
     bindings: Dict[str, Poly]  # every entry parameter, frees map to themselves
 
 
-def _family_ring(entry: EquivalenceEntry, family: SolutionFamily) -> _FamilyRing:
-    gen_names = tuple(g for g, _ in family.generators)
-    extra = tuple(v for v in family.free if v not in gen_names)
-    names = gen_names + extra
-    qvt = VarTable(names, param_vars=names)
-    mps = tuple(parse_poly(text, qvt) for _, text in family.generators)
-    spec = QuotientSpec(qvt, gen_names, mps, family.is_field)
-    bindings: Dict[str, Poly] = {}
-    for p in entry.parameters:
-        if p in family.bindings:
-            bindings[p] = parse_poly(family.bindings[p], qvt)
-        else:
-            bindings[p] = Poly.var(qvt, p)
-    return _FamilyRing(spec, bindings)
-
-
 @dataclass(frozen=True)
 class FamilyReport:
     entry_id: str
@@ -264,7 +248,7 @@ def verify_family(work: EntryWork, family: SolutionFamily) -> FamilyReport:
     reduce in its quotient ring; each residue must vanish identically in
     the remaining free parameters."""
     gens = work.derived.generators
-    ring = _family_ring(work.entry, family)
+    ring = work.family_ring(family)
     failures: List[Tuple[str, str]] = []
     for g in gens:
         residue = quotient_reduce(g.substitute(ring.bindings), ring.spec)
@@ -354,7 +338,7 @@ def nonvanishing_check(
     anything else by an interval around the declared root.
     """
     entry = work.entry
-    ring = _family_ring(entry, family)
+    ring = work.family_ring(family)
     chosen: Dict[str, str] = {}
     for free in family.free:
         if point and free in point:
@@ -379,14 +363,15 @@ def nonvanishing_check(
 @dataclass(frozen=True)
 class QdimMatch:
     printed_side: str
-    status: str  # "exact" | "exact_mod_ideal" | "unit_multiple" | "unmatched"
+    # "exact" | "exact_mod_ideal" | "unit_multiple" | "unmatched" | "vacuous"
+    status: str
     matched_side: Optional[str]
     scalar: Optional[Fraction]
     mod_ideal: bool
 
     @property
     def matched(self) -> bool:
-        return self.status != "unmatched"
+        return self.status not in ("unmatched", "vacuous")
 
     def passes(self, allow_unit: bool = False) -> bool:
         if self.status in ("exact", "exact_mod_ideal"):
@@ -425,11 +410,15 @@ def compare_qdims(work: EntryWork) -> QdimComparison:
     """Match each printed quantum-dimension formula against the computed
     invariants of `work`: exact equality first, then equality modulo the
     derived ideal, then a global nonzero rational multiple (scalar
-    recorded), each tried on the same-name side before the opposite one."""
+    recorded), each tried on the same-name side before the opposite one.
+    Modulo a derived unit ideal every formula matches, so the steps
+    modulo the ideal are skipped and a formula no other step matches is
+    reported "vacuous" rather than matched."""
     entry = work.entry
     cl = work.qdims["left"]
     cr = work.qdims["right"]
     reduce = work.reducer_for(work.derived)
+    vacuous = work.is_unit(work.derived)
 
     def match(side: str) -> QdimMatch:
         printed = entry.paper_qdim(side)
@@ -440,12 +429,14 @@ def compare_qdims(work: EntryWork) -> QdimComparison:
             if printed == comp:
                 return QdimMatch(side, "exact", name, _ONE, False)
         for name, comp in order:
-            if reduce(printed - comp).is_zero():
+            if not vacuous and reduce(printed - comp).is_zero():
                 return QdimMatch(side, "exact_mod_ideal", name, _ONE, True)
         for name, comp in order:
             lam = _scalar_ratio(printed, comp)
             if lam is not None:
                 return QdimMatch(side, "unit_multiple", name, lam, False)
+        if vacuous:
+            return QdimMatch(side, "vacuous", None, None, False)
         for name, comp in order:
             lam = _scalar_ratio(reduce(printed), reduce(comp))
             if lam is not None:
@@ -481,12 +472,7 @@ class OracleReport:
 
 def _from_dense(coeffs: Sequence[Fraction], name: str, vt: VarTable) -> Poly:
     i = vt.index(name)
-    width = len(vt)
-    terms = {}
-    for e, c in enumerate(coeffs):
-        if c:
-            terms[tuple(e if j == i else 0 for j in range(width))] = c
-    return Poly(vt, terms)
+    return Poly(vt, {tuple(e if j == i else 0 for j in range(len(vt))): c for e, c in enumerate(coeffs)})
 
 
 def _dense_trim(a: List[Fraction]) -> List[Fraction]:

@@ -32,8 +32,6 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-import mpmath
-
 from ._groebner import reducer
 from ._linalg import solve_dense
 from .polyring import Monomial, Poly, VarTable, parse_poly
@@ -266,6 +264,9 @@ def certified_root_box(mp: Poly, name: str, approx: Tuple[str, str], precision_b
     working precision; the returned radius is certified from the exact
     rational values m(z0), m'(z0) via  n*|m(z0)|/|m'(z0)|.
     """
+    # imported on first use: a run that certifies no interval never loads it
+    import mpmath
+
     coeffs = mp.univariate_coeffs(name)
     deriv = [c * k for k, c in enumerate(coeffs)][1:]
     n = len(coeffs) - 1

@@ -354,39 +354,24 @@ class Poly:
                 raise PolyError(f"substitution for variable {name!r} absent from table")
             if value.vt != target:
                 raise VarTableMismatch("substitution values use different variable tables")
-        plain: Dict[int, Poly] = {}
-        bound: Dict[int, Poly] = {}
-        for i, name in enumerate(self.vt.names):
-            if name in bindings:
-                bound[i] = bindings[name]
-            else:
-                plain[i] = Poly.var(target, name) if name in target else None  # type: ignore[assignment]
-        power_cache: Dict[Tuple[int, int], Poly] = {}
-
-        def _pow(i: int, e: int, base: Poly) -> Poly:
-            key = (i, e)
-            got = power_cache.get(key)
-            if got is None:
-                got = base ** e
-                power_cache[key] = got
-            return got
-
+        images = [
+            bindings[n] if n in bindings else Poly.var(target, n) if n in target else None
+            for n in self.vt.names
+        ]
+        powers: Dict[Tuple[int, int], Poly] = {}
         acc: Terms = {}
         get = acc.get
         for m, c in self._terms.items():
             part = Poly.const(target, c)
             for i, e in enumerate(m):
-                if not e:
-                    continue
-                if i in bound:
-                    part = part * _pow(i, e, bound[i])
-                else:
-                    base = plain[i]
-                    if base is None:
+                if e:
+                    if images[i] is None:
                         raise PolyError(
                             f"variable {self.vt.names[i]!r} is unbound and missing from the target table"
                         )
-                    part = part * _pow(i, e, base)
+                    if (i, e) not in powers:
+                        powers[i, e] = images[i] ** e
+                    part = part * powers[i, e]
             for pm, pc in part._terms.items():
                 acc[pm] = get(pm, _ZERO) + pc
         return Poly._raw(target, {m: c for m, c in acc.items() if c})
@@ -396,23 +381,17 @@ class Poly:
 
         `rename` maps source names to target names before matching.
         """
-        rename = dict(rename or {})
-        slot: Dict[int, int] = {}
-        for i, name in enumerate(self.vt.names):
-            slot[i] = -1
+        rename = rename or {}
+        slot: Dict[int, int] = {}  # source slot -> target slot, found on first use
         out: Terms = {}
-        width = len(target)
         for m, c in self._terms.items():
-            exps = [0] * width
+            exps = [0] * len(target)
             for i, e in enumerate(m):
-                if not e:
-                    continue
-                j = slot[i]
-                if j < 0:
-                    name = rename.get(self.vt.names[i], self.vt.names[i])
-                    j = target.index(name)
-                    slot[i] = j
-                exps[j] += e
+                if e:
+                    if i not in slot:
+                        name = self.vt.names[i]
+                        slot[i] = target.index(rename.get(name, name))
+                    exps[slot[i]] += e
             key = tuple(exps)
             s = out.get(key, _ZERO) + c
             if s:

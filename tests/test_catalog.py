@@ -35,6 +35,26 @@ def catalog():
     return load_catalog()
 
 
+def test_defs_are_parsed_once_per_entry(monkeypatch):
+    from orbimf import catalog as catalog_module
+
+    parsed = []
+    original = catalog_module.parse_poly
+
+    def counting(text, vt):
+        parsed.append(text)
+        return original(text, vt)
+
+    monkeypatch.setattr(catalog_module, "parse_poly", counting)
+    # E14 ships two defs; loading validates every entry polynomial
+    entry = load_entry(default_catalog_dir() / "E14.json")
+    entry.six()
+    entry.six()
+    assert entry.defs
+    for _, text in entry.defs:
+        assert parsed.count(text) == 1
+
+
 def test_shipped_catalog_ids(catalog):
     assert tuple(sorted(catalog)) == ENTRY_IDS
 

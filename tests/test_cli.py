@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from orbimf import _groebner, cli, constraints, matfac, numberfield, residue
+from orbimf import _groebner, cli, matfac, numberfield, residue
 from orbimf.catalog import EquivalenceEntry, load_catalog
 from orbimf.cli import SCHEMA_VERSION, main, verify_entry
 from orbimf.polyring import Poly, parse_poly
@@ -79,10 +79,9 @@ def test_verify_demo_json_matches_golden(capsys):
     assert _mask_seconds(json.loads(out)) == golden
 
 
-@pytest.mark.parametrize("entry_id", [i for i in ENTRY_IDS if i != "Q12v1_Q12v2"])
+@pytest.mark.parametrize("entry_id", ENTRY_IDS)
 def test_verify_entry_report_matches_golden(entry_id):
-    # byte for byte, key order included; Q12 is pinned by its constraints
-    # golden and the benchmark's sympy slice check instead
+    # byte for byte, key order included
     report = _mask_seconds(verify_entry(load_catalog()[entry_id]))
     golden = (GOLDEN_DIR / f"verify_{entry_id}.json").read_text()
     assert json.dumps(report, indent=2) + "\n" == golden
@@ -233,23 +232,54 @@ def test_constraints_compare_paper_json_e14(capsys):
     assert payload["printed"] == ["c^8 + 4"]
 
 
-def test_verify_fails_potential_on_unsatisfiable_constraints(capsys, tmp_path):
-    # grading still passes, but the derived constraints 1, k, k^2 - 1
-    # admit no value of k: their Groebner basis is [1], against which
-    # every residual would otherwise reduce to zero
-    shutil.copy(DEMO_DIR / "potentials.json", tmp_path / "potentials.json")
+def _unit_ideal_demo(directory):
+    """A copy of the demo catalog whose derived constraints 1, k, k^2 - 1
+    admit no value of k: their Groebner basis is [1]."""
+    shutil.copy(DEMO_DIR / "potentials.json", directory / "potentials.json")
     entry = json.loads((DEMO_DIR / "DEMO.json").read_text())
     entry["parameters"] = ["k"]
     entry["entries"]["d15"] = "k*u"
     entry["entries"]["d26"] = "k*u + x"
-    (tmp_path / "DEMO.json").write_text(json.dumps(entry))
-    rc, out, _ = _run(capsys, "verify", "--entry", "DEMO", "--catalog", str(tmp_path), "--json")
+    (directory / "DEMO.json").write_text(json.dumps(entry))
+    return str(directory)
+
+
+def test_verify_fails_potential_on_unsatisfiable_constraints(capsys, tmp_path):
+    # grading still passes, but every residual would reduce to zero
+    # against the basis [1] of the derived constraints
+    catalog = _unit_ideal_demo(tmp_path)
+    rc, out, _ = _run(capsys, "verify", "--entry", "DEMO", "--catalog", catalog, "--json")
     assert rc == 1
     stages = json.loads(out)["reports"][0]["stages"]
     assert stages["grading"]["ok"]
     assert stages["constraints"]["detail"]["generators"] == ["1", "k", "k^2 - 1"]
     assert stages["potential"]["ok"] is False
     assert "unit ideal" in stages["potential"]["detail"]["message"]
+
+
+def test_unit_ideal_comparisons_are_vacuous(capsys, tmp_path):
+    # modulo the unit ideal every polynomial matches, so neither the ideal
+    # comparison nor the quantum-dimension match may claim one
+    catalog = _unit_ideal_demo(tmp_path)
+    rc, out, _ = _run(capsys, "verify", "--entry", "DEMO", "--catalog", catalog, "--json")
+    assert rc == 1
+    report = json.loads(out)["reports"][0]
+    ideal = report["stages"]["ideal-compare"]
+    assert ideal["ok"] is False
+    assert ideal["detail"]["vacuous"] == "the derived ideal is the unit ideal"
+    for side in ("left", "right"):
+        assert report["qdim_match"][side]["status"] == "vacuous"
+        assert report["qdim_match"][side]["mod_ideal"] is False
+    rc, out, _ = _run(capsys, "verify", "--entry", "DEMO", "--catalog", catalog)
+    assert rc == 1
+    assert "printed<=derived: vacuous (the derived ideal is the unit ideal)" in out
+    assert "printed<=derived: yes" not in out
+    assert "modulo the derived ideal" not in out
+    rc, out, _ = _run(
+        capsys, "constraints", "--entry", "DEMO", "--catalog", catalog, "--compare-paper"
+    )
+    assert rc == 1
+    assert "printed<=derived: vacuous" in out
 
 
 def test_unknown_family_exits_2(capsys):
@@ -298,6 +328,9 @@ def test_verify_entry_computes_each_fact_once(count_calls, entry_id):
     # and once per quotient ring, however many elements it reduces
     assert len({id(args[0]) for args in quotient_reducers}) == len(quotient_reducers)
     assert len(quotient_reducers) <= len(specs)
+    # one quotient ring per family, shared by its family check and both
+    # nonvanishing sides
+    assert len(specs) == len(entry.families)
     # groebner_basis and interreduce build one record set each
     assert len(divisor_sets) == 2 * len(bases) + len(constraint_reducers) + len(quotient_reducers)
 
@@ -323,7 +356,7 @@ def test_substitute_matches_sum_of_terms_on_w13_families(shipped_work):
     polys += [entry.paper_qdim(side) for side in ("left", "right")]
     assert entry.families
     for family in entry.families:
-        ring = constraints._family_ring(entry, family)
+        ring = work.family_ring(family)
         point = {
             f: parse_poly(str(family.default_value(f)), ring.spec.vt) for f in family.free
         }

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -19,6 +21,9 @@ from orbimf._groebner import (
     resultant,
 )
 from orbimf.polyring import Poly, VarTable, degrevlex_key, parse_poly
+
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
 def _vt(*names):
@@ -111,6 +116,27 @@ def test_interreduce_reduces_in_one_pass(monkeypatch):
     assert passes == [3, 3, 3]
     assert [str(p) for p in reduced] == ["y^2 - 1/2*x", "x*y", "x^2"]
     assert interreduce(reduced) == reduced
+
+
+def test_full_q12_basis_matches_stored_sympy_basis(shipped_work):
+    # tests/golden/make_groebner_Q12.py wrote the reduced basis with
+    # sympy.groebner, which shares no code with orbimf._groebner
+    golden = json.loads((GOLDEN_DIR / "groebner_Q12v1_Q12v2.json").read_text())
+    gens = shipped_work("Q12v1_Q12v2").derived.generators
+    assert [str(g) for g in gens] == golden["generators"]
+    basis = groebner_basis(gens)
+    assert len(basis) == 143
+    assert [str(p) for p in basis] == golden["basis"]
+
+
+def test_gebauer_moeller_update_pins_the_pairs_reduced(shipped_work):
+    # the S-pair budget counts the pairs popped for reduction, and every
+    # popped pair is reduced, so the smallest cap under which the W13
+    # basis completes is the number of pairs the update kept
+    gens = shipped_work("W13v1_W13v2").derived.generators
+    assert len(groebner_basis(gens, spair_cap=85)) == len(groebner_basis(gens))
+    with pytest.raises(BudgetExceeded):
+        groebner_basis(gens, spair_cap=84)
 
 
 def test_groebner_basis_matches_sympy_on_w13():
@@ -229,10 +255,16 @@ def test_divisor_lookup_is_first_in_list_order(polys, cut, probes):
     def expected(m, n):
         return next((k for k in range(n) if all(a <= b for a, b in zip(leads[k], m))), None)
 
-    divisors = _groebner._Divisors(polys[:cut])
+    # the kernel packs monomials into ints; this layout holds every probe
+    layout = _groebner._Layout(3, range(3), 6)
+
+    def packed_record(p):
+        return _groebner._record(layout.pack_terms(p._terms))
+
+    divisors = _groebner._Divisors(layout, [packed_record(p) for p in polys[:cut]])
 
     def found(m):
-        record = divisors.first(m)
+        record = divisors.first(layout.pack(m))
         return None if record is None else next(k for k, r in enumerate(divisors) if r is record)
 
     # probes hit or miss against the first records, then more are appended:
@@ -240,9 +272,91 @@ def test_divisor_lookup_is_first_in_list_order(polys, cut, probes):
     for m in probes:
         assert found(m) == expected(m, cut)
     for p in polys[cut:]:
-        divisors.append(_groebner._record(dict(p.terms())))
+        divisors.append(packed_record(p))
     for m in probes:
         assert found(m) == expected(m, len(polys))
+
+
+# -- packed monomials: spectator slots, huge exponents, widened fields -----
+
+# s and t are spectators: no generator uses them, so the basis packs only
+# the other slots; w carries one exponent above 2^16
+SPECTATORS = _vt("s", "x", "t", "y", "z", "w")
+_small_monos = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2))
+
+
+def _spectator_poly(terms, big=None):
+    """A polynomial in x, y, z (and w^big on the first term) over SPECTATORS."""
+    out = {}
+    for k, ((x, y, z), c) in enumerate(terms):
+        m = (0, x, 0, y, z, big if big is not None and k == 0 else 0)
+        out[m] = out.get(m, Fraction(0)) + c
+    return Poly(SPECTATORS, out)
+
+
+_small_terms = st.lists(st.tuples(_small_monos, _coeffs), min_size=1, max_size=3)
+
+
+def _sympy_basis(polys):
+    """sympy's reduced basis (grevlex over the table order, monic), built
+    on its polynomial rings: exponent tuples, so w^(2^16) costs nothing."""
+    from sympy import QQ
+    from sympy.polys.groebnertools import groebner
+    from sympy.polys.orderings import grevlex
+    from sympy.polys.rings import ring
+
+    R = ring(",".join(SPECTATORS.names), QQ, grevlex)[0]
+    theirs = groebner(
+        [R({m: QQ(c.numerator, c.denominator) for m, c in p.terms()}) for p in polys], R
+    )
+    return {
+        frozenset((m, Fraction(int(c.numerator), int(c.denominator))) for m, c in q.terms())
+        for q in theirs
+    }
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(_small_terms, min_size=1, max_size=2),
+    _small_terms,
+    st.integers(2**16 + 1, 2**17),
+)
+def test_groebner_basis_matches_sympy_with_spectators_and_huge_exponents(small, big_terms, big):
+    pytest.importorskip("sympy")
+    gens = [_spectator_poly(t) for t in small] + [_spectator_poly(big_terms, big)]
+    gens = [g for g in gens if not g.is_zero()]
+    basis = groebner_basis(gens)
+    assert {frozenset(p.terms()) for p in basis} == _sympy_basis(gens)
+    assert all(p.coefficient(p.leading_monomial()) == 1 for p in basis)
+
+
+def test_groebner_basis_widens_fields_it_outgrows(monkeypatch):
+    vt = _vt("x", "y")
+    gens = [parse_poly("x^100*y - 1", vt), parse_poly("x*y^100 - 1", vt)]
+    caps = []
+    original = _groebner._Layout
+
+    def narrow_first(size, slots, degree):
+        # the first layout holds the generators (degree 101) but not the
+        # lcm x^100*y^100 of their leads, so the basis restarts wider
+        layout = original(size, slots, 101 if not caps else degree)
+        caps.append(layout.cap)
+        return layout
+
+    monkeypatch.setattr(_groebner, "_Layout", narrow_first)
+    assert [str(p) for p in groebner_basis(gens)] == ["x^99 - y^99", "x*y^100 - 1", "y^199 - x^98"]
+    assert caps[0] < 200 <= caps[1]
+
+
+def test_reducer_widens_fields_for_a_higher_degree():
+    vt = _vt("x", "y")
+    reduce = reducer([parse_poly("x - 2", vt)])
+    assert reduce(parse_poly("x*y", vt)) == parse_poly("2*y", vt)
+    # far above the exponent cap of the records built for a degree-1 basis
+    p = parse_poly("x^300*y^70000 + x^2", vt)
+    expected = Poly(vt, {(0, 70000): Fraction(2**300), (0, 0): Fraction(4)})
+    assert reduce(p) == expected
+    assert reduce(parse_poly("x*y", vt)) == parse_poly("2*y", vt)
 
 
 def test_budget_exceeded():
