@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import cached_property
 from importlib import resources
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .grading import WeightSystem
 from .polyring import ParseError, Poly, VarTable, parse_poly
@@ -71,7 +71,7 @@ class SolutionFamily:
     bindings: Dict[str, str]  # parameter -> expression in generators/frees
     free: Tuple[str, ...]
     free_defaults: Dict[str, str]
-    root_choice: Dict[str, Tuple[str, str]]
+    root_choice: Dict[str, Sequence[str]]  # generator -> [real, imaginary] decimal texts
 
     def default_value(self, name: str) -> Fraction:
         return Fraction(self.free_defaults.get(name, "0"))
@@ -223,7 +223,7 @@ def load_entry(path: Path) -> EquivalenceEntry:
             bindings=dict(f["bindings"]),
             free=tuple(f["free"]),
             free_defaults=dict(f.get("free_defaults", {})),
-            root_choice={k: (v[0], v[1]) for k, v in f.get("root_choice", {}).items()},
+            root_choice=dict(f.get("root_choice", {})),
         )
         for f in data["families"]
     )
@@ -276,6 +276,19 @@ def validate(entry: EquivalenceEntry) -> None:
             problems.append(f"paper qdim_{side} uses non-parameters {bad}")
     for fam in entry.families:
         gen_names = [g for g, _ in fam.generators]
+        names = tuple(gen_names) + tuple(v for v in fam.free if v not in gen_names)
+        for p, text in fam.bindings.items():
+            try:
+                parse_poly(text, VarTable(names, param_vars=names))
+            except ParseError as exc:
+                problems.append(f"family {fam.label!r}: binding of {p} does not parse: {exc}")
+        for name, value in fam.free_defaults.items():
+            if name not in fam.free or not _is_rational(value):
+                problems.append(f"family {fam.label!r}: free_defaults {name}={value!r} needs a free parameter and a rational")
+        for g, z in fam.root_choice.items():
+            texts = z if isinstance(z, (list, tuple)) and len(z) == 2 else ()
+            if g not in gen_names or not texts or not all(isinstance(t, str) and _is_rational(t) for t in texts):
+                problems.append(f"family {fam.label!r}: root_choice {g}={z!r} needs a generator and two decimal strings")
         bound = set(fam.bindings) | set(fam.free)
         if bound != set(entry.parameters):
             problems.append(
@@ -304,6 +317,14 @@ def validate(entry: EquivalenceEntry) -> None:
             )
     if problems:
         raise CatalogError(f"{entry.id}: " + "; ".join(problems))
+
+
+def _is_rational(value) -> bool:
+    try:
+        Fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError):
+        return False
+    return True
 
 
 def default_catalog_dir() -> Path:

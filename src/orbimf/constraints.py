@@ -346,15 +346,14 @@ def nonvanishing_check(
         else:
             chosen[free] = str(family.default_value(free))
     free_map = {f: parse_poly(t, ring.spec.vt) for f, t in chosen.items()}
+    at_point = {p: b.substitute(free_map) for p, b in ring.bindings.items()}
 
-    def at_point(p: Poly) -> QuotientElem:
-        q = p.substitute(ring.bindings)
-        if free_map:
-            q = q.substitute(free_map)
-        return quotient_reduce(q, ring.spec)
+    def certify(p: Poly, origin: str) -> QdimAtPoint:
+        elem = quotient_reduce(p.substitute(at_point), ring.spec)
+        return _certify_at(elem, family, origin, precision_bits)
 
-    computed = _certify_at(at_point(work.qdims[side]), family, "computed", precision_bits)
-    printed = _certify_at(at_point(entry.paper_qdim(side)), family, "printed", precision_bits)
+    computed = certify(work.qdims[side], "computed")
+    printed = certify(entry.paper_qdim(side), "printed")
     return NonvanishingReport(
         entry.id, family.label, side, tuple(sorted(chosen.items())), computed, printed
     )

@@ -1,17 +1,26 @@
 """Grothendieck residues and quantum dimensions.
 
 The residue Res[g dv / (f1, f2, f3)] with the f_j the partial
-derivatives of a quasi-homogeneous potential is computed through the
+derivatives of a quasi-homogeneous potential W is computed through the
 transformation law: find a cofactor matrix H with H.(f1,f2,f3) =
 (v1^N1, v2^N2, v3^N3), then read off the coefficient of
 v1^(N1-1) v2^(N2-1) v3^(N3-1) in g*det(H).  Any valid H gives the same
 answer; the test suite exercises that with independently built lifts.
 
+Both entry points take W itself.  Its weights come from
+`grading.weights_from_potential`, and they bound the search for each
+power: the Hessian of W has weighted degree 2c = sum(2 - 2 w_j), and
+every monomial of higher weighted degree lies in the Jacobian ideal, so
+v_i^N with N = floor(2c / w_i) + 1 always does.  A power not found by
+then means W has no isolated singularity.
+
 Quantum dimensions take the supertrace of the sixfold product of
 entry-wise partial derivatives of the twisted differential, sources
 first and then targets, each triple in its declared catalog order (the
-product is order-sensitive and the order is part of the data).  With
-three variables a side, the global sign prefactor is +1.  The left
+product is order-sensitive and the order is part of the data).  The
+sources' and the targets' threefold products are formed once each, and
+of their product only the diagonal, the cells the supertrace reads.
+With three variables a side, the global sign prefactor is +1.  The left
 dimension integrates the target variables out against the target
 potential's partials; the right one the source variables against the
 source potential's.  Both results must be free of ring variables.  Both
@@ -23,10 +32,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import product as iter_product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ._linalg import solve_dense
+from .grading import GradingError, weights_from_potential
 from .matfac import Matrix8, MatrixFactorization, matmul
 from .polyring import Poly, VarTable
 
@@ -54,21 +65,18 @@ def _partial_matrix(m: MatrixFactorization, var: str) -> Matrix8:
 def derivative_matrix_product(m: MatrixFactorization, order: Sequence[str]) -> Matrix8:
     """Product of the entry-wise partials of the twisted differential,
     one factor per variable, multiplied left to right in the given order."""
-    factors = [_partial_matrix(m, v) for v in order]
-    acc = factors[0]
-    for f in factors[1:]:
-        acc = matmul(acc, f)
-    return acc
+    return reduce(matmul, (_partial_matrix(m, v) for v in order))
 
 
 def derivative_supertrace(m: MatrixFactorization, order: Sequence[str]) -> Poly:
-    """supertrace(derivative_matrix_product(m, order)), forming only the
-    diagonal of the last factor's product, the only cells it reads."""
-    head = derivative_matrix_product(m, order[:-1])
-    last = _partial_matrix(m, order[-1])
+    """supertrace(derivative_matrix_product(m, order)): the products of
+    the two halves of `order`, then only the diagonal of theirs."""
+    half = len(order) // 2
+    head = derivative_matrix_product(m, order[:half])
+    tail = derivative_matrix_product(m, order[half:])
 
     def diagonal(rows: range) -> Poly:
-        return Poly.dot(m.vt, ((head[i][k], last[k][i]) for i in rows for k in range(8)))
+        return Poly.dot(m.vt, ((head[i][k], tail[k][i]) for i in rows for k in range(8)))
 
     return diagonal(range(4)) - diagonal(range(4, 8))
 
@@ -88,35 +96,12 @@ class CofactorLift:
         )
 
 
-def _recover_weights(f: Sequence[Poly], names: Sequence[str]) -> List[Fraction]:
-    """Weights making each f_j homogeneous of degree 2 - w_j (f_j being
-    the j-th partial of a degree-2 quasi-homogeneous potential)."""
-    vt = f[0].vt
-    idx = [vt.index(n) for n in names]
-    rows: List[List[Fraction]] = []
-    rhs: List[Fraction] = []
-    for j, fj in enumerate(f):
-        for mono in fj.monomials():
-            row = [Fraction(mono[i]) for i in idx]
-            row[j] += 1
-            rows.append(row)
-            rhs.append(Fraction(2))
-    sol = solve_dense(rows, rhs)
-    if sol is None or any(w <= 0 for w in sol):
-        raise ResidueError("denominators are not partials of a quasi-homogeneous potential")
-    return sol
-
-
 def _monomials_of_weight(
     weights: Sequence[Fraction], target: Fraction
 ) -> List[Tuple[int, ...]]:
-    """Exponent triples e with sum(e_i * w_i) == target."""
-    bounds = [int(target / w) if target > 0 else 0 for w in weights]
-    out = []
-    for e in iter_product(*(range(b + 1) for b in bounds)):
-        if sum(w * k for w, k in zip(weights, e)) == target:
-            out.append(e)
-    return out
+    """Exponent triples e with sum(e_i * w_i) == target >= 0."""
+    ranges = (range(int(target / w) + 1) for w in weights)
+    return [e for e in iter_product(*ranges) if sum(w * k for w, k in zip(weights, e)) == target]
 
 
 def _solve_power_certificate(
@@ -125,7 +110,6 @@ def _solve_power_certificate(
     weights: Sequence[Fraction],
     var_index: int,
     exponent: int,
-    reverse_ansatz: bool,
 ) -> Optional[List[Poly]]:
     """Row h with sum_j h_j f_j = v^exponent, homogeneous ansatz, or None."""
     vt = f[0].vt
@@ -138,8 +122,6 @@ def _solve_power_certificate(
             continue
         monos = _monomials_of_weight(weights, dj)
         ansatz.extend((j, m) for m in monos)
-    if reverse_ansatz:
-        ansatz.reverse()
     if not ansatz:
         return None
     # One equation per monomial of sum_j h_j f_j, matching v^exponent.
@@ -152,9 +134,7 @@ def _solve_power_certificate(
             terms[key] = terms.get(key, _ZERO) + fc
         col_terms.append(terms)
         support.update(terms)
-    target_mono = tuple(
-        exponent if k == var_index else 0 for k in range(len(names))
-    )
+    target_mono = tuple(exponent if k == var_index else 0 for k in range(len(names)))
     support.add(target_mono)
     support_list = sorted(support)
     row_of = {mono: r for r, mono in enumerate(support_list)}
@@ -171,79 +151,57 @@ def _solve_power_certificate(
 
 
 def _assemble_row(vt: VarTable, idx, ansatz, sol) -> List[Poly]:
-    buckets: List[Dict[tuple, Fraction]] = [dict(), dict(), dict()]
-    width = len(vt)
-    for (j, m), c in zip(ansatz, sol):
-        if not c:
-            continue
-        full = [0] * width
-        for i, e in zip(idx, m):
-            full[i] = e
-        buckets[j][tuple(full)] = buckets[j].get(tuple(full), _ZERO) + c
+    buckets: List[Dict[tuple, Fraction]] = [{}, {}, {}]
+    for (j, m), c in zip(ansatz, sol):  # the (j, m) are distinct
+        if c:
+            full = [0] * len(vt)
+            for i, e in zip(idx, m):
+                full[i] = e
+            buckets[j][tuple(full)] = c
     return [Poly(vt, b) for b in buckets]
 
 
 def cofactor_lift(
-    f: Sequence[Poly],
-    names: Sequence[str],
-    degree_cap: int = 24,
-    exponents: Optional[Sequence[int]] = None,
-    reverse_ansatz: bool = False,
+    w: Poly, names: Sequence[str], exponents: Optional[Sequence[int]] = None
 ) -> CofactorLift:
-    """Cofactor matrix H with H.(f1,f2,f3) = (v1^N1, v2^N2, v3^N3).
+    """Cofactor matrix H with H.(f1,f2,f3) = (v1^N1, v2^N2, v3^N3), the
+    f_j being the partials of the potential `w` along `names`.
 
-    Without explicit exponents, each N_i is the smallest power not above
-    the cap admitting a certificate.  `reverse_ansatz` flips the ansatz
-    monomial order, steering the solver to a different valid H when the
-    certificate is not unique.
+    Without explicit exponents, each N_i is the smallest power admitting
+    a certificate; the search ends at floor(2c / w_i) + 1 (see above).
     """
-    if len(f) != 3 or len(names) != 3:
-        raise ResidueError("exactly three denominators and three variables required")
-    weights = _recover_weights(f, names)
+    if len(names) != 3:
+        raise ResidueError("exactly three variables required")
+    try:
+        weights = [x for _, x in weights_from_potential(w, tuple(names)).weights]
+    except GradingError as exc:
+        raise ResidueError(str(exc)) from None
+    hessian = sum((2 - 2 * x for x in weights), _ZERO)
+    f = [w.partial(n) for n in names]
     rows: List[List[Poly]] = []
     found: List[int] = []
     for i in range(3):
-        wanted = None if exponents is None else exponents[i]
-        row = None
-        n = wanted if wanted is not None else 1
-        while n <= degree_cap:
-            row = _solve_power_certificate(f, names, weights, i, n, reverse_ansatz)
-            if row is not None or wanted is not None:
+        last = hessian // weights[i] + 1 if exponents is None else exponents[i]
+        for n in range(1 if exponents is None else last, last + 1):
+            row = _solve_power_certificate(f, names, weights, i, n)
+            if row is not None:
                 break
-            n += 1
-        if row is None:
-            raise ResidueError(
-                f"no power of {names[i]} up to {degree_cap} lies in the ideal"
-            )
+        else:
+            raise ResidueError(f"no power of {names[i]} up to {last} lies in the ideal")
+        if Poly.dot(w.vt, zip(row, f)) != Poly.var(w.vt, names[i]) ** n:
+            raise ResidueError("cofactor identity violated")
         rows.append(row)
         found.append(n)
-    lift = CofactorLift(tuple(names), tuple(found), tuple(tuple(r) for r in rows))
-    _assert_lift(lift, f)
-    return lift
-
-
-def _assert_lift(lift: CofactorLift, f: Sequence[Poly]) -> None:
-    vt = f[0].vt
-    for i in range(3):
-        acc = Poly.zero(vt)
-        for j in range(3):
-            acc = acc + lift.matrix[i][j] * f[j]
-        mono = [0] * len(vt)
-        mono[vt.index(lift.vars[i])] = lift.exponents[i]
-        if acc != Poly(vt, {tuple(mono): Fraction(1)}):
-            raise ResidueError("cofactor identity violated")
+    return CofactorLift(tuple(names), tuple(found), tuple(tuple(r) for r in rows))
 
 
 def grothendieck_residue(
-    g: Poly,
-    f: Sequence[Poly],
-    names: Sequence[str],
-    lift: Optional[CofactorLift] = None,
-    degree_cap: int = 24,
+    g: Poly, w: Poly, names: Sequence[str], lift: Optional[CofactorLift] = None
 ) -> Poly:
-    """Res[g dv/(f1,f2,f3)]: coefficient of v^(N-1) in g*det(H)."""
+    """Res[g dv/(f1,f2,f3)], the f_j the partials of `w`: coefficient of
+    v^(N-1) in g*det(H)."""
     if lift is None:
-        lift = cofactor_lift(f, names, degree_cap)
+        lift = cofactor_lift(w, names)
     vt = g.vt
     det = lift.determinant()
     if det.vt != vt:
@@ -254,13 +212,6 @@ def grothendieck_residue(
         key[vt.index(name)] = n - 1
     groups = total.coefficients_wrt(names)
     return groups.get(tuple(key), Poly.zero(vt))
-
-
-def _degree_cap_for(potential: Poly) -> int:
-    cap = 0
-    for mono in potential.monomials():
-        cap = max(cap, max(mono))
-    return 3 * cap + 3
 
 
 def qdim_supertrace(m: MatrixFactorization, v_in: Poly, w_out: Poly) -> Poly:
@@ -280,9 +231,7 @@ def _integrate(s: Poly, m: MatrixFactorization, v_in: Poly, w_out: Poly, side: s
         over, against = v_in.support_vars(), v_in
     else:
         raise ResidueError("side must be left or right")
-    partials = [against.partial(v) for v in over]
-    lift = cofactor_lift(partials, over, _degree_cap_for(against))
-    value = grothendieck_residue(s, partials, over, lift)
+    value = grothendieck_residue(s, against, over, cofactor_lift(against, over))
     ring_left = [v for v in value.support_vars() if v in m.vt.ring_vars]
     if ring_left:
         raise ResidueError(f"qdim_{side} retains ring variables {ring_left}")

@@ -202,6 +202,46 @@ def test_correction_location_must_exist(tmp_path):
         load_entry(_write(tmp_path, data))
 
 
+def _e14_with(tmp_path, edit):
+    """A copy of the shipped E14 entry with `edit` applied to its first
+    family; the packaged potentials table serves it."""
+    data = json.loads((default_catalog_dir() / "E14.json").read_text())
+    edit(data["families"][0])
+    target = tmp_path / "E14.json"
+    target.write_text(json.dumps(data))
+    return target
+
+
+def test_family_bindings_must_parse(tmp_path):
+    path = _e14_with(tmp_path, lambda fam: fam["bindings"].update(c="c^^2"))
+    with pytest.raises(CatalogError, match="binding of c does not parse"):
+        load_entry(path)
+
+
+def test_family_free_defaults_must_be_rationals_of_free_parameters(tmp_path):
+    path = _e14_with(tmp_path, lambda fam: fam["free_defaults"].update(a1="one half"))
+    with pytest.raises(CatalogError, match="free_defaults a1='one half'"):
+        load_entry(path)
+    path = _e14_with(tmp_path, lambda fam: fam["free_defaults"].update(c="1/2"))
+    with pytest.raises(CatalogError, match="free_defaults c='1/2'"):
+        load_entry(path)
+
+
+def test_family_root_choice_must_give_a_generator_two_decimals(tmp_path):
+    for bad in ({"c": ["1.09"]}, {"c": ["1.09", "i"]}, {"t": ["1", "0"]}):
+        path = _e14_with(tmp_path, lambda fam: fam.update(root_choice=bad))
+        with pytest.raises(CatalogError, match="root_choice"):
+            load_entry(path)
+
+
+def test_bad_family_field_exits_2_from_verify(tmp_path, capsys):
+    from orbimf.cli import main
+
+    _e14_with(tmp_path, lambda fam: fam["free_defaults"].update(a1="one half"))
+    assert main(["verify", "--all", "--catalog", str(tmp_path)]) == 2
+    assert "bad catalog" in capsys.readouterr().err
+
+
 def test_shipped_corrections_present(catalog):
     # the misprint record travels with the data
     locations = {

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -46,8 +48,7 @@ def test_diagonal_lift_is_scaled_identity():
     names = ("x", "y", "z")
     vt = _ring(*names)
     w = parse_poly("x^7 + y^3 + z^2", vt)
-    f = [w.partial(n) for n in names]
-    lift = cofactor_lift(f, names)
+    lift = cofactor_lift(w, names)
     assert lift.exponents == (6, 2, 1)
     expect = {(0, 0): "1/7", (1, 1): "1/3", (2, 2): "1/2"}
     for i in range(3):
@@ -62,7 +63,7 @@ def test_lift_handles_coupled_denominators():
     vt = _ring(*names)
     w = parse_poly("x^4*z + y^3 + z^2", vt)
     f = [w.partial(n) for n in names]
-    lift = cofactor_lift(f, names)
+    lift = cofactor_lift(w, names)
     assert lift.exponents == (7, 2, 2)
     for i, name in enumerate(names):
         acc = Poly.zero(vt)
@@ -75,36 +76,64 @@ def test_lift_rejects_inhomogeneous_denominators():
     names = ("x", "y", "z")
     vt = _ring(*names)
     w = parse_poly("x^3 + x^4 + y^3 + z^2", vt)
-    f = [w.partial(n) for n in names]
     with pytest.raises(ResidueError):
-        cofactor_lift(f, names)
+        cofactor_lift(w, names)
+
+
+# the exponents the lift search found before it was bounded by the
+# Hessian degree; the bound must not change a single one
+SHIPPED_LIFT_EXPONENTS = {
+    "E12": (6, 2, 1), "E13": (9, 3, 1), "E14v1": (7, 2, 2), "E14v2": (7, 2, 1),
+    "Q10": (4, 2, 3), "Q11": (6, 3, 3), "Q12v1": (5, 2, 3), "Q12v2": (5, 2, 3),
+    "S11": (4, 3, 4), "S12": (6, 4, 4), "U12v1": (3, 2, 2), "U12v2": (3, 3, 3),
+    "U12v3": (3, 3, 3), "W12v1": (4, 3, 2), "W12v2": (4, 3, 1), "W13v1": (7, 4, 2),
+    "W13v2": (7, 4, 1), "Z11": (5, 5, 1), "Z12": (7, 5, 1), "Z13v1": (6, 5, 2),
+    "Z13v2": (6, 5, 1),
+}
+
+
+def test_lift_exponents_of_every_shipped_potential():
+    table = json.loads(resources.files("orbimf").joinpath("data/potentials.json").read_text())
+    found = {}
+    for key, obj in table.items():
+        names = tuple(obj["vars"])
+        w = parse_poly(obj["poly"], _ring(*names))
+        found[key] = cofactor_lift(w, names).exponents
+    assert found == SHIPPED_LIFT_EXPONENTS
+
+
+def test_lift_rejects_non_isolated_potential():
+    # x^3*y + x^2*y^2 = x^2*y*(x + y) is singular along the whole y-axis,
+    # so no power of y lies in the Jacobian ideal
+    names = ("x", "y", "z")
+    w = parse_poly("x^3*y + x^2*y^2 + z^2", _ring(*names))
+    with pytest.raises(ResidueError, match="power of y"):
+        cofactor_lift(w, names)
 
 
 def test_socle_residue_values():
     names = ("x", "y", "z")
     vt = _ring(*names)
     w = parse_poly("x^7 + y^3 + z^2", vt)
-    f = [w.partial(n) for n in names]
     # the socle monomial x^5*y carries 1/(7*3*2); everything of other
     # weight, and everything reducible, drops to zero
-    assert grothendieck_residue(parse_poly("x^5*y", vt), f, names) == Poly.const(
+    assert grothendieck_residue(parse_poly("x^5*y", vt), w, names) == Poly.const(
         vt, Fraction(1, 42)
     )
     for text in ("1", "x^5", "y^2", "x^12*y^4*z^2"):
-        assert grothendieck_residue(parse_poly(text, vt), f, names).is_zero()
+        assert grothendieck_residue(parse_poly(text, vt), w, names).is_zero()
 
 
 def test_residue_linearity():
     names = ("x", "y", "z")
     vt = _ring(*names)
     w = parse_poly("x^7 + y^3 + z^2", vt)
-    f = [w.partial(n) for n in names]
     g1 = parse_poly("x^5*y + 3*x^2", vt)
     g2 = parse_poly("2*x^5*y - z", vt)
     combo = g1.scale(2) + g2.scale(-5)
-    lhs = grothendieck_residue(combo, f, names)
-    rhs = grothendieck_residue(g1, f, names).scale(2) + grothendieck_residue(
-        g2, f, names
+    lhs = grothendieck_residue(combo, w, names)
+    rhs = grothendieck_residue(g1, w, names).scale(2) + grothendieck_residue(
+        g2, w, names
     ).scale(-5)
     assert lhs == rhs
 
@@ -117,9 +146,8 @@ def test_residue_independent_of_lift():
         names = ("x", "y", "z")
         vt = _ring(*names)
         w = parse_poly(poly_text, vt)
-        f = [w.partial(n) for n in names]
-        l1 = cofactor_lift(f, names)
-        l2 = cofactor_lift(f, names, exponents=tuple(n + 1 for n in l1.exponents))
+        l1 = cofactor_lift(w, names)
+        l2 = cofactor_lift(w, names, exponents=tuple(n + 1 for n in l1.exponents))
         assert l1.matrix != l2.matrix
         for _ in range(10):
             g = Poly.zero(vt)
@@ -128,8 +156,8 @@ def test_residue_independent_of_lift():
                     f"{n}^{rng.randrange(0, 3)}" for n in names
                 ).replace("^0", "^1")  # keep it simple, powers 1..2
                 g = g + parse_poly(mono, vt).scale(rng.randrange(-9, 10) or 1)
-            assert grothendieck_residue(g, f, names, lift=l1) == grothendieck_residue(
-                g, f, names, lift=l2
+            assert grothendieck_residue(g, w, names, lift=l1) == grothendieck_residue(
+                g, w, names, lift=l2
             )
 
 
