@@ -101,6 +101,8 @@ class EquivalenceEntry:
     vt: VarTable = field(compare=False)
 
     # -- parsed views ---------------------------------------------------
+    # Each text is parsed once, by `validate` when the entry is loaded;
+    # a text that does not parse raises CatalogError naming it.
 
     @cached_property
     def _parsed_defs(self) -> Tuple[Dict[str, Poly], VarTable]:
@@ -108,20 +110,29 @@ class EquivalenceEntry:
         out: Dict[str, Poly] = {}
         for name, text in self.defs:
             ext = _extended_table(self.vt, tuple(out))
-            p = parse_poly(text, ext)
+            p = _parse(text, ext, f"def {name}")
             out[name] = _collapse(p, self.vt, out)
         return out, _extended_table(self.vt, tuple(out))
 
-    def defs_polys(self) -> Dict[str, Poly]:
-        return dict(self._parsed_defs[0])
-
-    def entry_poly(self, name: str) -> Poly:
+    @cached_property
+    def _six(self) -> Tuple[Poly, ...]:
         defs, ext = self._parsed_defs
-        p = parse_poly(self.entry_texts[name], ext)
-        return _collapse(p, self.vt, defs)
+        return tuple(
+            _collapse(_parse(self.entry_texts[k], ext, f"entry {k}"), self.vt, defs)
+            for k in ENTRY_KEYS
+        )
+
+    @cached_property
+    def _printed(self) -> Tuple[Tuple[Poly, ...], Dict[str, Poly]]:
+        """The printed constraints and quantum dimensions."""
+        qdims = {"left": self.paper_qdim_left_text, "right": self.paper_qdim_right_text}
+        return (
+            tuple(_parse(t, self.vt, f"constraint {t!r}") for t in self.paper_constraint_texts),
+            {side: _parse(t, self.vt, f"paper qdim_{side}") for side, t in qdims.items()},
+        )
 
     def six(self) -> Tuple[Poly, ...]:
-        return tuple(self.entry_poly(k) for k in ENTRY_KEYS)
+        return self._six
 
     def potential_in(self) -> Poly:
         return self.side_in.potential(self.vt)
@@ -133,11 +144,17 @@ class EquivalenceEntry:
         return self.potential_out() - self.potential_in()
 
     def paper_constraints(self) -> Tuple[Poly, ...]:
-        return tuple(parse_poly(t, self.vt) for t in self.paper_constraint_texts)
+        return self._printed[0]
 
     def paper_qdim(self, side: str) -> Poly:
-        text = {"left": self.paper_qdim_left_text, "right": self.paper_qdim_right_text}[side]
-        return parse_poly(text, self.vt)
+        return self._printed[1][side]
+
+
+def _parse(text: str, vt: VarTable, what: str) -> Poly:
+    try:
+        return parse_poly(text, vt)
+    except ParseError as exc:
+        raise CatalogError(f"{what} does not parse: {exc}") from None
 
 
 def _extended_table(vt: VarTable, extra: Tuple[str, ...]) -> VarTable:
@@ -253,27 +270,19 @@ def validate(entry: EquivalenceEntry) -> None:
     """Raise CatalogError naming every problem found in the entry."""
     problems: List[str] = []
     try:
-        defs = entry.defs_polys()
-    except ParseError as exc:
-        raise CatalogError(f"{entry.id}: defs do not parse: {exc}") from None
-    for name in ENTRY_KEYS:
-        try:
-            p = entry.entry_poly(name)
-        except ParseError as exc:
-            raise CatalogError(f"{entry.id}: entry {name} does not parse: {exc}") from None
+        six = entry._six
+        constraints, qdims = entry._printed
+    except CatalogError as exc:
+        raise CatalogError(f"{entry.id}: {exc}") from None
+    for name, p in zip(ENTRY_KEYS, six):
         leftover = [v for v in p.support_vars() if v in dict(entry.defs)]
         if leftover:
             problems.append(f"{name}: defs not fully expanded: {leftover}")
-    for text in entry.paper_constraint_texts:
-        p = parse_poly(text, entry.vt)
+    printed = [(f"constraint {t!r}", p) for t, p in zip(entry.paper_constraint_texts, constraints)]
+    for what, p in printed + [(f"paper qdim_{side}", p) for side, p in qdims.items()]:
         bad = [v for v in p.support_vars() if v not in entry.parameters]
         if bad:
-            problems.append(f"constraint {text!r} uses non-parameters {bad}")
-    for side in ("left", "right"):
-        p = entry.paper_qdim(side)
-        bad = [v for v in p.support_vars() if v not in entry.parameters]
-        if bad:
-            problems.append(f"paper qdim_{side} uses non-parameters {bad}")
+            problems.append(f"{what} uses non-parameters {bad}")
     for fam in entry.families:
         gen_names = [g for g, _ in fam.generators]
         names = tuple(gen_names) + tuple(v for v in fam.free if v not in gen_names)
@@ -297,9 +306,13 @@ def validate(entry: EquivalenceEntry) -> None:
             )
         if set(fam.bindings) & set(fam.free):
             problems.append(f"family {fam.label!r}: a parameter is both bound and free")
+        gvt = VarTable(tuple(gen_names), param_vars=tuple(gen_names))
         for g, mp_text in fam.generators:
-            gvt = VarTable(tuple(gen_names), param_vars=tuple(gen_names))
-            mp = parse_poly(mp_text, gvt)
+            try:
+                mp = parse_poly(mp_text, gvt)
+            except ParseError as exc:
+                problems.append(f"family {fam.label!r}: minimal polynomial of {g} does not parse: {exc}")
+                continue
             if mp.support_vars() != (g,):
                 problems.append(f"family {fam.label!r}: minimal polynomial of {g} not univariate")
     for corr in entry.corrections:

@@ -16,9 +16,8 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
-from functools import lru_cache
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from . import constraints as con
 from ._groebner import BudgetExceeded
@@ -321,15 +320,10 @@ def _summary_table(reports: Sequence[dict], catalog) -> str:
     return "\n".join(lines)
 
 
-@lru_cache(maxsize=None)
-def _worker_catalog(catalog_dir: Optional[str]) -> Dict[str, EquivalenceEntry]:
-    """The catalog a pool worker reads, loaded once per worker process."""
-    return load_catalog(Path(catalog_dir) if catalog_dir else None)
-
-
-def _worker_verify(args: Tuple[Optional[str], str, int, int]) -> dict:
-    catalog_dir, entry_id, spair_cap, precision = args
-    return verify_entry(_worker_catalog(catalog_dir)[entry_id], spair_cap, precision)
+def _worker_verify(args: Tuple[EquivalenceEntry, int, int]) -> dict:
+    """`verify_entry` in a pool worker; the entry arrives pickled with
+    its parsed polynomials, so no worker loads the catalog."""
+    return verify_entry(*args)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -343,10 +337,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         # start last and bound the wall time
         ids.sort(key=lambda i: sum(map(len, catalog[i].entry_texts.values())), reverse=True)
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            work = [
-                (str(args.catalog) if args.catalog else None, i, args.spair_cap, args.precision)
-                for i in ids
-            ]
+            work = [(catalog[i], args.spair_cap, args.precision) for i in ids]
             reports = list(pool.map(_worker_verify, work))
     else:
         reports = [verify_entry(catalog[i], args.spair_cap, args.precision) for i in ids]

@@ -132,15 +132,12 @@ class Poly:
     @staticmethod
     def const(vt: VarTable, value) -> "Poly":
         q = Fraction(value)
-        if not q:
-            return Poly(vt)
-        return Poly(vt, {(0,) * len(vt): q})
+        return Poly._raw(vt, {(0,) * len(vt): q} if q else {})
 
     @staticmethod
     def var(vt: VarTable, name: str) -> "Poly":
         i = vt.index(name)
-        mono = tuple(1 if j == i else 0 for j in range(len(vt)))
-        return Poly(vt, {mono: _ONE})
+        return Poly._raw(vt, {tuple(int(j == i) for j in range(len(vt))): _ONE})
 
     @staticmethod
     def _raw(vt: VarTable, terms: Terms) -> "Poly":
@@ -149,6 +146,10 @@ class Poly:
         object.__setattr__(p, "vt", vt)
         object.__setattr__(p, "_terms", terms)
         return p
+
+    def __reduce__(self):
+        # the immutability guard blocks pickle's default attribute restore
+        return Poly._raw, (self.vt, self._terms)
 
     # -- inspection ---------------------------------------------------
 
@@ -164,15 +165,10 @@ class Poly:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def is_constant(self) -> bool:
-        return all(not any(m) for m in self._terms)
-
     def constant_value(self) -> Fraction:
-        if not self._terms:
-            return _ZERO
-        if not self.is_constant():
+        if any(any(m) for m in self._terms):
             raise PolyError("polynomial is not constant")
-        return next(iter(self._terms.values()))
+        return next(iter(self._terms.values()), _ZERO)
 
     def coefficient(self, mono: Monomial) -> Fraction:
         return self._terms.get(tuple(mono), _ZERO)
@@ -344,7 +340,10 @@ class Poly:
         """Simultaneous substitution.  Values fix the target table.
 
         Every value must share one VarTable; unbound variables must exist
-        in that target table (they map to themselves).
+        in that target table (they map to themselves).  Each term folds
+        the integer numerators of its variables' cached image powers into
+        one accumulator over the common denominator of all terms, as in
+        `dot`.
         """
         if not bindings:
             return self
@@ -358,23 +357,33 @@ class Poly:
             bindings[n] if n in bindings else Poly.var(target, n) if n in target else None
             for n in self.vt.names
         ]
-        powers: Dict[Tuple[int, int], Poly] = {}
-        acc: Terms = {}
-        get = acc.get
+        powers: Dict[Tuple[int, int], Tuple[int, IntTerms]] = {}
+        one = (0,) * len(target)
+        terms = []  # (numerator, denominator, integer image powers) per term
         for m, c in self._terms.items():
-            part = Poly.const(target, c)
+            den, factors = c.denominator, []
             for i, e in enumerate(m):
                 if e:
-                    if images[i] is None:
-                        raise PolyError(
-                            f"variable {self.vt.names[i]!r} is unbound and missing from the target table"
-                        )
                     if (i, e) not in powers:
-                        powers[i, e] = images[i] ** e
-                    part = part * powers[i, e]
-            for pm, pc in part._terms.items():
-                acc[pm] = get(pm, _ZERO) + pc
-        return Poly._raw(target, {m: c for m, c in acc.items() if c})
+                        if images[i] is None:
+                            raise PolyError(
+                                f"variable {self.vt.names[i]!r} is unbound and missing from the target table"
+                            )
+                        powers[i, e] = _integer_terms((images[i] ** e)._terms)
+                    d, ip = powers[i, e]
+                    den *= d
+                    factors.append(ip)
+            terms.append((c.numerator, den, factors or [[(one, 1)]]))
+        den = lcm(*(d for _, d, _ in terms))
+        acc: Dict[Monomial, int] = {}
+        for n, d, factors in terms:
+            part = [(one, n * (den // d))]
+            for ip in factors[:-1]:
+                prod: Dict[Monomial, int] = {}
+                _accumulate(prod, part, ip)
+                part = list(prod.items())
+            _accumulate(acc, part, factors[-1])
+        return Poly._raw(target, _over(acc, den))
 
     def convert(self, target: VarTable, rename: Optional[Mapping[str, str]] = None) -> "Poly":
         """Re-express over another table, matching variables by name.

@@ -3,9 +3,13 @@
 The residue Res[g dv / (f1, f2, f3)] with the f_j the partial
 derivatives of a quasi-homogeneous potential W is computed through the
 transformation law: find a cofactor matrix H with H.(f1,f2,f3) =
-(v1^N1, v2^N2, v3^N3), then read off the coefficient of
-v1^(N1-1) v2^(N2-1) v3^(N3-1) in g*det(H).  Any valid H gives the same
-answer; the test suite exercises that with independently built lifts.
+(v1^N1, v2^N2, v3^N3); the residue is the coefficient of
+v1^(N1-1) v2^(N2-1) v3^(N3-1) in g*det(H).  That product is never
+formed: g is grouped once by its exponents in the v_i, and each term
+c*m of det(H) (one to four terms on the shipped potentials) picks the
+group at v^(N-1)/m, so the residue is one `Poly.dot` of those groups
+with the coefficients c.  Any valid H gives the same answer; the test
+suite exercises that with independently built lifts.
 
 Both entry points take W itself.  Its weights come from
 `grading.weights_from_potential`, and they bound the search for each
@@ -198,20 +202,24 @@ def cofactor_lift(
 def grothendieck_residue(
     g: Poly, w: Poly, names: Sequence[str], lift: Optional[CofactorLift] = None
 ) -> Poly:
-    """Res[g dv/(f1,f2,f3)], the f_j the partials of `w`: coefficient of
-    v^(N-1) in g*det(H)."""
+    """Res[g dv/(f1,f2,f3)], the f_j the partials of `w`: the coefficient
+    of v^(N-1) in g*det(H), read off without forming the product."""
     if lift is None:
         lift = cofactor_lift(w, names)
     vt = g.vt
     det = lift.determinant()
     if det.vt != vt:
         det = det.convert(vt, None)
-    total = g * det
     key = [0] * len(vt)
     for name, n in zip(lift.vars, lift.exponents):
         key[vt.index(name)] = n - 1
-    groups = total.coefficients_wrt(names)
-    return groups.get(tuple(key), Poly.zero(vt))
+    groups = g.coefficients_wrt(names)
+    pairs = []
+    for m, c in det.coefficients_wrt(names).items():
+        shifted = tuple(k - e for k, e in zip(key, m))
+        if shifted in groups:
+            pairs.append((groups[shifted], c))
+    return Poly.dot(vt, pairs)
 
 
 def qdim_supertrace(m: MatrixFactorization, v_in: Poly, w_out: Poly) -> Poly:

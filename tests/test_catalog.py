@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import pickle
 from pathlib import Path
 
 import pytest
@@ -202,14 +203,20 @@ def test_correction_location_must_exist(tmp_path):
         load_entry(_write(tmp_path, data))
 
 
-def _e14_with(tmp_path, edit):
-    """A copy of the shipped E14 entry with `edit` applied to its first
-    family; the packaged potentials table serves it."""
+def _e14_edited(tmp_path, edit):
+    """A copy of the shipped E14 entry with `edit` applied to its data;
+    the packaged potentials table serves it."""
     data = json.loads((default_catalog_dir() / "E14.json").read_text())
-    edit(data["families"][0])
+    edit(data)
     target = tmp_path / "E14.json"
     target.write_text(json.dumps(data))
     return target
+
+
+def _e14_with(tmp_path, edit):
+    """A copy of the shipped E14 entry with `edit` applied to its first
+    family."""
+    return _e14_edited(tmp_path, lambda data: edit(data["families"][0]))
 
 
 def test_family_bindings_must_parse(tmp_path):
@@ -240,6 +247,41 @@ def test_bad_family_field_exits_2_from_verify(tmp_path, capsys):
     _e14_with(tmp_path, lambda fam: fam["free_defaults"].update(a1="one half"))
     assert main(["verify", "--all", "--catalog", str(tmp_path)]) == 2
     assert "bad catalog" in capsys.readouterr().err
+
+
+def _exits_2_naming(tmp_path, capsys, what):
+    from orbimf.cli import main
+
+    assert main(["verify", "--all", "--catalog", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "bad catalog" in err and f"{what} does not parse" in err
+
+
+def test_unparsable_minimal_polynomial_exits_2(tmp_path, capsys):
+    _e14_with(tmp_path, lambda fam: fam.update(generators=[["c", "c^^4 - 2"]]))
+    _exits_2_naming(tmp_path, capsys, "minimal polynomial of c")
+
+
+def test_unparsable_paper_constraint_exits_2(tmp_path, capsys):
+    _e14_edited(tmp_path, lambda data: data.update(paper_constraints=["c^^8 + 4"]))
+    _exits_2_naming(tmp_path, capsys, "constraint 'c^^8 + 4'")
+
+
+def test_unparsable_paper_qdim_exits_2(tmp_path, capsys):
+    _e14_edited(tmp_path, lambda data: data.update(paper_qdim_right="-c^^7/2"))
+    _exits_2_naming(tmp_path, capsys, "paper qdim_right")
+
+
+def test_loaded_entry_survives_pickle(catalog):
+    # a process pool receives each entry pickled, parsed views included
+    for entry in catalog.values():
+        back = pickle.loads(pickle.dumps(entry))
+        assert back == entry and back.vt == entry.vt
+        assert back.six() == entry.six()
+        assert back.paper_constraints() == entry.paper_constraints()
+        assert [back.paper_qdim(s) for s in ("left", "right")] == [
+            entry.paper_qdim(s) for s in ("left", "right")
+        ]
 
 
 def test_shipped_corrections_present(catalog):

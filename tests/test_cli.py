@@ -159,7 +159,7 @@ def test_verify_jobs_submits_longest_entries_first(capsys, tmp_path, monkeypatch
             return False
 
         def map(self, fn, work):
-            submitted.extend(w[1] for w in work)
+            submitted.extend(w[0].id for w in work)
             return map(fn, work)
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 import random
 from fractions import Fraction
 from math import gcd
@@ -293,3 +294,65 @@ def test_weighted_degrees():
     w = {"x": Fraction(1, 4), "y": Fraction(2, 3), "z": Fraction(1)}
     assert P("x^4*z + y^3 + z^2").weighted_degrees(w) == {Fraction(2)}
     assert len(P("x + z").weighted_degrees(w)) == 2
+
+
+# -- properties over the whole table: printing, ring axioms, substitution --
+
+_WIDE_MONOS = st.tuples(*[st.integers(0, 3)] * 6)
+_WIDE_POLYS = st.dictionaries(_WIDE_MONOS, _COEFFS, max_size=6).map(lambda t: Poly(VT, t))
+
+
+@settings(deadline=None)
+@given(_WIDE_POLYS)
+@example(Poly(VT))
+@example(P("-1/2*x^3*w + 7/3"))
+def test_parse_inverts_format(p):
+    assert parse_poly(format_poly(p), VT) == p
+
+
+@settings(deadline=None)
+@given(_WIDE_POLYS, _WIDE_POLYS, _WIDE_POLYS)
+@example(P("2/3*x"), P("y + 1"), P("-1/4"))  # one-term factors
+def test_ring_axioms(a, b, c):
+    zero, one = Poly.zero(VT), Poly.const(VT, 1)
+    assert a + b == b + a and a * b == b * a
+    assert (a + b) + c == a + (b + c) and (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a + zero == a and a * one == a and (a * zero).is_zero()
+    assert (a - b) + b == a and (a + (-a)).is_zero()
+    for p in (a * b, (a * b) * c, a - b):
+        _assert_canonical(p)
+
+
+def _reference_substitute(p: Poly, bindings) -> dict:
+    """sum over the terms c*m of c * prod(image^e), one Fraction product
+    per pair of terms; unbound variables map to themselves."""
+    out = {}
+    for mono, c in p.terms():
+        part = {(0,) * len(VT): c}
+        for name, e in zip(VT.names, mono):
+            image = bindings.get(name, Poly.var(VT, name))
+            for _ in range(e):
+                part = _reference_product([(Poly(VT, part), image)])
+        for m, d in part.items():
+            out[m] = out.get(m, Fraction(0)) + d
+    return {m: c for m, c in out.items() if c}
+
+
+@settings(deadline=None)
+@given(_POLYS, st.dictionaries(st.sampled_from(("x", "y", "z")), _POLYS, max_size=3))
+@example(P("x^2*y/3 - z"), {"x": P("1/2"), "y": P("y/3 - 2/5")})
+@example(P("x*y + 1/7"), {"x": P("-y"), "y": P("x")})  # a swap, simultaneous
+@example(P("x^3 - 3*y"), {"x": P("0")})
+def test_substitute_matches_term_by_term_reference(p, bindings):
+    got = p.substitute(bindings)
+    assert dict(got.terms()) == _reference_substitute(p, bindings)
+    _assert_canonical(got)
+
+
+@settings(deadline=None)
+@given(_WIDE_POLYS)
+def test_pickle_round_trip(p):
+    back = pickle.loads(pickle.dumps(p))
+    assert back == p and back.vt == p.vt
+    assert dict(back.terms()) == dict(p.terms())

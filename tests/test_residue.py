@@ -9,6 +9,7 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orbimf.catalog import load_catalog
 from orbimf.matfac import build_8x8
@@ -196,3 +197,56 @@ def test_shared_supertrace_matches_full_product_and_separate_sides(shipped_work)
         pair = shipped_work(entry.id).qdims
         assert pair["left"] == qdim_left(m, v_in, w_out), entry.id
         assert pair["right"] == qdim_right(m, v_in, w_out), entry.id
+
+
+# -- the one-coefficient residue against the whole product g*det(H) --
+
+_RES_VT = VarTable(("x", "y", "z", "a", "b"), ring_vars=("x", "y", "z"), param_vars=("a", "b"))
+_POTENTIALS = json.loads(resources.files("orbimf").joinpath("data/potentials.json").read_text())
+_LIFTS = {}
+
+
+def _lift(key: str, raised: bool):
+    """The searched lift of a shipped potential, or one with every power
+    raised by one, whose determinant has more terms."""
+    if (key, raised) not in _LIFTS:
+        w = parse_poly(_POTENTIALS[key]["poly"], _RES_VT)
+        lift = cofactor_lift(w, ("x", "y", "z"))
+        if raised:
+            lift = cofactor_lift(w, ("x", "y", "z"), exponents=tuple(n + 1 for n in lift.exponents))
+        _LIFTS[key, raised] = (w, lift)
+    return _LIFTS[key, raised]
+
+
+def _residue_by_full_product(g: Poly, lift) -> Poly:
+    """The coefficient of v^(N-1) in the whole product g*det(H)."""
+    key = tuple(n - 1 for n in lift.exponents) + (0, 0)
+    groups = (g * lift.determinant()).coefficients_wrt(("x", "y", "z"))
+    return groups.get(key, Poly.zero(_RES_VT))
+
+
+_RES_COEFFS = st.fractions(min_value=-9, max_value=9, max_denominator=7).filter(bool)
+
+
+@st.composite
+def _residue_cases(draw):
+    """A lift and a g whose terms in the v_i lie at v^(N-1)/m for terms m
+    of det(H) or stay near it, so that most draws have a nonzero residue
+    that several terms of det(H) contribute to."""
+    w, lift = _lift(draw(st.sampled_from(sorted(_POTENTIALS))), draw(st.booleans()))
+    near = [tuple(n - 1 - e for n, e in zip(lift.exponents, m)) for m in lift.determinant().monomials()]
+    ring = st.one_of(
+        st.sampled_from([m for m in near if min(m) >= 0]),
+        st.tuples(*[st.integers(0, n) for n in lift.exponents]),
+    )
+    monos = st.tuples(ring, st.integers(0, 2), st.integers(0, 2)).map(lambda t: t[0] + t[1:])
+    return Poly(_RES_VT, draw(st.dictionaries(monos, _RES_COEFFS, max_size=12))), w, lift
+
+
+@settings(deadline=None, max_examples=60)
+@given(_residue_cases())
+def test_residue_matches_coefficient_of_the_full_product(case):
+    g, w, lift = case
+    got = grothendieck_residue(g, w, ("x", "y", "z"), lift=lift)
+    assert got == _residue_by_full_product(g, lift)
+    assert not set(got.support_vars()) & {"x", "y", "z"}
