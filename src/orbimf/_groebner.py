@@ -346,10 +346,6 @@ def interreduce(basis: Sequence[Poly]) -> List[Poly]:
     return out
 
 
-def is_member(p: Poly, basis: Sequence[Poly]) -> bool:
-    return normal_form(p, basis).is_zero()
-
-
 # ---------------------------------------------------------------------
 # resultants
 

@@ -104,7 +104,7 @@ def verify_entry(
     Every stage reads its facts from one `EntryWork`, which computes each
     once: one factorization, one derived constraint set with its sign,
     one Groebner basis and reducer per distinct generator set, and both
-    quantum dimensions from one sixfold derivative product."""
+    quantum dimensions from one supertrace."""
     report: dict = {"entry": entry.id, "stages": {}, "ok": True}
     work = con.EntryWork(entry, spair_cap)
     started = time.perf_counter()

@@ -372,11 +372,6 @@ class QdimMatch:
     def matched(self) -> bool:
         return self.status not in ("unmatched", "vacuous")
 
-    def passes(self, allow_unit: bool = False) -> bool:
-        if self.status in ("exact", "exact_mod_ideal"):
-            return True
-        return allow_unit and self.status == "unit_multiple"
-
 
 @dataclass(frozen=True)
 class QdimComparison:
@@ -516,11 +511,6 @@ def _squarefree_part(p: Poly, name: str) -> Poly:
     q, r = _dense_divmod(coeffs, g)
     assert not r
     return _from_dense(q, name, p.vt)
-
-
-def uni_divides(d: Poly, p: Poly, name: str) -> bool:
-    """Does the univariate d divide the univariate p exactly?"""
-    return not _dense_divmod(p.univariate_coeffs(name), d.univariate_coeffs(name))[1]
 
 
 def _project_onto(

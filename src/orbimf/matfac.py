@@ -44,9 +44,6 @@ class MatrixFactorization:
     def entry(self, name: str) -> Poly:
         return self.six[ENTRY_NAMES.index(name)]
 
-    def nonzero_cells(self) -> int:
-        return sum(1 for row in self.matrix for p in row if not p.is_zero())
-
 
 def build_8x8(six: Sequence[Poly]) -> MatrixFactorization:
     if len(six) != 6:

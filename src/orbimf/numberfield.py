@@ -240,13 +240,14 @@ class ComplexBox:
 
 
 def _sqrt_upper(q: Fraction) -> Fraction:
-    """Rational upper bound for sqrt(q), q >= 0."""
+    """Upper bound m / 2^k for sqrt(q), q >= 0, with m below 2^64: a
+    larger radius still encloses the root, and its endpoints stay short."""
     if q < 0:
         raise NumberFieldError("negative radicand")
     if q == 0:
         return Fraction(0)
-    n, d = q.numerator, q.denominator
-    return Fraction(math.isqrt(n * d) + 1, d)
+    k = (126 - q.numerator.bit_length() + q.denominator.bit_length()) // 2
+    return (math.isqrt(math.ceil(q * Fraction(4) ** k)) + 1) / Fraction(2) ** k
 
 
 def _eval_rational_complex(coeffs: Sequence[Fraction], re: Fraction, im: Fraction) -> Tuple[Fraction, Fraction]:
@@ -262,7 +263,8 @@ def certified_root_box(mp: Poly, name: str, approx: Tuple[str, str], precision_b
 
     The approximation is refined by Newton iteration at the requested
     working precision; the returned radius is certified from the exact
-    rational values m(z0), m'(z0) via  n*|m(z0)|/|m'(z0)|.
+    rational values m(z0), m'(z0) via  n*|m(z0)|/|m'(z0)|, rounded up to
+    64 significant bits over a power of two.
     """
     # imported on first use: a run that certifies no interval never loads it
     import mpmath

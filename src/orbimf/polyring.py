@@ -159,9 +159,6 @@ class Poly:
     def monomials(self) -> Iterator[Monomial]:
         return iter(self._terms)
 
-    def num_terms(self) -> int:
-        return len(self._terms)
-
     def is_zero(self) -> bool:
         return not self._terms
 
@@ -207,14 +204,6 @@ class Poly:
         if not self._terms:
             raise PolyError("zero polynomial has no leading monomial")
         return max(self._terms, key=degrevlex_key)
-
-    def weighted_degrees(self, weights: Mapping[str, Fraction]) -> set:
-        """Set of weighted degrees of the terms (weight 0 for absent names)."""
-        idx_w = [Fraction(weights.get(n, 0)) for n in self.vt.names]
-        out = set()
-        for m in self._terms:
-            out.add(sum(w * e for w, e in zip(idx_w, m) if e))
-        return out
 
     # -- arithmetic ---------------------------------------------------
 
@@ -552,6 +541,10 @@ class _Tokenizer:
 
 
 class _Parser:
+    """Recursive descent.  A term of numbers and identifiers is kept as
+    (coefficient, exponent list); a Poly is built only for a
+    parenthesized factor, and `_expr` sums its terms into one dict."""
+
     def __init__(self, text: str, vt: VarTable):
         self.toks = _Tokenizer(text)
         self.vt = vt
@@ -563,54 +556,68 @@ class _Parser:
         return p
 
     def _expr(self) -> Poly:
-        acc = self._term()
-        while self.toks.kind in ("+", "-"):
-            op, _, _ = self.toks.take()
-            rhs = self._term()
-            acc = acc + rhs if op == "+" else acc - rhs
-        return acc
+        acc: Terms = {}
+        negate = False
+        while True:
+            t = self._term()
+            for m, c in t.terms() if isinstance(t, Poly) else ((tuple(t[1]), t[0]),):
+                acc[m] = acc.get(m, _ZERO) - c if negate else acc.get(m, _ZERO) + c
+            if self.toks.kind not in ("+", "-"):
+                return Poly._raw(self.vt, {m: c for m, c in acc.items() if c})
+            negate = self.toks.take()[0] == "-"
 
-    def _term(self) -> Poly:
-        acc = self._factor()
-        while self.toks.kind == "*":
+    def _term(self):
+        coeff, exps, poly = _ONE, [0] * len(self.vt), None
+        while True:
+            f = self._factor()
+            if isinstance(f, Poly):
+                poly = f if poly is None else poly * f
+            else:
+                if f[0] is not _ONE:  # an identifier's shared coefficient
+                    coeff *= f[0]
+                exps = list(map(add, exps, f[1]))
+            if self.toks.kind != "*":
+                break
             self.toks.take()
-            acc = acc * self._factor()
-        return acc
+        return (coeff, exps) if poly is None else poly * Poly(self.vt, {tuple(exps): coeff})
 
-    def _factor(self) -> Poly:
+    def _factor(self):
         if self.toks.kind == "-":
             self.toks.take()
-            return -self._factor()
-        p = self._base()
+            f = self._factor()
+            return -f if isinstance(f, Poly) else (-f[0], f[1])
+        f = self._base()
         if self.toks.kind == "^":
             self.toks.take()
             kind, value, pos = self.toks.take()
             if kind != "int":
                 raise ParseError("exponent must be a natural number", pos)
-            p = p ** int(value)
+            n = int(value)
+            f = f ** n if isinstance(f, Poly) else (f[0] ** n, [e * n for e in f[1]])
         if self.toks.kind == "/":
             self.toks.take()
-            negate = False
-            if self.toks.kind == "-":
+            negate = self.toks.kind == "-"
+            if negate:
                 self.toks.take()
-                negate = True
             kind, value, pos = self.toks.take()
             if kind != "int":
                 raise ParseError("divisor must be an integer literal", pos)
-            d = int(value)
+            d = -int(value) if negate else int(value)
             if d == 0:
                 raise ParseError("division by zero", pos)
-            p = p / (-d if negate else d)
-        return p
+            f = f / d if isinstance(f, Poly) else (f[0] / d, f[1])
+        return f
 
-    def _base(self) -> Poly:
+    def _base(self):
         kind, value, pos = self.toks.take()
+        exps = [0] * len(self.vt)
         if kind == "int":
-            return Poly.const(self.vt, int(value))
+            return Fraction(int(value)), exps
         if kind == "ident":
             if value not in self.vt:
                 raise ParseError(f"undeclared identifier {value!r}", pos)
-            return Poly.var(self.vt, value)
+            exps[self.vt.index(value)] = 1
+            return _ONE, exps
         if kind == "(":
             p = self._expr()
             k, _, pos2 = self.toks.take()

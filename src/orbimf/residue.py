@@ -21,14 +21,13 @@ then means W has no isolated singularity.
 Quantum dimensions take the supertrace of the sixfold product of
 entry-wise partial derivatives of the twisted differential, sources
 first and then targets, each triple in its declared catalog order (the
-product is order-sensitive and the order is part of the data).  The
-sources' and the targets' threefold products are formed once each, and
-of their product only the diagonal, the cells the supertrace reads.
-With three variables a side, the global sign prefactor is +1.  The left
+product is order-sensitive and the order is part of the data).  With
+three variables a side, the global sign prefactor is +1.  The left
 dimension integrates the target variables out against the target
 potential's partials; the right one the source variables against the
 source potential's.  Both results must be free of ring variables.  Both
-sides read the same supertrace, so `qdim_pair` forms the product once
+sides read the same supertrace, so `qdim_pair` forms it once, as the
+6x6 Jacobian determinant of the generators (`derivative_supertrace`),
 and integrates it twice.
 """
 
@@ -37,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import product as iter_product
+from itertools import combinations, product as iter_product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ._linalg import solve_dense
@@ -46,6 +45,8 @@ from .matfac import Matrix8, MatrixFactorization, matmul
 from .polyring import Poly, VarTable
 
 _ZERO = Fraction(0)
+# row triples of a 6x6 matrix; the (-1-i)-th is the complement of the i-th
+_TRIPLES = tuple(combinations(range(6), 3))
 
 
 class ResidueError(ValueError):
@@ -73,16 +74,39 @@ def derivative_matrix_product(m: MatrixFactorization, order: Sequence[str]) -> M
 
 
 def derivative_supertrace(m: MatrixFactorization, order: Sequence[str]) -> Poly:
-    """supertrace(derivative_matrix_product(m, order)): the products of
-    the two halves of `order`, then only the diagonal of theirs."""
-    half = len(order) // 2
-    head = derivative_matrix_product(m, order[:half])
-    tail = derivative_matrix_product(m, order[half:])
+    """supertrace(derivative_matrix_product(m, order)) for six variables:
+    det J, with J[k][j] the partial of the k-th generator along order[j].
 
-    def diagonal(rows: range) -> Poly:
-        return Poly.dot(m.vt, ((head[i][k], tail[k][i]) for i in rows for k in range(8)))
+    Proof.  `build_8x8` is linear, so M = sum_k d_k G_k with G_k the
+    matrix of the k-th unit vector, and each factor is sum_k J[k][j] G_k.
+    The J[k][j] commute, so str of the product is the sum over k1..k6 of
+    J[k1][1]...J[k6][6] str(G_k1...G_k6).  By M(x)^2 = Q(x) Id the G_k
+    satisfy the Clifford relations of the nondegenerate form Q on Q^6 and
+    act on its 8-dimensional spinor module, where str vanishes on
+    products of fewer than six generators (Berline-Getzler-Vergne,
+    Prop. 3.21).  So str(G_k1...G_k6) is alternating in k, and it is
+    eps(k) since str(G_1...G_6) = 1; the sum is Leibniz's formula for
+    det J.  (The tests check str(G_k1...G_k6) = eps(k) on all 6^6 k.)
 
-    return diagonal(range(4)) - diagonal(range(4, 8))
+    Laplace expansion along the column halves: det J is the sum over row
+    triples S (0-based) of (-1)^(sum S + 1) J[S; 0-2] J[rows not in S; 3-5].
+    """
+    vt = m.vt
+    jac = [[d.partial(v) for v in order] for d in m.six]
+    neg = [[-p for p in row] for row in jac]
+
+    def minors(a: int, b: int, c: int) -> List[Poly]:  # on columns a, b, c
+        two = {
+            (r, s): Poly.dot(vt, ((jac[r][a], jac[s][b]), (neg[r][b], jac[s][a])))
+            for r, s in combinations(range(6), 2)
+        }
+        return [
+            Poly.dot(vt, ((jac[r][c], two[s, t]), (neg[s][c], two[r, t]), (jac[t][c], two[r, s])))
+            for r, s, t in _TRIPLES
+        ]
+
+    pairs = zip(_TRIPLES, minors(0, 1, 2), reversed(minors(3, 4, 5)))
+    return Poly.dot(vt, ((h if sum(rows) % 2 else -h, t) for rows, h, t in pairs))
 
 
 @dataclass(frozen=True)
@@ -92,12 +116,9 @@ class CofactorLift:
     matrix: Tuple[Tuple[Poly, ...], ...]  # rows h_i with sum_j h_ij f_j = v_i^N_i
 
     def determinant(self) -> Poly:
-        h = self.matrix
-        return (
-            h[0][0] * (h[1][1] * h[2][2] - h[1][2] * h[2][1])
-            - h[0][1] * (h[1][0] * h[2][2] - h[1][2] * h[2][0])
-            + h[0][2] * (h[1][0] * h[2][1] - h[1][1] * h[2][0])
-        )
+        h = self.matrix  # cofactor expansion along the first row
+        minors = (h[1][j] * h[2][k] - h[1][k] * h[2][j] for j, k in ((1, 2), (2, 0), (0, 1)))
+        return Poly.dot(h[0][0].vt, zip(h[0], minors))
 
 
 def _monomials_of_weight(

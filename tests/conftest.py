@@ -7,7 +7,21 @@ import sys
 import pytest
 
 from orbimf.catalog import load_catalog
-from orbimf.constraints import EntryWork
+from orbimf.constraints import EntryWork, QdimMatch, _dense_divmod
+from orbimf.polyring import Poly
+
+
+def uni_divides(d: Poly, p: Poly, name: str) -> bool:
+    """Does the univariate d divide the univariate p exactly?"""
+    return not _dense_divmod(p.univariate_coeffs(name), d.univariate_coeffs(name))[1]
+
+
+def qdim_passes(match: QdimMatch, allow_unit: bool = False) -> bool:
+    """The printed quantum dimension is reproduced: exactly, modulo the
+    ideal, or, when allowed, up to a unit."""
+    if match.status in ("exact", "exact_mod_ideal"):
+        return True
+    return allow_unit and match.status == "unit_multiple"
 
 
 @pytest.fixture(scope="session")

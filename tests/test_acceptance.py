@@ -34,6 +34,8 @@ from orbimf.numberfield import QuotientSpec, element
 from orbimf.polyring import Poly, VarTable, format_poly, parse_poly
 from orbimf.residue import cofactor_lift, grothendieck_residue
 
+from conftest import qdim_passes, uni_divides
+
 ENTRY_IDS = (
     "E14v1_E14v2",
     "Q12v1_Q12v2",
@@ -124,7 +126,7 @@ def test_criterion_3_printed_qdim_formulas(catalog):
         cq = con.compare_qdims(con.EntryWork(entry))
         elapsed = time.perf_counter() - t0
         for side, match in (("left", cq.left), ("right", cq.right)):
-            if match.passes(allow_unit=eid in allow_unit):
+            if qdim_passes(match, allow_unit=eid in allow_unit):
                 if match.status == "unit_multiple":
                     notes.append(f"{eid} {side}: unit {match.scalar} against computed {match.matched_side}")
                 continue
@@ -338,7 +340,7 @@ def test_criterion_9_oracle_rediscovers_relations(catalog, monkeypatch):
     else:
         cand = rep.candidates[0].minimal_poly
         target = parse_poly("4*d^8 + 1", cand.vt)
-        if not con.uni_divides(target, cand, "d"):
+        if not uni_divides(target, cand, "d"):
             issues.append("W13: reduced relation 4*d^8 + 1 is not a factor")
 
     rep = con.bruteforce_family_oracle(catalog["U12v2_U12v3"], {"a2": 0}, keep="b1")

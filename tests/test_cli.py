@@ -300,12 +300,15 @@ def test_verify_entry_computes_each_fact_once(count_calls, entry_id):
     products = count_calls(residue, "derivative_supertrace")
     parses = count_calls(EquivalenceEntry, "six")
     squares = count_calls(matfac, "square")
+    matmuls = count_calls(matfac, "matmul")
     specs = count_calls(numberfield, "QuotientSpec")
     entry = load_catalog()[entry_id]
     verify_entry(entry)
     assert len(parses) == 1
-    # the square is square_scalar times the identity; no stage forms it
+    # the square is square_scalar times the identity, and the supertrace
+    # a Jacobian determinant; no stage forms an 8x8 product
     assert not squares
+    assert not matmuls
     sets = [frozenset(args[0]) for args in bases]
     # W12's printed set differs from the derived one (eliminating a2 from
     # the derived set gives the printed set again); every other entry

@@ -9,12 +9,14 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from orbimf.catalog import load_catalog
 from orbimf.numberfield import (
     ComplexBox,
     NumberFieldError,
     PrecisionExceeded,
     QuotientSpec,
     ZeroDivisorError,
+    certified_root_box,
     certify_value,
     element,
     embed_complex,
@@ -316,3 +318,61 @@ def test_certify_requires_roots_for_nonfield():
     spec = QuotientSpec(vt, ("t",), (parse_poly("t^2 - 2", vt),))
     with pytest.raises(NumberFieldError):
         certify_value(element("t", spec), None)
+
+
+# -- certified root boxes: sound radius, short endpoints ----------------
+
+
+def _catalog_minimal_polys():
+    seen = {}
+    for entry in load_catalog().values():
+        for family in entry.families:
+            for name, text in family.generators:
+                seen.setdefault(text.replace(name, "t"), None)
+    seen.setdefault("t^8 + 4", None)
+    return sorted(seen)
+
+
+def _complex_horner(coeffs, re, im):
+    acc_re, acc_im = Fraction(0), Fraction(0)
+    for c in reversed(coeffs):
+        acc_re, acc_im = acc_re * re - acc_im * im + c, acc_re * im + acc_im * re
+    return acc_re, acc_im
+
+
+def _short(q: Fraction) -> bool:
+    """q is m / 2^k or m * 2^k with m of at most 64 bits."""
+    m = q.numerator
+    while m and not m % 2:
+        m //= 2
+    d = q.denominator
+    return m.bit_length() <= 64 and d & (d - 1) == 0
+
+
+@pytest.mark.parametrize("text", _catalog_minimal_polys())
+def test_root_box_radius_is_sound_short_and_encloses_a_root(text):
+    sympy = pytest.importorskip("sympy")
+    vt = VarTable(("t",), param_vars=("t",))
+    mp = parse_poly(text, vt)
+    coeffs = mp.univariate_coeffs("t")
+    n = len(coeffs) - 1
+    deriv = [c * k for k, c in enumerate(coeffs)][1:]
+    # 200 digits resolve a box at 512 bits of working precision
+    roots = sympy.Poly(text, sympy.Symbol("t")).nroots(n=200, maxsteps=200)
+    reference = [(Fraction(str(sympy.re(r))), Fraction(str(sympy.im(r)))) for r in roots]
+    for root in roots:
+        approx = (str(sympy.re(root).evalf(18)), str(sympy.im(root).evalf(18)))
+        for bits in (128, 512):
+            box = certified_root_box(mp, "t", approx, bits)
+            re, im = box.midpoint()
+            radius = (box.re_hi - box.re_lo) / 2
+            assert radius == (box.im_hi - box.im_lo) / 2
+            # radius >= n*|m(z0)|/|m'(z0)|, compared squared
+            f_re, f_im = _complex_horner(coeffs, re, im)
+            d_re, d_im = _complex_horner(deriv, re, im)
+            assert radius * radius * (d_re**2 + d_im**2) >= n * n * (f_re**2 + f_im**2), text
+            assert _short(radius), (text, radius)
+            assert any(
+                box.re_lo <= r_re <= box.re_hi and box.im_lo <= r_im <= box.im_hi
+                for r_re, r_im in reference
+            ), (text, approx, bits)

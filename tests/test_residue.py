@@ -186,8 +186,8 @@ def test_qdim_results_live_in_parameters_only(shipped_work):
 
 
 def test_shared_supertrace_matches_full_product_and_separate_sides(shipped_work):
-    # the diagonal-only last factor against the whole sixfold product, and
-    # the one-product pair against one product per side
+    # the Jacobian determinant against the whole sixfold 8x8 product, and
+    # the one-supertrace pair against one supertrace per side
     for entry in load_catalog().values():
         m = build_8x8(entry.six())
         v_in, w_out = entry.potential_in(), entry.potential_out()
@@ -197,6 +197,50 @@ def test_shared_supertrace_matches_full_product_and_separate_sides(shipped_work)
         pair = shipped_work(entry.id).qdims
         assert pair["left"] == qdim_left(m, v_in, w_out), entry.id
         assert pair["right"] == qdim_right(m, v_in, w_out), entry.id
+
+
+# -- the Clifford supertrace identity behind derivative_supertrace ------
+
+
+def _gamma_maps():
+    """Each G_k = build_8x8 of the k-th unit vector as a signed partial
+    permutation: per row, its one nonzero cell (column, sign) or None."""
+    vt = VarTable(("t",))
+    maps = []
+    for k in range(6):
+        rows = build_8x8([Poly.const(vt, int(i == k)) for i in range(6)]).matrix
+        cells = [[(j, p.constant_value()) for j, p in enumerate(row) if not p.is_zero()] for row in rows]
+        assert all(len(c) <= 1 and all(abs(s) == 1 for _, s in c) for c in cells)
+        maps.append([c[0] if c else None for c in cells])
+    return maps
+
+
+def _levi_civita(k):
+    if len(set(k)) < len(k):
+        return 0
+    inversions = sum(1 for i in range(len(k)) for j in range(i + 1, len(k)) if k[i] > k[j])
+    return -1 if inversions % 2 else 1
+
+
+def test_clifford_supertrace_is_levi_civita():
+    # str(G_k1 ... G_k6) = eps(k1..k6) on all 6^6 index tuples: the
+    # identity that makes the supertrace a 6x6 Jacobian determinant
+    maps = _gamma_maps()
+    found = {}
+
+    def extend(prefix, state):  # state[i]: where row i of the product so far sits
+        if len(prefix) == 6:
+            found[prefix] = sum(
+                (s if i < 4 else -s) for i, cell in enumerate(state) if cell for j, s in [cell] if j == i
+            )
+            return
+        for k, g in enumerate(maps):
+            step = [cell and g[cell[0]] for cell in state]
+            extend(prefix + (k,), [nxt and (nxt[0], cell[1] * nxt[1]) for cell, nxt in zip(state, step)])
+
+    extend((), [(i, 1) for i in range(8)])
+    assert len(found) == 6**6
+    assert all(value == _levi_civita(k) for k, value in found.items())
 
 
 # -- the one-coefficient residue against the whole product g*det(H) --
