@@ -89,8 +89,8 @@ class _Layout:
 
     def unpack(self, m: int) -> Monomial:
         out = [0] * self.size
-        for i, e in zip(self.slots, self.exponents(m)):
-            out[i] = e
+        for i, s in zip(self.slots, self.shifts):
+            out[i] = self.cap - ((m >> s) & self._mask)
         return tuple(out)
 
     def pack_terms(self, terms: Terms) -> Dict[int, Fraction]:

@@ -5,11 +5,11 @@ derivatives of a quasi-homogeneous potential W is computed through the
 transformation law: find a cofactor matrix H with H.(f1,f2,f3) =
 (v1^N1, v2^N2, v3^N3); the residue is the coefficient of
 v1^(N1-1) v2^(N2-1) v3^(N3-1) in g*det(H).  That product is never
-formed: g is grouped once by its exponents in the v_i, and each term
-c*m of det(H) (one to four terms on the shipped potentials) picks the
-group at v^(N-1)/m, so the residue is one `Poly.dot` of those groups
-with the coefficients c.  Any valid H gives the same answer; the test
-suite exercises that with independently built lifts.
+formed: det(H) has one to four terms c*m on the shipped potentials, and
+one pass over g keys each term by its exponents in the v_i; a term at
+v^(N-1)/m adds its remaining monomial times c.  Any valid H gives the
+same answer; the test suite exercises that with independently built
+lifts.
 
 Both entry points take W itself.  Its weights come from
 `grading.weights_from_potential`, and they bound the search for each
@@ -28,7 +28,11 @@ potential's partials; the right one the source variables against the
 source potential's.  Both results must be free of ring variables.  Both
 sides read the same supertrace, so `qdim_pair` forms it once, as the
 6x6 Jacobian determinant of the generators (`derivative_supertrace`),
-and integrates it twice.
+and integrates it twice.  The determinant runs on packed integer
+monomials over one common denominator: each row is scaled to integers,
+every term is packed once by a `_groebner._Layout` whose fields hold the
+sum of the rows' maximal total degrees (a bound on every minor's
+degree), and a monomial product is one int addition.
 """
 
 from __future__ import annotations
@@ -36,13 +40,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations, product as iter_product
+from itertools import combinations
+from math import lcm, prod
+from operator import add, itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ._groebner import _Layout, _support
 from ._linalg import solve_dense
 from .grading import GradingError, weights_from_potential
 from .matfac import Matrix8, MatrixFactorization, matmul
-from .polyring import Poly, VarTable
+from .polyring import Poly, _integer_terms, _over
 
 _ZERO = Fraction(0)
 # row triples of a 6x6 matrix; the (-1-i)-th is the complement of the i-th
@@ -55,12 +62,8 @@ class ResidueError(ValueError):
 
 def supertrace(matrix: Matrix8) -> Poly:
     """Trace over the even block (1..4) minus trace over the odd (5..8)."""
-    acc = matrix[0][0]
-    for i in range(1, 4):
-        acc = acc + matrix[i][i]
-    for i in range(4, 8):
-        acc = acc - matrix[i][i]
-    return acc
+    diagonal = [matrix[i][i] for i in range(8)]
+    return reduce(add, diagonal[:4]) - reduce(add, diagonal[4:])
 
 
 def _partial_matrix(m: MatrixFactorization, var: str) -> Matrix8:
@@ -89,24 +92,39 @@ def derivative_supertrace(m: MatrixFactorization, order: Sequence[str]) -> Poly:
     det J.  (The tests check str(G_k1...G_k6) = eps(k) on all 6^6 k.)
 
     Laplace expansion along the column halves: det J is the sum over row
-    triples S (0-based) of (-1)^(sum S + 1) J[S; 0-2] J[rows not in S; 3-5].
+    triples S (0-based) of (-1)^(sum S + 1) J[S; 0-2] J[rows not in S; 3-5],
+    on rows scaled by the lcm s_k of their denominators and terms packed
+    as offsets from the layout's unit; the result is over prod s_k.
     """
     vt = m.vt
     jac = [[d.partial(v) for v in order] for d in m.six]
-    neg = [[-p for p in row] for row in jac]
+    degree = sum(max(0, *(p.total_degree() for p in row)) for row in jac)
+    layout = _Layout(len(vt), _support([p for row in jac for p in row]), degree)
+    unit, ints = layout.one, [[_integer_terms(p._terms) for p in row] for row in jac]
+    scales = [lcm(*(d for d, _ in row)) for row in ints]
+    pj = [[[(layout.pack(e) - unit, c * (s // d)) for e, c in t] for d, t in row] for s, row in zip(scales, ints)]
 
-    def minors(a: int, b: int, c: int) -> List[Poly]:  # on columns a, b, c
-        two = {
-            (r, s): Poly.dot(vt, ((jac[r][a], jac[s][b]), (neg[r][b], jac[s][a])))
-            for r, s in combinations(range(6), 2)
-        }
+    def dot(*triples) -> List[Tuple[int, int]]:  # sum of sign * a * b
+        acc: Dict[int, int] = {}
+        get = acc.get
+        for a, b, sign in triples:
+            for m1, c1 in a:
+                c1 *= sign
+                for m2, c2 in b:
+                    k = m1 + m2
+                    acc[k] = get(k, 0) + c1 * c2
+        return [t for t in acc.items() if t[1]]
+
+    def minors(a: int, b: int, c: int) -> List[List[Tuple[int, int]]]:  # on columns a, b, c
+        two = {(r, s): dot((pj[r][a], pj[s][b], 1), (pj[r][b], pj[s][a], -1)) for r, s in combinations(range(6), 2)}
         return [
-            Poly.dot(vt, ((jac[r][c], two[s, t]), (neg[s][c], two[r, t]), (jac[t][c], two[r, s])))
+            dot((pj[r][c], two[s, t], 1), (pj[s][c], two[r, t], -1), (pj[t][c], two[r, s], 1))
             for r, s, t in _TRIPLES
         ]
 
     pairs = zip(_TRIPLES, minors(0, 1, 2), reversed(minors(3, 4, 5)))
-    return Poly.dot(vt, ((h if sum(rows) % 2 else -h, t) for rows, h, t in pairs))
+    det = dot(*((h, t, 1 if sum(rows) % 2 else -1) for rows, h, t in pairs))
+    return Poly._raw(vt, _over({layout.unpack(k + unit): n for k, n in det}, prod(scales)))
 
 
 @dataclass(frozen=True)
@@ -121,20 +139,17 @@ class CofactorLift:
         return Poly.dot(h[0][0].vt, zip(h[0], minors))
 
 
-def _monomials_of_weight(
-    weights: Sequence[Fraction], target: Fraction
-) -> List[Tuple[int, ...]]:
-    """Exponent triples e with sum(e_i * w_i) == target >= 0."""
-    ranges = (range(int(target / w) + 1) for w in weights)
-    return [e for e in iter_product(*ranges) if sum(w * k for w, k in zip(weights, e)) == target]
+def _monomials_of_weight(weights: Sequence[Fraction], target: Fraction) -> List[Tuple[int, ...]]:
+    """Exponent triples e with sum(e_i * w_i) == target >= 0, in lexicographic
+    order: e_1, e_2 enumerated and e_3 solved for, in integers over d."""
+    d = lcm(target.denominator, *(w.denominator for w in weights))
+    t, (w1, w2, w3) = int(target * d), (int(w * d) for w in weights)
+    firsts = ((a, b) for a in range(t // w1 + 1) for b in range((t - a * w1) // w2 + 1))
+    return [(a, b, r // w3) for a, b in firsts if (r := t - a * w1 - b * w2) % w3 == 0]
 
 
 def _solve_power_certificate(
-    f: Sequence[Poly],
-    names: Sequence[str],
-    weights: Sequence[Fraction],
-    var_index: int,
-    exponent: int,
+    f: Sequence[Poly], names: Sequence[str], weights: Sequence[Fraction], var_index: int, exponent: int
 ) -> Optional[List[Poly]]:
     """Row h with sum_j h_j f_j = v^exponent, homogeneous ansatz, or None."""
     vt = f[0].vt
@@ -143,10 +158,8 @@ def _solve_power_certificate(
     ansatz: List[Tuple[int, Tuple[int, ...]]] = []  # (which f, exponents on names)
     for j in range(3):
         dj = target - (2 - weights[j])
-        if dj < 0:
-            continue
-        monos = _monomials_of_weight(weights, dj)
-        ansatz.extend((j, m) for m in monos)
+        if dj >= 0:
+            ansatz.extend((j, m) for m in _monomials_of_weight(weights, dj))
     if not ansatz:
         return None
     # One equation per monomial of sum_j h_j f_j, matching v^exponent.
@@ -172,10 +185,6 @@ def _solve_power_certificate(
     sol = solve_dense(rows, rhs)
     if sol is None:
         return None
-    return _assemble_row(vt, idx, ansatz, sol)
-
-
-def _assemble_row(vt: VarTable, idx, ansatz, sol) -> List[Poly]:
     buckets: List[Dict[tuple, Fraction]] = [{}, {}, {}]
     for (j, m), c in zip(ansatz, sol):  # the (j, m) are distinct
         if c:
@@ -224,58 +233,50 @@ def grothendieck_residue(
     g: Poly, w: Poly, names: Sequence[str], lift: Optional[CofactorLift] = None
 ) -> Poly:
     """Res[g dv/(f1,f2,f3)], the f_j the partials of `w`: the coefficient
-    of v^(N-1) in g*det(H), read off without forming the product."""
+    of v^(N-1) in g*det(H), read off in one pass over g's terms."""
     if lift is None:
         lift = cofactor_lift(w, names)
     vt = g.vt
     det = lift.determinant()
     if det.vt != vt:
         det = det.convert(vt, None)
-    key = [0] * len(vt)
-    for name, n in zip(lift.vars, lift.exponents):
-        key[vt.index(name)] = n - 1
-    groups = g.coefficients_wrt(names)
-    pairs = []
-    for m, c in det.coefficients_wrt(names).items():
-        shifted = tuple(k - e for k, e in zip(key, m))
-        if shifted in groups:
-            pairs.append((groups[shifted], c))
-    return Poly.dot(vt, pairs)
-
-
-def qdim_supertrace(m: MatrixFactorization, v_in: Poly, w_out: Poly) -> Poly:
-    """The supertrace both quantum dimensions integrate: sources first,
-    then targets, in declared order."""
-    sources = v_in.support_vars()
-    targets = w_out.support_vars()
-    if len(sources) != 3 or len(targets) != 3:
-        raise ResidueError("each potential must involve exactly three variables")
-    return derivative_supertrace(m, tuple(sources) + tuple(targets))
-
-
-def _integrate(s: Poly, m: MatrixFactorization, v_in: Poly, w_out: Poly, side: str) -> Poly:
-    if side == "left":
-        over, against = w_out.support_vars(), w_out
-    elif side == "right":
-        over, against = v_in.support_vars(), v_in
-    else:
-        raise ResidueError("side must be left or right")
-    value = grothendieck_residue(s, against, over, cofactor_lift(against, over))
-    ring_left = [v for v in value.support_vars() if v in m.vt.ring_vars]
-    if ring_left:
-        raise ResidueError(f"qdim_{side} retains ring variables {ring_left}")
-    return value
+    idx = [vt.index(name) for name in lift.vars]
+    on_names = itemgetter(*idx)
+    wanted: Dict[Tuple[int, ...], List[Tuple[List[int], Fraction]]] = {}
+    for m, c in det.terms():
+        key = tuple(n - 1 - e for n, e in zip(lift.exponents, on_names(m)))
+        shift = list(m)
+        for i, k in zip(idx, key):
+            shift[i] = -k  # clears the v_i of the terms of g that match
+        wanted.setdefault(key, []).append((shift, c))
+    out: Dict[Tuple[int, ...], Fraction] = {}
+    for m, c in g.terms():
+        for shift, dc in wanted.get(on_names(m), ()):
+            mono = tuple(map(add, m, shift))
+            out[mono] = out.get(mono, _ZERO) + c * dc
+    return Poly(vt, out)
 
 
 def qdim_pair(
-    m: MatrixFactorization,
-    v_in: Poly,
-    w_out: Poly,
-    sides: Sequence[str] = ("left", "right"),
+    m: MatrixFactorization, v_in: Poly, w_out: Poly, sides: Sequence[str] = ("left", "right")
 ) -> Dict[str, Poly]:
-    """The requested quantum dimensions, by side, from one supertrace."""
-    s = qdim_supertrace(m, v_in, w_out)
-    return {side: _integrate(s, m, v_in, w_out, side) for side in sides}
+    """The requested quantum dimensions, by side, from one supertrace:
+    sources first, then targets, in declared order."""
+    sources, targets = v_in.support_vars(), w_out.support_vars()
+    if len(sources) != 3 or len(targets) != 3:
+        raise ResidueError("each potential must involve exactly three variables")
+    if not set(sides) <= {"left", "right"}:
+        raise ResidueError("side must be left or right")
+    s = derivative_supertrace(m, sources + targets)
+    out = {}
+    for side in sides:
+        over, against = (targets, w_out) if side == "left" else (sources, v_in)
+        value = grothendieck_residue(s, against, over, cofactor_lift(against, over))
+        ring_left = [v for v in value.support_vars() if v in m.vt.ring_vars]
+        if ring_left:
+            raise ResidueError(f"qdim_{side} retains ring variables {ring_left}")
+        out[side] = value
+    return out
 
 
 def qdim_left(m: MatrixFactorization, v_in: Poly, w_out: Poly) -> Poly:

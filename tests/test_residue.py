@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -9,9 +10,11 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from orbimf._groebner import groebner_basis, reducer
 from orbimf.catalog import load_catalog
+from orbimf.grading import weights_from_potential
 from orbimf.matfac import build_8x8
 from orbimf.polyring import Poly, VarTable, format_poly, parse_poly
 from orbimf.residue import (
@@ -243,6 +246,47 @@ def test_clifford_supertrace_is_levi_civita():
     assert all(value == _levi_civita(k) for k, value in found.items())
 
 
+
+# -- the packed-integer determinant against the whole 8x8 product ------
+
+_DET_VT = VarTable(("x", "y", "z", "u", "v", "w"), ring_vars=("x", "y", "z", "u", "v", "w"))
+_DET_COEFFS = st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(bool)
+
+
+@st.composite
+def _det_generators(draw):
+    """Six generators, the k-th carrying a power of the k-th variable (or,
+    now and then, nothing) besides up to two random terms, so that most
+    Jacobians are nonsingular while many of their entries are zero.  Tall
+    draws mix in exponents of 24-40, so that products of six entries can
+    exceed 127 in one variable, more than an 8-bit field can hold."""
+    tall = draw(st.booleans())
+    exponents = st.one_of(st.integers(0, 3), st.integers(24, 40)) if tall else st.integers(0, 4)
+    monomials = st.tuples(*[exponents] * 6)
+    six = []
+    for k in range(6):
+        terms = draw(st.dictionaries(monomials, _DET_COEFFS, max_size=2))
+        if draw(st.integers(0, 11)):
+            diagonal = draw(monomials.filter(lambda e: e[k]))
+            terms[diagonal] = terms.get(diagonal, 0) + draw(_DET_COEFFS)
+        six.append(Poly(_DET_VT, terms))
+    return six
+
+
+@settings(deadline=None, max_examples=25)
+@given(_det_generators())
+@example([
+    parse_poly(text, _DET_VT)
+    for text in ("x^26/3 - 2/5*y", "x^25*y^2 + 1/2", "x^25*z^2", "x^25*u^2 - 7/4*w^3", "x^25*v^2", "x^25*w^2/6")
+])
+def test_packed_determinant_matches_full_product(six):
+    # random generators with mixed denominators and zero Jacobian entries;
+    # the example's determinant holds x^150, past an 8-bit field
+    order = _DET_VT.names
+    m = build_8x8(six)
+    assert derivative_supertrace(m, order) == supertrace(derivative_matrix_product(m, order))
+
+
 # -- the one-coefficient residue against the whole product g*det(H) --
 
 _RES_VT = VarTable(("x", "y", "z", "a", "b"), ring_vars=("x", "y", "z"), param_vars=("a", "b"))
@@ -294,3 +338,76 @@ def test_residue_matches_coefficient_of_the_full_product(case):
     got = grothendieck_residue(g, w, ("x", "y", "z"), lift=lift)
     assert got == _residue_by_full_product(g, lift)
     assert not set(got.support_vars()) & {"x", "y", "z"}
+
+
+# -- a second residue route: the socle of the Jacobian algebra ---------
+
+
+def _hessian(w: Poly, names) -> Poly:
+    h = [[w.partial(a).partial(b) for b in names] for a in names]
+    return (
+        h[0][0] * (h[1][1] * h[2][2] - h[1][2] * h[2][1])
+        - h[0][1] * (h[1][0] * h[2][2] - h[1][2] * h[2][0])
+        + h[0][2] * (h[1][0] * h[2][1] - h[1][1] * h[2][0])
+    )
+
+
+def _standard_monomials(basis, names):
+    """Exponent triples on `names` that no lead monomial of the basis
+    divides, inside the box that the pure-power leads bound."""
+    vt = basis[0].vt
+    idx = [vt.index(n) for n in names]
+    leads = [tuple(b.leading_monomial()[i] for i in idx) for b in basis]
+    box = [min(m[k] for m in leads if not any(e for j, e in enumerate(m) if j != k)) for k in range(3)]
+    return [
+        e for e in itertools.product(*(range(n) for n in box))
+        if not any(all(a <= b for a, b in zip(m, e)) for m in leads)
+    ]
+
+
+def _socle_residue(g: Poly, w: Poly, names) -> Poly:
+    """Res[g dv/(dW)] from the Jacobian algebra Q[v]/(dW) alone: with W of
+    weighted degree 2, its standard monomials number mu = prod(2/w_i - 1)
+    (Milnor-Orlik), exactly one of them, s, has the Hessian's weighted
+    degree sum(2 - 2 w_i), and Res[hess W] = mu.  A standard monomial of
+    any other degree has residue zero, so Res[g] = mu * c(g) / c(hess W),
+    c the coefficient of s in the normal form."""
+    vt = g.vt
+    weights = dict(weights_from_potential(w, tuple(names)).weights)
+    basis = groebner_basis([w.partial(n) for n in names])
+    standard = _standard_monomials(basis, names)
+    mu = 1
+    for n in names:
+        mu *= 2 / weights[n] - 1
+    assert len(standard) == mu
+    socle_degree = sum(2 - 2 * weights[n] for n in names)
+    socle = [e for e in standard if sum(k * weights[n] for k, n in zip(e, names)) == socle_degree]
+    assert len(socle) == 1
+    key = [0] * len(vt)
+    for n, k in zip(names, socle[0]):
+        key[vt.index(n)] = k
+    nf = reducer(basis)
+    zero = Poly.zero(vt)
+    c_g = nf(g).coefficients_wrt(names).get(tuple(key), zero)
+    c_hess = nf(_hessian(w, names)).coefficients_wrt(names)[tuple(key)].constant_value()
+    return c_g.scale(mu / c_hess)
+
+
+def test_socle_residue_of_the_diagonal_potential():
+    # x^7 + y^3 + z^2: mu = 6 * 2 * 1 and the socle x^5*y carries 1/42
+    names = ("x", "y", "z")
+    vt = _ring(*names)
+    w = parse_poly("x^7 + y^3 + z^2", vt)
+    assert _socle_residue(parse_poly("x^5*y + x^2 - 3*z", vt), w, names) == Poly.const(vt, Fraction(1, 42))
+
+
+def test_quantum_dimensions_match_the_socle_route(shipped_work):
+    # all fourteen catalog quantum dimensions, read off the Jacobian
+    # algebra's socle instead of a cofactor lift
+    for entry in load_catalog().values():
+        work = shipped_work(entry.id)
+        v_in, w_out = entry.potential_in(), entry.potential_out()
+        sources, targets = v_in.support_vars(), w_out.support_vars()
+        s = derivative_supertrace(work.m, sources + targets)
+        assert _socle_residue(s, w_out, targets) == work.qdims["left"], entry.id
+        assert _socle_residue(s, v_in, sources) == work.qdims["right"], entry.id
