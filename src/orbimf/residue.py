@@ -29,10 +29,10 @@ source potential's.  Both results must be free of ring variables.  Both
 sides read the same supertrace, so `qdim_pair` forms it once, as the
 6x6 Jacobian determinant of the generators (`derivative_supertrace`),
 and integrates it twice.  The determinant runs on packed integer
-monomials over one common denominator: each row is scaled to integers,
-every term is packed once by a `_groebner._Layout` whose fields hold the
-sum of the rows' maximal total degrees (a bound on every minor's
-degree), and a monomial product is one int addition.
+monomials over one common denominator: rows are scaled to integers, and
+terms packed once, as offsets from the unit of a `_groebner._Layout` whose
+fields hold the sum of the rows' maximal total degrees (a bound on every
+minor), so a monomial product is one int addition.
 """
 
 from __future__ import annotations
@@ -62,8 +62,12 @@ class ResidueError(ValueError):
 
 def supertrace(matrix: Matrix8) -> Poly:
     """Trace over the even block (1..4) minus trace over the odd (5..8)."""
-    diagonal = [matrix[i][i] for i in range(8)]
-    return reduce(add, diagonal[:4]) - reduce(add, diagonal[4:])
+    acc = matrix[0][0]
+    for i in range(1, 4):
+        acc = acc + matrix[i][i]
+    for i in range(4, 8):
+        acc = acc - matrix[i][i]
+    return acc
 
 
 def _partial_matrix(m: MatrixFactorization, var: str) -> Matrix8:
@@ -92,9 +96,7 @@ def derivative_supertrace(m: MatrixFactorization, order: Sequence[str]) -> Poly:
     det J.  (The tests check str(G_k1...G_k6) = eps(k) on all 6^6 k.)
 
     Laplace expansion along the column halves: det J is the sum over row
-    triples S (0-based) of (-1)^(sum S + 1) J[S; 0-2] J[rows not in S; 3-5],
-    on rows scaled by the lcm s_k of their denominators and terms packed
-    as offsets from the layout's unit; the result is over prod s_k.
+    triples S (0-based) of (-1)^(sum S + 1) J[S; 0-2] J[rows not in S; 3-5].
     """
     vt = m.vt
     jac = [[d.partial(v) for v in order] for d in m.six]
@@ -117,10 +119,8 @@ def derivative_supertrace(m: MatrixFactorization, order: Sequence[str]) -> Poly:
 
     def minors(a: int, b: int, c: int) -> List[List[Tuple[int, int]]]:  # on columns a, b, c
         two = {(r, s): dot((pj[r][a], pj[s][b], 1), (pj[r][b], pj[s][a], -1)) for r, s in combinations(range(6), 2)}
-        return [
-            dot((pj[r][c], two[s, t], 1), (pj[s][c], two[r, t], -1), (pj[t][c], two[r, s], 1))
-            for r, s, t in _TRIPLES
-        ]
+        return [dot((pj[r][c], two[s, t], 1), (pj[s][c], two[r, t], -1), (pj[t][c], two[r, s], 1))
+                for r, s, t in _TRIPLES]
 
     pairs = zip(_TRIPLES, minors(0, 1, 2), reversed(minors(3, 4, 5)))
     det = dot(*((h, t, 1 if sum(rows) % 2 else -1) for rows, h, t in pairs))

@@ -393,14 +393,6 @@ def _socle_residue(g: Poly, w: Poly, names) -> Poly:
     return c_g.scale(mu / c_hess)
 
 
-def test_socle_residue_of_the_diagonal_potential():
-    # x^7 + y^3 + z^2: mu = 6 * 2 * 1 and the socle x^5*y carries 1/42
-    names = ("x", "y", "z")
-    vt = _ring(*names)
-    w = parse_poly("x^7 + y^3 + z^2", vt)
-    assert _socle_residue(parse_poly("x^5*y + x^2 - 3*z", vt), w, names) == Poly.const(vt, Fraction(1, 42))
-
-
 def test_quantum_dimensions_match_the_socle_route(shipped_work):
     # all fourteen catalog quantum dimensions, read off the Jacobian
     # algebra's socle instead of a cofactor lift
@@ -411,3 +403,12 @@ def test_quantum_dimensions_match_the_socle_route(shipped_work):
         s = derivative_supertrace(work.m, sources + targets)
         assert _socle_residue(s, w_out, targets) == work.qdims["left"], entry.id
         assert _socle_residue(s, v_in, sources) == work.qdims["right"], entry.id
+
+
+@settings(deadline=None, max_examples=40)
+@given(_residue_cases())
+def test_residue_matches_the_socle_route(case):
+    # random numerators on every shipped potential, through either lift
+    g, w, lift = case
+    names = ("x", "y", "z")
+    assert grothendieck_residue(g, w, names, lift=lift) == _socle_residue(g, w, names)
