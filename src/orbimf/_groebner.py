@@ -46,7 +46,7 @@ from math import gcd, lcm
 from operator import itemgetter
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .polyring import Monomial, Poly, Terms, VarTable, _integer_terms
+from .polyring import Monomial, Poly, Terms, VarTable, _integer_terms, _Overflow
 
 _ONE = Fraction(1)
 
@@ -56,10 +56,6 @@ Record = Tuple[int, int, List[Tuple[int, int]]]
 
 class BudgetExceeded(RuntimeError):
     """S-pair budget exhausted before the basis stabilized."""
-
-
-class _Overflow(ArithmeticError):
-    """A monomial's degree, args[0], exceeds its layout's exponent cap."""
 
 
 class _Layout:

@@ -8,10 +8,12 @@ potentials table, gives the renaming from table variables to the entry's
 variables, and fixes the variable order used for derivatives (the order
 is normative for quantum dimensions; the renaming is not).
 
-Named abbreviations in "defs" expand sequentially, each may refer only
-to earlier ones, so cycles cannot form.  "corrections" records carry the
-full printed text of an entry next to the text actually shipped; the
-test suite re-validates every correction against the squaring condition.
+Named abbreviations in "defs" expand sequentially: each is parsed once,
+with the earlier ones standing for their expansions, so it may refer
+only to earlier ones and cycles cannot form.  "corrections" records
+carry the full printed text of an entry next to the text actually
+shipped; the test suite re-validates every correction against the
+squaring condition.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from fractions import Fraction
 from functools import cached_property
 from importlib import resources
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .grading import WeightSystem
 from .polyring import ParseError, Poly, VarTable, parse_poly
@@ -49,8 +51,7 @@ class CatalogError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class SidePotential:
+class SidePotential(NamedTuple):
     potential_key: str
     table_vars: Tuple[str, ...]
     poly_text: str
@@ -63,8 +64,7 @@ class SidePotential:
         return parse_poly(self.poly_text, table_vt).convert(vt, self.renaming)
 
 
-@dataclass(frozen=True)
-class SolutionFamily:
+class SolutionFamily(NamedTuple):
     label: str
     generators: Tuple[Tuple[str, str], ...]  # (name, minimal polynomial text)
     is_field: bool
@@ -77,8 +77,7 @@ class SolutionFamily:
         return Fraction(self.free_defaults.get(name, "0"))
 
 
-@dataclass(frozen=True)
-class Correction:
+class Correction(NamedTuple):
     location: str
     printed: str
     corrected: str
@@ -105,22 +104,11 @@ class EquivalenceEntry:
     # a text that does not parse raises CatalogError naming it.
 
     @cached_property
-    def _parsed_defs(self) -> Tuple[Dict[str, Poly], VarTable]:
-        """The expanded defs, parsed once, and the table that names them."""
-        out: Dict[str, Poly] = {}
-        for name, text in self.defs:
-            ext = _extended_table(self.vt, tuple(out))
-            p = _parse(text, ext, f"def {name}")
-            out[name] = _collapse(p, self.vt, out)
-        return out, _extended_table(self.vt, tuple(out))
-
-    @cached_property
     def _six(self) -> Tuple[Poly, ...]:
-        defs, ext = self._parsed_defs
-        return tuple(
-            _collapse(_parse(self.entry_texts[k], ext, f"entry {k}"), self.vt, defs)
-            for k in ENTRY_KEYS
-        )
+        defs: Dict[str, Poly] = {}
+        for name, text in self.defs:
+            defs[name] = _parse(text, self.vt, f"def {name}", defs)
+        return tuple(_parse(self.entry_texts[k], self.vt, f"entry {k}", defs) for k in ENTRY_KEYS)
 
     @cached_property
     def _printed(self) -> Tuple[Tuple[Poly, ...], Dict[str, Poly]]:
@@ -150,25 +138,11 @@ class EquivalenceEntry:
         return self._printed[1][side]
 
 
-def _parse(text: str, vt: VarTable, what: str) -> Poly:
+def _parse(text: str, vt: VarTable, what: str, defs: Optional[Mapping[str, Poly]] = None) -> Poly:
     try:
-        return parse_poly(text, vt)
+        return parse_poly(text, vt, defs)
     except ParseError as exc:
         raise CatalogError(f"{what} does not parse: {exc}") from None
-
-
-def _extended_table(vt: VarTable, extra: Tuple[str, ...]) -> VarTable:
-    if not extra:
-        return vt
-    return VarTable(vt.names + extra, vt.ring_vars, vt.param_vars + extra)
-
-
-def _collapse(p: Poly, vt: VarTable, defs: Mapping[str, Poly]) -> Poly:
-    """Substitute def names away and land back on the base table."""
-    if p.vt == vt:
-        return p
-    used = {n: defs[n].convert(p.vt, None) for n in defs}
-    return p.substitute(used).convert(vt, None)
 
 
 def _load_potentials_table(directory: Optional[Path] = None) -> Dict[str, dict]:
@@ -207,7 +181,9 @@ def _side_from_json(obj: dict, potentials: Mapping[str, dict], where: str) -> Si
     )
 
 
-def load_entry(path: Path) -> EquivalenceEntry:
+def load_entry(path: Path, potentials: Optional[Mapping[str, dict]] = None) -> EquivalenceEntry:
+    """One entry file, validated; `potentials` defaults to the table
+    that serves the file's directory."""
     try:
         data = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
@@ -216,7 +192,8 @@ def load_entry(path: Path) -> EquivalenceEntry:
     missing = set(SCHEMA_KEYS) - set(data)
     if extra or missing:
         raise CatalogError(f"{path}: schema keys off (extra {sorted(extra)}, missing {sorted(missing)})")
-    potentials = _load_potentials_table(Path(path).parent)
+    if potentials is None:
+        potentials = _load_potentials_table(Path(path).parent)
     side_in = _side_from_json(data["ring_vars_in"], potentials, f"{path}:ring_vars_in")
     side_out = _side_from_json(data["ring_vars_out"], potentials, f"{path}:ring_vars_out")
     overlap = set(side_in.vars) & set(side_out.vars)
@@ -229,6 +206,9 @@ def load_entry(path: Path) -> EquivalenceEntry:
         raise CatalogError(f"{path}: names used as both ring variable and parameter: {sorted(clash)}")
     vt = VarTable(ring + parameters, ring_vars=ring, param_vars=parameters)
     defs = tuple((k, v) for k, v in data["defs"].items())
+    shadowing = [k for k, _ in defs if k in vt]
+    if shadowing:
+        raise CatalogError(f"{path}: defs named like a variable or parameter: {shadowing}")
     entries = dict(data["entries"])
     if set(entries) != set(ENTRY_KEYS):
         raise CatalogError(f"{path}: entries must be exactly {ENTRY_KEYS}")
@@ -270,14 +250,10 @@ def validate(entry: EquivalenceEntry) -> None:
     """Raise CatalogError naming every problem found in the entry."""
     problems: List[str] = []
     try:
-        six = entry._six
+        entry._six
         constraints, qdims = entry._printed
     except CatalogError as exc:
         raise CatalogError(f"{entry.id}: {exc}") from None
-    for name, p in zip(ENTRY_KEYS, six):
-        leftover = [v for v in p.support_vars() if v in dict(entry.defs)]
-        if leftover:
-            problems.append(f"{name}: defs not fully expanded: {leftover}")
     printed = [(f"constraint {t!r}", p) for t, p in zip(entry.paper_constraint_texts, constraints)]
     for what, p in printed + [(f"paper qdim_{side}", p) for side, p in qdims.items()]:
         bad = [v for v in p.support_vars() if v not in entry.parameters]
@@ -349,11 +325,12 @@ def default_catalog_dir() -> Path:
 
 def load_catalog(directory: Optional[Path] = None) -> Dict[str, EquivalenceEntry]:
     base = Path(directory) if directory else default_catalog_dir()
+    potentials = _load_potentials_table(base)
     out: Dict[str, EquivalenceEntry] = {}
     for path in sorted(base.glob("*.json")):
         if path.name == "potentials.json":
             continue
-        entry = load_entry(path)
+        entry = load_entry(path, potentials)
         if entry.id in out:
             raise CatalogError(f"duplicate entry id {entry.id}")
         out[entry.id] = entry

@@ -14,7 +14,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
@@ -336,6 +335,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         # longest generator texts first, so the dearest entries do not
         # start last and bound the wall time
         ids.sort(key=lambda i: sum(map(len, catalog[i].entry_texts.values())), reverse=True)
+        # imported here: the pool modules cost a serial run tens of ms
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             work = [(catalog[i], args.spair_cap, args.precision) for i in ids]
             reports = list(pool.map(_worker_verify, work))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from ._groebner import BudgetExceeded, groebner_basis, normal_form, reducer, resultant
 from ._groebner import _univariate_coeffs_in
@@ -175,8 +175,7 @@ class EntryWork:
         return ring
 
 
-@dataclass(frozen=True)
-class IdealComparison:
+class IdealComparison(NamedTuple):
     a_in_b: bool
     b_in_a: bool
     failing_a: Tuple[Poly, ...]  # generators of A outside the ideal of B
@@ -228,14 +227,12 @@ def eliminate_linear(
 # -- solution families -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _FamilyRing:
+class _FamilyRing(NamedTuple):
     spec: QuotientSpec
     bindings: Dict[str, Poly]  # every entry parameter, frees map to themselves
 
 
-@dataclass(frozen=True)
-class FamilyReport:
+class FamilyReport(NamedTuple):
     entry_id: str
     label: str
     ok: bool
@@ -266,8 +263,7 @@ def computed_qdim(entry: EquivalenceEntry, side: str) -> Poly:
     return qdim_pair(m, entry.potential_in(), entry.potential_out(), (side,))[side]
 
 
-@dataclass(frozen=True)
-class QdimAtPoint:
+class QdimAtPoint(NamedTuple):
     origin: str  # "computed" | "printed"
     value: str
     certificate: Optional[NonzeroCertificate]
@@ -281,8 +277,7 @@ class QdimAtPoint:
         )
 
 
-@dataclass(frozen=True)
-class NonvanishingReport:
+class NonvanishingReport(NamedTuple):
     entry_id: str
     label: str
     side: str
@@ -359,8 +354,7 @@ def nonvanishing_check(
     )
 
 
-@dataclass(frozen=True)
-class QdimMatch:
+class QdimMatch(NamedTuple):
     printed_side: str
     # "exact" | "exact_mod_ideal" | "unit_multiple" | "unmatched" | "vacuous"
     status: str
@@ -373,8 +367,7 @@ class QdimMatch:
         return self.status not in ("unmatched", "vacuous")
 
 
-@dataclass(frozen=True)
-class QdimComparison:
+class QdimComparison(NamedTuple):
     entry_id: str
     computed_left: Poly
     computed_right: Poly
@@ -447,16 +440,14 @@ class OracleBudgetExceeded(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class CandidateRelation:
+class CandidateRelation(NamedTuple):
     parameter: str
     minimal_poly: Poly  # squarefree, unit-normalized
     refuted: bool  # some generator reduced to a nonzero constant
     fully_satisfied: bool  # every generator reduced to zero
 
 
-@dataclass(frozen=True)
-class OracleReport:
+class OracleReport(NamedTuple):
     entry_id: str
     assignments: Tuple[Tuple[str, str], ...]
     candidates: Tuple[CandidateRelation, ...]

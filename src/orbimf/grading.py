@@ -10,10 +10,10 @@ multisets and the assignment actually found is reported.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Dict, Mapping, Tuple
+from typing import Dict, Mapping, NamedTuple, Tuple
 
 from ._linalg import LinearSystemError, solve_unique
 from .polyring import Poly
@@ -100,11 +100,10 @@ def central_charge(vw: VariableWeights) -> Fraction:
     return sum((1 - w for _, w in vw.weights), Fraction(0))
 
 
-@dataclass(frozen=True)
-class WeightMatchReport:
+class WeightMatchReport(NamedTuple):
     ok: bool
-    assignment: Dict[str, int] = field(default_factory=dict)
-    message: str = ""
+    assignment: Dict[str, int]
+    message: str
 
 
 def check_weight_system(vw: VariableWeights, ws: WeightSystem) -> WeightMatchReport:

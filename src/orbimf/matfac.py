@@ -18,9 +18,8 @@ the difference of potentials modulo the parameter constraints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ._linalg import solve_dense
 from .grading import VariableWeights
@@ -35,8 +34,7 @@ class MatFacError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class MatrixFactorization:
+class MatrixFactorization(NamedTuple):
     vt: VarTable
     six: Tuple[Poly, Poly, Poly, Poly, Poly, Poly]  # d15,d16,d17,d25,d26,d35
     matrix: Matrix8
@@ -90,8 +88,7 @@ def square_scalar(m: MatrixFactorization) -> Poly:
     return a * q - b * p - c * s
 
 
-@dataclass(frozen=True)
-class PotentialReport:
+class PotentialReport(NamedTuple):
     ok: bool
     epsilon: Optional[int]
     failing: Tuple[str, ...] = ()
@@ -128,8 +125,7 @@ def verify_potential(
     return PotentialReport(ok, epsilon if ok else None, tuple(failing))
 
 
-@dataclass(frozen=True)
-class GradingReport:
+class GradingReport(NamedTuple):
     ok: bool
     pair_sums: Dict[str, Fraction]
     failing: Tuple[str, ...] = ()

@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from ._groebner import reducer
 from ._linalg import solve_dense
@@ -326,8 +326,7 @@ def embed_complex(
     return acc
 
 
-@dataclass(frozen=True)
-class NonzeroCertificate:
+class NonzeroCertificate(NamedTuple):
     status: str  # "zero" | "nonzero_exact" | "nonzero_interval"
     box: Optional[ComplexBox]
     precision_bits: Optional[int]

@@ -26,10 +26,11 @@ the identity.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from operator import add
+from math import gcd, lcm
+from operator import add, lshift
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 Monomial = Tuple[int, ...]
@@ -498,135 +499,175 @@ def format_poly(p: Poly) -> str:
 # ---------------------------------------------------------------------
 # parsing
 
+# numbers are ASCII digits only (str.isdigit accepts "²"); a character
+# that is not space and starts no number, name or operator is a token of
+# its own, which no rule accepts
+_TOKEN = re.compile(r"[0-9]+|(?!\d)\w+|[-+*/^()]|\S")
 
-class _Tokenizer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self._advance()
 
-    def _advance(self) -> None:
-        text, n = self.text, len(self.text)
-        i = self.pos
-        while i < n and text[i].isspace():
-            i += 1
-        self.tok_pos = i
-        if i >= n:
-            self.kind, self.value = "end", ""
-            self.pos = i
-            return
-        ch = text[i]
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            self.kind, self.value = "int", text[i:j]
-            self.pos = j
-        elif ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            self.kind, self.value = "ident", text[i:j]
-            self.pos = j
-        elif ch in "+-*/^()":
-            self.kind, self.value = ch, ch
-            self.pos = i + 1
-        else:
-            raise ParseError(f"unexpected character {ch!r}", i)
-
-    def take(self) -> Tuple[str, str, int]:
-        out = (self.kind, self.value, self.tok_pos)
-        self._advance()
-        return out
+class _Overflow(ArithmeticError):
+    """A monomial's degree, args[0], exceeds its layout's exponent cap."""
 
 
 class _Parser:
-    """Recursive descent.  A term of numbers and identifiers is kept as
-    (coefficient, exponent list); a Poly is built only for a
-    parenthesized factor, and `_expr` sums its terms into one dict."""
+    """Recursive descent over the token list on packed monomials: the
+    monomial with exponents e is sum(e_i << bits*i), so multiplying
+    monomials adds ints.  A value is one term (n, d, m, deg) or a
+    polynomial (numerators by monomial, d, deg), worth n/d*m or
+    sum(n*m)/d with d > 0, and of total degree at most deg.  Every
+    exponent is at most the degree, and a term, product or def whose
+    degree bound passes the field cap raises _Overflow before it is
+    combined with anything, so no field ever carries into the next."""
 
-    def __init__(self, text: str, vt: VarTable):
-        self.toks = _Tokenizer(text)
-        self.vt = vt
+    def __init__(self, text: str, vt: VarTable, defs: Mapping[str, Poly], bits: int):
+        self.text, self.toks, self.i, self.vt = text, _TOKEN.findall(text) + [""], 0, vt
+        self.defs, self.bits, self.cap = defs, bits, (1 << bits) - 1
+        # identifier -> value; a def is packed on first use
+        self.values = {n: (1, 1, 1 << (bits * k), 1) for k, n in enumerate(vt.names)}
 
-    def parse(self) -> Poly:
-        p = self._expr()
-        if self.toks.kind != "end":
-            raise ParseError(f"unexpected {self.toks.value!r}", self.toks.tok_pos)
-        return p
+    def error(self, message: str, i: int) -> ParseError:
+        starts = [m.start() for m in _TOKEN.finditer(self.text)] + [len(self.text)]
+        return ParseError(message, starts[i])
 
-    def _expr(self) -> Poly:
-        acc: Terms = {}
-        negate = False
+    def expr(self):
+        acc: Dict[int, int] = {}
+        den, deg, sign = 1, 0, 1
         while True:
             t = self._term()
-            for m, c in t.terms() if isinstance(t, Poly) else ((tuple(t[1]), t[0]),):
-                acc[m] = acc.get(m, _ZERO) - c if negate else acc.get(m, _ZERO) + c
-            if self.toks.kind not in ("+", "-"):
-                return Poly._raw(self.vt, {m: c for m, c in acc.items() if c})
-            negate = self.toks.take()[0] == "-"
+            terms, d, g = ({t[2]: t[0]}, t[1], t[3]) if len(t) == 4 else t
+            if den % d:
+                s = d // gcd(den, d)
+                acc, den = {m: c * s for m, c in acc.items()}, den * s
+            s, deg, get = sign * (den // d), max(deg, g), acc.get
+            for m, c in terms.items():
+                acc[m] = get(m, 0) + c * s
+            tok = self.toks[self.i]
+            if tok != "+" and tok != "-":
+                return {m: c for m, c in acc.items() if c}, den, deg
+            self.i += 1
+            sign = -1 if tok == "-" else 1
 
     def _term(self):
-        coeff, exps, poly = _ONE, [0] * len(self.vt), None
+        n, d, m, g, poly = 1, 1, 0, 0, None
         while True:
             f = self._factor()
-            if isinstance(f, Poly):
-                poly = f if poly is None else poly * f
+            if len(f) == 4:
+                n, d, m, g = n * f[0], d * f[1], m + f[2], g + f[3]
             else:
-                if f[0] is not _ONE:  # an identifier's shared coefficient
-                    coeff *= f[0]
-                exps = list(map(add, exps, f[1]))
-            if self.toks.kind != "*":
+                poly = f if poly is None else self._mul(poly, f)
+            if self.toks[self.i] != "*":
                 break
-            self.toks.take()
-        return (coeff, exps) if poly is None else poly * Poly(self.vt, {tuple(exps): coeff})
+            self.i += 1
+        if poly is not None:
+            return self._mul(poly, ({m: n}, d, g))
+        if g > self.cap:
+            raise _Overflow(g)
+        return n, d, m, g
+
+    def _mul(self, a, b):
+        (ta, da, ga), (tb, db, gb) = a, b
+        if ga + gb > self.cap:
+            raise _Overflow(ga + gb)
+        acc: Dict[int, int] = {}
+        get = acc.get
+        for m1, c1 in ta.items():
+            for m2, c2 in tb.items():
+                acc[m1 + m2] = get(m1 + m2, 0) + c1 * c2
+        return {m: c for m, c in acc.items() if c}, da * db, ga + gb
 
     def _factor(self):
-        if self.toks.kind == "-":
-            self.toks.take()
-            f = self._factor()
-            return -f if isinstance(f, Poly) else (-f[0], f[1])
+        if self.toks[self.i] == "-":
+            self.i += 1
+            return _negate(self._factor())
         f = self._base()
-        if self.toks.kind == "^":
-            self.toks.take()
-            kind, value, pos = self.toks.take()
-            if kind != "int":
-                raise ParseError("exponent must be a natural number", pos)
-            n = int(value)
-            f = f ** n if isinstance(f, Poly) else (f[0] ** n, [e * n for e in f[1]])
-        if self.toks.kind == "/":
-            self.toks.take()
-            negate = self.toks.kind == "-"
-            if negate:
-                self.toks.take()
-            kind, value, pos = self.toks.take()
-            if kind != "int":
-                raise ParseError("divisor must be an integer literal", pos)
-            d = -int(value) if negate else int(value)
-            if d == 0:
-                raise ParseError("division by zero", pos)
-            f = f / d if isinstance(f, Poly) else (f[0] / d, f[1])
+        if self.toks[self.i] == "^":
+            self.i += 1
+            f = self._pow(f, self._natural("exponent must be a natural number"))
+        if self.toks[self.i] == "/":
+            self.i += 1
+            negative = self.toks[self.i] == "-"
+            self.i += negative
+            q = self._natural("divisor must be an integer literal")
+            if not q:
+                raise self.error("division by zero", self.i - 1)
+            f = (f[0], f[1] * q) + f[2:]
+            f = _negate(f) if negative else f
         return f
 
+    def _natural(self, message: str) -> int:
+        tok = self.toks[self.i]
+        if not (tok.isascii() and tok.isdigit()):
+            raise self.error(message, self.i)
+        self.i += 1
+        return int(tok)
+
+    def _pow(self, f, e: int):
+        if len(f) == 4:
+            return f[0] ** e, f[1] ** e, f[2] * e, f[3] * e
+        out = ({0: 1}, 1, 0)
+        for bit in bin(e)[2:]:  # square and multiply, leading bit first
+            out = self._mul(out, out)
+            out = self._mul(out, f) if bit == "1" else out
+        return out
+
     def _base(self):
-        kind, value, pos = self.toks.take()
-        exps = [0] * len(self.vt)
-        if kind == "int":
-            return Fraction(int(value)), exps
-        if kind == "ident":
-            if value not in self.vt:
-                raise ParseError(f"undeclared identifier {value!r}", pos)
-            exps[self.vt.index(value)] = 1
-            return _ONE, exps
-        if kind == "(":
-            p = self._expr()
-            k, _, pos2 = self.toks.take()
-            if k != ")":
-                raise ParseError("expected ')'", pos2)
-            return p
-        raise ParseError(f"expected a number, identifier or '(', got {value!r}", pos)
+        tok = self.toks[self.i]
+        self.i += 1
+        value = self.values.get(tok)
+        if value is not None:
+            return value
+        if tok.isascii() and tok.isdigit():
+            return int(tok), 1, 0, 0
+        if tok == "(":
+            f = self.expr()
+            if self.toks[self.i] != ")":
+                raise self.error("expected ')'", self.i)
+            self.i += 1
+            return f
+        if tok in self.defs:
+            p = self.defs[tok]
+            if p.vt != self.vt:
+                raise VarTableMismatch(f"def {tok!r} belongs to another variable table")
+            den, ints = _integer_terms(p._terms)
+            shifts = range(0, self.bits * len(p.vt), self.bits)
+            deg = max(p.total_degree(), 0)
+            if deg > self.cap:
+                raise _Overflow(deg)
+            self.values[tok] = value = {sum(map(lshift, m, shifts)): c for m, c in ints}, den, deg
+            return value
+        if tok.isidentifier():
+            raise self.error(f"undeclared identifier {tok!r}", self.i - 1)
+        if tok and tok not in "+-*/^()":
+            raise self.error(f"unexpected character {tok!r}", self.i - 1)
+        raise self.error(f"expected a number, identifier or '(', got {tok!r}", self.i - 1)
 
 
-def parse_poly(text: str, vt: VarTable) -> Poly:
-    """Parse an expression into a polynomial over `vt`."""
-    return _Parser(text, vt).parse()
+def _negate(f):
+    if len(f) == 4:
+        return (-f[0],) + f[1:]
+    return {m: -c for m, c in f[0].items()}, f[1], f[2]
+
+
+def parse_poly(text: str, vt: VarTable, defs: Optional[Mapping[str, Poly]] = None) -> Poly:
+    """Parse an expression into a polynomial over `vt`.
+
+    An identifier named in `defs` (and not in `vt`) stands for its
+    polynomial over `vt`.  Exponent fields start at 8 bits and the text
+    is parsed again with wider ones when a degree does not fit.
+    """
+    bits = 8
+    while True:
+        parser = _Parser(text, vt, defs or {}, bits)
+        try:
+            terms, den, _ = parser.expr()
+            break
+        except _Overflow as exc:
+            bits = 8 * -(-exc.args[0].bit_length() // 8)
+    if parser.toks[parser.i]:
+        raise parser.error(f"unexpected {parser.toks[parser.i]!r}", parser.i)
+    k = bits // 8
+    monos = [tuple(m.to_bytes(len(vt), "little")) for m in terms] if k == 1 else [
+        tuple(int.from_bytes(b[i:i + k], "little") for i in range(0, len(b), k))
+        for b in (m.to_bytes(k * len(vt), "little") for m in terms)
+    ]
+    return Poly._raw(vt, _over(dict(zip(monos, terms.values())), den))

@@ -37,13 +37,12 @@ minor), so a monomial product is one int addition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
 from math import lcm, prod
 from operator import add, itemgetter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ._groebner import _Layout, _support
 from ._linalg import solve_dense
@@ -127,8 +126,7 @@ def derivative_supertrace(m: MatrixFactorization, order: Sequence[str]) -> Poly:
     return Poly._raw(vt, _over({layout.unpack(k + unit): n for k, n in det}, prod(scales)))
 
 
-@dataclass(frozen=True)
-class CofactorLift:
+class CofactorLift(NamedTuple):
     vars: Tuple[str, str, str]
     exponents: Tuple[int, int, int]
     matrix: Tuple[Tuple[Poly, ...], ...]  # rows h_i with sum_j h_ij f_j = v_i^N_i

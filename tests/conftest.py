@@ -11,6 +11,35 @@ from orbimf.constraints import EntryWork, QdimMatch, _dense_divmod
 from orbimf.polyring import Poly
 
 
+def sympy_expand(text: str, names, defs=()):
+    """`text` read by sympy, `^` as `**`, and expanded; each (name, text)
+    in `defs` stands for its own expansion, made in order."""
+    import sympy
+
+    local = {n: sympy.Symbol(n) for n in names}
+    for name, body in defs:
+        local[name] = sympy.expand(sympy.parse_expr(body.replace("^", "**"), local_dict=local))
+    return sympy.expand(sympy.parse_expr(text.replace("^", "**"), local_dict=local))
+
+
+def as_sympy(p: Poly):
+    """The sympy expression of a Poly, term by term."""
+    import sympy
+
+    syms = [sympy.Symbol(n) for n in p.vt.names]
+    return sympy.Add(*(
+        sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*(s**e for s, e in zip(syms, m)))
+        for m, c in p.terms()
+    ))
+
+
+def same_as_sympy(p: Poly, text: str, defs=()) -> bool:
+    """Does `p` equal the sympy expansion of `text` over its table?"""
+    import sympy
+
+    return sympy.expand(as_sympy(p) - sympy_expand(text, p.vt.names, defs)) == 0
+
+
 def uni_divides(d: Poly, p: Poly, name: str) -> bool:
     """Does the univariate d divide the univariate p exactly?"""
     return not _dense_divmod(p.univariate_coeffs(name), d.univariate_coeffs(name))[1]

@@ -8,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from conftest import same_as_sympy
 from orbimf.catalog import (
+    ENTRY_KEYS,
     CatalogError,
     load_catalog,
     load_entry,
@@ -42,9 +44,9 @@ def test_defs_are_parsed_once_per_entry(monkeypatch):
     parsed = []
     original = catalog_module.parse_poly
 
-    def counting(text, vt):
+    def counting(text, vt, defs=None):
         parsed.append(text)
-        return original(text, vt)
+        return original(text, vt, defs)
 
     monkeypatch.setattr(catalog_module, "parse_poly", counting)
     # E14 ships two defs; loading validates every entry polynomial
@@ -54,6 +56,18 @@ def test_defs_are_parsed_once_per_entry(monkeypatch):
     assert entry.defs
     for _, text in entry.defs:
         assert parsed.count(text) == 1
+
+
+@pytest.mark.parametrize("entry_id", ENTRY_IDS)
+def test_parsed_texts_equal_their_sympy_expansion(catalog, entry_id):
+    # an independent reading of every shipped text, defs expanded by sympy
+    entry = catalog[entry_id]
+    for key, p in zip(ENTRY_KEYS, entry.six()):
+        assert same_as_sympy(p, entry.entry_texts[key], entry.defs), key
+    for text, p in zip(entry.paper_constraint_texts, entry.paper_constraints()):
+        assert same_as_sympy(p, text), text
+    assert same_as_sympy(entry.paper_qdim("left"), entry.paper_qdim_left_text)
+    assert same_as_sympy(entry.paper_qdim("right"), entry.paper_qdim_right_text)
 
 
 def test_shipped_catalog_ids(catalog):
@@ -270,6 +284,28 @@ def test_unparsable_paper_constraint_exits_2(tmp_path, capsys):
 def test_unparsable_paper_qdim_exits_2(tmp_path, capsys):
     _e14_edited(tmp_path, lambda data: data.update(paper_qdim_right="-c^^7/2"))
     _exits_2_naming(tmp_path, capsys, "paper qdim_right")
+
+
+def test_entry_text_with_a_non_ascii_digit_exits_2(tmp_path, capsys):
+    _e14_edited(tmp_path, lambda data: data["entries"].update(d16="v^2 + v*y + y\u00b2"))
+    _exits_2_naming(tmp_path, capsys, "entry d16")
+
+
+def test_def_named_like_a_variable_exits_2(tmp_path, capsys):
+    from orbimf.cli import main
+
+    _e14_edited(tmp_path, lambda data: data["defs"].update(a1="c^2"))
+    assert main(["verify", "--all", "--catalog", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "bad catalog" in err and "defs named like a variable or parameter: ['a1']" in err
+
+
+def test_def_may_use_only_earlier_defs(tmp_path):
+    def swap(data):
+        data["defs"] = dict(reversed(list(data["defs"].items())))
+
+    with pytest.raises(CatalogError, match="def kappa2 does not parse: undeclared identifier 'kappa1'"):
+        load_entry(_e14_edited(tmp_path, swap))
 
 
 def test_loaded_entry_survives_pickle(catalog):

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import json
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -162,7 +165,7 @@ def test_verify_jobs_submits_longest_entries_first(capsys, tmp_path, monkeypatch
             submitted.extend(w[0].id for w in work)
             return map(fn, work)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     _three_entry_catalog(tmp_path)
     rc, out, _ = _run(
         capsys, "verify", "--all", "--catalog", str(tmp_path), "--jobs", "2", "--json"
@@ -171,6 +174,17 @@ def test_verify_jobs_submits_longest_entries_first(capsys, tmp_path, monkeypatch
     assert submitted == ["Z13v1_Z13v2", "U12v1_U12v3", "W12v1_W12v2"]
     ids = [r["entry"] for r in json.loads(out)["reports"]]
     assert ids == sorted(submitted)
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # a serial run never pays for the pool modules
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import orbimf.cli; "
+        "print([m for m in ('concurrent.futures.process', 'multiprocessing') if m in sys.modules])"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-I", "-c", code, src], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_qdim_plain_text(capsys):

@@ -10,6 +10,8 @@ from math import gcd
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import same_as_sympy
+
 from orbimf.polyring import (
     ParseError,
     Poly,
@@ -232,6 +234,13 @@ def test_parse_scalar_division():
         P("x/y")
 
 
+@pytest.mark.parametrize("text", ["x^\u00b2", "x+1\u00b2", "x^\u0663", "\u00b2", "x/\u0663"])
+def test_parse_rejects_non_ascii_digits(text):
+    # str.isdigit accepts superscripts and other scripts' digits
+    with pytest.raises(ParseError):
+        P(text)
+
+
 def test_parse_nested_fraction_coefficient():
     assert P("-1 - (1/4)*x^8") == Poly.const(VT, -1) - P("x^8") / 4
 
@@ -362,3 +371,63 @@ def test_pickle_round_trip(p):
     back = pickle.loads(pickle.dumps(p))
     assert back == p and back.vt == p.vt
     assert dict(back.terms()) == dict(p.terms())
+
+
+# -- the parser against sympy's reading of the same text --
+
+def _exprs(names):
+    """Texts in the grammar over `names`: sums of products of factors,
+    factors with powers, unary minus and division by nonzero literals."""
+    atoms = st.sampled_from(names) | st.integers(0, 12).map(str)
+
+    def extend(inner):
+        base = atoms | inner.map(lambda e: f"({e})")
+        powered = base | st.builds(lambda b, n: f"{b}^{n}", base, st.integers(0, 3))
+        divided = powered | st.builds(lambda f, q: f"{f}/{q}", powered, st.integers(-9, 9).filter(bool))
+        factor = divided | divided.map(lambda f: f"-{f}")
+        term = st.lists(factor, min_size=1, max_size=3).map("*".join)
+        rest = st.lists(st.tuples(st.sampled_from("+-"), term), max_size=2)
+        return st.builds(lambda t, r: t + "".join(f" {op} {u}" for op, u in r), term, rest)
+
+    return st.recursive(atoms, extend, max_leaves=6)
+
+
+def _parse_with_defs(text, defs):
+    expanded = {}
+    for name, body in defs:
+        expanded[name] = parse_poly(body, VT, expanded)
+    return parse_poly(text, VT, expanded)
+
+
+@settings(deadline=None, max_examples=50)
+@given(st.data())
+def test_parse_matches_sympy_expansion(data):
+    defs = []
+    for name in ("d0", "d1")[: data.draw(st.integers(0, 2))]:
+        defs.append((name, data.draw(_exprs(("x", "y", "z") + tuple(n for n, _ in defs)))))
+    text = data.draw(_exprs(("x", "y", "z") + tuple(n for n, _ in defs)))
+    assert same_as_sympy(_parse_with_defs(text, defs), text, defs)
+
+
+@pytest.mark.parametrize(
+    "text, defs",
+    [
+        # exponents past 8- and 16-bit fields, so the parse is retried wider
+        ("x^70000", ()),
+        ("(x*y^3)^30000", ()),
+        ("d0^40000 - y", (("d0", "x*y"),)),
+        ("(x^5000*y)^4000", ()),
+        ("(x + y)^2*z^300 - x/-3", ()),
+        ("-(x - 2*y/3)^2/-5 + --z", ()),
+        ("d1^2 - d0/-2", (("d0", "x^2 - y/2"), ("d1", "(d0 + z)*d0"))),
+    ],
+)
+def test_parse_matches_sympy_on_chosen_texts(text, defs):
+    assert same_as_sympy(_parse_with_defs(text, defs), text, defs)
+
+
+def test_parse_names_a_def_only_where_the_table_does_not():
+    defs = {"k": P("x + 1"), "x": P("y")}
+    assert parse_poly("k*x", VT, defs) == P("x^2 + x")
+    with pytest.raises(ParseError, match="undeclared identifier 'q'"):
+        parse_poly("k*q", VT, defs)
