@@ -8,6 +8,11 @@ potentials table, gives the renaming from table variables to the entry's
 variables, and fixes the variable order used for derivatives (the order
 is normative for quantum dimensions; the renaming is not).
 
+The loader is the only code that turns catalog text into polynomials:
+it parses every text of an entry once, potentials included, and builds
+each family's quotient ring with `family_ring`; a text or family that
+fails is a CatalogError naming it.  Verification parses nothing.
+
 Named abbreviations in "defs" expand sequentially: each is parsed once,
 with the earlier ones standing for their expansions, so it may refer
 only to earlier ones and cycles cannot form.  "corrections" records
@@ -27,8 +32,9 @@ from importlib import resources
 from pathlib import Path
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from .grading import WeightSystem
-from .polyring import ParseError, Poly, VarTable, parse_poly
+from .grading import GradingError, WeightSystem
+from .numberfield import NumberFieldError, QuotientSpec
+from .polyring import ParseError, Poly, PolyError, VarTable, parse_poly
 
 SCHEMA_KEYS = (
     "id",
@@ -59,10 +65,6 @@ class SidePotential(NamedTuple):
     vars: Tuple[str, ...]  # derivative order, in entry variables
     renaming: Dict[str, str]  # table variable -> entry variable
 
-    def potential(self, vt: VarTable) -> Poly:
-        table_vt = VarTable(self.table_vars, ring_vars=self.table_vars)
-        return parse_poly(self.poly_text, table_vt).convert(vt, self.renaming)
-
 
 class SolutionFamily(NamedTuple):
     label: str
@@ -75,6 +77,28 @@ class SolutionFamily(NamedTuple):
 
     def default_value(self, name: str) -> Fraction:
         return Fraction(self.free_defaults.get(name, "0"))
+
+
+class FamilyRing(NamedTuple):
+    spec: QuotientSpec
+    bindings: Dict[str, Poly]  # bound and free parameters, frees map to themselves
+
+
+def family_ring(family: SolutionFamily) -> FamilyRing:
+    """The quotient ring of `family` over its generators and free
+    parameters, and its bindings in that ring; CatalogError if a text
+    does not parse or `QuotientSpec` rejects the generators."""
+    gen_names = tuple(g for g, _ in family.generators)
+    names = gen_names + tuple(v for v in family.free if v not in gen_names)
+    where = f"family {family.label!r}"
+    try:
+        qvt = VarTable(names, param_vars=names)
+        mps = tuple(_parse(t, qvt, f"{where}: minimal polynomial of {g}") for g, t in family.generators)
+        bindings = {p: _parse(t, qvt, f"{where}: binding of {p}") for p, t in family.bindings.items()}
+        bindings.update((v, Poly.var(qvt, v)) for v in family.free)
+        return FamilyRing(QuotientSpec(qvt, gen_names, mps, family.is_field), bindings)
+    except (PolyError, NumberFieldError) as exc:
+        raise CatalogError(f"{where}: {exc}") from None
 
 
 class Correction(NamedTuple):
@@ -100,8 +124,9 @@ class EquivalenceEntry:
     vt: VarTable = field(compare=False)
 
     # -- parsed views ---------------------------------------------------
-    # Each text is parsed once, by `validate` when the entry is loaded;
-    # a text that does not parse raises CatalogError naming it.
+    # Each text is parsed once, by `validate` when the entry is loaded,
+    # and every later read shares the result; a text that does not parse
+    # raises CatalogError naming it.
 
     @cached_property
     def _six(self) -> Tuple[Poly, ...]:
@@ -119,14 +144,27 @@ class EquivalenceEntry:
             {side: _parse(t, self.vt, f"paper qdim_{side}") for side, t in qdims.items()},
         )
 
+    @cached_property
+    def _potentials(self) -> Tuple[Poly, Poly]:
+        """Both sides' potentials, renamed onto the entry's table."""
+        return tuple(
+            _parse(s.poly_text, VarTable(s.table_vars), f"potential {s.potential_key}").convert(self.vt, s.renaming)
+            for s in (self.side_in, self.side_out)
+        )
+
+    @cached_property
+    def family_rings(self) -> Tuple[FamilyRing, ...]:
+        """One quotient ring per shipped family, in `families` order."""
+        return tuple(map(family_ring, self.families))
+
     def six(self) -> Tuple[Poly, ...]:
         return self._six
 
     def potential_in(self) -> Poly:
-        return self.side_in.potential(self.vt)
+        return self._potentials[0]
 
     def potential_out(self) -> Poly:
-        return self.side_out.potential(self.vt)
+        return self._potentials[1]
 
     def difference(self) -> Poly:
         return self.potential_out() - self.potential_in()
@@ -164,7 +202,13 @@ def _side_from_json(obj: dict, potentials: Mapping[str, dict], where: str) -> Si
     if pk not in potentials:
         raise CatalogError(f"{where}: unknown potential {pk!r}")
     meta = potentials[pk]
-    table_vars = tuple(meta["vars"])
+    try:
+        table_vars, poly_text = tuple(meta["vars"]), meta["poly"]
+        weight_system = WeightSystem(*meta["weight_system"])
+    except KeyError as exc:
+        raise CatalogError(f"{where}: potential {pk} lacks key {exc}") from None
+    except (TypeError, GradingError) as exc:
+        raise CatalogError(f"{where}: potential {pk}: {exc}") from None
     renaming = dict(obj["renaming"])
     if set(renaming) != set(table_vars):
         raise CatalogError(f"{where}: renaming keys must be exactly {table_vars}")
@@ -176,9 +220,7 @@ def _side_from_json(obj: dict, potentials: Mapping[str, dict], where: str) -> Si
         raise CatalogError(
             f"{where}: derivative order {side_vars} must list the renamed variables {sorted(targets)}"
         )
-    return SidePotential(
-        pk, table_vars, meta["poly"], WeightSystem(*meta["weight_system"]), side_vars, renaming
-    )
+    return SidePotential(pk, table_vars, poly_text, weight_system, side_vars, renaming)
 
 
 def load_entry(path: Path, potentials: Optional[Mapping[str, dict]] = None) -> EquivalenceEntry:
@@ -251,6 +293,8 @@ def validate(entry: EquivalenceEntry) -> None:
     problems: List[str] = []
     try:
         entry._six
+        entry._potentials
+        entry.family_rings
         constraints, qdims = entry._printed
     except CatalogError as exc:
         raise CatalogError(f"{entry.id}: {exc}") from None
@@ -260,19 +304,12 @@ def validate(entry: EquivalenceEntry) -> None:
         if bad:
             problems.append(f"{what} uses non-parameters {bad}")
     for fam in entry.families:
-        gen_names = [g for g, _ in fam.generators]
-        names = tuple(gen_names) + tuple(v for v in fam.free if v not in gen_names)
-        for p, text in fam.bindings.items():
-            try:
-                parse_poly(text, VarTable(names, param_vars=names))
-            except ParseError as exc:
-                problems.append(f"family {fam.label!r}: binding of {p} does not parse: {exc}")
         for name, value in fam.free_defaults.items():
             if name not in fam.free or not _is_rational(value):
                 problems.append(f"family {fam.label!r}: free_defaults {name}={value!r} needs a free parameter and a rational")
         for g, z in fam.root_choice.items():
             texts = z if isinstance(z, (list, tuple)) and len(z) == 2 else ()
-            if g not in gen_names or not texts or not all(isinstance(t, str) and _is_rational(t) for t in texts):
+            if g not in dict(fam.generators) or not texts or not all(isinstance(t, str) and _is_rational(t) for t in texts):
                 problems.append(f"family {fam.label!r}: root_choice {g}={z!r} needs a generator and two decimal strings")
         bound = set(fam.bindings) | set(fam.free)
         if bound != set(entry.parameters):
@@ -282,28 +319,13 @@ def validate(entry: EquivalenceEntry) -> None:
             )
         if set(fam.bindings) & set(fam.free):
             problems.append(f"family {fam.label!r}: a parameter is both bound and free")
-        gvt = VarTable(tuple(gen_names), param_vars=tuple(gen_names))
-        for g, mp_text in fam.generators:
-            try:
-                mp = parse_poly(mp_text, gvt)
-            except ParseError as exc:
-                problems.append(f"family {fam.label!r}: minimal polynomial of {g} does not parse: {exc}")
-                continue
-            if mp.support_vars() != (g,):
-                problems.append(f"family {fam.label!r}: minimal polynomial of {g} not univariate")
+    shipped = dict(entry.entry_texts)
+    shipped.update((f"paper_constraints[{i}]", t) for i, t in enumerate(entry.paper_constraint_texts))
     for corr in entry.corrections:
-        if corr.location in ENTRY_KEYS:
-            shipped = entry.entry_texts[corr.location]
-        elif corr.location.startswith("paper_constraints[") and corr.location.endswith("]"):
-            idx = int(corr.location[len("paper_constraints["):-1])
-            shipped = entry.paper_constraint_texts[idx]
-        else:
+        if corr.location not in shipped:
             problems.append(f"correction at unknown location {corr.location!r}")
-            continue
-        if corr.corrected != shipped:
-            problems.append(
-                f"correction at {corr.location}: 'corrected' text differs from the shipped text"
-            )
+        elif corr.corrected != shipped[corr.location]:
+            problems.append(f"correction at {corr.location}: 'corrected' text differs from the shipped text")
     if problems:
         raise CatalogError(f"{entry.id}: " + "; ".join(problems))
 

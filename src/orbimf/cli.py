@@ -478,7 +478,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(c)
     c.add_argument("--entry", required=True)
     c.add_argument("--compare-paper", action="store_true", help="two-way ideal comparison against the printed system")
-    c.add_argument("--emit", action="store_true", help="print the unit-normalized generators")
     c.set_defaults(func=cmd_constraints)
     return parser
 

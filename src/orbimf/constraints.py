@@ -18,18 +18,11 @@ from functools import cached_property
 from math import gcd
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
-from ._groebner import BudgetExceeded, groebner_basis, normal_form, reducer, resultant
-from ._groebner import _univariate_coeffs_in
-from .catalog import EquivalenceEntry, SolutionFamily
+from ._groebner import _univariate_coeffs_in, groebner_basis, normal_form, reducer, resultant
+from .catalog import EquivalenceEntry, FamilyRing, SolutionFamily, family_ring
 from .matfac import MatrixFactorization, build_8x8, square_scalar
-from .numberfield import (
-    NonzeroCertificate,
-    NumberFieldError,
-    QuotientElem,
-    QuotientSpec,
-    reduce as quotient_reduce,
-    certify_value,
-)
+from .numberfield import NonzeroCertificate, NumberFieldError, QuotientSpec, certify_value
+from .numberfield import reduce as quotient_reduce
 from .polyring import Poly, VarTable, _integer_terms, format_poly, parse_poly
 from .residue import qdim_pair
 
@@ -117,14 +110,13 @@ class EntryWork:
     """The facts the stages of one entry read, each computed on first use
     and then kept: the factorization `m`, the `derived` and `printed`
     constraint sets, both quantum dimensions `qdims`, one Groebner basis
-    with its reducer per distinct generator set, and one quotient ring
-    per solution family."""
+    with its reducer per distinct generator set.  The quotient rings of
+    the shipped families are the entry's own, built at load."""
 
     def __init__(self, entry: EquivalenceEntry, spair_cap: int = 50000):
         self.entry = entry
         self.spair_cap = spair_cap
         self._reducers: Dict[Tuple[Poly, ...], Callable[[Poly], Poly]] = {}
-        self._rings: List[Tuple[SolutionFamily, "_FamilyRing"]] = []
 
     @cached_property
     def m(self) -> MatrixFactorization:
@@ -156,23 +148,13 @@ class EntryWork:
         satisfy it and everything lies in it?"""
         return self.reducer_for(cs)(Poly.const(self.entry.vt, 1)).is_zero()
 
-    def family_ring(self, family: SolutionFamily) -> "_FamilyRing":
+    def family_ring(self, family: SolutionFamily) -> FamilyRing:
         """The quotient ring of `family` and its bindings of every entry
-        parameter (free ones map to themselves), built once."""
-        for known, ring in self._rings:
-            if known == family:
-                return ring
-        gen_names = tuple(g for g, _ in family.generators)
-        names = gen_names + tuple(v for v in family.free if v not in gen_names)
-        qvt = VarTable(names, param_vars=names)
-        mps = tuple(parse_poly(text, qvt) for _, text in family.generators)
-        bindings = {
-            p: parse_poly(family.bindings[p], qvt) if p in family.bindings else Poly.var(qvt, p)
-            for p in self.entry.parameters
-        }
-        ring = _FamilyRing(QuotientSpec(qvt, gen_names, mps, family.is_field), bindings)
-        self._rings.append((family, ring))
-        return ring
+        parameter: the entry's own for a shipped family, else a new one."""
+        families = self.entry.families
+        if family in families:
+            return self.entry.family_rings[families.index(family)]
+        return family_ring(family)
 
 
 class IdealComparison(NamedTuple):
@@ -225,11 +207,6 @@ def eliminate_linear(
 
 
 # -- solution families -------------------------------------------------
-
-
-class _FamilyRing(NamedTuple):
-    spec: QuotientSpec
-    bindings: Dict[str, Poly]  # every entry parameter, frees map to themselves
 
 
 class FamilyReport(NamedTuple):
@@ -305,16 +282,6 @@ class NonvanishingReport(NamedTuple):
         return (pc.status == "zero") == (cc.status == "zero")
 
 
-def _certify_at(
-    elem: QuotientElem, family: SolutionFamily, origin: str, precision_bits: int
-) -> QdimAtPoint:
-    try:
-        cert = certify_value(elem, family.root_choice, start_bits=precision_bits)
-        return QdimAtPoint(origin, format_poly(elem.rep), cert)
-    except NumberFieldError as exc:
-        return QdimAtPoint(origin, format_poly(elem.rep), None, str(exc))
-
-
 def nonvanishing_check(
     work: EntryWork,
     family: SolutionFamily,
@@ -334,18 +301,25 @@ def nonvanishing_check(
     """
     entry = work.entry
     ring = work.family_ring(family)
+    vt = ring.spec.vt
     chosen: Dict[str, str] = {}
+    free_map: Dict[str, Poly] = {}
     for free in family.free:
         if point and free in point:
             chosen[free] = str(point[free])
+            free_map[free] = parse_poly(chosen[free], vt)
         else:
-            chosen[free] = str(family.default_value(free))
-    free_map = {f: parse_poly(t, ring.spec.vt) for f, t in chosen.items()}
+            value = family.default_value(free)
+            chosen[free], free_map[free] = str(value), Poly.const(vt, value)
     at_point = {p: b.substitute(free_map) for p, b in ring.bindings.items()}
 
     def certify(p: Poly, origin: str) -> QdimAtPoint:
         elem = quotient_reduce(p.substitute(at_point), ring.spec)
-        return _certify_at(elem, family, origin, precision_bits)
+        try:
+            cert = certify_value(elem, family.root_choice, start_bits=precision_bits)
+        except NumberFieldError as exc:
+            return QdimAtPoint(origin, format_poly(elem.rep), None, str(exc))
+        return QdimAtPoint(origin, format_poly(elem.rep), cert)
 
     computed = certify(work.qdims[side], "computed")
     printed = certify(entry.paper_qdim(side), "printed")

@@ -87,6 +87,10 @@ class QuotientSpec:
     def _normal_form(self) -> Callable[[Poly], Poly]:
         return reducer(self.minimal_polys)
 
+    def __getstate__(self) -> dict:
+        # the reducer is a closure; an unpickled copy builds its own
+        return {k: v for k, v in self.__dict__.items() if k != "_normal_form"}
+
 
 @dataclass(frozen=True)
 class QuotientElem:

@@ -18,7 +18,8 @@ from orbimf.catalog import (
     resolve_entry,
     validate,
 )
-from orbimf.polyring import format_poly, parse_poly
+from orbimf.numberfield import reduce
+from orbimf.polyring import Poly, format_poly, parse_poly
 
 DEMO_DIR = Path(__file__).parent / "data" / "demo"
 
@@ -204,17 +205,19 @@ def test_correction_text_must_match_shipped(tmp_path):
 
 
 def test_correction_location_must_exist(tmp_path):
-    data = _demo_data()
-    data["corrections"] = [
-        {
-            "location": "d99",
-            "printed": "u",
-            "corrected": "u",
-            "justification": "test",
-        }
-    ]
-    with pytest.raises(CatalogError, match="unknown location"):
-        load_entry(_write(tmp_path, data))
+    # the demo entry ships no printed constraints, so index 0 is out of range
+    for location in ("d99", "paper_constraints[0]"):
+        data = _demo_data()
+        data["corrections"] = [
+            {
+                "location": location,
+                "printed": "u",
+                "corrected": "u",
+                "justification": "test",
+            }
+        ]
+        with pytest.raises(CatalogError, match="unknown location"):
+            load_entry(_write(tmp_path, data))
 
 
 def _e14_edited(tmp_path, edit):
@@ -276,6 +279,57 @@ def test_unparsable_minimal_polynomial_exits_2(tmp_path, capsys):
     _exits_2_naming(tmp_path, capsys, "minimal polynomial of c")
 
 
+def test_non_monic_minimal_polynomial_exits_2(tmp_path, capsys):
+    from orbimf.cli import main
+
+    _e14_with(tmp_path, lambda fam: fam.update(generators=[["c", "2*c^4 - 4*c^2 + 4"]]))
+    assert main(["verify", "--all", "--catalog", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "bad catalog" in err and "minimal polynomial of 'c' must be monic" in err
+
+
+def test_repeated_generator_name_exits_2(tmp_path, capsys):
+    from orbimf.cli import main
+
+    _e14_with(tmp_path, lambda fam: fam.update(generators=[["c", "c^2 + 1"], ["c", "c^2 + 1"]]))
+    assert main(["verify", "--all", "--catalog", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "bad catalog" in err and "family 'E14 Family 1': duplicate variable names" in err
+
+
+def _e14_with_potential(tmp_path, edit):
+    """A copy of the shipped E14 entry next to a local potentials.json
+    whose record of E14's first potential has `edit` applied; returns
+    that potential's key."""
+    table = json.loads((default_catalog_dir() / "potentials.json").read_text())
+    key = json.loads((default_catalog_dir() / "E14.json").read_text())["ring_vars_in"]["potential"]
+    edit(table[key])
+    (tmp_path / "potentials.json").write_text(json.dumps(table))
+    _e14_edited(tmp_path, lambda data: None)
+    return key
+
+
+@pytest.mark.parametrize(
+    "edit, what",
+    [
+        (lambda rec: rec.update(poly="x^^4 + y^3 + z^2"), "does not parse"),
+        (lambda rec: rec.update(poly=rec["poly"] + " + q"), "does not parse: undeclared identifier 'q'"),
+        (lambda rec: rec.update(weight_system=[0, 1, 1, 5]), "weight system entries must be positive"),
+        (lambda rec: rec.pop("vars"), "lacks key 'vars'"),
+        (lambda rec: rec.pop("poly"), "lacks key 'poly'"),
+        (lambda rec: rec.pop("weight_system"), "lacks key 'weight_system'"),
+    ],
+    ids=["unparsable", "undeclared-name", "bad-weights", "no-vars", "no-poly", "no-weights"],
+)
+def test_malformed_potential_record_exits_2(tmp_path, capsys, edit, what):
+    from orbimf.cli import main
+
+    key = _e14_with_potential(tmp_path, edit)
+    assert main(["verify", "--all", "--catalog", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "bad catalog" in err and f"potential {key}" in err and what in err
+
+
 def test_unparsable_paper_constraint_exits_2(tmp_path, capsys):
     _e14_edited(tmp_path, lambda data: data.update(paper_constraints=["c^^8 + 4"]))
     _exits_2_naming(tmp_path, capsys, "constraint 'c^^8 + 4'")
@@ -309,8 +363,11 @@ def test_def_may_use_only_earlier_defs(tmp_path):
 
 
 def test_loaded_entry_survives_pickle(catalog):
-    # a process pool receives each entry pickled, parsed views included
+    # a process pool receives each entry pickled, parsed views included;
+    # a quotient ring that has reduced already leaves its reducer behind
     for entry in catalog.values():
+        for ring in entry.family_rings:
+            reduce(Poly.const(ring.spec.vt, 1), ring.spec)
         back = pickle.loads(pickle.dumps(entry))
         assert back == entry and back.vt == entry.vt
         assert back.six() == entry.six()
@@ -318,6 +375,15 @@ def test_loaded_entry_survives_pickle(catalog):
         assert [back.paper_qdim(s) for s in ("left", "right")] == [
             entry.paper_qdim(s) for s in ("left", "right")
         ]
+        assert (back.potential_in(), back.potential_out()) == (entry.potential_in(), entry.potential_out())
+        assert back.potential_in().vt == entry.vt
+        assert back.family_rings == entry.family_rings
+        assert len(back.family_rings) == len(entry.families)
+        for ring, known in zip(back.family_rings, entry.family_rings):
+            assert ring.bindings == known.bindings
+            for g in ring.spec.generators:
+                power = Poly.var(ring.spec.vt, g) ** 9
+                assert reduce(power, ring.spec).rep == reduce(power, known.spec).rep
 
 
 def test_shipped_corrections_present(catalog):

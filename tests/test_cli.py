@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from orbimf import _groebner, cli, matfac, numberfield, residue
+from orbimf import _groebner, cli, matfac, numberfield, polyring, residue
 from orbimf.catalog import EquivalenceEntry, load_catalog
 from orbimf.cli import SCHEMA_VERSION, main, verify_entry
 from orbimf.polyring import Poly, parse_poly
@@ -46,14 +46,14 @@ def _mask_seconds(obj):
 
 
 def test_constraints_emit_text(capsys):
-    rc, out, _ = _run(capsys, "constraints", "--entry", "E14", "--emit")
+    rc, out, _ = _run(capsys, "constraints", "--entry", "E14")
     assert rc == 0
     assert out.strip() == "c^8 + 4"
 
 
 @pytest.mark.parametrize("entry_id", ENTRY_IDS)
 def test_constraints_json_matches_golden(capsys, entry_id):
-    rc, out, _ = _run(capsys, "constraints", "--entry", entry_id, "--emit", "--json")
+    rc, out, _ = _run(capsys, "constraints", "--entry", entry_id, "--json")
     assert rc == 0
     golden = json.loads((GOLDEN_DIR / f"constraints_{entry_id}.json").read_text())
     assert json.loads(out) == golden
@@ -316,8 +316,14 @@ def test_verify_entry_computes_each_fact_once(count_calls, entry_id):
     squares = count_calls(matfac, "square")
     matmuls = count_calls(matfac, "matmul")
     specs = count_calls(numberfield, "QuotientSpec")
-    entry = load_catalog()[entry_id]
+    catalog = load_catalog()
+    entry = catalog[entry_id]
+    # one quotient ring per family, built at load and shared by its
+    # family check and both nonvanishing sides
+    assert len(specs) == sum(len(e.families) for e in catalog.values())
+    specs.clear()
     verify_entry(entry)
+    assert not specs
     assert len(parses) == 1
     # the square is square_scalar times the identity, and the supertrace
     # a Jacobian determinant; no stage forms an 8x8 product
@@ -344,12 +350,21 @@ def test_verify_entry_computes_each_fact_once(count_calls, entry_id):
     assert len(constraint_reducers) == (2 if w12 else 1)
     # and once per quotient ring, however many elements it reduces
     assert len({id(args[0]) for args in quotient_reducers}) == len(quotient_reducers)
-    assert len(quotient_reducers) <= len(specs)
-    # one quotient ring per family, shared by its family check and both
-    # nonvanishing sides
-    assert len(specs) == len(entry.families)
+    assert len(quotient_reducers) <= len(entry.families)
     # groebner_basis and interreduce build one record set each
     assert len(divisor_sets) == 2 * len(bases) + len(constraint_reducers) + len(quotient_reducers)
+
+
+@pytest.mark.parametrize("entry_id", ENTRY_IDS)
+def test_verify_entry_parses_nothing(count_calls, entry_id):
+    # the loader parses every catalog text and renames the potentials
+    # once; verification reads the parsed views only
+    entry = load_catalog()[entry_id]
+    parses = count_calls(polyring, "parse_poly")
+    converts = count_calls(Poly, "convert")
+    verify_entry(entry)
+    assert not parses
+    assert not converts
 
 
 def _substitute_by_adding(p, bindings):
