@@ -254,22 +254,29 @@ def load_entry(path: Path, potentials: Optional[Mapping[str, dict]] = None) -> E
     entries = dict(data["entries"])
     if set(entries) != set(ENTRY_KEYS):
         raise CatalogError(f"{path}: entries must be exactly {ENTRY_KEYS}")
-    families = tuple(
-        SolutionFamily(
-            label=f["label"],
-            generators=tuple((g[0], g[1]) for g in f["generators"]),
-            is_field=bool(f["is_field"]),
-            bindings=dict(f["bindings"]),
-            free=tuple(f["free"]),
-            free_defaults=dict(f.get("free_defaults", {})),
-            root_choice=dict(f.get("root_choice", {})),
-        )
-        for f in data["families"]
-    )
-    corrections = tuple(
-        Correction(c["location"], c["printed"], c["corrected"], c["justification"])
-        for c in data["corrections"]
-    )
+    families: List[SolutionFamily] = []
+    corrections: List[Correction] = []
+    record = "families"
+    try:
+        for i, f in enumerate(data["families"]):
+            record = f"families[{i}]"
+            families.append(SolutionFamily(
+                label=f["label"],
+                generators=tuple((name, text) for name, text in f["generators"]),
+                is_field=bool(f["is_field"]),
+                bindings=dict(f["bindings"]),
+                free=tuple(f["free"]),
+                free_defaults=dict(f.get("free_defaults", {})),
+                root_choice=dict(f.get("root_choice", {})),
+            ))
+        record = "corrections"
+        for i, c in enumerate(data["corrections"]):
+            record = f"corrections[{i}]"
+            corrections.append(Correction(*(c[k] for k in Correction._fields)))
+    except KeyError as exc:
+        raise CatalogError(f"{path}: {record} lacks key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise CatalogError(f"{path}: {record} is malformed: {exc}") from None
     entry = EquivalenceEntry(
         id=data["id"],
         side_in=side_in,
@@ -280,8 +287,8 @@ def load_entry(path: Path, potentials: Optional[Mapping[str, dict]] = None) -> E
         paper_constraint_texts=tuple(data["paper_constraints"]),
         paper_qdim_left_text=data["paper_qdim_left"],
         paper_qdim_right_text=data["paper_qdim_right"],
-        families=families,
-        corrections=corrections,
+        families=tuple(families),
+        corrections=tuple(corrections),
         vt=vt,
     )
     validate(entry)

@@ -154,7 +154,7 @@ def verify_entry(
                 ideal_detail["equal_after_eliminating"] = eliminated
     stage("ideal-compare", cmp_.a_in_b and not cmp_.vacuous, ideal_detail)
 
-    fam_reports = [con.verify_family(work, fam) for fam in entry.families]
+    fam_reports = [work.family_report(fam) for fam in entry.families]
     stage(
         "families",
         all(r.ok for r in fam_reports),

@@ -109,14 +109,16 @@ def groebner(constraints: ConstraintSet, spair_cap: int = 50000) -> List[Poly]:
 class EntryWork:
     """The facts the stages of one entry read, each computed on first use
     and then kept: the factorization `m`, the `derived` and `printed`
-    constraint sets, both quantum dimensions `qdims`, one Groebner basis
-    with its reducer per distinct generator set.  The quotient rings of
-    the shipped families are the entry's own, built at load."""
+    constraint sets, both quantum dimensions `qdims`, the normal forms
+    `qdim_nfs`, one Groebner basis with its reducer per distinct generator
+    set, one `verify_family` report per shipped family.  The quotient
+    rings of the shipped families are the entry's own, built at load."""
 
     def __init__(self, entry: EquivalenceEntry, spair_cap: int = 50000):
         self.entry = entry
         self.spair_cap = spair_cap
         self._reducers: Dict[Tuple[Poly, ...], Callable[[Poly], Poly]] = {}
+        self._family_reports: Dict[int, FamilyReport] = {}
 
     @cached_property
     def m(self) -> MatrixFactorization:
@@ -134,6 +136,17 @@ class EntryWork:
     def qdims(self) -> Dict[str, Poly]:
         """Both quantum dimensions from one sixfold derivative product."""
         return qdim_pair(self.m, self.entry.potential_in(), self.entry.potential_out())
+
+    @cached_property
+    def qdim_nfs(self) -> Dict[Tuple[str, str], Poly]:
+        """The computed and printed quantum dimensions of both sides, by
+        (origin, side), in normal form modulo the derived ideal."""
+        reduce = self.reducer_for(self.derived)
+        nfs = {}
+        for side in ("left", "right"):
+            nfs["computed", side] = reduce(self.qdims[side])
+            nfs["printed", side] = reduce(self.entry.paper_qdim(side))
+        return nfs
 
     def reducer_for(self, cs: ConstraintSet) -> Callable[[Poly], Poly]:
         """Normal forms modulo the ideal of `cs`; identical generator sets
@@ -155,6 +168,16 @@ class EntryWork:
         if family in families:
             return self.entry.family_rings[families.index(family)]
         return family_ring(family)
+
+    def family_report(self, family: SolutionFamily) -> FamilyReport:
+        """`verify_family` of `family`, kept for a shipped family."""
+        families = self.entry.families
+        if family not in families:
+            return verify_family(self, family)
+        i = families.index(family)
+        if i not in self._family_reports:
+            self._family_reports[i] = verify_family(self, family)
+        return self._family_reports[i]
 
 
 class IdealComparison(NamedTuple):
@@ -248,10 +271,7 @@ class QdimAtPoint(NamedTuple):
 
     @property
     def nonzero(self) -> bool:
-        return self.certificate is not None and self.certificate.status in (
-            "nonzero_exact",
-            "nonzero_interval",
-        )
+        return self.certificate is not None and self.certificate.status != "zero"
 
 
 class NonvanishingReport(NamedTuple):
@@ -296,11 +316,15 @@ def nonvanishing_check(
     residue-computed invariant; the printed closed form is evaluated at
     the same point and reported next to it.  A zero computed value means
     the point is excluded, exactly the situation the catalog's discard
-    notes describe.  Exact quotient fields certify by representation,
-    anything else by an interval around the declared root.
+    notes describe.  Both values are the normal forms `work.qdim_nfs`,
+    which differ from the raw polynomials by ideal elements that vanish
+    on the constraint variety; a family off it (`verify_family` fails)
+    gets an error, not a value.  A unit is certified by its inverse, a
+    zero divisor by an interval around the declared root.
     """
     entry = work.entry
     ring = work.family_ring(family)
+    on_variety = work.family_report(family).ok
     vt = ring.spec.vt
     chosen: Dict[str, str] = {}
     free_map: Dict[str, Poly] = {}
@@ -313,16 +337,18 @@ def nonvanishing_check(
             chosen[free], free_map[free] = str(value), Poly.const(vt, value)
     at_point = {p: b.substitute(free_map) for p, b in ring.bindings.items()}
 
-    def certify(p: Poly, origin: str) -> QdimAtPoint:
-        elem = quotient_reduce(p.substitute(at_point), ring.spec)
+    def certify(origin: str) -> QdimAtPoint:
+        if not on_variety:
+            return QdimAtPoint(origin, "?", None, "family does not lie on the constraint variety")
+        elem = quotient_reduce(work.qdim_nfs[origin, side].substitute(at_point), ring.spec)
         try:
             cert = certify_value(elem, family.root_choice, start_bits=precision_bits)
         except NumberFieldError as exc:
             return QdimAtPoint(origin, format_poly(elem.rep), None, str(exc))
         return QdimAtPoint(origin, format_poly(elem.rep), cert)
 
-    computed = certify(work.qdims[side], "computed")
-    printed = certify(entry.paper_qdim(side), "printed")
+    computed = certify("computed")
+    printed = certify("printed")
     return NonvanishingReport(
         entry.id, family.label, side, tuple(sorted(chosen.items())), computed, printed
     )
@@ -369,16 +395,16 @@ def _scalar_ratio(a: Poly, b: Poly) -> Optional[Fraction]:
 
 def compare_qdims(work: EntryWork) -> QdimComparison:
     """Match each printed quantum-dimension formula against the computed
-    invariants of `work`: exact equality first, then equality modulo the
-    derived ideal, then a global nonzero rational multiple (scalar
-    recorded), each tried on the same-name side before the opposite one.
-    Modulo a derived unit ideal every formula matches, so the steps
-    modulo the ideal are skipped and a formula no other step matches is
-    reported "vacuous" rather than matched."""
+    invariants of `work`: exact equality first, then equal normal forms
+    `qdim_nfs` modulo the derived ideal, then a global nonzero rational
+    multiple (scalar recorded), each tried on the same-name side before
+    the opposite one.  Modulo a derived unit ideal every formula matches,
+    so the steps modulo the ideal are skipped and a formula no other step
+    matches is reported "vacuous" rather than matched."""
     entry = work.entry
     cl = work.qdims["left"]
     cr = work.qdims["right"]
-    reduce = work.reducer_for(work.derived)
+    nf = work.qdim_nfs
     vacuous = work.is_unit(work.derived)
 
     def match(side: str) -> QdimMatch:
@@ -390,7 +416,7 @@ def compare_qdims(work: EntryWork) -> QdimComparison:
             if printed == comp:
                 return QdimMatch(side, "exact", name, _ONE, False)
         for name, comp in order:
-            if not vacuous and reduce(printed - comp).is_zero():
+            if not vacuous and nf["printed", side] == nf["computed", name]:
                 return QdimMatch(side, "exact_mod_ideal", name, _ONE, True)
         for name, comp in order:
             lam = _scalar_ratio(printed, comp)
@@ -399,7 +425,7 @@ def compare_qdims(work: EntryWork) -> QdimComparison:
         if vacuous:
             return QdimMatch(side, "vacuous", None, None, False)
         for name, comp in order:
-            lam = _scalar_ratio(reduce(printed), reduce(comp))
+            lam = _scalar_ratio(nf["printed", side], nf["computed", name])
             if lam is not None:
                 return QdimMatch(side, "unit_multiple", name, lam, True)
         return QdimMatch(side, "unmatched", None, None, False)

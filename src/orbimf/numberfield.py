@@ -13,15 +13,17 @@ along), which reduction never touches.
 Inversion solves an exact linear system over the monomial basis of the
 quotient (representatives must be supported on generators only).  When a
 quotient is not known to be a field, a failed inversion reports a zero
-divisor instead of guessing.
+divisor instead of guessing; an element that inverts is a unit, nonzero
+at every root of the relations.
 
-embed_complex produces a rectangle with rational endpoints that is
-guaranteed to contain the image of an element under the embedding that
-sends each generator to a root of its minimal polynomial near the given
-approximation.  The enclosure of each root is certified with the classic
-bound  min_r |z0 - r| <= deg(m) * |m(z0)| / |m'(z0)|, evaluated in exact
-rational arithmetic; floating point (mpmath) is only used to refine the
-starting approximation, never in the certificate itself.
+For a nonzero zero divisor, embed_complex produces a rectangle with
+rational endpoints that is guaranteed to contain the image of an element
+under the embedding that sends each generator to a root of its minimal
+polynomial near the given approximation.  The enclosure of each root is
+certified with the classic bound  min_r |z0 - r| <= deg(m) * |m(z0)| /
+|m'(z0)|, evaluated in exact rational arithmetic; floating point
+(mpmath, imported on first use) only refines the starting approximation,
+never the certificate.
 """
 
 from __future__ import annotations
@@ -100,38 +102,10 @@ class QuotientElem:
     def is_zero(self) -> bool:
         return self.rep.is_zero()
 
-    def __add__(self, other: "QuotientElem") -> "QuotientElem":
-        self._check(other)
-        return QuotientElem(self.spec, self.rep + other.rep)
-
-    def __sub__(self, other: "QuotientElem") -> "QuotientElem":
-        self._check(other)
-        return QuotientElem(self.spec, self.rep - other.rep)
-
-    def __neg__(self) -> "QuotientElem":
-        return QuotientElem(self.spec, -self.rep)
-
     def __mul__(self, other: "QuotientElem") -> "QuotientElem":
-        self._check(other)
-        return reduce(self.rep * other.rep, self.spec)
-
-    def __pow__(self, n: int) -> "QuotientElem":
-        result = QuotientElem(self.spec, Poly.const(self.spec.vt, 1))
-        base = self
-        if n < 0:
-            base = invert(self)
-            n = -n
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
-
-    def _check(self, other: "QuotientElem") -> None:
         if self.spec != other.spec:
             raise NumberFieldError("elements of different quotient rings")
+        return reduce(self.rep * other.rep, self.spec)
 
     def __str__(self) -> str:
         return str(self.rep)
@@ -345,14 +319,20 @@ def certify_value(
     """Decide zero / certified-nonzero for a quotient element.
 
     Exactly-zero representatives are reported as zero.  In a declared
-    field any nonzero representative is already certified.  Otherwise the
-    element is embedded at the chosen roots with doubling precision until
-    the rectangle excludes zero.
+    field any nonzero representative is already certified, and in any
+    quotient a unit, by its inverse.  A zero divisor, or an element with
+    free variables left, is embedded at the chosen roots with doubling
+    precision until the rectangle excludes zero.
     """
     if elem.is_zero():
         return NonzeroCertificate("zero", ComplexBox.point(0), None)
     if elem.spec.is_field:
         return NonzeroCertificate("nonzero_exact", None, None)
+    try:
+        invert(elem)  # an exact solution of elem * y = 1, or an error
+        return NonzeroCertificate("nonzero_exact", None, None)
+    except NumberFieldError:
+        pass
     if not root_choice:
         raise NumberFieldError("non-field quotient needs a root choice to certify nonzero")
     bits = start_bits

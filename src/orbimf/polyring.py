@@ -232,29 +232,13 @@ class Poly:
         return Poly._raw(self.vt, out)
 
     def __sub__(self, other: "Poly") -> "Poly":
-        self._check(other)
-        out = dict(self._terms)
-        for m, c in other._terms.items():
-            s = out.get(m, _ZERO) - c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        return Poly._raw(self.vt, out)
+        return self + -other
 
     def __neg__(self) -> "Poly":
         return Poly._raw(self.vt, {m: -c for m, c in self._terms.items()})
 
     def __mul__(self, other: "Poly") -> "Poly":
-        self._check(other)
-        a, b = self._terms, other._terms
-        if len(a) > len(b):
-            a, b = b, a
-        da, ia = _integer_terms(a)
-        db, ib = _integer_terms(b)
-        acc: Dict[Monomial, int] = {}
-        _accumulate(acc, ia, ib)
-        return Poly._raw(self.vt, _over(acc, da * db))
+        return Poly.dot(self.vt, ((self, other),))
 
     @staticmethod
     def dot(vt: VarTable, pairs: Iterable[Tuple["Poly", "Poly"]]) -> "Poly":

@@ -297,6 +297,25 @@ def test_repeated_generator_name_exits_2(tmp_path, capsys):
     assert "bad catalog" in err and "family 'E14 Family 1': duplicate variable names" in err
 
 
+@pytest.mark.parametrize(
+    "edit, what",
+    [
+        (lambda data: data["families"][0].pop("label"), "families[0] lacks key 'label'"),
+        (lambda data: data["families"][0].pop("is_field"), "families[0] lacks key 'is_field'"),
+        (lambda data: data["families"][0].update(generators=[["c"]]), "families[0] is malformed"),
+        (lambda data: data["corrections"][1].pop("justification"), "corrections[1] lacks key 'justification'"),
+    ],
+    ids=["no-label", "no-is-field", "one-element-generator", "no-justification"],
+)
+def test_malformed_family_or_correction_record_exits_2(tmp_path, capsys, edit, what):
+    from orbimf.cli import main
+
+    _e14_edited(tmp_path, edit)
+    assert main(["verify", "--all", "--catalog", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "bad catalog" in err and what in err
+
+
 def _e14_with_potential(tmp_path, edit):
     """A copy of the shipped E14 entry next to a local potentials.json
     whose record of E14's first potential has `edit` applied; returns

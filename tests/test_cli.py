@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from orbimf import _groebner, cli, matfac, numberfield, polyring, residue
+from orbimf import _groebner, cli, constraints, matfac, numberfield, polyring, residue
 from orbimf.catalog import EquivalenceEntry, load_catalog
 from orbimf.cli import SCHEMA_VERSION, main, verify_entry
 from orbimf.polyring import Poly, parse_poly
@@ -187,6 +187,23 @@ def test_cli_import_leaves_the_process_pool_unloaded():
     assert out.stdout.strip() == "[]"
 
 
+def test_verify_all_leaves_mpmath_unloaded():
+    # every nonzero certificate the shipped catalog needs is exact (each
+    # value is a unit, certified by its inverse), so no interval is formed
+    code = (
+        "import contextlib, io, sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "from orbimf.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    rc = main(['verify', '--all', '--json'])\n"
+        "print(rc, 'mpmath' in sys.modules)\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-I", "-c", code, src], capture_output=True, text=True, check=True)
+    # exit code 1: W13's computed quantum dimensions vanish on its families
+    assert out.stdout.split() == ["1", "False"]
+
+
 def test_qdim_plain_text(capsys):
     rc, out, _ = _run(capsys, "qdim", "--entry", "E14", "--side", "right")
     assert rc == 0
@@ -296,6 +313,80 @@ def test_unit_ideal_comparisons_are_vacuous(capsys, tmp_path):
     assert "printed<=derived: vacuous" in out
 
 
+def _unit_ideal_demo_with_family(directory):
+    """`_unit_ideal_demo` with one family k = s, s^2 = 2, which cannot
+    satisfy the derived constraints."""
+    catalog = _unit_ideal_demo(directory)
+    entry = json.loads((directory / "DEMO.json").read_text())
+    entry["families"] = [
+        {"label": "k = s", "generators": [["s", "s^2 - 2"]], "is_field": True,
+         "bindings": {"k": "s"}, "free": [], "free_defaults": {}, "root_choice": {}}
+    ]
+    (directory / "DEMO.json").write_text(json.dumps(entry))
+    return catalog
+
+
+def _e14_with_misprinted_binding(directory):
+    """A copy of the shipped E14 entry whose first family binds c to 2c,
+    off the constraint variety c^8 + 4 = 0."""
+    entry = json.loads((SHIPPED_DIR / "E14.json").read_text())
+    entry["families"][0]["bindings"]["c"] = "2*c"
+    (directory / "E14.json").write_text(json.dumps(entry))
+    return str(directory)
+
+
+_OFF_VARIETY = "family does not lie on the constraint variety"
+
+
+@pytest.mark.parametrize(
+    "make, entry, family",
+    [(_unit_ideal_demo_with_family, "DEMO", "k = s"), (_e14_with_misprinted_binding, "E14", "Family 1")],
+    ids=["unit-ideal", "misprinted-binding"],
+)
+def test_family_off_the_variety_gets_no_qdim_value(capsys, tmp_path, make, entry, family):
+    # modulo the derived ideal the normal forms would give such a family
+    # fictitious values (all zero modulo the unit ideal); it gets an error
+    catalog = make(tmp_path)
+    work = constraints.EntryWork(cli.resolve_entry(load_catalog(catalog), entry))
+    fam = cli._find_family(work.entry, family)
+    assert not work.family_report(fam).ok
+    for side in ("left", "right"):
+        nv = constraints.nonvanishing_check(work, fam, side)
+        assert (nv.computed.error, nv.printed.error) == (_OFF_VARIETY, _OFF_VARIETY)
+    rc, out, _ = _run(capsys, "qdim", "--entry", entry, "--family", family, "--catalog", catalog,
+                      "--compare-paper", "--json")
+    assert rc == 0
+    for block in json.loads(out)["sides"].values():
+        for origin in ("computed", "printed"):
+            assert block[origin] == {"origin": origin, "value": "?", "certificate": None, "error": _OFF_VARIETY}
+        assert block["agree"] is False
+    rc, out, _ = _run(capsys, "qdim", "--entry", entry, "--family", family, "--catalog", catalog)
+    assert rc == 0
+    assert f"= ?  ({_OFF_VARIETY})" in out
+    rc, out, _ = _run(capsys, "verify", "--entry", entry, "--catalog", catalog, "--json")
+    assert rc == 1
+    stages = json.loads(out)["reports"][0]["stages"]
+    assert stages["families"]["ok"] is False and stages["nonvanishing"]["ok"] is False
+    assert all(r["computed"]["error"] == _OFF_VARIETY for r in stages["nonvanishing"]["detail"] if r["label"] == fam.label)
+
+
+def test_qdim_at_a_family_point_obeys_the_spair_cap(capsys):
+    # the normal forms need the Groebner basis of the derived ideal, so a
+    # cap too small for it aborts cleanly (W13 needs 85 pairs)
+    rc, out, err = _run(capsys, "qdim", "--entry", "W13", "--family", "t^8+4", "--spair-cap", "5")
+    assert rc == 1 and out == ""
+    assert err.startswith("verification aborted:")
+
+
+@pytest.mark.parametrize("entry_id", ENTRY_IDS)
+def test_verify_entry_checks_each_family_once(count_calls, entry_id):
+    # the families and nonvanishing stages share one report per family
+    entry = load_catalog()[entry_id]
+    calls = count_calls(constraints, "verify_family")
+    verify_entry(entry)
+    assert [family for _, family in calls] == list(entry.families)
+
+
 def test_unknown_family_exits_2(capsys):
     rc, _, err = _run(capsys, "qdim", "--entry", "E14", "--family", "nope")
     assert rc == 2
@@ -353,6 +444,31 @@ def test_verify_entry_computes_each_fact_once(count_calls, entry_id):
     assert len(quotient_reducers) <= len(entry.families)
     # groebner_basis and interreduce build one record set each
     assert len(divisor_sets) == 2 * len(bases) + len(constraint_reducers) + len(quotient_reducers)
+
+
+@pytest.mark.parametrize("entry_id", ENTRY_IDS)
+def test_verify_entry_reduces_each_quantum_dimension_once(count_calls, monkeypatch, entry_id):
+    # the normal forms modulo the derived ideal are kept on EntryWork and
+    # shared by the nonvanishing and qdim-match stages
+    reduced = []
+    make_reducer = constraints.reducer
+
+    def counting_reducer(basis):
+        reduce = make_reducer(basis)
+
+        def counted(p):
+            reduced.append(p)
+            return reduce(p)
+
+        return counted
+
+    monkeypatch.setattr(constraints, "reducer", counting_reducer)
+    works = count_calls(constraints.EntryWork, "reducer_for")
+    verify_entry(load_catalog()[entry_id])
+    work = works[0][0]
+    for side in ("left", "right"):
+        for poly in (work.qdims[side], work.entry.paper_qdim(side)):
+            assert sum(p is poly for p in reduced) == 1, side
 
 
 @pytest.mark.parametrize("entry_id", ENTRY_IDS)

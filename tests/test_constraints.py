@@ -23,7 +23,8 @@ from orbimf.constraints import (
     verify_family,
 )
 from orbimf.matfac import build_8x8
-from orbimf.polyring import VarTable, format_poly, parse_poly
+from orbimf.numberfield import reduce as quotient_reduce
+from orbimf.polyring import Poly, VarTable, format_poly, parse_poly
 
 from conftest import qdim_passes, uni_divides
 
@@ -172,17 +173,19 @@ def test_every_shipped_family_satisfies_derived_constraints(catalog, shipped_wor
     assert len(seen) == 12
 
 
+BROKEN_E14 = SolutionFamily(
+    label="broken",
+    generators=(("c", "c^4 - 2*c^2 + 1"),),
+    is_field=False,
+    bindings={"c": "c"},
+    free=("a1", "a2", "a3", "a4", "b1", "b2", "b3"),
+    free_defaults={},
+    root_choice={"c": ("1", "1")},
+)
+
+
 def test_wrong_minimal_polynomial_is_caught(shipped_work):
-    broken = SolutionFamily(
-        label="broken",
-        generators=(("c", "c^4 - 2*c^2 + 1"),),
-        is_field=False,
-        bindings={"c": "c"},
-        free=("a1", "a2", "a3", "a4", "b1", "b2", "b3"),
-        free_defaults={},
-        root_choice={"c": ("1", "1")},
-    )
-    report = verify_family(shipped_work("E14v1_E14v2"), broken)
+    report = verify_family(shipped_work("E14v1_E14v2"), BROKEN_E14)
     assert not report.ok
     assert report.failures
 
@@ -244,7 +247,8 @@ def test_w12_discard_rule_not_reproduced_by_computed_invariant(shipped_work):
     # invariant is nonzero there, so the two channels disagree
     nv = nonvanishing_check(shipped_work("W12v1_W12v2"), W12_DISCARDED, "left")
     assert nv.printed.certificate.status == "zero"
-    assert nv.computed.certificate.status == "nonzero_interval"
+    # a unit modulo b2^4 + 4, so certified by its inverse
+    assert nv.computed.certificate.status == "nonzero_exact"
     assert nv.computed.value == "1/4*b2^3"
     assert not nv.agree and not nv.excluded
 
@@ -256,6 +260,56 @@ def test_e14_avoidance_rule_not_reproduced_by_computed_invariant(shipped_work):
     assert nv.printed.certificate.status == "zero"
     assert nv.computed.certificate.status == "nonzero_exact"
     assert not nv.agree
+
+
+def _raw_point_value(work, family, side, origin, point):
+    """The quantum dimension itself, not its normal form modulo the
+    derived ideal, substituted at the family point and reduced in the
+    family's quotient ring."""
+    ring = work.family_ring(family)
+    vt = ring.spec.vt
+    free = {
+        v: parse_poly(point[v], vt) if v in point else Poly.const(vt, family.default_value(v))
+        for v in family.free
+    }
+    at_point = {p: b.substitute(free) for p, b in ring.bindings.items()}
+    poly = work.qdims[side] if origin == "computed" else work.entry.paper_qdim(side)
+    return format_poly(quotient_reduce(poly.substitute(at_point), ring.spec).rep)
+
+
+def _family_points(catalog):
+    for entry_id, entry in sorted(catalog.items()):
+        for family in entry.families:
+            yield entry_id, family, {}
+    yield "W12v1_W12v2", W12_DISCARDED, {}
+    yield "E14v1_E14v2", catalog["E14v1_E14v2"].families[0], {"a3": "-4*c"}
+
+
+def test_normal_forms_give_the_raw_values_at_family_points(shipped_work):
+    # on a point of the constraint variety a polynomial and its normal
+    # form modulo the derived ideal are the same quotient element
+    points = list(_family_points(load_catalog()))
+    assert len(points) == 14  # 12 shipped families (24 values per origin) and two more points
+    for entry_id, family, point in points:
+        work = shipped_work(entry_id)
+        for side in ("left", "right"):
+            nv = nonvanishing_check(work, family, side, point=point)
+            for origin, at in (("computed", nv.computed), ("printed", nv.printed)):
+                assert at.value == _raw_point_value(work, family, side, origin, point), (
+                    entry_id, family.label, side, origin,
+                )
+
+
+def test_family_off_the_variety_gets_no_values(shipped_work):
+    # the normal forms equal the quantum dimensions only on the constraint
+    # variety, so a family the families gate rejects is given no value
+    work = shipped_work("E14v1_E14v2")
+    for side in ("left", "right"):
+        nv = nonvanishing_check(work, BROKEN_E14, side)
+        for at in (nv.computed, nv.printed):
+            assert at.certificate is None and at.value == "?"
+            assert at.error == "family does not lie on the constraint variety"
+        assert not nv.ok and not nv.excluded and not nv.agree
 
 
 def test_point_values_override_defaults(shipped_work):

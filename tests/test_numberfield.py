@@ -56,8 +56,9 @@ def test_reduce_of_minimal_poly_is_zero():
 
 def test_one_plus_i_fourth_power():
     spec = _spec_i()
-    e = element("1 + i", spec) ** 4
-    assert e.rep == parse_poly("-4", spec.vt)
+    e = element("1 + i", spec)
+    square = e * e
+    assert (square * square).rep == parse_poly("-4", spec.vt)
 
 
 def test_two_generator_reduction():
@@ -69,7 +70,7 @@ def test_two_generator_reduction():
         is_field=True,
     )
     assert element("i^2 * r^3", spec).rep == parse_poly("-1/2", vt)
-    assert (element("i*r", spec) ** 2).rep == parse_poly("-r^2", vt)
+    assert (element("i*r", spec) * element("i*r", spec)).rep == parse_poly("-r^2", vt)
 
 
 def test_spectator_variables_ride_along():
@@ -295,16 +296,26 @@ def test_embed_contains_numeric_value():
         assert mpmath.mpf(str(box.im_lo)) - pad <= val.imag <= mpmath.mpf(str(box.im_hi)) + pad
 
 
+T8 = VarTable(("t",), param_vars=("t",))
+T8_SPEC = QuotientSpec(T8, ("t",), (parse_poly("t^8 + 4", T8),))  # not a field
+
+
 def test_certify_zero_and_nonzero():
     vt = VarTable(("c",), param_vars=("c",))
     spec = QuotientSpec(vt, ("c",), (parse_poly("c^4 - 2*c^2 + 2", vt),))  # not declared a field
     zero = element("c^8 + 4", spec)
     cert = certify_value(zero, ROOT_C)
     assert cert.status == "zero"
-    val = element("-c^7/2", spec)
-    cert = certify_value(val, ROOT_C)
+    # a unit (c^8 = -4), certified by its inverse without an interval
+    cert = certify_value(element("-c^7/2", spec), ROOT_C)
+    assert cert == ("nonzero_exact", None, None)
+    # a zero divisor modulo t^8 + 4 = (t^4 - 2t^2 + 2)(t^4 + 2t^2 + 2),
+    # nonzero (4 - 4i) at the root sqrt(-1 + i) of the second factor
+    root = {"t": ("0.45508986056222733", "1.0986841134678098")}
+    cert = certify_value(element("t^4 - 2*t^2 + 2", T8_SPEC), root)
     assert cert.status == "nonzero_interval"
     assert not cert.box.contains_zero()
+    assert cert.box.re_lo <= 4 <= cert.box.re_hi and cert.box.im_lo <= -4 <= cert.box.im_hi
     assert cert.precision_bits == 128
 
 
@@ -315,9 +326,34 @@ def test_certify_field_shortcut():
 
 def test_certify_requires_roots_for_nonfield():
     vt = VarTable(("t",), param_vars=("t",))
-    spec = QuotientSpec(vt, ("t",), (parse_poly("t^2 - 2", vt),))
+    spec = QuotientSpec(vt, ("t",), (parse_poly("t^2 - 1", vt),))
     with pytest.raises(NumberFieldError):
-        certify_value(element("t", spec), None)
+        certify_value(element("t - 1", spec), None)
+    # a unit needs no root, even where the quotient is not declared a field
+    spec = QuotientSpec(vt, ("t",), (parse_poly("t^2 - 2", vt),))
+    assert certify_value(element("t", spec), None).status == "nonzero_exact"
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.integers(-6, 6), min_size=1, max_size=8),
+    st.sampled_from(["1", "t^4 - 2*t^2 + 2", "t^4 + 2*t^2 + 2", "t^8 + 4"]),
+)
+def test_certify_exact_exactly_on_units_modulo_t8_plus_4(coeffs, factor):
+    # t^8 + 4 is not irreducible, so the units are the elements coprime
+    # to it; the others are zero or need a root (none is given here)
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    product = sum(c * t**k for k, c in enumerate(coeffs)) * sympy.sympify(factor.replace("^", "**"))
+    e = sympy.rem(sympy.expand(product), t**8 + 4, t)
+    elem = element(str(e).replace("**", "^"), T8_SPEC)
+    unit = e != 0 and sympy.gcd(e, t**8 + 4) == 1
+    try:
+        status = certify_value(elem, None).status
+    except NumberFieldError:
+        status = None
+    assert (status == "nonzero_exact") == unit
+    assert (status == "zero") == (e == 0)
 
 
 # -- certified root boxes: sound radius, short endpoints ----------------
