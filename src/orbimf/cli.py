@@ -45,7 +45,7 @@ def _cert_dict(cert: Optional[NonzeroCertificate]) -> Optional[dict]:
     out: dict = {"status": cert.status}
     if cert.precision_bits is not None:
         out["precision_bits"] = cert.precision_bits
-    if cert.box is not None and cert.status == "nonzero_interval":
+    if cert.box is not None:
         mid = cert.box.midpoint()
         # rational endpoints can run to thousands of digits; floats suffice
         # for display, the exactness lives in the certified comparison
@@ -95,9 +95,7 @@ def _grading_stage(entry: EquivalenceEntry, m: MatrixFactorization) -> Tuple[boo
     return ok and gr.ok, detail
 
 
-def verify_entry(
-    entry: EquivalenceEntry, spair_cap: int = 50000, precision: int = 128
-) -> dict:
+def verify_entry(entry: EquivalenceEntry, spair_cap: int = 50000) -> dict:
     """All checks for one entry; the returned dict is the JSON report.
 
     Every stage reads its facts from one `EntryWork`, which computes each
@@ -169,7 +167,7 @@ def verify_entry(
     non_ok = True
     for fam in entry.families:
         for side in ("left", "right"):
-            nv = con.nonvanishing_check(work, fam, side, precision_bits=precision)
+            nv = con.nonvanishing_check(work, fam, side)
             non_ok = non_ok and nv.ok
             non_detail.append(
                 {
@@ -319,7 +317,7 @@ def _summary_table(reports: Sequence[dict], catalog) -> str:
     return "\n".join(lines)
 
 
-def _worker_verify(args: Tuple[EquivalenceEntry, int, int]) -> dict:
+def _worker_verify(args: Tuple[EquivalenceEntry, int]) -> dict:
     """`verify_entry` in a pool worker; the entry arrives pickled with
     its parsed polynomials, so no worker loads the catalog."""
     return verify_entry(*args)
@@ -339,10 +337,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            work = [(catalog[i], args.spair_cap, args.precision) for i in ids]
+            work = [(catalog[i], args.spair_cap) for i in ids]
             reports = list(pool.map(_worker_verify, work))
     else:
-        reports = [verify_entry(catalog[i], args.spair_cap, args.precision) for i in ids]
+        reports = [verify_entry(catalog[i], args.spair_cap) for i in ids]
     reports.sort(key=lambda r: r["entry"])
     if args.json:
         print(json.dumps({"schema": SCHEMA_VERSION, "seed": args.seed, "reports": reports}, indent=2))
@@ -375,7 +373,7 @@ def cmd_qdim(args: argparse.Namespace) -> int:
     if fam is not None:
         out["family"] = fam.label
         for side in sides:
-            nv = con.nonvanishing_check(work, fam, side, precision_bits=args.precision)
+            nv = con.nonvanishing_check(work, fam, side)
             block = {"computed": _qdim_point_dict(nv.computed), "point": dict(nv.point)}
             if args.compare_paper:
                 block["printed"] = _qdim_point_dict(nv.printed)
@@ -455,7 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--catalog", type=Path, default=None, help="catalog directory (or env ORBIMF_CATALOG)")
         p.add_argument("--json", action="store_true", help="machine-readable report")
         p.add_argument("--seed", type=int, default=0, help="recorded for reproducibility; nothing is randomized")
-        p.add_argument("--precision", type=int, default=128, help="starting bits for interval certificates")
         p.add_argument("--spair-cap", type=int, default=50000, help="S-pair budget per Groebner run")
 
     v = sub.add_parser("verify", help="run every check for one entry or the whole catalog")

@@ -307,7 +307,6 @@ def nonvanishing_check(
     family: SolutionFamily,
     side: str,
     point: Optional[Mapping[str, str]] = None,
-    precision_bits: int = 128,
 ) -> NonvanishingReport:
     """Certify the quantum dimension nonzero at one concrete family point.
 
@@ -342,7 +341,7 @@ def nonvanishing_check(
             return QdimAtPoint(origin, "?", None, "family does not lie on the constraint variety")
         elem = quotient_reduce(work.qdim_nfs[origin, side].substitute(at_point), ring.spec)
         try:
-            cert = certify_value(elem, family.root_choice, start_bits=precision_bits)
+            cert = certify_value(elem, family.root_choice)
         except NumberFieldError as exc:
             return QdimAtPoint(origin, format_poly(elem.rep), None, str(exc))
         return QdimAtPoint(origin, format_poly(elem.rep), cert)

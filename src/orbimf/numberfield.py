@@ -19,11 +19,11 @@ at every root of the relations.
 For a nonzero zero divisor, embed_complex produces a rectangle with
 rational endpoints that is guaranteed to contain the image of an element
 under the embedding that sends each generator to a root of its minimal
-polynomial near the given approximation.  The enclosure of each root is
-certified with the classic bound  min_r |z0 - r| <= deg(m) * |m(z0)| /
-|m'(z0)|, evaluated in exact rational arithmetic; floating point
-(mpmath, imported on first use) only refines the starting approximation,
-never the certificate.
+polynomial near the given approximation.  Everything is exact rational
+arithmetic: Newton steps rounded to a dyadic grid refine each root, the
+classic bound  min_r |z0 - r| <= deg(m) * |m(z0)| / |m'(z0)|  certifies a
+disk around the refined point, and the element's exact value at the disk
+centres is widened by how far each term can move within the disks.
 """
 
 from __future__ import annotations
@@ -102,11 +102,6 @@ class QuotientElem:
     def is_zero(self) -> bool:
         return self.rep.is_zero()
 
-    def __mul__(self, other: "QuotientElem") -> "QuotientElem":
-        if self.spec != other.spec:
-            raise NumberFieldError("elements of different quotient rings")
-        return reduce(self.rep * other.rep, self.spec)
-
     def __str__(self) -> str:
         return str(self.rep)
 
@@ -163,55 +158,19 @@ def invert(elem: QuotientElem) -> QuotientElem:
 # certified complex rectangles
 
 
-@dataclass(frozen=True)
-class ComplexBox:
-    """Axis-aligned rectangle with rational endpoints; arithmetic is exact."""
+class ComplexBox(NamedTuple):
+    """Axis-aligned rectangle with rational endpoints."""
 
     re_lo: Fraction
     re_hi: Fraction
     im_lo: Fraction
     im_hi: Fraction
 
-    def __post_init__(self) -> None:
-        if self.re_lo > self.re_hi or self.im_lo > self.im_hi:
-            raise NumberFieldError("empty complex box")
-
-    @staticmethod
-    def point(re, im=0) -> "ComplexBox":
-        re, im = Fraction(re), Fraction(im)
-        return ComplexBox(re, re, im, im)
-
     def contains_zero(self) -> bool:
         return self.re_lo <= 0 <= self.re_hi and self.im_lo <= 0 <= self.im_hi
 
     def width(self) -> Fraction:
         return max(self.re_hi - self.re_lo, self.im_hi - self.im_lo)
-
-    def __add__(self, other: "ComplexBox") -> "ComplexBox":
-        return ComplexBox(
-            self.re_lo + other.re_lo,
-            self.re_hi + other.re_hi,
-            self.im_lo + other.im_lo,
-            self.im_hi + other.im_hi,
-        )
-
-    def __mul__(self, other: "ComplexBox") -> "ComplexBox":
-        re_products = [a * b for a in (self.re_lo, self.re_hi) for b in (other.re_lo, other.re_hi)]
-        im_products = [a * b for a in (self.im_lo, self.im_hi) for b in (other.im_lo, other.im_hi)]
-        cross1 = [a * b for a in (self.re_lo, self.re_hi) for b in (other.im_lo, other.im_hi)]
-        cross2 = [a * b for a in (self.im_lo, self.im_hi) for b in (other.re_lo, other.re_hi)]
-        return ComplexBox(
-            min(re_products) - max(im_products),
-            max(re_products) - min(im_products),
-            min(cross1) + min(cross2),
-            max(cross1) + max(cross2),
-        )
-
-    def __pow__(self, n: int) -> "ComplexBox":
-        acc = ComplexBox.point(1)
-        for _ in range(n):
-            acc = acc * self
-        return acc
 
     def midpoint(self) -> Tuple[Fraction, Fraction]:
         return ((self.re_lo + self.re_hi) / 2, (self.im_lo + self.im_hi) / 2)
@@ -237,42 +196,33 @@ def _eval_rational_complex(coeffs: Sequence[Fraction], re: Fraction, im: Fractio
 
 
 def certified_root_box(mp: Poly, name: str, approx: Tuple[str, str], precision_bits: int) -> ComplexBox:
-    """Rectangle with rational endpoints containing a root of mp near approx.
+    """Square with rational endpoints containing a root of mp near approx.
 
-    The approximation is refined by Newton iteration at the requested
-    working precision; the returned radius is certified from the exact
-    rational values m(z0), m'(z0) via  n*|m(z0)|/|m'(z0)|, rounded up to
-    64 significant bits over a power of two.
+    Newton steps in exact rationals, each rounded to a multiple of
+    2^-precision_bits, refine the approximation until a step leaves it in
+    place (at most precision_bits steps).  The half-width is certified from
+    the exact values m(z0), m'(z0) at the last point z0 via
+    n*|m(z0)|/|m'(z0)|, rounded up to 64 significant bits over a power of two.
     """
-    # imported on first use: a run that certifies no interval never loads it
-    import mpmath
-
     coeffs = mp.univariate_coeffs(name)
     deriv = [c * k for k, c in enumerate(coeffs)][1:]
     n = len(coeffs) - 1
-    with mpmath.workprec(precision_bits + 32):
-        z = mpmath.mpc(mpmath.mpf(str(approx[0])), mpmath.mpf(str(approx[1])))
-        fcoeffs = [mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator) for c in reversed(coeffs)]
-        dcoeffs = [mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator) for c in reversed(deriv)]
-        for _ in range(precision_bits):
-            fv = mpmath.polyval(fcoeffs, z)
-            dv = mpmath.polyval(dcoeffs, z)
-            if dv == 0:
-                break
-            step = fv / dv
-            z = z - step
-            if abs(step) < mpmath.mpf(2) ** (-precision_bits - 8):
-                break
-        digits = max(20, int(precision_bits * 0.302) + 5)
-        re = Fraction(mpmath.nstr(z.real, digits, strip_zeros=False))
-        im = Fraction(mpmath.nstr(z.imag, digits, strip_zeros=False))
-    f_re, f_im = _eval_rational_complex(coeffs, re, im)
-    d_re, d_im = _eval_rational_complex(deriv, re, im)
-    d_norm2 = d_re * d_re + d_im * d_im
-    if d_norm2 == 0:
-        raise PrecisionExceeded(f"derivative vanished at the approximation for {name!r}")
-    f_norm2 = f_re * f_re + f_im * f_im
-    radius = _sqrt_upper(Fraction(n * n) * f_norm2 / d_norm2)
+    scale = 2**precision_bits
+    z = (Fraction(str(approx[0])), Fraction(str(approx[1])))
+    for _ in range(precision_bits):
+        re, im = z
+        f_re, f_im = _eval_rational_complex(coeffs, re, im)
+        d_re, d_im = _eval_rational_complex(deriv, re, im)
+        d_norm2 = d_re * d_re + d_im * d_im
+        if d_norm2 == 0:
+            raise PrecisionExceeded(f"derivative vanished at the approximation for {name!r}")
+        z = (  # z0 - m(z0)/m'(z0) on the grid
+            Fraction(round((re - (f_re * d_re + f_im * d_im) / d_norm2) * scale), scale),
+            Fraction(round((im - (f_im * d_re - f_re * d_im) / d_norm2) * scale), scale),
+        )
+        if z == (re, im):
+            break
+    radius = _sqrt_upper(Fraction(n * n) * (f_re * f_re + f_im * f_im) / d_norm2)
     return ComplexBox(re - radius, re + radius, im - radius, im + radius)
 
 
@@ -281,51 +231,63 @@ def embed_complex(
     root_choice: Mapping[str, Tuple[str, str]],
     precision_bits: int = 128,
 ) -> ComplexBox:
-    """Guaranteed enclosure of the element's image at the chosen roots."""
+    """Guaranteed enclosure of the element's image at the chosen roots.
+
+    The element is evaluated once, exactly, at the centres z_i of the root
+    boxes.  Each root lies within its box's half-width rho_i of z_i, so a
+    term c * prod z_i^e_i moves by at most
+    |c| * (prod (u_i + rho_i)^e_i - prod u_i^e_i) for any u_i >= |z_i|,
+    and the sum of these bounds widens the value into a square.
+    """
     spec = elem.spec
     extra = [v for v in elem.rep.support_vars() if v not in spec.generators]
     if extra:
         raise NumberFieldError(f"cannot embed element with free variables {extra}")
-    boxes: Dict[str, ComplexBox] = {}
+    centres: Dict[int, Tuple[Fraction, Fraction, Fraction, Fraction]] = {}  # slot -> re, im, u, rho
     for name, mp in zip(spec.generators, spec.minimal_polys):
         if name not in root_choice:
             if elem.rep.degree_in(name) > 0:
                 raise NumberFieldError(f"no root choice given for generator {name!r}")
             continue
-        boxes[name] = certified_root_box(mp, name, root_choice[name], precision_bits)
-    acc = ComplexBox.point(0)
-    gen_index = {spec.vt.index(g): g for g in spec.generators}
+        box = certified_root_box(mp, name, root_choice[name], precision_bits)
+        re, im = box.midpoint()
+        centres[spec.vt.index(name)] = (re, im, _sqrt_upper(re * re + im * im), (box.re_hi - box.re_lo) / 2)
+    val_re = val_im = slack = _ZERO
     for mono, coeff in elem.rep.terms():
-        part = ComplexBox.point(coeff)
+        t_re, t_im, near, far = coeff, _ZERO, Fraction(1), Fraction(1)
         for i, e in enumerate(mono):
             if e:
-                part = part * (boxes[gen_index[i]] ** e)
-        acc = acc + part
-    return acc
+                re, im, u, rho = centres[i]
+                for _ in range(e):
+                    t_re, t_im = t_re * re - t_im * im, t_re * im + t_im * re
+                near *= u**e
+                far *= (u + rho) ** e
+        val_re += t_re
+        val_im += t_im
+        slack += abs(coeff) * (far - near)
+    return ComplexBox(val_re - slack, val_re + slack, val_im - slack, val_im + slack)
 
 
 class NonzeroCertificate(NamedTuple):
     status: str  # "zero" | "nonzero_exact" | "nonzero_interval"
-    box: Optional[ComplexBox]
+    box: Optional[ComplexBox]  # the enclosure of a "nonzero_interval"
     precision_bits: Optional[int]
 
 
 def certify_value(
     elem: QuotientElem,
     root_choice: Optional[Mapping[str, Tuple[str, str]]],
-    start_bits: int = 128,
-    cap_bits: int = 2048,
 ) -> NonzeroCertificate:
     """Decide zero / certified-nonzero for a quotient element.
 
     Exactly-zero representatives are reported as zero.  In a declared
     field any nonzero representative is already certified, and in any
     quotient a unit, by its inverse.  A zero divisor, or an element with
-    free variables left, is embedded at the chosen roots with doubling
-    precision until the rectangle excludes zero.
+    free variables left, is embedded at the chosen roots from 128 bits,
+    doubling up to 2048, until the rectangle excludes zero.
     """
     if elem.is_zero():
-        return NonzeroCertificate("zero", ComplexBox.point(0), None)
+        return NonzeroCertificate("zero", None, None)
     if elem.spec.is_field:
         return NonzeroCertificate("nonzero_exact", None, None)
     try:
@@ -335,12 +297,8 @@ def certify_value(
         pass
     if not root_choice:
         raise NumberFieldError("non-field quotient needs a root choice to certify nonzero")
-    bits = start_bits
-    while bits <= cap_bits:
+    for bits in (128, 256, 512, 1024, 2048):
         box = embed_complex(elem, root_choice, bits)
         if not box.contains_zero():
             return NonzeroCertificate("nonzero_interval", box, bits)
-        bits *= 2
-    raise PrecisionExceeded(
-        f"no conclusive interval for {elem.rep} up to {cap_bits} bits"
-    )
+    raise PrecisionExceeded(f"no conclusive interval for {elem.rep} up to 2048 bits")

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import functools
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
-import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from orbimf import numberfield
 from orbimf.catalog import load_catalog
 from orbimf.numberfield import (
     ComplexBox,
@@ -57,8 +61,8 @@ def test_reduce_of_minimal_poly_is_zero():
 def test_one_plus_i_fourth_power():
     spec = _spec_i()
     e = element("1 + i", spec)
-    square = e * e
-    assert (square * square).rep == parse_poly("-4", spec.vt)
+    square = reduce(e.rep * e.rep, spec)
+    assert reduce(square.rep * square.rep, spec).rep == parse_poly("-4", spec.vt)
 
 
 def test_two_generator_reduction():
@@ -70,7 +74,8 @@ def test_two_generator_reduction():
         is_field=True,
     )
     assert element("i^2 * r^3", spec).rep == parse_poly("-1/2", vt)
-    assert (element("i*r", spec) * element("i*r", spec)).rep == parse_poly("-r^2", vt)
+    ir = element("i*r", spec).rep
+    assert reduce(ir * ir, spec).rep == parse_poly("-r^2", vt)
 
 
 def test_spectator_variables_ride_along():
@@ -203,7 +208,7 @@ def test_invert_random_elements_roundtrip():
         if rep.is_zero():
             continue
         e = reduce(rep, spec)
-        assert (e * invert(e)).rep == one.rep
+        assert reduce(e.rep * invert(e).rep, spec).rep == one.rep
 
 
 def test_invert_zero_raises():
@@ -242,46 +247,17 @@ def test_spec_rejects_multivariate_minimal_poly():
         QuotientSpec(vt, ("c",), (parse_poly("c^2 + d", vt),))
 
 
-# -- complex boxes ------------------------------------------------------
-
-
-def test_box_multiplication_is_correct_on_points():
-    a = ComplexBox.point(Fraction(2), Fraction(3))
-    b = ComplexBox.point(Fraction(-1), Fraction(4))
-    prod = a * b
-    # (2+3i)(-1+4i) = -14 + 5i
-    assert prod == ComplexBox.point(Fraction(-14), Fraction(5))
-
-
-def test_box_multiplication_contains_sampled_products():
-    rng = random.Random(3)
-    for _ in range(200):
-        vals = [Fraction(rng.randint(-8, 8), rng.randint(1, 3)) for _ in range(8)]
-        a = ComplexBox(min(vals[0], vals[1]), max(vals[0], vals[1]),
-                       min(vals[2], vals[3]), max(vals[2], vals[3]))
-        b = ComplexBox(min(vals[4], vals[5]), max(vals[4], vals[5]),
-                       min(vals[6], vals[7]), max(vals[6], vals[7]))
-        prod = a * b
-        for _ in range(4):
-            ar = a.re_lo + Fraction(rng.randint(0, 16), 16) * (a.re_hi - a.re_lo)
-            ai = a.im_lo + Fraction(rng.randint(0, 16), 16) * (a.im_hi - a.im_lo)
-            br = b.re_lo + Fraction(rng.randint(0, 16), 16) * (b.re_hi - b.re_lo)
-            bi = b.im_lo + Fraction(rng.randint(0, 16), 16) * (b.im_hi - b.im_lo)
-            pr, pi = ar * br - ai * bi, ar * bi + ai * br
-            assert prod.re_lo <= pr <= prod.re_hi
-            assert prod.im_lo <= pi <= prod.im_hi
-
-
 # -- certified embeddings -----------------------------------------------
 
 
 def test_embed_exact_gaussian_point():
     spec = _spec_i()
     box = embed_complex(element("3 + 2*i", spec), {"i": ("0", "1")})
-    assert box == ComplexBox.point(Fraction(3), Fraction(2))
+    assert box == ComplexBox(Fraction(3), Fraction(3), Fraction(2), Fraction(2))
 
 
 def test_embed_contains_numeric_value():
+    mpmath = pytest.importorskip("mpmath")
     spec = _spec_c()
     e = element("c^3 - c/3 + 2", spec)
     box = embed_complex(e, ROOT_C, 128)
@@ -294,6 +270,40 @@ def test_embed_contains_numeric_value():
         pad = mpmath.mpf(2) ** -90
         assert mpmath.mpf(str(box.re_lo)) - pad <= val.real <= mpmath.mpf(str(box.re_hi)) + pad
         assert mpmath.mpf(str(box.im_lo)) - pad <= val.imag <= mpmath.mpf(str(box.im_hi)) + pad
+
+
+# two generators, the quotient not declared a field
+ST = VarTable(("s", "t"), param_vars=("s", "t"))
+ST_SPEC = QuotientSpec(ST, ("s", "t"), (parse_poly("s^2 - 2", ST), parse_poly("t^3 + t + 1", ST)))
+
+
+@functools.lru_cache(maxsize=None)
+def _st_root(name, index):
+    """A root of s^2 - 2 or t^3 + t + 1 from sympy at 100 digits (over
+    300 bits), with its 18-digit approximation for a root choice."""
+    sympy = pytest.importorskip("sympy")
+    root = sympy.Poly({"s": "s**2 - 2", "t": "t**3 + t + 1"}[name]).nroots(n=100)[index]
+    return root, (str(sympy.re(root).evalf(18)), str(sympy.im(root).evalf(18)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 5)), _rationals.filter(bool), min_size=1, max_size=6),
+    st.integers(0, 1),
+    st.integers(0, 2),
+)
+def test_embed_two_generators_holds_the_value(terms, s_index, t_index):
+    # the widening sums each term's movement over both root disks; the
+    # unreduced polynomial's value at the 100-digit roots must land in it
+    sympy = pytest.importorskip("sympy")
+    (s, s_approx), (t, t_approx) = _st_root("s", s_index), _st_root("t", t_index)
+    box = embed_complex(reduce(Poly(ST, terms), ST_SPEC), {"s": s_approx, "t": t_approx}, 128)
+    assert box.width() < Fraction(1, 2**100)
+    value = sum(sympy.Rational(c.numerator, c.denominator) * s**a * t**b for (a, b), c in terms.items())
+    pad = Fraction(1, 2**280)
+    for part, lo, hi in ((sympy.re(value), box.re_lo, box.re_hi), (sympy.im(value), box.im_lo, box.im_hi)):
+        q = sympy.Rational(part)
+        assert lo - pad <= Fraction(int(q.p), int(q.q)) <= hi + pad
 
 
 T8 = VarTable(("t",), param_vars=("t",))
@@ -317,6 +327,27 @@ def test_certify_zero_and_nonzero():
     assert not cert.box.contains_zero()
     assert cert.box.re_lo <= 4 <= cert.box.re_hi and cert.box.im_lo <= -4 <= cert.box.im_hi
     assert cert.precision_bits == 128
+
+
+def test_interval_certificate_needs_no_mpmath():
+    # the zero divisor above, certified in a fresh process that cannot import mpmath
+    code = (
+        "import sys\n"
+        "sys.modules['mpmath'] = None\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "from orbimf.numberfield import QuotientSpec, certify_value, element\n"
+        "from orbimf.polyring import VarTable, parse_poly\n"
+        "vt = VarTable(('t',), param_vars=('t',))\n"
+        "spec = QuotientSpec(vt, ('t',), (parse_poly('t^8 + 4', vt),))\n"
+        "root = {'t': ('0.45508986056222733', '1.0986841134678098')}\n"
+        "cert = certify_value(element('t^4 - 2*t^2 + 2', spec), root)\n"
+        "box = cert.box\n"
+        "print(cert.status, cert.precision_bits, box.contains_zero(),\n"
+        "      box.re_lo <= 4 <= box.re_hi and box.im_lo <= -4 <= box.im_hi)\n"
+    )
+    src = str(Path(numberfield.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-I", "-c", code, src], capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["nonzero_interval", "128", "False", "True"]
 
 
 def test_certify_field_shortcut():
