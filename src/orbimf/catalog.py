@@ -247,17 +247,14 @@ def load_entry(path: Path, potentials: Optional[Mapping[str, dict]] = None) -> E
     if clash:
         raise CatalogError(f"{path}: names used as both ring variable and parameter: {sorted(clash)}")
     vt = VarTable(ring + parameters, ring_vars=ring, param_vars=parameters)
-    defs = tuple((k, v) for k, v in data["defs"].items())
-    shadowing = [k for k, _ in defs if k in vt]
-    if shadowing:
-        raise CatalogError(f"{path}: defs named like a variable or parameter: {shadowing}")
-    entries = dict(data["entries"])
-    if set(entries) != set(ENTRY_KEYS):
-        raise CatalogError(f"{path}: entries must be exactly {ENTRY_KEYS}")
     families: List[SolutionFamily] = []
     corrections: List[Correction] = []
-    record = "families"
+    record = "defs"
     try:
+        defs = tuple(data["defs"].items())
+        record = "entries"
+        entries = dict(data["entries"])
+        record = "families"
         for i, f in enumerate(data["families"]):
             record = f"families[{i}]"
             families.append(SolutionFamily(
@@ -275,8 +272,13 @@ def load_entry(path: Path, potentials: Optional[Mapping[str, dict]] = None) -> E
             corrections.append(Correction(*(c[k] for k in Correction._fields)))
     except KeyError as exc:
         raise CatalogError(f"{path}: {record} lacks key {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except (AttributeError, TypeError, ValueError) as exc:
         raise CatalogError(f"{path}: {record} is malformed: {exc}") from None
+    shadowing = [k for k, _ in defs if k in vt]
+    if shadowing:
+        raise CatalogError(f"{path}: defs named like a variable or parameter: {shadowing}")
+    if set(entries) != set(ENTRY_KEYS):
+        raise CatalogError(f"{path}: entries must be exactly {ENTRY_KEYS}")
     entry = EquivalenceEntry(
         id=data["id"],
         side_in=side_in,

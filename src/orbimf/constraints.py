@@ -7,7 +7,9 @@ downstream works with that ideal: membership tests against the printed
 generating sets, verification of shipped solution families inside their
 quotient rings, non-vanishing certificates for quantum dimensions at
 concrete points, and a resultant-based elimination oracle that rediscovers
-one-parameter relations without computing a Groebner basis.
+one-parameter relations without computing a Groebner basis: its univariate
+gcds and candidate checks are normal forms modulo a single polynomial,
+which is a one-element Groebner basis, through `_groebner`'s reducer.
 """
 
 from __future__ import annotations
@@ -18,15 +20,14 @@ from functools import cached_property
 from math import gcd
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
-from ._groebner import _univariate_coeffs_in, groebner_basis, normal_form, reducer, resultant
+from ._groebner import _divide_exact, _univariate_coeffs_in, groebner_basis, normal_form, reducer, resultant
 from .catalog import EquivalenceEntry, FamilyRing, SolutionFamily, family_ring
 from .matfac import MatrixFactorization, build_8x8, square_scalar
-from .numberfield import NonzeroCertificate, NumberFieldError, QuotientSpec, certify_value
+from .numberfield import NonzeroCertificate, NumberFieldError, certify_value
 from .numberfield import reduce as quotient_reduce
-from .polyring import Poly, VarTable, _integer_terms, format_poly, parse_poly
+from .polyring import Poly, _integer_terms, format_poly, parse_poly
 from .residue import qdim_pair
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
@@ -376,20 +377,11 @@ class QdimComparison(NamedTuple):
 
 def _scalar_ratio(a: Poly, b: Poly) -> Optional[Fraction]:
     """The constant lambda with a = lambda*b, if one exists and is nonzero."""
-    if a.is_zero() or b.is_zero():
+    if a.is_zero() or set(a.monomials()) != set(b.monomials()):
         return None
-    ta = dict(a.terms())
-    tb = dict(b.terms())
-    if set(ta) != set(tb):
-        return None
-    lam: Optional[Fraction] = None
-    for mono, cb in tb.items():
-        r = ta[mono] / cb
-        if lam is None:
-            lam = r
-        elif lam != r:
-            return None
-    return lam
+    mono = next(a.monomials())
+    lam = a.coefficient(mono) / b.coefficient(mono)
+    return lam if a == b.scale(lam) else None
 
 
 def compare_qdims(work: EntryWork) -> QdimComparison:
@@ -454,53 +446,16 @@ class OracleReport(NamedTuple):
     notes: Tuple[str, ...]
 
 
-def _from_dense(coeffs: Sequence[Fraction], name: str, vt: VarTable) -> Poly:
-    i = vt.index(name)
-    return Poly(vt, {tuple(e if j == i else 0 for j in range(len(vt))): c for e, c in enumerate(coeffs)})
-
-
-def _dense_trim(a: List[Fraction]) -> List[Fraction]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _dense_divmod(
-    a: List[Fraction], b: List[Fraction]
-) -> Tuple[List[Fraction], List[Fraction]]:
-    """Quotient and trimmed remainder of univariate long division of a by
-    the trimmed b, coefficients lowest degree first."""
-    r = _dense_trim(list(a))
-    q = [_ZERO] * max(len(r) - len(b) + 1, 0)
-    while len(r) >= len(b) and r:
-        factor = r[-1] / b[-1]
-        shift = len(r) - len(b)
-        q[shift] = factor
-        for k in range(len(b)):
-            r[shift + k] -= factor * b[k]
-        _dense_trim(r)
-    return q, r
-
-
-def _dense_gcd(a: List[Fraction], b: List[Fraction]) -> List[Fraction]:
-    a, b = _dense_trim(list(a)), _dense_trim(list(b))
-    while b:
-        a, b = b, _dense_divmod(a, b)[1]
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
+def _gcd(a: Poly, b: Poly) -> Poly:
+    """Monic gcd of two univariate polynomials, not both zero: Euclid, each
+    remainder a normal form modulo the one-element Groebner basis [b]."""
+    while not b.is_zero():
+        a, b = b, normal_form(a, [b])
+    return a / a.coefficient(a.leading_monomial())
 
 
 def _squarefree_part(p: Poly, name: str) -> Poly:
-    coeffs = p.univariate_coeffs(name)
-    deriv = [coeffs[e] * e for e in range(1, len(coeffs))]
-    g = _dense_gcd(coeffs, deriv)
-    if len(g) <= 1:
-        return p
-    q, r = _dense_divmod(coeffs, g)
-    assert not r
-    return _from_dense(q, name, p.vt)
+    return _divide_exact(p, _gcd(p, p.partial(name)))
 
 
 def _project_onto(
@@ -550,22 +505,18 @@ def _project_onto(
                     f"projection past {var} exceeds the degree/term budget"
                 )
             new.append(r)
-        seen: Dict[tuple, Poly] = {}
-        for g in rest + new:
-            seen.setdefault(tuple(sorted(g.terms())), g)
-        work = list(seen.values())
+        work = list(dict.fromkeys(rest + new))
         if not work:
             return None, False
-    univariates = [g for g in work if set(g.support_vars()) <= {target}]
-    univariates = [g for g in univariates if g.support_vars()]
+    univariates = [g for g in work if g.support_vars() == (target,)]
     if not univariates:
         return None, False
-    acc = univariates[0].univariate_coeffs(target)
+    acc = univariates[0]
     for g in univariates[1:]:
-        acc = _dense_gcd(acc, g.univariate_coeffs(target))
-        if len(acc) <= 1:
+        acc = _gcd(acc, g)
+        if not acc.support_vars():
             return None, False  # projections only share a trivial consequence
-    return _from_dense(acc, target, univariates[0].vt), False
+    return acc, False
 
 
 def bruteforce_family_oracle(
@@ -585,9 +536,9 @@ def bruteforce_family_oracle(
     substituted system modulo the candidate: a generator collapsing to a
     nonzero constant refutes it, and all generators vanishing means the
     candidate alone already satisfies the system.  No Groebner basis is
-    computed, which is the point of the cross-check; the final candidate
-    check reduces modulo a single monic univariate through the shared
-    kernel (`numberfield.reduce`, hence `_groebner.reducer`).
+    computed, which is the point of the cross-check; the squarefree part
+    and the candidate check divide by one univariate at a time through the
+    shared kernel (`_groebner.normal_form` and `_groebner.reducer`).
     """
     cs = derive_constraints(entry, build_8x8(entry.six()))
     amap = {k: parse_poly(str(v), entry.vt) for k, v in assignments.items()}
@@ -627,16 +578,7 @@ def bruteforce_family_oracle(
             notes.append(f"{target}: no univariate consequence survived")
             continue
         candidate = _unit_normalize(_squarefree_part(proj, target))
-        monic = candidate / candidate.coefficient(candidate.leading_monomial())
-        spec = QuotientSpec(entry.vt, (target,), (monic,), is_field=False)
-        refuted = False
-        fully = True
-        for g in base:
-            residue = quotient_reduce(g, spec).rep
-            if residue.is_zero():
-                continue
-            fully = False
-            if not residue.support_vars():
-                refuted = True
-        candidates.append(CandidateRelation(target, candidate, refuted, fully))
+        residues = [r for r in map(reducer([candidate]), base) if not r.is_zero()]
+        refuted = any(not r.support_vars() for r in residues)
+        candidates.append(CandidateRelation(target, candidate, refuted, not residues))
     return OracleReport(entry.id, fixed, tuple(candidates), False, tuple(notes))

@@ -236,8 +236,6 @@ def grothendieck_residue(
         lift = cofactor_lift(w, names)
     vt = g.vt
     det = lift.determinant()
-    if det.vt != vt:
-        det = det.convert(vt, None)
     idx = [vt.index(name) for name in lift.vars]
     on_names = itemgetter(*idx)
     wanted: Dict[Tuple[int, ...], List[Tuple[List[int], Fraction]]] = {}

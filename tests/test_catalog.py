@@ -316,6 +316,22 @@ def test_malformed_family_or_correction_record_exits_2(tmp_path, capsys, edit, w
     assert "bad catalog" in err and what in err
 
 
+@pytest.mark.parametrize(
+    "key, value, what",
+    [("defs", [], "defs is malformed"), ("entries", ["d15", "d16"], "entries is malformed")],
+    ids=["defs-list", "entries-list"],
+)
+def test_top_level_value_of_wrong_type_exits_2(tmp_path, capsys, key, value, what):
+    from orbimf.cli import main
+
+    _e14_edited(tmp_path, lambda data: data.update({key: value}))
+    with pytest.raises(CatalogError, match=what):
+        load_entry(tmp_path / "E14.json")
+    assert main(["verify", "--all", "--catalog", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "bad catalog" in err and what in err
+
+
 def _e14_with_potential(tmp_path, edit):
     """A copy of the shipped E14 entry next to a local potentials.json
     whose record of E14's first potential has `edit` applied; returns

@@ -5,6 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orbimf import _groebner
 from orbimf._groebner import BudgetExceeded, normal_form
@@ -12,6 +13,8 @@ from orbimf.catalog import SolutionFamily, load_catalog
 from orbimf.constraints import (
     ConstraintSet,
     EntryWork,
+    _gcd,
+    _squarefree_part,
     bruteforce_family_oracle,
     compare_qdims,
     computed_qdim,
@@ -26,7 +29,7 @@ from orbimf.matfac import build_8x8
 from orbimf.numberfield import reduce as quotient_reduce
 from orbimf.polyring import Poly, VarTable, format_poly, parse_poly
 
-from conftest import qdim_passes, uni_divides
+from conftest import as_sympy, qdim_passes, uni_divides
 
 
 @pytest.fixture(scope="module")
@@ -375,6 +378,37 @@ def test_qdim_product_reduces_to_one(catalog):
 
 
 # -- resultant elimination oracle ------------------------------------------
+
+
+# y is a spectator: the helpers work on a table wider than the variable
+_YX = VarTable(("y", "x"), param_vars=("y", "x"))
+_X = Poly.var(_YX, "x")
+_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+# chosen rational roots, each with a multiplicity of 1 to 3
+_linear_factors = st.lists(st.tuples(_rationals, st.integers(1, 3)), max_size=3)
+# a random cofactor, lowest degree first, with a nonzero top coefficient
+_cofactors = st.tuples(st.lists(_rationals, max_size=3), _rationals.filter(bool))
+
+
+def _product(factors, cofactor) -> Poly:
+    low, top = cofactor
+    out = Poly(_YX, {(0, e): c for e, c in enumerate([*low, top])})
+    for root, mult in factors:
+        out = out * (_X - Poly.const(_YX, root)) ** mult
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(_linear_factors, _cofactors, _linear_factors, _cofactors)
+def test_gcd_and_squarefree_part_match_sympy(fa, ca, fb, cb):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    a, b = _product(fa, ca), _product(fb, cb)
+    sa, sb = (sympy.Poly(as_sympy(p), x, domain=sympy.QQ) for p in (a, b))
+    ours = sympy.Poly(as_sympy(_gcd(a, b)), x, domain=sympy.QQ)
+    assert ours == sa.gcd(sb) and ours.LC() == 1
+    sqf = sympy.Poly(as_sympy(_squarefree_part(a, "x")), x, domain=sympy.QQ)
+    assert sqf.monic() == sa.sqf_part().monic()
 
 
 def test_oracle_rediscovers_e14_relation(catalog):

@@ -267,7 +267,7 @@ def test_embed_contains_numeric_value():
         for _ in range(200):
             z = z - (z**4 - 2 * z**2 + 2) / (4 * z**3 - 4 * z)
         val = z**3 - z / 3 + 2
-        pad = mpmath.mpf(2) ** -90
+        pad = mpmath.mpf(2) ** -250
         assert mpmath.mpf(str(box.re_lo)) - pad <= val.real <= mpmath.mpf(str(box.re_hi)) + pad
         assert mpmath.mpf(str(box.im_lo)) - pad <= val.imag <= mpmath.mpf(str(box.im_hi)) + pad
 
