@@ -55,7 +55,7 @@ def _eliminate(a: Matrix, b: List[Fraction]) -> Tuple[Optional[List[Fraction]], 
     x = [Fraction(0)] * cols
     for k in reversed(range(r)):
         row, c = rows[k], pivot_cols[k]
-        x[c] = Fraction(row[-1] - sum(row[j] * x[j] for j in pivot_cols[k + 1:])) / row[c]
+        x[c] = Fraction(row[-1] - sum(row[j] * x[j] for j in pivot_cols[k + 1:] if row[j])) / row[c]
     return x, r
 
 

@@ -69,7 +69,6 @@ class SidePotential(NamedTuple):
 class SolutionFamily(NamedTuple):
     label: str
     generators: Tuple[Tuple[str, str], ...]  # (name, minimal polynomial text)
-    is_field: bool
     bindings: Dict[str, str]  # parameter -> expression in generators/frees
     free: Tuple[str, ...]
     free_defaults: Dict[str, str]
@@ -96,7 +95,7 @@ def family_ring(family: SolutionFamily) -> FamilyRing:
         mps = tuple(_parse(t, qvt, f"{where}: minimal polynomial of {g}") for g, t in family.generators)
         bindings = {p: _parse(t, qvt, f"{where}: binding of {p}") for p, t in family.bindings.items()}
         bindings.update((v, Poly.var(qvt, v)) for v in family.free)
-        return FamilyRing(QuotientSpec(qvt, gen_names, mps, family.is_field), bindings)
+        return FamilyRing(QuotientSpec(qvt, gen_names, mps), bindings)
     except (PolyError, NumberFieldError) as exc:
         raise CatalogError(f"{where}: {exc}") from None
 
@@ -177,6 +176,8 @@ class EquivalenceEntry:
 
 
 def _parse(text: str, vt: VarTable, what: str, defs: Optional[Mapping[str, Poly]] = None) -> Poly:
+    if not isinstance(text, str):
+        raise CatalogError(f"{what} is not a string: {text!r}")
     try:
         return parse_poly(text, vt, defs)
     except ParseError as exc:
@@ -241,16 +242,14 @@ def load_entry(path: Path, potentials: Optional[Mapping[str, dict]] = None) -> E
     overlap = set(side_in.vars) & set(side_out.vars)
     if overlap:
         raise CatalogError(f"{path}: sides share variables {sorted(overlap)}")
-    parameters = tuple(data["parameters"])
-    ring = side_in.vars + side_out.vars
-    clash = set(ring) & set(parameters)
-    if clash:
-        raise CatalogError(f"{path}: names used as both ring variable and parameter: {sorted(clash)}")
-    vt = VarTable(ring + parameters, ring_vars=ring, param_vars=parameters)
     families: List[SolutionFamily] = []
     corrections: List[Correction] = []
-    record = "defs"
+    record = "parameters"
     try:
+        parameters = tuple(data["parameters"])
+        record = "paper_constraints"
+        paper_constraints = tuple(data["paper_constraints"])
+        record = "defs"
         defs = tuple(data["defs"].items())
         record = "entries"
         entries = dict(data["entries"])
@@ -260,7 +259,6 @@ def load_entry(path: Path, potentials: Optional[Mapping[str, dict]] = None) -> E
             families.append(SolutionFamily(
                 label=f["label"],
                 generators=tuple((name, text) for name, text in f["generators"]),
-                is_field=bool(f["is_field"]),
                 bindings=dict(f["bindings"]),
                 free=tuple(f["free"]),
                 free_defaults=dict(f.get("free_defaults", {})),
@@ -274,6 +272,11 @@ def load_entry(path: Path, potentials: Optional[Mapping[str, dict]] = None) -> E
         raise CatalogError(f"{path}: {record} lacks key {exc}") from None
     except (AttributeError, TypeError, ValueError) as exc:
         raise CatalogError(f"{path}: {record} is malformed: {exc}") from None
+    ring = side_in.vars + side_out.vars
+    clash = set(ring) & set(parameters)
+    if clash:
+        raise CatalogError(f"{path}: names used as both ring variable and parameter: {sorted(clash)}")
+    vt = VarTable(ring + parameters, ring_vars=ring, param_vars=parameters)
     shadowing = [k for k, _ in defs if k in vt]
     if shadowing:
         raise CatalogError(f"{path}: defs named like a variable or parameter: {shadowing}")
@@ -286,7 +289,7 @@ def load_entry(path: Path, potentials: Optional[Mapping[str, dict]] = None) -> E
         parameters=parameters,
         defs=defs,
         entry_texts=entries,
-        paper_constraint_texts=tuple(data["paper_constraints"]),
+        paper_constraint_texts=paper_constraints,
         paper_qdim_left_text=data["paper_qdim_left"],
         paper_qdim_right_text=data["paper_qdim_right"],
         families=tuple(families),

@@ -22,7 +22,7 @@ from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence
 
 from ._groebner import _divide_exact, _univariate_coeffs_in, groebner_basis, normal_form, reducer, resultant
 from .catalog import EquivalenceEntry, FamilyRing, SolutionFamily, family_ring
-from .matfac import MatrixFactorization, build_8x8, square_scalar
+from .matfac import MatrixFactorization, build_8x8
 from .numberfield import NonzeroCertificate, NumberFieldError, certify_value
 from .numberfield import reduce as quotient_reduce
 from .polyring import Poly, _integer_terms, format_poly, parse_poly
@@ -77,19 +77,18 @@ def derive_constraints(entry: EquivalenceEntry, m: MatrixFactorization) -> Const
     for the entry's factorization `m`.
 
     By the block layout (see `matfac`) the square is the scalar
-    `square_scalar(m)` times the identity, so the residual has one
+    `m.scalar` times the identity, so the residual has one
     distinct cell.  The sign eps is detected by trying +1 then -1 and
     keeping the first choice whose residual system contains no nonzero
     constant (a constant generator makes the system unsolvable, so the
     sign must be wrong).  An empty generator list means the identity
     holds for all parameters.
     """
-    sigma = square_scalar(m)
     delta = entry.difference()
     ring = entry.vt.ring_vars
     first: Optional[List[Poly]] = None
     for eps in (1, -1):
-        cell = sigma - delta.scale(Fraction(eps))
+        cell = m.scalar - delta.scale(Fraction(eps))
         gens = [c for c in cell.coefficients_wrt(ring).values() if not c.is_zero()]
         if all(c.support_vars() for c in gens):
             return ConstraintSet.from_polys(gens, "derived", epsilon=eps)
@@ -335,12 +334,12 @@ def nonvanishing_check(
         else:
             value = family.default_value(free)
             chosen[free], free_map[free] = str(value), Poly.const(vt, value)
-    at_point = {p: b.substitute(free_map) for p, b in ring.bindings.items()}
 
     def certify(origin: str) -> QdimAtPoint:
         if not on_variety:
             return QdimAtPoint(origin, "?", None, "family does not lie on the constraint variety")
-        elem = quotient_reduce(work.qdim_nfs[origin, side].substitute(at_point), ring.spec)
+        at_point = work.qdim_nfs[origin, side].substitute(ring.bindings).substitute(free_map)
+        elem = quotient_reduce(at_point, ring.spec)
         try:
             cert = certify_value(elem, family.root_choice)
         except NumberFieldError as exc:

@@ -14,6 +14,7 @@ and the square is then the scalar matrix
 (d15*d26 - d16*d25 - d17*d35) * Id for any six entries whatsoever; the
 factorization condition is that this scalar reduce to a fixed sign times
 the difference of potentials modulo the parameter constraints.
+`build_8x8` forms the scalar once and keeps it on the factorization.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ class MatrixFactorization(NamedTuple):
     vt: VarTable
     six: Tuple[Poly, Poly, Poly, Poly, Poly, Poly]  # d15,d16,d17,d25,d26,d35
     matrix: Matrix8
+    scalar: Poly  # the square is scalar * Id: d15*d26 - d16*d25 - d17*d35
 
     def entry(self, name: str) -> Poly:
         return self.six[ENTRY_NAMES.index(name)]
@@ -69,7 +71,7 @@ def build_8x8(six: Sequence[Poly]) -> MatrixFactorization:
         rows.append((z, z, z, z) + top[i])
     for i in range(4):
         rows.append(bottom[i] + (z, z, z, z))
-    return MatrixFactorization(vt, tuple(six), tuple(rows))
+    return MatrixFactorization(vt, tuple(six), tuple(rows), a * q - b * p - c * s)
 
 
 def matmul(x: Matrix8, y: Matrix8) -> Matrix8:
@@ -80,12 +82,6 @@ def matmul(x: Matrix8, y: Matrix8) -> Matrix8:
 
 def square(m: MatrixFactorization) -> Matrix8:
     return matmul(m.matrix, m.matrix)
-
-
-def square_scalar(m: MatrixFactorization) -> Poly:
-    """The single scalar the square equals: d15*d26 - d16*d25 - d17*d35."""
-    a, b, c, p, q, s = m.six
-    return a * q - b * p - c * s
 
 
 class PotentialReport(NamedTuple):
@@ -108,7 +104,7 @@ def verify_potential(
 ) -> PotentialReport:
     """Check square(m) = epsilon*(w_out - v_in)*Id modulo the ideal.
 
-    The square is `square_scalar(m)` times the identity for any six
+    The square is `m.scalar` times the identity for any six
     entries (see the module docstring), so only that scalar's residual
     is checked: it is reduced coefficient-by-coefficient (over ring
     monomials) by `reduce`, the normal form modulo the constraint ideal,
@@ -116,7 +112,7 @@ def verify_potential(
     ideal fails: no parameter values satisfy its constraints.
     """
     failing: List[str] = []
-    residual = square_scalar(m) - (w_out - v_in).scale(Fraction(epsilon))
+    residual = m.scalar - (w_out - v_in).scale(Fraction(epsilon))
     if reduce(Poly.const(m.vt, 1)).is_zero():
         failing.append("the constraint ideal is the unit ideal: no parameter values satisfy it")
     elif not all(reduce(c).is_zero() for c in residual.coefficients_wrt(m.vt.ring_vars).values()):

@@ -11,10 +11,11 @@ may also involve extra "spectator" variables (free parameters riding
 along), which reduction never touches.
 
 Inversion solves an exact linear system over the monomial basis of the
-quotient (representatives must be supported on generators only).  When a
-quotient is not known to be a field, a failed inversion reports a zero
-divisor instead of guessing; an element that inverts is a unit, nonzero
-at every root of the relations.
+quotient (representatives must be supported on generators only).  A
+failed inversion reports a zero divisor instead of guessing; an element
+that inverts is a unit, and by Stickelberger's theorem a unit is nonzero
+at every root of the relations.  So every exact nonzero verdict is an
+inverse, whether or not the quotient happens to be a field.
 
 For a nonzero zero divisor, embed_complex produces a rectangle with
 rational endpoints that is guaranteed to contain the image of an element
@@ -60,7 +61,6 @@ class QuotientSpec:
     vt: VarTable
     generators: Tuple[str, ...]
     minimal_polys: Tuple[Poly, ...]
-    is_field: bool = False
 
     def __post_init__(self) -> None:
         if len(self.generators) != len(self.minimal_polys):
@@ -140,10 +140,12 @@ def invert(elem: QuotientElem) -> QuotientElem:
         raise ZeroDivisorError("zero is not invertible")
     basis = _basis_monomials(spec)
     pos = {m: i for i, m in enumerate(basis)}
-    # column j holds the coordinates of elem * basis[j]
+    # column j holds the coordinates of elem * basis[j]: elem's exponents
+    # shifted by basis[j], reduced
     a = [[_ZERO] * len(basis) for _ in basis]
     for j, m in enumerate(basis):
-        for mono, c in reduce(elem.rep * Poly(spec.vt, {m: Fraction(1)}), spec).rep.terms():
+        shifted = {tuple(map(sum, zip(mono, m))): c for mono, c in elem.rep.terms()}
+        for mono, c in spec._normal_form(Poly._raw(spec.vt, shifted)).terms():
             a[pos[mono]][j] = c
     b = [_ZERO] * len(basis)
     b[pos[(0,) * len(spec.vt)]] = Fraction(1)
@@ -280,23 +282,21 @@ def certify_value(
 ) -> NonzeroCertificate:
     """Decide zero / certified-nonzero for a quotient element.
 
-    Exactly-zero representatives are reported as zero.  In a declared
-    field any nonzero representative is already certified, and in any
-    quotient a unit, by its inverse.  A zero divisor, or an element with
-    free variables left, is embedded at the chosen roots from 128 bits,
-    doubling up to 2048, until the rectangle excludes zero.
+    Exactly-zero representatives are reported as zero, and a unit is
+    certified exactly by its inverse (nonzero at every root).  A zero
+    divisor, or an element with free variables left, is embedded at the
+    chosen roots from 128 bits, doubling up to 2048, until the rectangle
+    excludes zero.
     """
     if elem.is_zero():
         return NonzeroCertificate("zero", None, None)
-    if elem.spec.is_field:
-        return NonzeroCertificate("nonzero_exact", None, None)
     try:
         invert(elem)  # an exact solution of elem * y = 1, or an error
         return NonzeroCertificate("nonzero_exact", None, None)
     except NumberFieldError:
         pass
     if not root_choice:
-        raise NumberFieldError("non-field quotient needs a root choice to certify nonzero")
+        raise NumberFieldError("a non-unit needs a root choice to certify nonzero")
     for bits in (128, 256, 512, 1024, 2048):
         box = embed_complex(elem, root_choice, bits)
         if not box.contains_zero():

@@ -178,7 +178,6 @@ def test_criterion_4_families_satisfy_constraints(catalog):
 W12_DISCARDED = SolutionFamily(
     label="W12 discarded a1=b1=0",
     generators=(("b2", "b2^4 + 4"),),
-    is_field=False,
     bindings={"a1": "0", "b1": "0", "a2": "1/2*b2^2", "b2": "b2"},
     free=(),
     free_defaults={},
@@ -235,7 +234,7 @@ def test_criterion_6_number_field_facts():
     if lhs != parse_poly("c^8 + 4", vt):
         issues.append("c^8 + 4 does not factor through the two Sophie Germain quartics")
     ivt = VarTable(("i",), param_vars=("i",))
-    spec = QuotientSpec(ivt, ("i",), (parse_poly("i^2 + 1", ivt),), is_field=True)
+    spec = QuotientSpec(ivt, ("i",), (parse_poly("i^2 + 1", ivt),))
     power = element("1 + i", spec)
     for _ in range(3):
         power = reduce(power.rep * element("1 + i", spec).rep, spec)

@@ -301,11 +301,10 @@ def test_repeated_generator_name_exits_2(tmp_path, capsys):
     "edit, what",
     [
         (lambda data: data["families"][0].pop("label"), "families[0] lacks key 'label'"),
-        (lambda data: data["families"][0].pop("is_field"), "families[0] lacks key 'is_field'"),
         (lambda data: data["families"][0].update(generators=[["c"]]), "families[0] is malformed"),
         (lambda data: data["corrections"][1].pop("justification"), "corrections[1] lacks key 'justification'"),
     ],
-    ids=["no-label", "no-is-field", "one-element-generator", "no-justification"],
+    ids=["no-label", "one-element-generator", "no-justification"],
 )
 def test_malformed_family_or_correction_record_exits_2(tmp_path, capsys, edit, what):
     from orbimf.cli import main
@@ -327,6 +326,28 @@ def test_top_level_value_of_wrong_type_exits_2(tmp_path, capsys, key, value, wha
     _e14_edited(tmp_path, lambda data: data.update({key: value}))
     with pytest.raises(CatalogError, match=what):
         load_entry(tmp_path / "E14.json")
+    assert main(["verify", "--all", "--catalog", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "bad catalog" in err and what in err
+
+
+@pytest.mark.parametrize(
+    "edit, what",
+    [
+        (lambda data: data.update(paper_qdim_left=5), "paper qdim_left is not a string: 5"),
+        (lambda data: data.update(parameters=5), "parameters is malformed"),
+        (lambda data: data.update(paper_constraints=5), "paper_constraints is malformed"),
+        (lambda data: data["families"][0].update(generators=[["c", 5]]), "minimal polynomial of c is not a string: 5"),
+        (lambda data: data["families"][0]["bindings"].update(c=5), "binding of c is not a string: 5"),
+        (lambda data: data.update(defs={"x1": 5}), "def x1 is not a string: 5"),
+        (lambda data: data["entries"].update(d15=5), "entry d15 is not a string: 5"),
+    ],
+    ids=["paper-qdim", "parameters", "paper-constraints", "minimal-polynomial", "binding", "def", "entry"],
+)
+def test_catalog_text_that_is_not_a_string_exits_2(tmp_path, capsys, edit, what):
+    from orbimf.cli import main
+
+    _e14_edited(tmp_path, edit)
     assert main(["verify", "--all", "--catalog", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "bad catalog" in err and what in err

@@ -244,6 +244,28 @@ def test_qdim_family_json_shape(capsys):
     assert right["agree"] is True
 
 
+@pytest.mark.parametrize("is_field", [True, False])
+def test_is_field_flag_does_not_change_a_certificate(capsys, tmp_path, is_field):
+    # with a2 = 0 this printed left form is t^4 - 2t^2 + 2 on the t^8 + 4
+    # family, zero at its declared root t0 (t0^2 = 1 + i): a zero divisor,
+    # neither a unit nor provably nonzero there, whatever the flag says
+    entry = json.loads((SHIPPED_DIR / "W13.json").read_text())
+    entry["paper_qdim_left"] = "4*a1^2 - 4*a1 + 2"
+    family = next(f for f in entry["families"] if f["label"] == "W13 reduced relation t^8+4")
+    family["is_field"] = is_field
+    (tmp_path / "W13.json").write_text(json.dumps(entry))
+    rc, out, _ = _run(capsys, "qdim", "--entry", "W13", "--family", "t^8+4", "--side", "left",
+                      "--compare-paper", "--catalog", str(tmp_path), "--json")
+    assert rc == 0
+    printed = json.loads(out)["sides"]["left"]["printed"]
+    assert printed == {
+        "origin": "printed",
+        "value": "t^4 - 2*t^2 + 2",
+        "certificate": None,
+        "error": "no conclusive interval for t^4 - 2*t^2 + 2 up to 2048 bits",
+    }
+
+
 def test_constraints_compare_paper_w12(capsys):
     rc, out, _ = _run(capsys, "constraints", "--entry", "W12", "--compare-paper")
     assert rc == 0  # printed system is contained in the derived one
@@ -407,6 +429,7 @@ def test_verify_entry_computes_each_fact_once(count_calls, entry_id):
     squares = count_calls(matfac, "square")
     matmuls = count_calls(matfac, "matmul")
     specs = count_calls(numberfield, "QuotientSpec")
+    poly_products = count_calls(Poly, "__mul__")
     catalog = load_catalog()
     entry = catalog[entry_id]
     # one quotient ring per family, built at load and shared by its
@@ -416,10 +439,14 @@ def test_verify_entry_computes_each_fact_once(count_calls, entry_id):
     verify_entry(entry)
     assert not specs
     assert len(parses) == 1
-    # the square is square_scalar times the identity, and the supertrace
-    # a Jacobian determinant; no stage forms an 8x8 product
+    # the square is a scalar times the identity, and the supertrace a
+    # Jacobian determinant; no stage forms an 8x8 product
     assert not squares
     assert not matmuls
+    # that scalar d15*d26 - d16*d25 - d17*d35 is formed once, with the
+    # factorization, and both the derivation and the potential read it
+    d15, _, _, _, d26, _ = entry.six()
+    assert sum(a is d15 and b is d26 for a, b in poly_products) == 1
     sets = [frozenset(args[0]) for args in bases]
     # W12's printed set differs from the derived one (eliminating a2 from
     # the derived set gives the printed set again); every other entry

@@ -179,7 +179,6 @@ def test_every_shipped_family_satisfies_derived_constraints(catalog, shipped_wor
 BROKEN_E14 = SolutionFamily(
     label="broken",
     generators=(("c", "c^4 - 2*c^2 + 1"),),
-    is_field=False,
     bindings={"c": "c"},
     free=("a1", "a2", "a3", "a4", "b1", "b2", "b3"),
     free_defaults={},
@@ -231,7 +230,6 @@ def test_z13_right_value_matches_printed_at_point(shipped_work):
 W12_DISCARDED = SolutionFamily(
     label="W12 discarded a1=b1=0",
     generators=(("b2", "b2^4 + 4"),),
-    is_field=False,
     bindings={"a1": "0", "b1": "0", "a2": "1/2*b2^2", "b2": "b2"},
     free=(),
     free_defaults={},
@@ -301,6 +299,39 @@ def test_normal_forms_give_the_raw_values_at_family_points(shipped_work):
                 assert at.value == _raw_point_value(work, family, side, origin, point), (
                     entry_id, family.label, side, origin,
                 )
+
+
+def _norm(value: Poly, spec):
+    """The iterated resultant Res_t1(m1, ... Res_tk(mk, value)) by sympy:
+    nonzero exactly when `value` vanishes at no root of the relations."""
+    import sympy
+
+    norm = as_sympy(value)
+    for name, mp in zip(spec.generators, spec.minimal_polys):
+        norm = sympy.resultant(as_sympy(mp), norm, sympy.Symbol(name))
+    return sympy.expand(norm)
+
+
+def test_exact_certificates_agree_with_the_norm(catalog, shipped_work):
+    # an independent route: a value is certified nonzero_exact (by the
+    # inverse's linear solve) exactly when its norm is nonzero, and zero
+    # exactly when it is 0
+    pytest.importorskip("sympy")
+    checked = 0
+    for entry_id, entry in sorted(catalog.items()):
+        work = shipped_work(entry_id)
+        for family in entry.families:
+            spec = work.family_ring(family).spec
+            for side in ("left", "right"):
+                nv = nonvanishing_check(work, family, side)
+                for at in (nv.computed, nv.printed):
+                    value = parse_poly(at.value, spec.vt)
+                    status = at.certificate.status if at.certificate else None
+                    assert (status == "zero") == value.is_zero(), (entry_id, family.label, side, at)
+                    exact = not value.is_zero() and _norm(value, spec) != 0
+                    assert (status == "nonzero_exact") == exact, (entry_id, family.label, side, at)
+                    checked += 1
+    assert checked == 48  # 12 families, two sides, computed and printed
 
 
 def test_family_off_the_variety_gets_no_values(shipped_work):

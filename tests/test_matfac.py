@@ -17,7 +17,6 @@ from orbimf.matfac import (
     grading_check,
     matmul,
     square,
-    square_scalar,
     verify_potential,
 )
 from orbimf.polyring import Poly, VarTable, parse_poly
@@ -66,7 +65,7 @@ def test_square_is_scalar_for_arbitrary_entries():
     ]
     m = build_8x8(six)
     sq = square(m)
-    sigma = square_scalar(m)
+    sigma = m.scalar
     assert sigma == m.entry("d15") * m.entry("d26") - m.entry("d16") * m.entry(
         "d25"
     ) - m.entry("d17") * m.entry("d35")
@@ -88,7 +87,7 @@ def test_matmul_identity(demo):
 
 def test_demo_square_equals_difference_exactly(demo):
     m = build_8x8(demo.six())
-    assert square_scalar(m) == demo.difference()
+    assert m.scalar == demo.difference()
     eps = derive_constraints(demo, m).epsilon
     report = verify_potential(m, demo.potential_in(), demo.potential_out(), reducer([]), eps)
     assert report.ok and report.epsilon == 1
@@ -99,7 +98,7 @@ def test_all_entries_have_24_cells_and_uniform_diagonal(catalog):
         m = build_8x8(entry.six())
         assert nonzero_cells(m) == 24
         sq = square(m)
-        sigma = square_scalar(m)
+        sigma = m.scalar
         for i in range(8):
             for j in range(8):
                 assert sq[i][j] == (sigma if i == j else Poly.zero(entry.vt))

@@ -33,12 +33,12 @@ from orbimf.polyring import Poly, VarTable, parse_poly
 def _spec_c():
     vt = VarTable(("c",), param_vars=("c",))
     mp = parse_poly("c^4 - 2*c^2 + 2", vt)
-    return QuotientSpec(vt, ("c",), (mp,), is_field=True)
+    return QuotientSpec(vt, ("c",), (mp,))
 
 
 def _spec_i():
     vt = VarTable(("i",), param_vars=("i",))
-    return QuotientSpec(vt, ("i",), (parse_poly("i^2 + 1", vt),), is_field=True)
+    return QuotientSpec(vt, ("i",), (parse_poly("i^2 + 1", vt),))
 
 
 ROOT_C = {"c": ("1.0986841134678098", "0.45508986056222733")}  # sqrt(1+i)
@@ -71,7 +71,6 @@ def test_two_generator_reduction():
         vt,
         ("r", "i"),
         (parse_poly("r^3 - 1/2", vt), parse_poly("i^2 + 1", vt)),
-        is_field=True,
     )
     assert element("i^2 * r^3", spec).rep == parse_poly("-1/2", vt)
     ir = element("i*r", spec).rep
@@ -272,7 +271,7 @@ def test_embed_contains_numeric_value():
         assert mpmath.mpf(str(box.im_lo)) - pad <= val.imag <= mpmath.mpf(str(box.im_hi)) + pad
 
 
-# two generators, the quotient not declared a field
+# two generators
 ST = VarTable(("s", "t"), param_vars=("s", "t"))
 ST_SPEC = QuotientSpec(ST, ("s", "t"), (parse_poly("s^2 - 2", ST), parse_poly("t^3 + t + 1", ST)))
 
@@ -312,7 +311,7 @@ T8_SPEC = QuotientSpec(T8, ("t",), (parse_poly("t^8 + 4", T8),))  # not a field
 
 def test_certify_zero_and_nonzero():
     vt = VarTable(("c",), param_vars=("c",))
-    spec = QuotientSpec(vt, ("c",), (parse_poly("c^4 - 2*c^2 + 2", vt),))  # not declared a field
+    spec = QuotientSpec(vt, ("c",), (parse_poly("c^4 - 2*c^2 + 2", vt),))
     zero = element("c^8 + 4", spec)
     cert = certify_value(zero, ROOT_C)
     assert cert.status == "zero"
@@ -350,7 +349,9 @@ def test_interval_certificate_needs_no_mpmath():
     assert out.stdout.split() == ["nonzero_interval", "128", "False", "True"]
 
 
-def test_certify_field_shortcut():
+def test_certify_generator_as_a_unit():
+    # c is a unit modulo c^4 - 2c^2 + 2, so its inverse certifies it
+    # without a root choice
     cert = certify_value(element("c", _spec_c()), None)
     assert cert.status == "nonzero_exact"
 
@@ -360,7 +361,7 @@ def test_certify_requires_roots_for_nonfield():
     spec = QuotientSpec(vt, ("t",), (parse_poly("t^2 - 1", vt),))
     with pytest.raises(NumberFieldError):
         certify_value(element("t - 1", spec), None)
-    # a unit needs no root, even where the quotient is not declared a field
+    # a unit needs no root
     spec = QuotientSpec(vt, ("t",), (parse_poly("t^2 - 2", vt),))
     assert certify_value(element("t", spec), None).status == "nonzero_exact"
 
