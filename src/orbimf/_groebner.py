@@ -49,6 +49,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
 from .polyring import Monomial, Poly, Terms, VarTable, _integer_terms, _Overflow
 
 _ONE = Fraction(1)
+SPAIR_CAP = 50000  # default S-pair budget per Groebner run
 
 # (packed lead, denominator, monic tail as (packed monomial, numerator))
 Record = Tuple[int, int, List[Tuple[int, int]]]
@@ -240,7 +241,7 @@ def _spoly(fi: Record, fj: Record, lcm_ij: int) -> Tuple[int, Dict[int, int]]:
     return den, out
 
 
-def groebner_basis(gens: Iterable[Poly], spair_cap: int = 50000) -> List[Poly]:
+def groebner_basis(gens: Iterable[Poly], spair_cap: int = SPAIR_CAP) -> List[Poly]:
     """Reduced Groebner basis of the given generators (degrevlex)."""
     gens = [g for g in gens if not g.is_zero()]
     if not gens:

@@ -1,6 +1,6 @@
 """Machine-readable catalog: potential pairs, generating entries,
 printed constraint systems, quantum-dimension formulas, and solution
-families, with a validating loader.
+families, with a one-pass loader.
 
 Each equivalence lives in one JSON file.  Polynomial values are grammar
 strings (see polyring).  A side record names its potential in the shared
@@ -8,10 +8,15 @@ potentials table, gives the renaming from table variables to the entry's
 variables, and fixes the variable order used for derivatives (the order
 is normative for quantum dimensions; the renaming is not).
 
-The loader is the only code that turns catalog text into polynomials:
-it parses every text of an entry once, potentials included, and builds
-each family's quotient ring with `family_ring`; a text or family that
-fails is a CatalogError naming it.  Verification parses nothing.
+`load_entry` is the only code that reads an entry, in one pass: it
+converts every JSON value under its record's name, parses every text
+once (defs, the six entries, both potentials renamed onto the entry's
+variables, the printed constraints and quantum dimensions), builds each
+family's quotient ring with `family_ring`, and then checks what only the
+parsed values show.  A value of the wrong JSON type, a text or family
+that fails and a failed check are each a CatalogError naming the file
+and what is at fault.  An `EquivalenceEntry` keeps the texts next to
+their parsed values; verification parses nothing.
 
 Named abbreviations in "defs" expand sequentially: each is parsed once,
 with the earlier ones standing for their expansions, so it may refer
@@ -25,14 +30,13 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from importlib import resources
 from pathlib import Path
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .grading import GradingError, WeightSystem
+from .matfac import ENTRY_NAMES
 from .numberfield import NumberFieldError, QuotientSpec
 from .polyring import ParseError, Poly, PolyError, VarTable, parse_poly
 
@@ -49,8 +53,6 @@ SCHEMA_KEYS = (
     "families",
     "corrections",
 )
-
-ENTRY_KEYS = ("d15", "d16", "d17", "d25", "d26", "d35")
 
 
 class CatalogError(ValueError):
@@ -107,8 +109,7 @@ class Correction(NamedTuple):
     justification: str
 
 
-@dataclass(frozen=True)
-class EquivalenceEntry:
+class EquivalenceEntry(NamedTuple):
     id: str
     side_in: SidePotential
     side_out: SidePotential
@@ -120,59 +121,30 @@ class EquivalenceEntry:
     paper_qdim_right_text: str
     families: Tuple[SolutionFamily, ...]
     corrections: Tuple[Correction, ...]
-    vt: VarTable = field(compare=False)
-
-    # -- parsed views ---------------------------------------------------
-    # Each text is parsed once, by `validate` when the entry is loaded,
-    # and every later read shares the result; a text that does not parse
-    # raises CatalogError naming it.
-
-    @cached_property
-    def _six(self) -> Tuple[Poly, ...]:
-        defs: Dict[str, Poly] = {}
-        for name, text in self.defs:
-            defs[name] = _parse(text, self.vt, f"def {name}", defs)
-        return tuple(_parse(self.entry_texts[k], self.vt, f"entry {k}", defs) for k in ENTRY_KEYS)
-
-    @cached_property
-    def _printed(self) -> Tuple[Tuple[Poly, ...], Dict[str, Poly]]:
-        """The printed constraints and quantum dimensions."""
-        qdims = {"left": self.paper_qdim_left_text, "right": self.paper_qdim_right_text}
-        return (
-            tuple(_parse(t, self.vt, f"constraint {t!r}") for t in self.paper_constraint_texts),
-            {side: _parse(t, self.vt, f"paper qdim_{side}") for side, t in qdims.items()},
-        )
-
-    @cached_property
-    def _potentials(self) -> Tuple[Poly, Poly]:
-        """Both sides' potentials, renamed onto the entry's table."""
-        return tuple(
-            _parse(s.poly_text, VarTable(s.table_vars), f"potential {s.potential_key}").convert(self.vt, s.renaming)
-            for s in (self.side_in, self.side_out)
-        )
-
-    @cached_property
-    def family_rings(self) -> Tuple[FamilyRing, ...]:
-        """One quotient ring per shipped family, in `families` order."""
-        return tuple(map(family_ring, self.families))
+    vt: VarTable
+    six_polys: Tuple[Poly, ...]  # in ENTRY_NAMES order, defs expanded
+    potentials: Tuple[Poly, Poly]  # in, out; renamed onto vt
+    paper_constraint_polys: Tuple[Poly, ...]
+    paper_qdim_polys: Dict[str, Poly]  # "left", "right"
+    family_rings: Tuple[FamilyRing, ...]  # in `families` order
 
     def six(self) -> Tuple[Poly, ...]:
-        return self._six
+        return self.six_polys
 
     def potential_in(self) -> Poly:
-        return self._potentials[0]
+        return self.potentials[0]
 
     def potential_out(self) -> Poly:
-        return self._potentials[1]
+        return self.potentials[1]
 
     def difference(self) -> Poly:
         return self.potential_out() - self.potential_in()
 
     def paper_constraints(self) -> Tuple[Poly, ...]:
-        return self._printed[0]
+        return self.paper_constraint_polys
 
     def paper_qdim(self, side: str) -> Poly:
-        return self._printed[1][side]
+        return self.paper_qdim_polys[side]
 
 
 def _parse(text: str, vt: VarTable, what: str, defs: Optional[Mapping[str, Poly]] = None) -> Poly:
@@ -182,6 +154,18 @@ def _parse(text: str, vt: VarTable, what: str, defs: Optional[Mapping[str, Poly]
         return parse_poly(text, vt, defs)
     except ParseError as exc:
         raise CatalogError(f"{what} does not parse: {exc}") from None
+
+
+def _name(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"{value!r} is not a string")
+    return value
+
+
+def _names(values) -> Tuple[str, ...]:
+    if not isinstance(values, list):
+        raise TypeError(f"{values!r} is not a list")
+    return tuple(map(_name, values))
 
 
 def _load_potentials_table(directory: Optional[Path] = None) -> Dict[str, dict]:
@@ -195,58 +179,57 @@ def _load_potentials_table(directory: Optional[Path] = None) -> Dict[str, dict]:
     return json.loads(text)
 
 
-def _side_from_json(obj: dict, potentials: Mapping[str, dict], where: str) -> SidePotential:
-    for key in ("potential", "vars", "renaming"):
-        if key not in obj:
-            raise CatalogError(f"{where}: missing key {key!r}")
-    pk = obj["potential"]
+def _side_from_json(obj: dict, potentials: Mapping[str, dict]) -> SidePotential:
+    """A side record; KeyError, TypeError or ValueError if malformed."""
+    pk, side_vars, renaming = obj["potential"], _names(obj["vars"]), dict(obj["renaming"])
     if pk not in potentials:
-        raise CatalogError(f"{where}: unknown potential {pk!r}")
+        raise ValueError(f"unknown potential {pk!r}")
     meta = potentials[pk]
     try:
-        table_vars, poly_text = tuple(meta["vars"]), meta["poly"]
+        table_vars, poly_text = _names(meta["vars"]), meta["poly"]
         weight_system = WeightSystem(*meta["weight_system"])
     except KeyError as exc:
-        raise CatalogError(f"{where}: potential {pk} lacks key {exc}") from None
+        raise ValueError(f"potential {pk} lacks key {exc}") from None
     except (TypeError, GradingError) as exc:
-        raise CatalogError(f"{where}: potential {pk}: {exc}") from None
-    renaming = dict(obj["renaming"])
+        raise ValueError(f"potential {pk}: {exc}") from None
     if set(renaming) != set(table_vars):
-        raise CatalogError(f"{where}: renaming keys must be exactly {table_vars}")
-    targets = tuple(renaming[v] for v in table_vars)
+        raise ValueError(f"renaming keys must be exactly {table_vars}")
+    targets = _names([renaming[v] for v in table_vars])
     if len(set(targets)) != len(targets):
-        raise CatalogError(f"{where}: renaming is not injective")
-    side_vars = tuple(obj["vars"])
+        raise ValueError("renaming is not injective")
     if set(side_vars) != set(targets):
-        raise CatalogError(
-            f"{where}: derivative order {side_vars} must list the renamed variables {sorted(targets)}"
-        )
+        raise ValueError(f"derivative order {side_vars} must list the renamed variables {sorted(targets)}")
     return SidePotential(pk, table_vars, poly_text, weight_system, side_vars, renaming)
 
 
 def load_entry(path: Path, potentials: Optional[Mapping[str, dict]] = None) -> EquivalenceEntry:
-    """One entry file, validated; `potentials` defaults to the table
-    that serves the file's directory."""
+    """One entry file, converted, parsed and checked in one pass; any
+    fault is a CatalogError naming the file and the record, text or
+    family at fault.  `potentials` defaults to the table that serves the
+    file's directory."""
     try:
         data = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise CatalogError(f"{path}: invalid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise CatalogError(f"{path}: the top-level value is not a JSON object")
     extra = set(data) - set(SCHEMA_KEYS)
     missing = set(SCHEMA_KEYS) - set(data)
     if extra or missing:
         raise CatalogError(f"{path}: schema keys off (extra {sorted(extra)}, missing {sorted(missing)})")
     if potentials is None:
         potentials = _load_potentials_table(Path(path).parent)
-    side_in = _side_from_json(data["ring_vars_in"], potentials, f"{path}:ring_vars_in")
-    side_out = _side_from_json(data["ring_vars_out"], potentials, f"{path}:ring_vars_out")
-    overlap = set(side_in.vars) & set(side_out.vars)
-    if overlap:
-        raise CatalogError(f"{path}: sides share variables {sorted(overlap)}")
     families: List[SolutionFamily] = []
     corrections: List[Correction] = []
-    record = "parameters"
+    record = "id"
     try:
-        parameters = tuple(data["parameters"])
+        entry_id = _name(data["id"])
+        record = "ring_vars_in"
+        side_in = _side_from_json(data["ring_vars_in"], potentials)
+        record = "ring_vars_out"
+        side_out = _side_from_json(data["ring_vars_out"], potentials)
+        record = "parameters"
+        parameters = _names(data["parameters"])
         record = "paper_constraints"
         paper_constraints = tuple(data["paper_constraints"])
         record = "defs"
@@ -257,65 +240,56 @@ def load_entry(path: Path, potentials: Optional[Mapping[str, dict]] = None) -> E
         for i, f in enumerate(data["families"]):
             record = f"families[{i}]"
             families.append(SolutionFamily(
-                label=f["label"],
-                generators=tuple((name, text) for name, text in f["generators"]),
+                label=_name(f["label"]),
+                generators=tuple((_name(name), text) for name, text in f["generators"]),
                 bindings=dict(f["bindings"]),
-                free=tuple(f["free"]),
+                free=_names(f["free"]),
                 free_defaults=dict(f.get("free_defaults", {})),
                 root_choice=dict(f.get("root_choice", {})),
             ))
         record = "corrections"
         for i, c in enumerate(data["corrections"]):
             record = f"corrections[{i}]"
-            corrections.append(Correction(*(c[k] for k in Correction._fields)))
+            corrections.append(Correction(*(_name(c[k]) for k in Correction._fields)))
     except KeyError as exc:
         raise CatalogError(f"{path}: {record} lacks key {exc}") from None
     except (AttributeError, TypeError, ValueError) as exc:
         raise CatalogError(f"{path}: {record} is malformed: {exc}") from None
+    overlap = set(side_in.vars) & set(side_out.vars)
+    if overlap:
+        raise CatalogError(f"{path}: sides share variables {sorted(overlap)}")
     ring = side_in.vars + side_out.vars
     clash = set(ring) & set(parameters)
     if clash:
         raise CatalogError(f"{path}: names used as both ring variable and parameter: {sorted(clash)}")
-    vt = VarTable(ring + parameters, ring_vars=ring, param_vars=parameters)
-    shadowing = [k for k, _ in defs if k in vt]
+    shadowing = [k for k, _ in defs if k in ring + parameters]
     if shadowing:
         raise CatalogError(f"{path}: defs named like a variable or parameter: {shadowing}")
-    if set(entries) != set(ENTRY_KEYS):
-        raise CatalogError(f"{path}: entries must be exactly {ENTRY_KEYS}")
-    entry = EquivalenceEntry(
-        id=data["id"],
-        side_in=side_in,
-        side_out=side_out,
-        parameters=parameters,
-        defs=defs,
-        entry_texts=entries,
-        paper_constraint_texts=paper_constraints,
-        paper_qdim_left_text=data["paper_qdim_left"],
-        paper_qdim_right_text=data["paper_qdim_right"],
-        families=tuple(families),
-        corrections=tuple(corrections),
-        vt=vt,
-    )
-    validate(entry)
-    return entry
-
-
-def validate(entry: EquivalenceEntry) -> None:
-    """Raise CatalogError naming every problem found in the entry."""
-    problems: List[str] = []
+    if set(entries) != set(ENTRY_NAMES):
+        raise CatalogError(f"{path}: entries must be exactly {ENTRY_NAMES}")
+    qdim_texts = {"left": data["paper_qdim_left"], "right": data["paper_qdim_right"]}
     try:
-        entry._six
-        entry._potentials
-        entry.family_rings
-        constraints, qdims = entry._printed
-    except CatalogError as exc:
-        raise CatalogError(f"{entry.id}: {exc}") from None
-    printed = [(f"constraint {t!r}", p) for t, p in zip(entry.paper_constraint_texts, constraints)]
+        vt = VarTable(ring + parameters, ring_vars=ring, param_vars=parameters)
+        def_polys: Dict[str, Poly] = {}
+        for name, text in defs:
+            def_polys[name] = _parse(text, vt, f"def {name}", def_polys)
+        six = tuple(_parse(entries[k], vt, f"entry {k}", def_polys) for k in ENTRY_NAMES)
+        potential_polys = tuple(
+            _parse(s.poly_text, VarTable(s.table_vars), f"potential {s.potential_key}").convert(vt, s.renaming)
+            for s in (side_in, side_out)
+        )
+        constraints = tuple(_parse(t, vt, f"constraint {t!r}") for t in paper_constraints)
+        qdims = {side: _parse(t, vt, f"paper qdim_{side}") for side, t in qdim_texts.items()}
+        rings = tuple(map(family_ring, families))
+    except ValueError as exc:
+        raise CatalogError(f"{path}: {exc}") from None
+    problems: List[str] = []
+    printed = [(f"constraint {t!r}", p) for t, p in zip(paper_constraints, constraints)]
     for what, p in printed + [(f"paper qdim_{side}", p) for side, p in qdims.items()]:
-        bad = [v for v in p.support_vars() if v not in entry.parameters]
+        bad = [v for v in p.support_vars() if v not in parameters]
         if bad:
             problems.append(f"{what} uses non-parameters {bad}")
-    for fam in entry.families:
+    for fam in families:
         for name, value in fam.free_defaults.items():
             if name not in fam.free or not _is_rational(value):
                 problems.append(f"family {fam.label!r}: free_defaults {name}={value!r} needs a free parameter and a rational")
@@ -324,22 +298,27 @@ def validate(entry: EquivalenceEntry) -> None:
             if g not in dict(fam.generators) or not texts or not all(isinstance(t, str) and _is_rational(t) for t in texts):
                 problems.append(f"family {fam.label!r}: root_choice {g}={z!r} needs a generator and two decimal strings")
         bound = set(fam.bindings) | set(fam.free)
-        if bound != set(entry.parameters):
+        if bound != set(parameters):
             problems.append(
                 f"family {fam.label!r}: bindings+free must cover parameters exactly "
                 f"(got {sorted(bound)})"
             )
         if set(fam.bindings) & set(fam.free):
             problems.append(f"family {fam.label!r}: a parameter is both bound and free")
-    shipped = dict(entry.entry_texts)
-    shipped.update((f"paper_constraints[{i}]", t) for i, t in enumerate(entry.paper_constraint_texts))
-    for corr in entry.corrections:
+    shipped = dict(entries)
+    shipped.update((f"paper_constraints[{i}]", t) for i, t in enumerate(paper_constraints))
+    for corr in corrections:
         if corr.location not in shipped:
             problems.append(f"correction at unknown location {corr.location!r}")
         elif corr.corrected != shipped[corr.location]:
             problems.append(f"correction at {corr.location}: 'corrected' text differs from the shipped text")
     if problems:
-        raise CatalogError(f"{entry.id}: " + "; ".join(problems))
+        raise CatalogError(f"{path}: " + "; ".join(problems))
+    return EquivalenceEntry(
+        entry_id, side_in, side_out, parameters, defs, entries, paper_constraints,
+        qdim_texts["left"], qdim_texts["right"], tuple(families), tuple(corrections),
+        vt, six, potential_polys, constraints, qdims, rings,
+    )
 
 
 def _is_rational(value) -> bool:

@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
 from . import constraints as con
-from ._groebner import BudgetExceeded
+from ._groebner import SPAIR_CAP, BudgetExceeded
 from .catalog import CatalogError, EquivalenceEntry, load_catalog, resolve_entry
 from .grading import (
     GradingError,
@@ -95,7 +95,7 @@ def _grading_stage(entry: EquivalenceEntry, m: MatrixFactorization) -> Tuple[boo
     return ok and gr.ok, detail
 
 
-def verify_entry(entry: EquivalenceEntry, spair_cap: int = 50000) -> dict:
+def verify_entry(entry: EquivalenceEntry, spair_cap: int = SPAIR_CAP) -> dict:
     """All checks for one entry; the returned dict is the JSON report.
 
     Every stage reads its facts from one `EntryWork`, which computes each
@@ -453,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--catalog", type=Path, default=None, help="catalog directory (or env ORBIMF_CATALOG)")
         p.add_argument("--json", action="store_true", help="machine-readable report")
         p.add_argument("--seed", type=int, default=0, help="recorded for reproducibility; nothing is randomized")
-        p.add_argument("--spair-cap", type=int, default=50000, help="S-pair budget per Groebner run")
+        p.add_argument("--spair-cap", type=int, default=SPAIR_CAP, help="S-pair budget per Groebner run")
 
     v = sub.add_parser("verify", help="run every check for one entry or the whole catalog")
     common(v)

@@ -20,7 +20,7 @@ from functools import cached_property
 from math import gcd
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
-from ._groebner import _divide_exact, _univariate_coeffs_in, groebner_basis, normal_form, reducer, resultant
+from ._groebner import SPAIR_CAP, _divide_exact, _univariate_coeffs_in, groebner_basis, normal_form, reducer, resultant
 from .catalog import EquivalenceEntry, FamilyRing, SolutionFamily, family_ring
 from .matfac import MatrixFactorization, build_8x8
 from .numberfield import NonzeroCertificate, NumberFieldError, certify_value
@@ -102,7 +102,7 @@ def paper_constraint_set(entry: EquivalenceEntry) -> ConstraintSet:
     return ConstraintSet.from_polys(entry.paper_constraints(), "paper")
 
 
-def groebner(constraints: ConstraintSet, spair_cap: int = 50000) -> List[Poly]:
+def groebner(constraints: ConstraintSet, spair_cap: int = SPAIR_CAP) -> List[Poly]:
     return groebner_basis(list(constraints.generators), spair_cap=spair_cap)
 
 
@@ -114,7 +114,7 @@ class EntryWork:
     set, one `verify_family` report per shipped family.  The quotient
     rings of the shipped families are the entry's own, built at load."""
 
-    def __init__(self, entry: EquivalenceEntry, spair_cap: int = 50000):
+    def __init__(self, entry: EquivalenceEntry, spair_cap: int = SPAIR_CAP):
         self.entry = entry
         self.spair_cap = spair_cap
         self._reducers: Dict[Tuple[Poly, ...], Callable[[Poly], Poly]] = {}

@@ -10,14 +10,13 @@ import pytest
 
 from conftest import same_as_sympy
 from orbimf.catalog import (
-    ENTRY_KEYS,
     CatalogError,
     load_catalog,
     load_entry,
     default_catalog_dir,
     resolve_entry,
-    validate,
 )
+from orbimf.matfac import ENTRY_NAMES
 from orbimf.numberfield import reduce
 from orbimf.polyring import Poly, format_poly, parse_poly
 
@@ -63,7 +62,7 @@ def test_defs_are_parsed_once_per_entry(monkeypatch):
 def test_parsed_texts_equal_their_sympy_expansion(catalog, entry_id):
     # an independent reading of every shipped text, defs expanded by sympy
     entry = catalog[entry_id]
-    for key, p in zip(ENTRY_KEYS, entry.six()):
+    for key, p in zip(ENTRY_NAMES, entry.six()):
         assert same_as_sympy(p, entry.entry_texts[key], entry.defs), key
     for text, p in zip(entry.paper_constraint_texts, entry.paper_constraints()):
         assert same_as_sympy(p, text), text
@@ -76,8 +75,12 @@ def test_shipped_catalog_ids(catalog):
 
 
 def test_every_entry_validates(catalog):
-    for entry in catalog.values():
-        validate(entry)
+    # each shipped file loads on its own to the entry the catalog holds
+    paths = [p for p in sorted(default_catalog_dir().glob("*.json")) if p.name != "potentials.json"]
+    assert len(paths) == len(catalog)
+    for path in paths:
+        entry = load_entry(path)
+        assert catalog[entry.id] == entry
 
 
 def test_resolve_exact_prefix_substring(catalog):
@@ -297,6 +300,15 @@ def test_repeated_generator_name_exits_2(tmp_path, capsys):
     assert "bad catalog" in err and "family 'E14 Family 1': duplicate variable names" in err
 
 
+def test_repeated_parameter_exits_2(tmp_path, capsys):
+    from orbimf.cli import main
+
+    _e14_edited(tmp_path, lambda data: data["parameters"].append("a1"))
+    assert main(["verify", "--all", "--catalog", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "bad catalog" in err and "duplicate variable names" in err
+
+
 @pytest.mark.parametrize(
     "edit, what",
     [
@@ -310,6 +322,35 @@ def test_malformed_family_or_correction_record_exits_2(tmp_path, capsys, edit, w
     from orbimf.cli import main
 
     _e14_edited(tmp_path, edit)
+    assert main(["verify", "--all", "--catalog", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "bad catalog" in err and what in err
+
+
+@pytest.mark.parametrize(
+    "where, value, what",
+    [
+        (["ring_vars_in", "vars"], 5, "ring_vars_in is malformed"),
+        (["ring_vars_in", "renaming"], 5, "ring_vars_in is malformed"),
+        (["ring_vars_in"], 5, "ring_vars_in is malformed"),
+        (["ring_vars_in", "potential"], ["E14v1"], "ring_vars_in is malformed"),
+        (["id"], 5, "id is malformed"),
+        ([], 5, "top-level value is not a JSON object"),
+        (["families", 0, "free", 0], 5, "families[0] is malformed: 5 is not a string"),
+        (["corrections", 0, "location"], ["d17"], "corrections[0] is malformed"),
+    ],
+    ids=["side-vars", "side-renaming", "side", "side-potential", "id", "top-level", "free", "correction-location"],
+)
+def test_catalog_record_of_the_wrong_type_exits_2(tmp_path, capsys, where, value, what):
+    from orbimf.cli import main
+
+    # the value at `where` in a copy of E14 replaced; [] is the whole file
+    node = holder = [json.loads((default_catalog_dir() / "E14.json").read_text())]
+    keys = [0, *where]
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    (tmp_path / "E14.json").write_text(json.dumps(holder[0]))
     assert main(["verify", "--all", "--catalog", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "bad catalog" in err and what in err
