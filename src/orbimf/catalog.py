@@ -31,7 +31,6 @@ from __future__ import annotations
 import json
 import os
 from fractions import Fraction
-from importlib import resources
 from pathlib import Path
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
@@ -39,6 +38,9 @@ from .grading import GradingError, WeightSystem
 from .matfac import ENTRY_NAMES
 from .numberfield import NumberFieldError, QuotientSpec
 from .polyring import ParseError, Poly, PolyError, VarTable, parse_poly
+
+# the packaged catalog; `default_catalog_dir` needs a real directory
+_PACKAGED = Path(__file__).with_name("data")
 
 SCHEMA_KEYS = (
     "id",
@@ -171,12 +173,15 @@ def _names(values) -> Tuple[str, ...]:
 def _load_potentials_table(directory: Optional[Path] = None) -> Dict[str, dict]:
     # A potentials.json sitting next to the entry files overrides the
     # packaged table, so self-contained catalogs work from any directory.
-    if directory is not None:
-        local = Path(directory) / "potentials.json"
-        if local.is_file():
-            return json.loads(local.read_text())
-    text = resources.files("orbimf").joinpath("data/potentials.json").read_text()
-    return json.loads(text)
+    local = Path(directory or _PACKAGED) / "potentials.json"
+    return _read_json(local if local.is_file() else _PACKAGED / "potentials.json")
+
+
+def _read_json(path: Path):
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise CatalogError(f"{path}: invalid JSON: {exc}") from None
 
 
 def _side_from_json(obj: dict, potentials: Mapping[str, dict]) -> SidePotential:
@@ -207,10 +212,7 @@ def load_entry(path: Path, potentials: Optional[Mapping[str, dict]] = None) -> E
     fault is a CatalogError naming the file and the record, text or
     family at fault.  `potentials` defaults to the table that serves the
     file's directory."""
-    try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise CatalogError(f"{path}: invalid JSON: {exc}") from None
+    data = _read_json(path)
     if not isinstance(data, dict):
         raise CatalogError(f"{path}: the top-level value is not a JSON object")
     extra = set(data) - set(SCHEMA_KEYS)
@@ -333,7 +335,7 @@ def default_catalog_dir() -> Path:
     env = os.environ.get("ORBIMF_CATALOG")
     if env:
         return Path(env)
-    return Path(str(resources.files("orbimf").joinpath("data")))
+    return _PACKAGED
 
 
 def load_catalog(directory: Optional[Path] = None) -> Dict[str, EquivalenceEntry]:

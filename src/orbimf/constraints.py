@@ -14,7 +14,6 @@ which is a one-element Groebner basis, through `_groebner`'s reducer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
@@ -40,18 +39,21 @@ def _unit_normalize(p: Poly) -> Poly:
     return p.scale(Fraction(den, content))
 
 
-@dataclass(frozen=True)
-class ConstraintSet:
-    """Deduplicated, unit-normalized generators of a parameter ideal."""
-
+class _ConstraintSet(NamedTuple):
     generators: Tuple[Poly, ...]
     provenance: str  # "derived" | "paper"
     epsilon: Optional[int] = None
 
-    def __post_init__(self) -> None:
-        for g in self.generators:
-            if g.is_zero():
-                raise ValueError("constraint generators must be nonzero")
+
+class ConstraintSet(_ConstraintSet):
+    """Deduplicated, unit-normalized generators of a parameter ideal."""
+
+    __slots__ = ()
+
+    def __new__(cls, generators: Tuple[Poly, ...], provenance: str, epsilon: Optional[int] = None) -> "ConstraintSet":
+        if any(g.is_zero() for g in generators):
+            raise ValueError("constraint generators must be nonzero")
+        return super().__new__(cls, generators, provenance, epsilon)
 
     @staticmethod
     def from_polys(

@@ -10,7 +10,6 @@ multisets and the assignment actually found is reported.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Dict, Mapping, NamedTuple, Tuple
@@ -25,37 +24,45 @@ class GradingError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class WeightSystem:
+class _WeightSystem(NamedTuple):
     a1: int
     a2: int
     a3: int
     h: int
 
-    def __post_init__(self) -> None:
-        triple = (self.a1, self.a2, self.a3)
-        if any(a <= 0 for a in triple) or self.h <= 0:
+
+class WeightSystem(_WeightSystem):
+    __slots__ = ()
+
+    def __new__(cls, a1: int, a2: int, a3: int, h: int) -> "WeightSystem":
+        triple = (a1, a2, a3)
+        if any(a <= 0 for a in triple) or h <= 0:
             raise GradingError("weight system entries must be positive")
-        if any(a >= self.h for a in triple):
+        if any(a >= h for a in triple):
             raise GradingError("each weight must be below the degree h")
-        if gcd(gcd(self.a1, self.a2), self.a3) != 1:
+        if gcd(gcd(a1, a2), a3) != 1:
             raise GradingError("weight triple must be coprime")
+        return super().__new__(cls, a1, a2, a3, h)
 
     def normalized_weights(self) -> Tuple[Fraction, Fraction, Fraction]:
         return tuple(Fraction(2 * a, self.h) for a in (self.a1, self.a2, self.a3))
 
 
-@dataclass(frozen=True)
-class VariableWeights:
+class _VariableWeights(NamedTuple):
     weights: Tuple[Tuple[str, Fraction], ...]
 
-    def __post_init__(self) -> None:
-        for name, w in self.weights:
+
+class VariableWeights(_VariableWeights):
+    __slots__ = ()
+
+    def __new__(cls, weights: Tuple[Tuple[str, Fraction], ...]) -> "VariableWeights":
+        for name, w in weights:
             if not (0 < w <= 1):
                 raise GradingError(f"weight of {name!r} must lie in (0, 1], got {w}")
-        names = [n for n, _ in self.weights]
+        names = [n for n, _ in weights]
         if len(set(names)) != len(names):
             raise GradingError("duplicate variable in weights")
+        return super().__new__(cls, weights)
 
     @staticmethod
     def of(mapping: Mapping[str, Fraction]) -> "VariableWeights":

@@ -30,7 +30,6 @@ centres is widened by how far each term can move within the disks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
@@ -54,23 +53,19 @@ class PrecisionExceeded(NumberFieldError):
     """No conclusive interval before the working-precision cap."""
 
 
-@dataclass(frozen=True)
 class QuotientSpec:
-    """Generators with independent monic univariate minimal polynomials."""
+    """Generators with independent monic univariate minimal polynomials;
+    immutable, and equal and hashed by its three fields."""
 
-    vt: VarTable
-    generators: Tuple[str, ...]
-    minimal_polys: Tuple[Poly, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.generators) != len(self.minimal_polys):
+    def __init__(self, vt: VarTable, generators: Tuple[str, ...], minimal_polys: Tuple[Poly, ...]):
+        if len(generators) != len(minimal_polys):
             raise NumberFieldError("one minimal polynomial per generator required")
         seen = set()
-        for name, mp in zip(self.generators, self.minimal_polys):
+        for name, mp in zip(generators, minimal_polys):
             if name in seen:
                 raise NumberFieldError(f"duplicate generator {name!r}")
             seen.add(name)
-            if name not in self.vt:
+            if name not in vt:
                 raise NumberFieldError(f"generator {name!r} missing from table")
             support = mp.support_vars()
             if support not in ((name,), ()):
@@ -81,6 +76,24 @@ class QuotientSpec:
                 raise NumberFieldError(f"minimal polynomial of {name!r} must have degree >= 1")
             if mp.univariate_coeffs(name)[-1] != 1:
                 raise NumberFieldError(f"minimal polynomial of {name!r} must be monic")
+        vars(self).update(vt=vt, generators=generators, minimal_polys=minimal_polys)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("QuotientSpec is immutable")
+
+    def _key(self) -> tuple:
+        return self.vt, self.generators, self.minimal_polys
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not QuotientSpec:
+            return NotImplemented
+        return self is other or self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return "QuotientSpec(vt=%r, generators=%r, minimal_polys=%r)" % self._key()
 
     def degree(self, name: str) -> int:
         return self.minimal_polys[self.generators.index(name)].degree_in(name)
@@ -94,8 +107,7 @@ class QuotientSpec:
         return {k: v for k, v in self.__dict__.items() if k != "_normal_form"}
 
 
-@dataclass(frozen=True)
-class QuotientElem:
+class QuotientElem(NamedTuple):
     spec: QuotientSpec
     rep: Poly  # fully reduced representative
 

@@ -27,7 +27,6 @@ the identity.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add, lshift
@@ -57,40 +56,54 @@ class ParseError(PolyError):
         self.position = position
 
 
-@dataclass(frozen=True)
 class VarTable:
     """Ordered variable declarations plus the ring/parameter split.
 
     `names` fixes both the exponent-slot order of every monomial and the
     tie-breaking order used by degrevlex.  `ring_vars` and `param_vars`
     must be disjoint subsets of `names`; names in neither set are allowed
-    (used e.g. for shorthand definitions and field generators).
+    (used e.g. for shorthand definitions and field generators).  A table
+    is immutable, and equal and hashed by those three fields.
     """
 
-    names: Tuple[str, ...]
-    ring_vars: Tuple[str, ...] = ()
-    param_vars: Tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
-        if len(set(self.names)) != len(self.names):
-            raise PolyError(f"duplicate variable names in {self.names}")
-        ring = set(self.ring_vars)
-        par = set(self.param_vars)
+    def __init__(self, names: Tuple[str, ...], ring_vars: Tuple[str, ...] = (), param_vars: Tuple[str, ...] = ()):
+        if len(set(names)) != len(names):
+            raise PolyError(f"duplicate variable names in {names}")
+        ring = set(ring_vars)
+        par = set(param_vars)
         if ring & par:
             raise PolyError(f"variables declared both ring and parameter: {sorted(ring & par)}")
-        missing = (ring | par) - set(self.names)
+        missing = (ring | par) - set(names)
         if missing:
             raise PolyError(f"declared subset names not in table: {sorted(missing)}")
-        object.__setattr__(self, "_index", {n: i for i, n in enumerate(self.names)})
+        index = {n: i for i, n in enumerate(names)}
+        vars(self).update(names=names, ring_vars=ring_vars, param_vars=param_vars, _index=index)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("VarTable is immutable")
+
+    def _key(self) -> tuple:
+        return self.names, self.ring_vars, self.param_vars
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not VarTable:
+            return NotImplemented
+        return self is other or self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return "VarTable(names=%r, ring_vars=%r, param_vars=%r)" % self._key()
 
     def index(self, name: str) -> int:
         try:
-            return self._index[name]  # type: ignore[attr-defined]
+            return self._index[name]
         except KeyError:
             raise PolyError(f"undeclared variable {name!r}") from None
 
     def __contains__(self, name: str) -> bool:
-        return name in self._index  # type: ignore[attr-defined]
+        return name in self._index
 
     def __len__(self) -> int:
         return len(self.names)

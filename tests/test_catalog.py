@@ -427,6 +427,17 @@ def test_malformed_potential_record_exits_2(tmp_path, capsys, edit, what):
     assert "bad catalog" in err and f"potential {key}" in err and what in err
 
 
+def test_truncated_potentials_table_exits_2(tmp_path, capsys):
+    from orbimf.cli import main
+
+    _e14_edited(tmp_path, lambda data: None)
+    table = (default_catalog_dir() / "potentials.json").read_text()
+    (tmp_path / "potentials.json").write_text(table[: len(table) // 2])
+    assert main(["verify", "--all", "--catalog", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "bad catalog" in err and f"{tmp_path / 'potentials.json'}: invalid JSON" in err
+
+
 def test_unparsable_paper_constraint_exits_2(tmp_path, capsys):
     _e14_edited(tmp_path, lambda data: data.update(paper_constraints=["c^^8 + 4"]))
     _exits_2_naming(tmp_path, capsys, "constraint 'c^^8 + 4'")

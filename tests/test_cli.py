@@ -187,6 +187,21 @@ def test_cli_import_leaves_the_process_pool_unloaded():
     assert out.stdout.strip() == "[]"
 
 
+def test_catalog_load_leaves_dataclasses_and_inspect_unloaded(tmp_path):
+    # cold start: a fresh process that imports the package and loads the
+    # packaged catalog and a --catalog copy pays for neither module
+    copy = tmp_path / "catalog"
+    shutil.copytree(SHIPPED_DIR, copy)
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import orbimf; "
+        "orbimf.load_catalog(); orbimf.load_catalog(sys.argv[2]); "
+        "print([m for m in ('dataclasses', 'inspect') if m in sys.modules])"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-I", "-c", code, src, str(copy)], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 def test_verify_all_leaves_mpmath_unloaded():
     # every nonzero certificate the shipped catalog needs is exact (each
     # value is a unit, certified by its inverse), so no interval is formed
