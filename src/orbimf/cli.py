@@ -16,7 +16,7 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from . import constraints as con
 from ._groebner import SPAIR_CAP, BudgetExceeded
@@ -129,28 +129,8 @@ def verify_entry(entry: EquivalenceEntry, spair_cap: int = SPAIR_CAP) -> dict:
     pot = verify_potential(work.m, entry.potential_in(), entry.potential_out(), reduce, derived.epsilon)
     stage("potential", pot.ok, {"epsilon": pot.epsilon, "message": pot.message()})
 
-    printed = work.printed
-    cmp_ = con.ideal_compare(work, printed, derived)
-    ideal_detail = _ideal_dict(cmp_)
-    if not cmp_.equal and cmp_.a_in_b:
-        # the printed set may live in a smaller ring with a determined
-        # parameter already solved away; eliminating it restores equality
-        printed_support = {v for g in printed.generators for v in g.support_vars()}
-        reduced = derived
-        eliminated: List[str] = []
-        for name in entry.parameters:
-            if name in printed_support:
-                continue
-            try:
-                reduced, _ = con.eliminate_linear(reduced, name)
-            except ValueError:
-                continue
-            eliminated.append(name)
-        if eliminated:
-            again = con.ideal_compare(work, printed, reduced)
-            if again.equal:
-                ideal_detail["equal_after_eliminating"] = eliminated
-    stage("ideal-compare", cmp_.a_in_b and not cmp_.vacuous, ideal_detail)
+    cmp_ = con.compare_printed(work)
+    stage("ideal-compare", cmp_.a_in_b and not cmp_.vacuous, _ideal_dict(cmp_))
 
     fam_reports = [work.family_report(fam) for fam in entry.families]
     stage(
@@ -214,6 +194,8 @@ def _ideal_dict(cmp_: con.IdealComparison) -> dict:
     }
     if cmp_.vacuous:
         out["vacuous"] = _VACUOUS
+    if cmp_.equal_after_eliminating:
+        out["equal_after_eliminating"] = list(cmp_.equal_after_eliminating)
     return out
 
 
@@ -222,7 +204,10 @@ def _render_ideal(d: dict) -> str:
         printed_in = f"vacuous ({d['vacuous']})"
     else:
         printed_in = _yn(d["printed_in_derived"])
-    return f"printed<=derived: {printed_in}, derived<=printed: {_yn(d['derived_in_printed'])}"
+    out = f"printed<=derived: {printed_in}, derived<=printed: {_yn(d['derived_in_printed'])}"
+    if "equal_after_eliminating" in d:
+        out += f" (equal after eliminating {', '.join(d['equal_after_eliminating'])})"
+    return out
 
 
 def _match_dict(match: con.QdimMatch) -> dict:
@@ -258,10 +243,7 @@ def render_verify_text(report: dict) -> str:
         elif name == "potential":
             extra = st["detail"]["message"]
         elif name == "ideal-compare":
-            d = st["detail"]
-            extra = _render_ideal(d)
-            if d.get("equal_after_eliminating"):
-                extra += f" (equal after eliminating {', '.join(d['equal_after_eliminating'])})"
+            extra = _render_ideal(st["detail"])
         elif name == "families":
             d = st["detail"]
             extra = d if isinstance(d, str) else f"{sum(r['ok'] for r in d)}/{len(d)} verified"
@@ -418,9 +400,8 @@ def cmd_constraints(args: argparse.Namespace) -> int:
     derived = work.derived
     payload = {"schema": SCHEMA_VERSION, "entry": entry.id, "epsilon": derived.epsilon}
     if args.compare_paper:
-        printed = work.printed
-        cmp_ = con.ideal_compare(work, printed, derived)
-        payload.update(derived=list(derived.texts()), printed=list(printed.texts()), **_ideal_dict(cmp_))
+        cmp_ = con.compare_printed(work)
+        payload.update(derived=list(derived.texts()), printed=list(work.printed.texts()), **_ideal_dict(cmp_))
         if args.json:
             print(json.dumps(payload, indent=2))
         else:

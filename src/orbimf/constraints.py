@@ -188,6 +188,7 @@ class IdealComparison(NamedTuple):
     failing_a: Tuple[Poly, ...]  # generators of A outside the ideal of B
     failing_b: Tuple[Poly, ...]
     vacuous: bool  # B is the unit ideal, so a_in_b holds for any A
+    equal_after_eliminating: Tuple[str, ...] = ()  # see `compare_printed`
 
     @property
     def equal(self) -> bool:
@@ -231,6 +232,32 @@ def eliminate_linear(
     raise ValueError(f"no generator is linear in {name!r} with a constant coefficient")
 
 
+def compare_printed(work: EntryWork) -> IdealComparison:
+    """`ideal_compare` of the printed set against the derived one.  When
+    the printed ideal lies strictly inside, it may live in a smaller ring
+    with determined parameters already solved away: the parameters it
+    does not mention are eliminated from the derived set where
+    `eliminate_linear` can, and if that restores equality they are
+    recorded in `equal_after_eliminating`."""
+    printed, derived = work.printed, work.derived
+    cmp_ = ideal_compare(work, printed, derived)
+    if cmp_.equal or not cmp_.a_in_b:
+        return cmp_
+    printed_support = {v for g in printed.generators for v in g.support_vars()}
+    eliminated: List[str] = []
+    for name in work.entry.parameters:
+        if name in printed_support:
+            continue
+        try:
+            derived, _ = eliminate_linear(derived, name)
+        except ValueError:
+            continue
+        eliminated.append(name)
+    if eliminated and ideal_compare(work, printed, derived).equal:
+        return cmp_._replace(equal_after_eliminating=tuple(eliminated))
+    return cmp_
+
+
 # -- solution families -------------------------------------------------
 
 
@@ -252,7 +279,7 @@ def verify_family(work: EntryWork, family: SolutionFamily) -> FamilyReport:
     for g in gens:
         residue = quotient_reduce(g.substitute(ring.bindings), ring.spec)
         if not residue.is_zero():
-            failures.append((format_poly(g), format_poly(residue.rep)))
+            failures.append((format_poly(g), format_poly(residue)))
     return FamilyReport(work.entry.id, family.label, not failures, len(gens), tuple(failures))
 
 
@@ -262,7 +289,7 @@ def verify_family(work: EntryWork, family: SolutionFamily) -> FamilyReport:
 def computed_qdim(entry: EquivalenceEntry, side: str) -> Poly:
     """Residue-computed quantum dimension; a polynomial in the parameters."""
     m = build_8x8(entry.six())
-    return qdim_pair(m, entry.potential_in(), entry.potential_out(), (side,))[side]
+    return qdim_pair(m, entry.potential_in(), entry.potential_out())[side]
 
 
 class QdimAtPoint(NamedTuple):
@@ -341,12 +368,12 @@ def nonvanishing_check(
         if not on_variety:
             return QdimAtPoint(origin, "?", None, "family does not lie on the constraint variety")
         at_point = work.qdim_nfs[origin, side].substitute(ring.bindings).substitute(free_map)
-        elem = quotient_reduce(at_point, ring.spec)
+        value = quotient_reduce(at_point, ring.spec)
         try:
-            cert = certify_value(elem, family.root_choice)
+            cert = certify_value(value, ring.spec, family.root_choice)
         except NumberFieldError as exc:
-            return QdimAtPoint(origin, format_poly(elem.rep), None, str(exc))
-        return QdimAtPoint(origin, format_poly(elem.rep), cert)
+            return QdimAtPoint(origin, format_poly(value), None, str(exc))
+        return QdimAtPoint(origin, format_poly(value), cert)
 
     computed = certify("computed")
     printed = certify("printed")

@@ -6,12 +6,13 @@ the minimal polynomials already form a Groebner basis (Buchberger's
 first criterion) and reduction is the normal form modulo them through
 the shared kernel `_groebner.reducer`, whose divisor records each
 quotient builds once.  That normal form is unique: every generator
-exponent lies below its minimal polynomial's degree.  The representative
-may also involve extra "spectator" variables (free parameters riding
-along), which reduction never touches.
+exponent lies below its minimal polynomial's degree.  A quotient value is
+that normal form, a plain `Poly` passed with its `QuotientSpec`; it may
+also involve extra "spectator" variables (free parameters riding along),
+which reduction never touches.
 
 Inversion solves an exact linear system over the monomial basis of the
-quotient (representatives must be supported on generators only).  A
+quotient (values must be supported on generators only).  A
 failed inversion reports a zero divisor instead of guessing; an element
 that inverts is a unit, and by Stickelberger's theorem a unit is nonzero
 at every root of the relations.  So every exact nonzero verdict is an
@@ -53,11 +54,17 @@ class PrecisionExceeded(NumberFieldError):
     """No conclusive interval before the working-precision cap."""
 
 
-class QuotientSpec:
-    """Generators with independent monic univariate minimal polynomials;
-    immutable, and equal and hashed by its three fields."""
+class _QuotientSpec(NamedTuple):
+    vt: VarTable
+    generators: Tuple[str, ...]
+    minimal_polys: Tuple[Poly, ...]
 
-    def __init__(self, vt: VarTable, generators: Tuple[str, ...], minimal_polys: Tuple[Poly, ...]):
+
+class QuotientSpec(_QuotientSpec):
+    """Generators with independent monic univariate minimal polynomials.
+    No `__slots__`: the reducer is cached in the instance `__dict__`."""
+
+    def __new__(cls, vt: VarTable, generators: Tuple[str, ...], minimal_polys: Tuple[Poly, ...]) -> "QuotientSpec":
         if len(generators) != len(minimal_polys):
             raise NumberFieldError("one minimal polynomial per generator required")
         seen = set()
@@ -76,24 +83,10 @@ class QuotientSpec:
                 raise NumberFieldError(f"minimal polynomial of {name!r} must have degree >= 1")
             if mp.univariate_coeffs(name)[-1] != 1:
                 raise NumberFieldError(f"minimal polynomial of {name!r} must be monic")
-        vars(self).update(vt=vt, generators=generators, minimal_polys=minimal_polys)
+        return super().__new__(cls, vt, generators, minimal_polys)
 
     def __setattr__(self, name, value):
         raise AttributeError("QuotientSpec is immutable")
-
-    def _key(self) -> tuple:
-        return self.vt, self.generators, self.minimal_polys
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not QuotientSpec:
-            return NotImplemented
-        return self is other or self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return "QuotientSpec(vt=%r, generators=%r, minimal_polys=%r)" % self._key()
 
     def degree(self, name: str) -> int:
         return self.minimal_polys[self.generators.index(name)].degree_in(name)
@@ -102,70 +95,55 @@ class QuotientSpec:
     def _normal_form(self) -> Callable[[Poly], Poly]:
         return reducer(self.minimal_polys)
 
-    def __getstate__(self) -> dict:
-        # the reducer is a closure; an unpickled copy builds its own
-        return {k: v for k, v in self.__dict__.items() if k != "_normal_form"}
+    def __getstate__(self) -> None:
+        # the reducer is a closure: pickle the three fields, rebuild it
+        return None
 
 
-class QuotientElem(NamedTuple):
-    spec: QuotientSpec
-    rep: Poly  # fully reduced representative
-
-    def is_zero(self) -> bool:
-        return self.rep.is_zero()
-
-    def __str__(self) -> str:
-        return str(self.rep)
-
-
-def reduce(p: Poly, spec: QuotientSpec) -> QuotientElem:
+def reduce(p: Poly, spec: QuotientSpec) -> Poly:
     """Normal form of p modulo the minimal polynomials: every generator
     exponent below its minimal polynomial's degree."""
     if p.vt != spec.vt:
         raise NumberFieldError("polynomial does not live in the quotient's table")
-    return QuotientElem(spec, spec._normal_form(p))
+    return spec._normal_form(p)
 
 
-def element(text_or_poly, spec: QuotientSpec) -> QuotientElem:
+def element(text_or_poly, spec: QuotientSpec) -> Poly:
     if not isinstance(text_or_poly, Poly):
         text_or_poly = parse_poly(str(text_or_poly), spec.vt)
     return reduce(text_or_poly, spec)
 
 
 def _basis_monomials(spec: QuotientSpec) -> List[Monomial]:
-    width = len(spec.vt)
-    monos: List[Monomial] = [(0,) * width]
+    monos: List[Monomial] = [(0,) * len(spec.vt)]
     for name in spec.generators:
         i = spec.vt.index(name)
-        d = spec.degree(name)
-        monos = [m[:i] + (e,) + m[i + 1:] for m in monos for e in range(d)]
+        monos = [m[:i] + (e,) + m[i + 1:] for m in monos for e in range(spec.degree(name))]
     return monos
 
 
-def invert(elem: QuotientElem) -> QuotientElem:
-    """Multiplicative inverse via an exact linear solve over the basis."""
-    spec = elem.spec
-    extra = [v for v in elem.rep.support_vars() if v not in spec.generators]
+def invert(p: Poly, spec: QuotientSpec) -> Poly:
+    """Inverse of p in `spec` via an exact linear solve over the basis."""
+    extra = [v for v in p.support_vars() if v not in spec.generators]
     if extra:
         raise NumberFieldError(f"cannot invert element with free variables {extra}")
-    if elem.is_zero():
+    if p.is_zero():
         raise ZeroDivisorError("zero is not invertible")
     basis = _basis_monomials(spec)
     pos = {m: i for i, m in enumerate(basis)}
-    # column j holds the coordinates of elem * basis[j]: elem's exponents
+    # column j holds the coordinates of p * basis[j]: p's exponents
     # shifted by basis[j], reduced
     a = [[_ZERO] * len(basis) for _ in basis]
     for j, m in enumerate(basis):
-        shifted = {tuple(map(sum, zip(mono, m))): c for mono, c in elem.rep.terms()}
+        shifted = {tuple(map(sum, zip(mono, m))): c for mono, c in p.terms()}
         for mono, c in spec._normal_form(Poly._raw(spec.vt, shifted)).terms():
             a[pos[mono]][j] = c
     b = [_ZERO] * len(basis)
     b[pos[(0,) * len(spec.vt)]] = Fraction(1)
     x = solve_dense(a, b)
     if x is None:
-        raise ZeroDivisorError(f"{elem.rep} is a zero divisor in this quotient")
-    rep = Poly(spec.vt, {m: q for m, q in zip(basis, x) if q})
-    return QuotientElem(spec, rep)
+        raise ZeroDivisorError(f"{p} is a zero divisor in this quotient")
+    return Poly(spec.vt, {m: q for m, q in zip(basis, x) if q})
 
 
 # ---------------------------------------------------------------------
@@ -241,33 +219,33 @@ def certified_root_box(mp: Poly, name: str, approx: Tuple[str, str], precision_b
 
 
 def embed_complex(
-    elem: QuotientElem,
+    p: Poly,
+    spec: QuotientSpec,
     root_choice: Mapping[str, Tuple[str, str]],
     precision_bits: int = 128,
 ) -> ComplexBox:
-    """Guaranteed enclosure of the element's image at the chosen roots.
+    """Guaranteed enclosure of the image of p at the chosen roots.
 
-    The element is evaluated once, exactly, at the centres z_i of the root
+    p is evaluated once, exactly, at the centres z_i of the root
     boxes.  Each root lies within its box's half-width rho_i of z_i, so a
     term c * prod z_i^e_i moves by at most
     |c| * (prod (u_i + rho_i)^e_i - prod u_i^e_i) for any u_i >= |z_i|,
     and the sum of these bounds widens the value into a square.
     """
-    spec = elem.spec
-    extra = [v for v in elem.rep.support_vars() if v not in spec.generators]
+    extra = [v for v in p.support_vars() if v not in spec.generators]
     if extra:
         raise NumberFieldError(f"cannot embed element with free variables {extra}")
     centres: Dict[int, Tuple[Fraction, Fraction, Fraction, Fraction]] = {}  # slot -> re, im, u, rho
     for name, mp in zip(spec.generators, spec.minimal_polys):
         if name not in root_choice:
-            if elem.rep.degree_in(name) > 0:
+            if p.degree_in(name) > 0:
                 raise NumberFieldError(f"no root choice given for generator {name!r}")
             continue
         box = certified_root_box(mp, name, root_choice[name], precision_bits)
         re, im = box.midpoint()
         centres[spec.vt.index(name)] = (re, im, _sqrt_upper(re * re + im * im), (box.re_hi - box.re_lo) / 2)
     val_re = val_im = slack = _ZERO
-    for mono, coeff in elem.rep.terms():
+    for mono, coeff in p.terms():
         t_re, t_im, near, far = coeff, _ZERO, Fraction(1), Fraction(1)
         for i, e in enumerate(mono):
             if e:
@@ -289,28 +267,29 @@ class NonzeroCertificate(NamedTuple):
 
 
 def certify_value(
-    elem: QuotientElem,
+    p: Poly,
+    spec: QuotientSpec,
     root_choice: Optional[Mapping[str, Tuple[str, str]]],
 ) -> NonzeroCertificate:
-    """Decide zero / certified-nonzero for a quotient element.
+    """Decide zero / certified-nonzero for p, a normal form in `spec`.
 
-    Exactly-zero representatives are reported as zero, and a unit is
+    A p that is exactly zero is reported as zero, and a unit is
     certified exactly by its inverse (nonzero at every root).  A zero
     divisor, or an element with free variables left, is embedded at the
     chosen roots from 128 bits, doubling up to 2048, until the rectangle
     excludes zero.
     """
-    if elem.is_zero():
+    if p.is_zero():
         return NonzeroCertificate("zero", None, None)
     try:
-        invert(elem)  # an exact solution of elem * y = 1, or an error
+        invert(p, spec)  # an exact solution of p * y = 1, or an error
         return NonzeroCertificate("nonzero_exact", None, None)
     except NumberFieldError:
         pass
     if not root_choice:
         raise NumberFieldError("a non-unit needs a root choice to certify nonzero")
     for bits in (128, 256, 512, 1024, 2048):
-        box = embed_complex(elem, root_choice, bits)
+        box = embed_complex(p, spec, root_choice, bits)
         if not box.contains_zero():
             return NonzeroCertificate("nonzero_interval", box, bits)
-    raise PrecisionExceeded(f"no conclusive interval for {elem.rep} up to 2048 bits")
+    raise PrecisionExceeded(f"no conclusive interval for {p} up to 2048 bits")

@@ -253,19 +253,15 @@ def grothendieck_residue(
     return Poly(vt, out)
 
 
-def qdim_pair(
-    m: MatrixFactorization, v_in: Poly, w_out: Poly, sides: Sequence[str] = ("left", "right")
-) -> Dict[str, Poly]:
-    """The requested quantum dimensions, by side, from one supertrace:
-    sources first, then targets, in declared order."""
+def qdim_pair(m: MatrixFactorization, v_in: Poly, w_out: Poly) -> Dict[str, Poly]:
+    """Both quantum dimensions, by side, from one supertrace: sources
+    first, then targets, in declared order."""
     sources, targets = v_in.support_vars(), w_out.support_vars()
     if len(sources) != 3 or len(targets) != 3:
         raise ResidueError("each potential must involve exactly three variables")
-    if not set(sides) <= {"left", "right"}:
-        raise ResidueError("side must be left or right")
     s = derivative_supertrace(m, sources + targets)
     out = {}
-    for side in sides:
+    for side in ("left", "right"):
         over, against = (targets, w_out) if side == "left" else (sources, v_in)
         value = grothendieck_residue(s, against, over, cofactor_lift(against, over))
         ring_left = [v for v in value.support_vars() if v in m.vt.ring_vars]
@@ -276,8 +272,8 @@ def qdim_pair(
 
 
 def qdim_left(m: MatrixFactorization, v_in: Poly, w_out: Poly) -> Poly:
-    return qdim_pair(m, v_in, w_out, ("left",))["left"]
+    return qdim_pair(m, v_in, w_out)["left"]
 
 
 def qdim_right(m: MatrixFactorization, v_in: Poly, w_out: Poly) -> Poly:
-    return qdim_pair(m, v_in, w_out, ("right",))["right"]
+    return qdim_pair(m, v_in, w_out)["right"]

@@ -289,6 +289,20 @@ def test_constraints_compare_paper_w12(capsys):
     assert "derived generator outside the printed ideal" in out
 
 
+def test_constraints_compare_paper_w12_names_the_eliminated_parameter(capsys):
+    # the retry that verify's ideal-compare stage makes: eliminating a2,
+    # which the printed set does not mention, from the derived set
+    # restores equality, and both commands say so
+    rc, out, _ = _run(capsys, "constraints", "--entry", "W12", "--compare-paper")
+    assert rc == 0
+    assert "derived<=printed: no (equal after eliminating a2)" in out
+    rc, out, _ = _run(capsys, "constraints", "--entry", "W12", "--compare-paper", "--json")
+    assert rc == 0
+    assert json.loads(out)["equal_after_eliminating"] == ["a2"]
+    stage = verify_entry(load_catalog()["W12v1_W12v2"])["stages"]["ideal-compare"]
+    assert stage["detail"]["equal_after_eliminating"] == ["a2"]
+
+
 def test_constraints_compare_paper_json_e14(capsys):
     rc, out, _ = _run(
         capsys, "constraints", "--entry", "E14", "--compare-paper", "--json"

@@ -275,7 +275,7 @@ def _raw_point_value(work, family, side, origin, point):
     }
     at_point = {p: b.substitute(free) for p, b in ring.bindings.items()}
     poly = work.qdims[side] if origin == "computed" else work.entry.paper_qdim(side)
-    return format_poly(quotient_reduce(poly.substitute(at_point), ring.spec).rep)
+    return format_poly(quotient_reduce(poly.substitute(at_point), ring.spec))
 
 
 def _family_points(catalog):

@@ -49,8 +49,7 @@ ROOT_C = {"c": ("1.0986841134678098", "0.45508986056222733")}  # sqrt(1+i)
 
 def test_reduce_c8_is_minus_four():
     spec = _spec_c()
-    e = element("c^8", spec)
-    assert e.rep == parse_poly("-4", spec.vt)
+    assert element("c^8", spec) == parse_poly("-4", spec.vt)
 
 
 def test_reduce_of_minimal_poly_is_zero():
@@ -61,8 +60,8 @@ def test_reduce_of_minimal_poly_is_zero():
 def test_one_plus_i_fourth_power():
     spec = _spec_i()
     e = element("1 + i", spec)
-    square = reduce(e.rep * e.rep, spec)
-    assert reduce(square.rep * square.rep, spec).rep == parse_poly("-4", spec.vt)
+    square = reduce(e * e, spec)
+    assert reduce(square * square, spec) == parse_poly("-4", spec.vt)
 
 
 def test_two_generator_reduction():
@@ -72,16 +71,15 @@ def test_two_generator_reduction():
         ("r", "i"),
         (parse_poly("r^3 - 1/2", vt), parse_poly("i^2 + 1", vt)),
     )
-    assert element("i^2 * r^3", spec).rep == parse_poly("-1/2", vt)
-    ir = element("i*r", spec).rep
-    assert reduce(ir * ir, spec).rep == parse_poly("-r^2", vt)
+    assert element("i^2 * r^3", spec) == parse_poly("-1/2", vt)
+    ir = element("i*r", spec)
+    assert reduce(ir * ir, spec) == parse_poly("-r^2", vt)
 
 
 def test_spectator_variables_ride_along():
     vt = VarTable(("c", "b"), param_vars=("c", "b"))
     spec = QuotientSpec(vt, ("c",), (parse_poly("c^4 - 2*c^2 + 2", vt),))
-    e = element("b*c^4 + b", spec)
-    assert e.rep == parse_poly("2*b*c^2 - b", vt)
+    assert element("b*c^4 + b", spec) == parse_poly("2*b*c^2 - b", vt)
 
 
 # the table carries two candidate generators and two spectators; a spec
@@ -131,7 +129,7 @@ def _sympy_remainder(p, spec):
 def test_reduce_matches_sympy_reduced(spec, p):
     # monic univariates in distinct generators are a Groebner basis, so
     # the remainder is unique and sympy's division must give it too
-    got = reduce(p, spec).rep
+    got = reduce(p, spec)
     assert got == _sympy_remainder(p, spec)
     for name in spec.generators:
         assert got.degree_in(name) < spec.degree(name)
@@ -188,11 +186,11 @@ def _euclid_inverse(num_coeffs, mod_coeffs):
 
 def test_invert_c_matches_euclid_oracle():
     spec = _spec_c()
-    inv = invert(element("c", spec))
-    assert inv.rep == parse_poly("c - c^3/2", spec.vt)
+    inv = invert(element("c", spec), spec)
+    assert inv == parse_poly("c - c^3/2", spec.vt)
     mod = [Fraction(2), Fraction(0), Fraction(-2), Fraction(0), Fraction(1)]
     oracle = _euclid_inverse([Fraction(0), Fraction(1)], mod)
-    got = [inv.rep.coefficient((k,)) for k in range(4)]
+    got = [inv.coefficient((k,)) for k in range(4)]
     want = oracle + [Fraction(0)] * (4 - len(oracle))
     assert got == want
 
@@ -207,28 +205,29 @@ def test_invert_random_elements_roundtrip():
         if rep.is_zero():
             continue
         e = reduce(rep, spec)
-        assert reduce(e.rep * invert(e).rep, spec).rep == one.rep
+        assert reduce(e * invert(e, spec), spec) == one
 
 
 def test_invert_zero_raises():
     with pytest.raises(ZeroDivisorError):
-        invert(element("0", _spec_c()))
+        spec = _spec_c()
+        invert(element("0", spec), spec)
 
 
 def test_invert_detects_zero_divisor():
     vt = VarTable(("t",), param_vars=("t",))
     spec = QuotientSpec(vt, ("t",), (parse_poly("t^2 - 1", vt),))
     with pytest.raises(ZeroDivisorError):
-        invert(element("t - 1", spec))
-    inv = invert(element("t + 2", spec))  # (t+2)(2-t)/3 = (4-t^2)/3 = 1
-    assert inv.rep == parse_poly("(2 - t)/3", vt)
+        invert(element("t - 1", spec), spec)
+    inv = invert(element("t + 2", spec), spec)  # (t+2)(2-t)/3 = (4-t^2)/3 = 1
+    assert inv == parse_poly("(2 - t)/3", vt)
 
 
 def test_invert_rejects_free_variables():
     vt = VarTable(("c", "b"), param_vars=("c", "b"))
     spec = QuotientSpec(vt, ("c",), (parse_poly("c^2 + 1", vt),))
     with pytest.raises(NumberFieldError):
-        invert(element("b*c", spec))
+        invert(element("b*c", spec), spec)
 
 
 # -- spec validation ----------------------------------------------------
@@ -251,7 +250,7 @@ def test_spec_rejects_multivariate_minimal_poly():
 
 def test_embed_exact_gaussian_point():
     spec = _spec_i()
-    box = embed_complex(element("3 + 2*i", spec), {"i": ("0", "1")})
+    box = embed_complex(element("3 + 2*i", spec), spec, {"i": ("0", "1")})
     assert box == ComplexBox(Fraction(3), Fraction(3), Fraction(2), Fraction(2))
 
 
@@ -259,7 +258,7 @@ def test_embed_contains_numeric_value():
     mpmath = pytest.importorskip("mpmath")
     spec = _spec_c()
     e = element("c^3 - c/3 + 2", spec)
-    box = embed_complex(e, ROOT_C, 128)
+    box = embed_complex(e, spec, ROOT_C, 128)
     assert box.width() < Fraction(1, 10**20)
     with mpmath.workprec(300):
         z = mpmath.mpc("1.0986841134678098", "0.45508986056222733")
@@ -296,7 +295,7 @@ def test_embed_two_generators_holds_the_value(terms, s_index, t_index):
     # unreduced polynomial's value at the 100-digit roots must land in it
     sympy = pytest.importorskip("sympy")
     (s, s_approx), (t, t_approx) = _st_root("s", s_index), _st_root("t", t_index)
-    box = embed_complex(reduce(Poly(ST, terms), ST_SPEC), {"s": s_approx, "t": t_approx}, 128)
+    box = embed_complex(reduce(Poly(ST, terms), ST_SPEC), ST_SPEC, {"s": s_approx, "t": t_approx}, 128)
     assert box.width() < Fraction(1, 2**100)
     value = sum(sympy.Rational(c.numerator, c.denominator) * s**a * t**b for (a, b), c in terms.items())
     pad = Fraction(1, 2**280)
@@ -313,15 +312,15 @@ def test_certify_zero_and_nonzero():
     vt = VarTable(("c",), param_vars=("c",))
     spec = QuotientSpec(vt, ("c",), (parse_poly("c^4 - 2*c^2 + 2", vt),))
     zero = element("c^8 + 4", spec)
-    cert = certify_value(zero, ROOT_C)
+    cert = certify_value(zero, spec, ROOT_C)
     assert cert.status == "zero"
     # a unit (c^8 = -4), certified by its inverse without an interval
-    cert = certify_value(element("-c^7/2", spec), ROOT_C)
+    cert = certify_value(element("-c^7/2", spec), spec, ROOT_C)
     assert cert == ("nonzero_exact", None, None)
     # a zero divisor modulo t^8 + 4 = (t^4 - 2t^2 + 2)(t^4 + 2t^2 + 2),
     # nonzero (4 - 4i) at the root sqrt(-1 + i) of the second factor
     root = {"t": ("0.45508986056222733", "1.0986841134678098")}
-    cert = certify_value(element("t^4 - 2*t^2 + 2", T8_SPEC), root)
+    cert = certify_value(element("t^4 - 2*t^2 + 2", T8_SPEC), T8_SPEC, root)
     assert cert.status == "nonzero_interval"
     assert not cert.box.contains_zero()
     assert cert.box.re_lo <= 4 <= cert.box.re_hi and cert.box.im_lo <= -4 <= cert.box.im_hi
@@ -339,7 +338,7 @@ def test_interval_certificate_needs_no_mpmath():
         "vt = VarTable(('t',), param_vars=('t',))\n"
         "spec = QuotientSpec(vt, ('t',), (parse_poly('t^8 + 4', vt),))\n"
         "root = {'t': ('0.45508986056222733', '1.0986841134678098')}\n"
-        "cert = certify_value(element('t^4 - 2*t^2 + 2', spec), root)\n"
+        "cert = certify_value(element('t^4 - 2*t^2 + 2', spec), spec, root)\n"
         "box = cert.box\n"
         "print(cert.status, cert.precision_bits, box.contains_zero(),\n"
         "      box.re_lo <= 4 <= box.re_hi and box.im_lo <= -4 <= box.im_hi)\n"
@@ -352,7 +351,8 @@ def test_interval_certificate_needs_no_mpmath():
 def test_certify_generator_as_a_unit():
     # c is a unit modulo c^4 - 2c^2 + 2, so its inverse certifies it
     # without a root choice
-    cert = certify_value(element("c", _spec_c()), None)
+    spec = _spec_c()
+    cert = certify_value(element("c", spec), spec, None)
     assert cert.status == "nonzero_exact"
 
 
@@ -360,10 +360,10 @@ def test_certify_requires_roots_for_nonfield():
     vt = VarTable(("t",), param_vars=("t",))
     spec = QuotientSpec(vt, ("t",), (parse_poly("t^2 - 1", vt),))
     with pytest.raises(NumberFieldError):
-        certify_value(element("t - 1", spec), None)
+        certify_value(element("t - 1", spec), spec, None)
     # a unit needs no root
     spec = QuotientSpec(vt, ("t",), (parse_poly("t^2 - 2", vt),))
-    assert certify_value(element("t", spec), None).status == "nonzero_exact"
+    assert certify_value(element("t", spec), spec, None).status == "nonzero_exact"
 
 
 @settings(max_examples=150, deadline=None)
@@ -378,10 +378,10 @@ def test_certify_exact_exactly_on_units_modulo_t8_plus_4(coeffs, factor):
     t = sympy.Symbol("t")
     product = sum(c * t**k for k, c in enumerate(coeffs)) * sympy.sympify(factor.replace("^", "**"))
     e = sympy.rem(sympy.expand(product), t**8 + 4, t)
-    elem = element(str(e).replace("**", "^"), T8_SPEC)
+    value = element(str(e).replace("**", "^"), T8_SPEC)
     unit = e != 0 and sympy.gcd(e, t**8 + 4) == 1
     try:
-        status = certify_value(elem, None).status
+        status = certify_value(value, T8_SPEC, None).status
     except NumberFieldError:
         status = None
     assert (status == "nonzero_exact") == unit
