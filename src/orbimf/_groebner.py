@@ -362,15 +362,6 @@ def _divide_exact(f: Poly, g: Poly) -> Poly:
     return quot
 
 
-def _univariate_coeffs_in(p: Poly, var: str) -> List[Poly]:
-    """Coefficients of p as a polynomial in var, low to high, as Polys."""
-    i = p.vt.index(var)
-    out = [Poly.zero(p.vt)] * (p.degree_in(var) + 1)
-    for m, c in p.coefficients_wrt([var]).items():
-        out[m[i]] = c
-    return out
-
-
 def _bareiss_determinant(matrix: List[List[Poly]], vt) -> Poly:
     n = len(matrix)
     if n == 0:
@@ -399,8 +390,8 @@ def resultant(p: Poly, q: Poly, var: str) -> Poly:
     """Sylvester resultant eliminating var; result does not involve var."""
     if p.is_zero() or q.is_zero():
         return Poly.zero(p.vt)
-    a = _univariate_coeffs_in(p, var)
-    b = _univariate_coeffs_in(q, var)
+    a = p.coeffs_in(var)
+    b = q.coeffs_in(var)
     m, n = len(a) - 1, len(b) - 1
     if m == 0 and n == 0:
         return Poly.const(p.vt, 1)

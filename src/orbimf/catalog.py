@@ -10,8 +10,8 @@ is normative for quantum dimensions; the renaming is not).
 
 `load_entry` is the only code that reads an entry, in one pass: it
 converts every JSON value under its record's name, parses every text
-once (defs, the six entries, both potentials renamed onto the entry's
-variables, the printed constraints and quantum dimensions), builds each
+once (defs, the six entries, both potentials straight into the entry's
+table, the printed constraints and quantum dimensions), builds each
 family's quotient ring with `family_ring`, and then checks what only the
 parsed values show.  A value of the wrong JSON type, a text or family
 that fails and a failed check are each a CatalogError naming the file
@@ -63,7 +63,6 @@ class CatalogError(ValueError):
 
 class SidePotential(NamedTuple):
     potential_key: str
-    table_vars: Tuple[str, ...]
     poly_text: str
     weight_system: WeightSystem
     vars: Tuple[str, ...]  # derivative order, in entry variables
@@ -149,11 +148,11 @@ class EquivalenceEntry(NamedTuple):
         return self.paper_qdim_polys[side]
 
 
-def _parse(text: str, vt: VarTable, what: str, defs: Optional[Mapping[str, Poly]] = None) -> Poly:
+def _parse(text: str, vt: VarTable, what: str, **parse_args) -> Poly:
     if not isinstance(text, str):
         raise CatalogError(f"{what} is not a string: {text!r}")
     try:
-        return parse_poly(text, vt, defs)
+        return parse_poly(text, vt, **parse_args)
     except ParseError as exc:
         raise CatalogError(f"{what} does not parse: {exc}") from None
 
@@ -182,6 +181,8 @@ def _read_json(path: Path):
         return json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise CatalogError(f"{path}: invalid JSON: {exc}") from None
+    except (OSError, ValueError) as exc:  # unreadable, or not UTF-8 text
+        raise CatalogError(f"{path}: cannot read: {exc}") from None
 
 
 def _side_from_json(obj: dict, potentials: Mapping[str, dict]) -> SidePotential:
@@ -204,7 +205,7 @@ def _side_from_json(obj: dict, potentials: Mapping[str, dict]) -> SidePotential:
         raise ValueError("renaming is not injective")
     if set(side_vars) != set(targets):
         raise ValueError(f"derivative order {side_vars} must list the renamed variables {sorted(targets)}")
-    return SidePotential(pk, table_vars, poly_text, weight_system, side_vars, renaming)
+    return SidePotential(pk, poly_text, weight_system, side_vars, renaming)
 
 
 def load_entry(path: Path, potentials: Optional[Mapping[str, dict]] = None) -> EquivalenceEntry:
@@ -274,11 +275,10 @@ def load_entry(path: Path, potentials: Optional[Mapping[str, dict]] = None) -> E
         vt = VarTable(ring + parameters, ring_vars=ring, param_vars=parameters)
         def_polys: Dict[str, Poly] = {}
         for name, text in defs:
-            def_polys[name] = _parse(text, vt, f"def {name}", def_polys)
-        six = tuple(_parse(entries[k], vt, f"entry {k}", def_polys) for k in ENTRY_NAMES)
+            def_polys[name] = _parse(text, vt, f"def {name}", defs=def_polys)
+        six = tuple(_parse(entries[k], vt, f"entry {k}", defs=def_polys) for k in ENTRY_NAMES)
         potential_polys = tuple(
-            _parse(s.poly_text, VarTable(s.table_vars), f"potential {s.potential_key}").convert(vt, s.renaming)
-            for s in (side_in, side_out)
+            _parse(s.poly_text, vt, f"potential {s.potential_key}", rename=s.renaming) for s in (side_in, side_out)
         )
         constraints = tuple(_parse(t, vt, f"constraint {t!r}") for t in paper_constraints)
         qdims = {side: _parse(t, vt, f"paper qdim_{side}") for side, t in qdim_texts.items()}

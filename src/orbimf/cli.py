@@ -163,8 +163,8 @@ def verify_entry(entry: EquivalenceEntry, spair_cap: int = SPAIR_CAP) -> dict:
 
     cq = con.compare_qdims(work)
     report["qdim_match"] = {
-        "computed_left": format_poly(cq.computed_left),
-        "computed_right": format_poly(cq.computed_right),
+        "computed_left": format_poly(work.qdims["left"]),
+        "computed_right": format_poly(work.qdims["right"]),
         "printed_left": format_poly(entry.paper_qdim("left")),
         "printed_right": format_poly(entry.paper_qdim("right")),
         "left": _match_dict(cq.left),

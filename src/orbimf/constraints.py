@@ -19,7 +19,7 @@ from functools import cached_property
 from math import gcd
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
-from ._groebner import SPAIR_CAP, _divide_exact, _univariate_coeffs_in, groebner_basis, normal_form, reducer, resultant
+from ._groebner import SPAIR_CAP, _divide_exact, groebner_basis, normal_form, reducer, resultant
 from .catalog import EquivalenceEntry, FamilyRing, SolutionFamily, family_ring
 from .matfac import MatrixFactorization, build_8x8
 from .numberfield import NonzeroCertificate, NumberFieldError, certify_value
@@ -41,8 +41,7 @@ def _unit_normalize(p: Poly) -> Poly:
 
 class _ConstraintSet(NamedTuple):
     generators: Tuple[Poly, ...]
-    provenance: str  # "derived" | "paper"
-    epsilon: Optional[int] = None
+    epsilon: Optional[int] = None  # the sign of a derived set
 
 
 class ConstraintSet(_ConstraintSet):
@@ -50,15 +49,16 @@ class ConstraintSet(_ConstraintSet):
 
     __slots__ = ()
 
-    def __new__(cls, generators: Tuple[Poly, ...], provenance: str, epsilon: Optional[int] = None) -> "ConstraintSet":
+    def __new__(cls, generators: Tuple[Poly, ...], epsilon: Optional[int] = None) -> "ConstraintSet":
         if any(g.is_zero() for g in generators):
             raise ValueError("constraint generators must be nonzero")
-        return super().__new__(cls, generators, provenance, epsilon)
+        if epsilon not in (None, 1, -1):
+            raise ValueError(f"epsilon must be None, 1 or -1, got {epsilon!r}")
+        return super().__new__(cls, generators, epsilon)
 
     @staticmethod
-    def from_polys(
-        gens: Sequence[Poly], provenance: str, epsilon: Optional[int] = None
-    ) -> "ConstraintSet":
+    def from_polys(gens: Sequence[Poly], *_: str, epsilon: Optional[int] = None) -> "ConstraintSet":
+        # a positional label, as `verifybench/check.py` passes, is ignored
         seen: Dict[tuple, Poly] = {}
         for g in gens:
             if g.is_zero():
@@ -68,7 +68,7 @@ class ConstraintSet(_ConstraintSet):
         ordered = sorted(
             seen.items(), key=lambda kv: (max(sum(m) for m, _ in kv[0]), kv[0])
         )
-        return ConstraintSet(tuple(p for _, p in ordered), provenance, epsilon)
+        return ConstraintSet(tuple(p for _, p in ordered), epsilon)
 
     def texts(self) -> Tuple[str, ...]:
         return tuple(format_poly(g) for g in self.generators)
@@ -93,15 +93,15 @@ def derive_constraints(entry: EquivalenceEntry, m: MatrixFactorization) -> Const
         cell = m.scalar - delta.scale(Fraction(eps))
         gens = [c for c in cell.coefficients_wrt(ring).values() if not c.is_zero()]
         if all(c.support_vars() for c in gens):
-            return ConstraintSet.from_polys(gens, "derived", epsilon=eps)
+            return ConstraintSet.from_polys(gens, epsilon=eps)
         if first is None:
             first = gens
     # neither sign admits solutions; expose the +1 residual for inspection
-    return ConstraintSet.from_polys(first or [], "derived", epsilon=1)
+    return ConstraintSet.from_polys(first or [], epsilon=1)
 
 
 def paper_constraint_set(entry: EquivalenceEntry) -> ConstraintSet:
-    return ConstraintSet.from_polys(entry.paper_constraints(), "paper")
+    return ConstraintSet.from_polys(entry.paper_constraints())
 
 
 def groebner(constraints: ConstraintSet, spair_cap: int = SPAIR_CAP) -> List[Poly]:
@@ -218,7 +218,7 @@ def eliminate_linear(
     for g in constraints.generators:
         if g.degree_in(name) != 1:
             continue
-        rest, lin = _univariate_coeffs_in(g, name)
+        rest, lin = g.coeffs_in(name)
         if lin.support_vars():
             continue
         solved = rest.scale(Fraction(-1) / lin.constant_value())
@@ -226,7 +226,7 @@ def eliminate_linear(
             h.substitute({name: solved}) for h in constraints.generators if h is not g
         ]
         return (
-            ConstraintSet.from_polys(reduced, constraints.provenance, constraints.epsilon),
+            ConstraintSet.from_polys(reduced, epsilon=constraints.epsilon),
             solved,
         )
     raise ValueError(f"no generator is linear in {name!r} with a constant coefficient")
@@ -262,7 +262,6 @@ def compare_printed(work: EntryWork) -> IdealComparison:
 
 
 class FamilyReport(NamedTuple):
-    entry_id: str
     label: str
     ok: bool
     checked: int
@@ -280,7 +279,7 @@ def verify_family(work: EntryWork, family: SolutionFamily) -> FamilyReport:
         residue = quotient_reduce(g.substitute(ring.bindings), ring.spec)
         if not residue.is_zero():
             failures.append((format_poly(g), format_poly(residue)))
-    return FamilyReport(work.entry.id, family.label, not failures, len(gens), tuple(failures))
+    return FamilyReport(family.label, not failures, len(gens), tuple(failures))
 
 
 # -- quantum dimensions ------------------------------------------------
@@ -304,7 +303,6 @@ class QdimAtPoint(NamedTuple):
 
 
 class NonvanishingReport(NamedTuple):
-    entry_id: str
     label: str
     side: str
     point: Tuple[Tuple[str, str], ...]  # free parameter -> value text
@@ -350,7 +348,6 @@ def nonvanishing_check(
     gets an error, not a value.  A unit is certified by its inverse, a
     zero divisor by an interval around the declared root.
     """
-    entry = work.entry
     ring = work.family_ring(family)
     on_variety = work.family_report(family).ok
     vt = ring.spec.vt
@@ -377,28 +374,18 @@ def nonvanishing_check(
 
     computed = certify("computed")
     printed = certify("printed")
-    return NonvanishingReport(
-        entry.id, family.label, side, tuple(sorted(chosen.items())), computed, printed
-    )
+    return NonvanishingReport(family.label, side, tuple(sorted(chosen.items())), computed, printed)
 
 
 class QdimMatch(NamedTuple):
-    printed_side: str
     # "exact" | "exact_mod_ideal" | "unit_multiple" | "unmatched" | "vacuous"
     status: str
     matched_side: Optional[str]
     scalar: Optional[Fraction]
     mod_ideal: bool
 
-    @property
-    def matched(self) -> bool:
-        return self.status not in ("unmatched", "vacuous")
-
 
 class QdimComparison(NamedTuple):
-    entry_id: str
-    computed_left: Poly
-    computed_right: Poly
     left: QdimMatch
     right: QdimMatch
 
@@ -433,23 +420,23 @@ def compare_qdims(work: EntryWork) -> QdimComparison:
             order.reverse()
         for name, comp in order:
             if printed == comp:
-                return QdimMatch(side, "exact", name, _ONE, False)
+                return QdimMatch("exact", name, _ONE, False)
         for name, comp in order:
             if not vacuous and nf["printed", side] == nf["computed", name]:
-                return QdimMatch(side, "exact_mod_ideal", name, _ONE, True)
+                return QdimMatch("exact_mod_ideal", name, _ONE, True)
         for name, comp in order:
             lam = _scalar_ratio(printed, comp)
             if lam is not None:
-                return QdimMatch(side, "unit_multiple", name, lam, False)
+                return QdimMatch("unit_multiple", name, lam, False)
         if vacuous:
-            return QdimMatch(side, "vacuous", None, None, False)
+            return QdimMatch("vacuous", None, None, False)
         for name, comp in order:
             lam = _scalar_ratio(nf["printed", side], nf["computed", name])
             if lam is not None:
-                return QdimMatch(side, "unit_multiple", name, lam, True)
-        return QdimMatch(side, "unmatched", None, None, False)
+                return QdimMatch("unit_multiple", name, lam, True)
+        return QdimMatch("unmatched", None, None, False)
 
-    return QdimComparison(entry.id, cl, cr, match("left"), match("right"))
+    return QdimComparison(match("left"), match("right"))
 
 
 # -- resultant elimination oracle ---------------------------------------

@@ -41,9 +41,6 @@ class MatrixFactorization(NamedTuple):
     matrix: Matrix8
     scalar: Poly  # the square is scalar * Id: d15*d26 - d16*d25 - d17*d35
 
-    def entry(self, name: str) -> Poly:
-        return self.six[ENTRY_NAMES.index(name)]
-
 
 def build_8x8(six: Sequence[Poly]) -> MatrixFactorization:
     if len(six) != 6:

@@ -81,7 +81,7 @@ class QuotientSpec(_QuotientSpec):
                 )
             if mp.degree_in(name) < 1:
                 raise NumberFieldError(f"minimal polynomial of {name!r} must have degree >= 1")
-            if mp.univariate_coeffs(name)[-1] != 1:
+            if mp.coeffs_in(name)[-1].constant_value() != 1:
                 raise NumberFieldError(f"minimal polynomial of {name!r} must be monic")
         return super().__new__(cls, vt, generators, minimal_polys)
 
@@ -196,7 +196,7 @@ def certified_root_box(mp: Poly, name: str, approx: Tuple[str, str], precision_b
     the exact values m(z0), m'(z0) at the last point z0 via
     n*|m(z0)|/|m'(z0)|, rounded up to 64 significant bits over a power of two.
     """
-    coeffs = mp.univariate_coeffs(name)
+    coeffs = [c.constant_value() for c in mp.coeffs_in(name)]
     deriv = [c * k for k, c in enumerate(coeffs)][1:]
     n = len(coeffs) - 1
     scale = 2**precision_bits

@@ -195,17 +195,6 @@ class Poly:
             return -1
         return max(m[i] for m in self._terms)
 
-    def univariate_coeffs(self, name: str) -> List[Fraction]:
-        """Coefficients, lowest degree first, of a polynomial in `name` alone."""
-        other = [v for v in self.support_vars() if v != name]
-        if other:
-            raise PolyError(f"not univariate in {name!r}: {other}")
-        i = self.vt.index(name)
-        out = [_ZERO] * (self.degree_in(name) + 1)
-        for m, c in self._terms.items():
-            out[m[i]] = c
-        return out
-
     def support_vars(self) -> Tuple[str, ...]:
         used = [False] * len(self.vt)
         for m in self._terms:
@@ -372,29 +361,13 @@ class Poly:
             _accumulate(acc, part, factors[-1])
         return Poly._raw(target, _over(acc, den))
 
-    def convert(self, target: VarTable, rename: Optional[Mapping[str, str]] = None) -> "Poly":
-        """Re-express over another table, matching variables by name.
-
-        `rename` maps source names to target names before matching.
-        """
-        rename = rename or {}
-        slot: Dict[int, int] = {}  # source slot -> target slot, found on first use
-        out: Terms = {}
-        for m, c in self._terms.items():
-            exps = [0] * len(target)
-            for i, e in enumerate(m):
-                if e:
-                    if i not in slot:
-                        name = self.vt.names[i]
-                        slot[i] = target.index(rename.get(name, name))
-                    exps[slot[i]] += e
-            key = tuple(exps)
-            s = out.get(key, _ZERO) + c
-            if s:
-                out[key] = s
-            else:
-                del out[key]
-        return Poly._raw(target, out)
+    def coeffs_in(self, name: str) -> List["Poly"]:
+        """Coefficients in `name`, lowest degree first, each free of it."""
+        i = self.vt.index(name)
+        out = [Poly.zero(self.vt)] * (self.degree_in(name) + 1)
+        for m, c in self.coefficients_wrt([name]).items():
+            out[m[i]] = c
+        return out
 
     def coefficients_wrt(self, names: Iterable[str]) -> Dict[Monomial, "Poly"]:
         """Group terms by their exponents in `names`.
@@ -516,11 +489,12 @@ class _Parser:
     degree bound passes the field cap raises _Overflow before it is
     combined with anything, so no field ever carries into the next."""
 
-    def __init__(self, text: str, vt: VarTable, defs: Mapping[str, Poly], bits: int):
+    def __init__(self, text: str, vt: VarTable, defs: Mapping[str, Poly], bits: int, rename: Optional[Mapping[str, str]]):
         self.text, self.toks, self.i, self.vt = text, _TOKEN.findall(text) + [""], 0, vt
         self.defs, self.bits, self.cap = defs, bits, (1 << bits) - 1
         # identifier -> value; a def is packed on first use
-        self.values = {n: (1, 1, 1 << (bits * k), 1) for k, n in enumerate(vt.names)}
+        slots = vt._index if rename is None else {n: vt.index(v) for n, v in rename.items()}
+        self.values = {n: (1, 1, 1 << (bits * k), 1) for n, k in slots.items()}
 
     def error(self, message: str, i: int) -> ParseError:
         starts = [m.start() for m in _TOKEN.finditer(self.text)] + [len(self.text)]
@@ -645,16 +619,20 @@ def _negate(f):
     return {m: -c for m, c in f[0].items()}, f[1], f[2]
 
 
-def parse_poly(text: str, vt: VarTable, defs: Optional[Mapping[str, Poly]] = None) -> Poly:
+def parse_poly(
+    text: str, vt: VarTable, defs: Optional[Mapping[str, Poly]] = None, rename: Optional[Mapping[str, str]] = None
+) -> Poly:
     """Parse an expression into a polynomial over `vt`.
 
-    An identifier named in `defs` (and not in `vt`) stands for its
+    The variables are read as the keys of `rename`, each standing for the
+    `vt` variable it names; by default every name of `vt` stands for
+    itself.  Any other identifier named in `defs` stands for its
     polynomial over `vt`.  Exponent fields start at 8 bits and the text
     is parsed again with wider ones when a degree does not fit.
     """
     bits = 8
     while True:
-        parser = _Parser(text, vt, defs or {}, bits)
+        parser = _Parser(text, vt, defs or {}, bits, rename)
         try:
             terms, den, _ = parser.expr()
             break

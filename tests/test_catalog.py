@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import pickle
+import shutil
 from pathlib import Path
 
 import pytest
@@ -44,9 +45,9 @@ def test_defs_are_parsed_once_per_entry(monkeypatch):
     parsed = []
     original = catalog_module.parse_poly
 
-    def counting(text, vt, defs=None):
+    def counting(text, vt, defs=None, rename=None):
         parsed.append(text)
-        return original(text, vt, defs)
+        return original(text, vt, defs, rename)
 
     monkeypatch.setattr(catalog_module, "parse_poly", counting)
     # E14 ships two defs; loading validates every entry polynomial
@@ -436,6 +437,37 @@ def test_truncated_potentials_table_exits_2(tmp_path, capsys):
     assert main(["verify", "--all", "--catalog", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "bad catalog" in err and f"{tmp_path / 'potentials.json'}: invalid JSON" in err
+
+
+def _unreadable_exits_2(tmp_path, capsys, spoil):
+    """A copy of the packaged catalog with `spoil(directory)` applied must
+    be a catalog error naming the spoiled file, not a traceback."""
+    from orbimf.cli import main
+
+    directory = tmp_path / "catalog"
+    shutil.copytree(default_catalog_dir(), directory)
+    path = spoil(directory)
+    assert main(["verify", "--all", "--catalog", str(directory)]) == 2
+    err = capsys.readouterr().err
+    assert "bad catalog" in err and f"{path}: cannot read" in err
+
+
+def test_entry_file_that_is_not_utf8_exits_2(tmp_path, capsys):
+    def spoil(directory):
+        path = directory / "W12.json"
+        path.write_bytes(b"\xff\xfe" + path.read_bytes())
+        return path
+
+    _unreadable_exits_2(tmp_path, capsys, spoil)
+
+
+def test_directory_named_like_an_entry_file_exits_2(tmp_path, capsys):
+    def spoil(directory):
+        path = directory / "X.json"
+        path.mkdir()
+        return path
+
+    _unreadable_exits_2(tmp_path, capsys, spoil)
 
 
 def test_unparsable_paper_constraint_exits_2(tmp_path, capsys):

@@ -66,9 +66,8 @@ def test_square_is_scalar_for_arbitrary_entries():
     m = build_8x8(six)
     sq = square(m)
     sigma = m.scalar
-    assert sigma == m.entry("d15") * m.entry("d26") - m.entry("d16") * m.entry(
-        "d25"
-    ) - m.entry("d17") * m.entry("d35")
+    d15, d16, d17, d25, d26, d35 = m.six
+    assert sigma == d15 * d26 - d16 * d25 - d17 * d35
     for i in range(8):
         for j in range(8):
             assert sq[i][j] == (sigma if i == j else Poly.zero(vt))

@@ -422,7 +422,7 @@ def test_root_box_radius_is_sound_short_and_encloses_a_root(text):
     sympy = pytest.importorskip("sympy")
     vt = VarTable(("t",), param_vars=("t",))
     mp = parse_poly(text, vt)
-    coeffs = mp.univariate_coeffs("t")
+    coeffs = [c.constant_value() for c in mp.coeffs_in("t")]
     n = len(coeffs) - 1
     deriv = [c * k for k, c in enumerate(coeffs)][1:]
     # 200 digits resolve a box at 512 bits of working precision

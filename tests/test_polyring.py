@@ -289,14 +289,24 @@ def test_degrevlex_key_orders_by_total_degree_first():
     assert degrevlex_key((1, 0, 1)) < degrevlex_key((0, 2, 0))
 
 
-def test_convert_by_name_and_rename():
-    src = VarTable(names=("x", "y"))
-    dst = VarTable(names=("u", "v", "w"))
-    p = parse_poly("x^2 - 3*y", src)
-    q = p.convert(dst, rename={"x": "u", "y": "w"})
-    assert q == parse_poly("u^2 - 3*w", dst)
-    with pytest.raises(PolyError):
-        p.convert(dst)  # no rename: x missing from target
+def test_parse_reads_identifiers_through_rename():
+    vt = VarTable(names=("x", "y", "z", "u", "v", "w"))
+    assert parse_poly("x^2 - 3*y", vt, rename={"x": "u", "y": "w"}) == parse_poly("u^2 - 3*w", vt)
+    # a swap: each key stands for the variable it names, not for itself
+    assert parse_poly("x^3 + 2*y", vt, rename={"x": "y", "y": "x"}) == parse_poly("y^3 + 2*x", vt)
+    # as on the demo catalog's second side, x names u while the table's
+    # own x belongs to the first side
+    demo = {"x": "u", "y": "v", "z": "w"}
+    assert parse_poly("x^2 + y^2 + z^2", vt, rename=demo) == parse_poly("u^2 + v^2 + w^2", vt)
+    # an identifier outside the mapping is undeclared, even a table name
+    with pytest.raises(ParseError, match="undeclared identifier 'u'"):
+        parse_poly("x*u", vt, rename=demo)
+    with pytest.raises(ParseError, match="undeclared identifier 'y'"):
+        parse_poly("x + y", vt, rename={"x": "u"})
+    with pytest.raises(PolyError, match="undeclared variable 'q'"):
+        parse_poly("x", vt, rename={"x": "q"})  # a target missing from the table
+    with pytest.raises(ParseError, match="undeclared identifier 'x'"):
+        parse_poly("x^2 - 3*y", VarTable(names=("u", "v", "w")))  # no rename
 
 
 def weighted_degrees(p: Poly, weights) -> set:

@@ -35,9 +35,9 @@ RECORDS = {
         "weights",
     ),
     "ConstraintSet": (
-        lambda: ConstraintSet.from_polys([parse_poly("2*a - 4*c", _table())], "paper"),
-        lambda: ConstraintSet.from_polys([parse_poly("2*a - 4*c", _table())], "derived"),
-        "provenance",
+        lambda: ConstraintSet.from_polys([parse_poly("2*a - 4*c", _table())], epsilon=1),
+        lambda: ConstraintSet.from_polys([parse_poly("2*a - 4*c", _table())], epsilon=-1),
+        "epsilon",
     ),
     "QuotientSpec": (_spec, lambda: _spec("c^4 + 2"), "generators"),
 }
