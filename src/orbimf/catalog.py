@@ -15,8 +15,8 @@ table, the printed constraints and quantum dimensions), builds each
 family's quotient ring with `family_ring`, and then checks what only the
 parsed values show.  A value of the wrong JSON type, a text or family
 that fails and a failed check are each a CatalogError naming the file
-and what is at fault.  An `EquivalenceEntry` keeps the texts next to
-their parsed values; verification parses nothing.
+and what is at fault.  An `EquivalenceEntry` keeps the parsed values
+and, of the texts, only the six entries'; verification parses nothing.
 
 Named abbreviations in "defs" expand sequentially: each is parsed once,
 with the earlier ones standing for their expansions, so it may refer
@@ -115,11 +115,7 @@ class EquivalenceEntry(NamedTuple):
     side_in: SidePotential
     side_out: SidePotential
     parameters: Tuple[str, ...]
-    defs: Tuple[Tuple[str, str], ...]
-    entry_texts: Dict[str, str]
-    paper_constraint_texts: Tuple[str, ...]
-    paper_qdim_left_text: str
-    paper_qdim_right_text: str
+    entry_texts: Dict[str, str]  # the --jobs scheduler weighs entries by them
     families: Tuple[SolutionFamily, ...]
     corrections: Tuple[Correction, ...]
     vt: VarTable
@@ -163,10 +159,20 @@ def _name(value) -> str:
     return value
 
 
+def _list(value) -> list:
+    if not isinstance(value, list):
+        raise TypeError(f"{value!r} is not a list")
+    return value
+
+
+def _object(value) -> dict:
+    if not isinstance(value, dict):
+        raise TypeError(f"{value!r} is not an object")
+    return value
+
+
 def _names(values) -> Tuple[str, ...]:
-    if not isinstance(values, list):
-        raise TypeError(f"{values!r} is not a list")
-    return tuple(map(_name, values))
+    return tuple(map(_name, _list(values)))
 
 
 def _load_potentials_table(directory: Optional[Path] = None) -> Dict[str, dict]:
@@ -187,7 +193,7 @@ def _read_json(path: Path):
 
 def _side_from_json(obj: dict, potentials: Mapping[str, dict]) -> SidePotential:
     """A side record; KeyError, TypeError or ValueError if malformed."""
-    pk, side_vars, renaming = obj["potential"], _names(obj["vars"]), dict(obj["renaming"])
+    pk, side_vars, renaming = obj["potential"], _names(obj["vars"]), _object(obj["renaming"])
     if pk not in potentials:
         raise ValueError(f"unknown potential {pk!r}")
     meta = potentials[pk]
@@ -234,24 +240,24 @@ def load_entry(path: Path, potentials: Optional[Mapping[str, dict]] = None) -> E
         record = "parameters"
         parameters = _names(data["parameters"])
         record = "paper_constraints"
-        paper_constraints = tuple(data["paper_constraints"])
+        paper_constraints = tuple(_list(data["paper_constraints"]))
         record = "defs"
-        defs = tuple(data["defs"].items())
+        defs = tuple(_object(data["defs"]).items())
         record = "entries"
-        entries = dict(data["entries"])
+        entries = _object(data["entries"])
         record = "families"
-        for i, f in enumerate(data["families"]):
+        for i, f in enumerate(_list(data["families"])):
             record = f"families[{i}]"
             families.append(SolutionFamily(
                 label=_name(f["label"]),
-                generators=tuple((_name(name), text) for name, text in f["generators"]),
-                bindings=dict(f["bindings"]),
+                generators=tuple((_name(name), text) for name, text in map(_list, _list(f["generators"]))),
+                bindings=_object(f["bindings"]),
                 free=_names(f["free"]),
-                free_defaults=dict(f.get("free_defaults", {})),
-                root_choice=dict(f.get("root_choice", {})),
+                free_defaults=_object(f.get("free_defaults", {})),
+                root_choice=_object(f.get("root_choice", {})),
             ))
         record = "corrections"
-        for i, c in enumerate(data["corrections"]):
+        for i, c in enumerate(_list(data["corrections"])):
             record = f"corrections[{i}]"
             corrections.append(Correction(*(_name(c[k]) for k in Correction._fields)))
     except KeyError as exc:
@@ -317,8 +323,7 @@ def load_entry(path: Path, potentials: Optional[Mapping[str, dict]] = None) -> E
     if problems:
         raise CatalogError(f"{path}: " + "; ".join(problems))
     return EquivalenceEntry(
-        entry_id, side_in, side_out, parameters, defs, entries, paper_constraints,
-        qdim_texts["left"], qdim_texts["right"], tuple(families), tuple(corrections),
+        entry_id, side_in, side_out, parameters, entries, tuple(families), tuple(corrections),
         vt, six, potential_polys, constraints, qdims, rings,
     )
 

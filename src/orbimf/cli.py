@@ -71,18 +71,18 @@ def _grading_stage(entry: EquivalenceEntry, m: MatrixFactorization) -> Tuple[boo
     ):
         vw = weights_from_potential(potential, side.vars)
         vws[label] = vw
-        match = check_weight_system(vw, side.weight_system)
+        weights_match = check_weight_system(vw, side.weight_system)
         cc = central_charge(vw)
         h = side.weight_system.h
         detail[label] = {
             "potential": side.potential_key,
             "euler": euler_check(potential, vw),
-            "weight_system_match": match.ok,
+            "weight_system_match": weights_match,
             "central_charge": str(cc),
             "coxeter_charge": str(Fraction(h + 2, h)),
             "charge_is_coxeter": cc == Fraction(h + 2, h),
         }
-        ok = ok and match.ok and detail[label]["euler"]
+        ok = ok and weights_match and detail[label]["euler"]
     equal_cc = detail["in"]["central_charge"] == detail["out"]["central_charge"]
     detail["central_charges_equal"] = equal_cc
     ok = ok and equal_cc
@@ -167,8 +167,8 @@ def verify_entry(entry: EquivalenceEntry, spair_cap: int = SPAIR_CAP) -> dict:
         "computed_right": format_poly(work.qdims["right"]),
         "printed_left": format_poly(entry.paper_qdim("left")),
         "printed_right": format_poly(entry.paper_qdim("right")),
-        "left": _match_dict(cq.left),
-        "right": _match_dict(cq.right),
+        "left": _match_dict(cq["left"]),
+        "right": _match_dict(cq["right"]),
         "seconds": elapsed(),
     }
 
@@ -291,11 +291,8 @@ def _summary_table(reports: Sequence[dict], catalog) -> str:
     for rep in reports:
         entry = catalog[rep["entry"]]
         pair = f"{entry.side_in.potential_key} ~ {entry.side_out.potential_key}"
-        eps = rep.get("epsilon")
-        eps_s = f"{eps:+d}" if eps is not None else "?"
-        lines.append(
-            f"{rep['entry']:<21} {pair:<29} {eps_s:<4} {_PASS if rep['ok'] else _FAIL}"
-        )
+        eps = f"{rep['epsilon']:+d}"
+        lines.append(f"{rep['entry']:<21} {pair:<29} {eps:<4} {_PASS if rep['ok'] else _FAIL}")
     return "\n".join(lines)
 
 
@@ -367,7 +364,7 @@ def cmd_qdim(args: argparse.Namespace) -> int:
             out["sides"][side] = {
                 "computed": format_poly(work.qdims[side]),
                 "printed": format_poly(entry.paper_qdim(side)),
-                "match": _match_dict(cq.left if side == "left" else cq.right),
+                "match": _match_dict(cq[side]),
             }
     else:
         for side in sides:

@@ -88,16 +88,15 @@ def derive_constraints(entry: EquivalenceEntry, m: MatrixFactorization) -> Const
     """
     delta = entry.difference()
     ring = entry.vt.ring_vars
-    first: Optional[List[Poly]] = None
+    residuals: List[List[Poly]] = []
     for eps in (1, -1):
         cell = m.scalar - delta.scale(Fraction(eps))
         gens = [c for c in cell.coefficients_wrt(ring).values() if not c.is_zero()]
         if all(c.support_vars() for c in gens):
             return ConstraintSet.from_polys(gens, epsilon=eps)
-        if first is None:
-            first = gens
+        residuals.append(gens)
     # neither sign admits solutions; expose the +1 residual for inspection
-    return ConstraintSet.from_polys(first or [], epsilon=1)
+    return ConstraintSet.from_polys(residuals[0], epsilon=1)
 
 
 def paper_constraint_set(entry: EquivalenceEntry) -> ConstraintSet:
@@ -385,11 +384,6 @@ class QdimMatch(NamedTuple):
     mod_ideal: bool
 
 
-class QdimComparison(NamedTuple):
-    left: QdimMatch
-    right: QdimMatch
-
-
 def _scalar_ratio(a: Poly, b: Poly) -> Optional[Fraction]:
     """The constant lambda with a = lambda*b, if one exists and is nonzero."""
     if a.is_zero() or set(a.monomials()) != set(b.monomials()):
@@ -399,12 +393,12 @@ def _scalar_ratio(a: Poly, b: Poly) -> Optional[Fraction]:
     return lam if a == b.scale(lam) else None
 
 
-def compare_qdims(work: EntryWork) -> QdimComparison:
+def compare_qdims(work: EntryWork) -> Dict[str, QdimMatch]:
     """Match each printed quantum-dimension formula against the computed
-    invariants of `work`: exact equality first, then equal normal forms
-    `qdim_nfs` modulo the derived ideal, then a global nonzero rational
-    multiple (scalar recorded), each tried on the same-name side before
-    the opposite one.  Modulo a derived unit ideal every formula matches,
+    invariants of `work`, keyed by side like `work.qdims`: exact equality
+    first, then equal normal forms `qdim_nfs` modulo the derived ideal,
+    then a global nonzero rational multiple (scalar recorded), each tried
+    on the same-name side before the opposite one.  Modulo a derived unit ideal every formula matches,
     so the steps modulo the ideal are skipped and a formula no other step
     matches is reported "vacuous" rather than matched."""
     entry = work.entry
@@ -436,10 +430,15 @@ def compare_qdims(work: EntryWork) -> QdimComparison:
                 return QdimMatch("unit_multiple", name, lam, True)
         return QdimMatch("unmatched", None, None, False)
 
-    return QdimComparison(match("left"), match("right"))
+    return {"left": match("left"), "right": match("right")}
 
 
 # -- resultant elimination oracle ---------------------------------------
+
+
+# a projection whose resultant passes either bound is abandoned
+_DEGREE_CAP = 64
+_TERM_CAP = 20000
 
 
 class OracleBudgetExceeded(RuntimeError):
@@ -477,8 +476,6 @@ def _project_onto(
     system: Sequence[Poly],
     target: str,
     to_eliminate: Sequence[str],
-    degree_cap: int,
-    term_cap: int,
     notes: List[str],
 ) -> Tuple[Optional[Poly], bool]:
     """Eliminate variables by Sylvester resultants against a minimal-degree
@@ -515,7 +512,7 @@ def _project_onto(
             if not r.support_vars():
                 return None, True
             r = _unit_normalize(r)
-            if r.total_degree() > degree_cap or len(dict(r.terms())) > term_cap:
+            if r.total_degree() > _DEGREE_CAP or len(dict(r.terms())) > _TERM_CAP:
                 raise OracleBudgetExceeded(
                     f"projection past {var} exceeds the degree/term budget"
                 )
@@ -538,8 +535,6 @@ def bruteforce_family_oracle(
     entry: EquivalenceEntry,
     assignments: Mapping[str, Union[str, int, Fraction]],
     keep: Optional[str] = None,
-    degree_cap: int = 64,
-    term_cap: int = 20000,
 ) -> OracleReport:
     """Rediscover one-parameter relations by resultant elimination.
 
@@ -581,9 +576,7 @@ def bruteforce_family_oracle(
     for target in targets:
         others = [v for v in remaining if v != target]
         try:
-            proj, inconsistent = _project_onto(
-                base, target, others, degree_cap, term_cap, notes
-            )
+            proj, inconsistent = _project_onto(base, target, others, notes)
         except OracleBudgetExceeded as exc:
             notes.append(f"{target}: {exc}")
             continue

@@ -5,7 +5,7 @@ variable a rational weight w makes every monomial satisfy
 sum(exponent * weight) = 2.  The integer form (a1, a2, a3; h) relates to
 the rational weights by w = 2*a/h; the table convention does not fix
 which a belongs to which variable, so integer systems are matched as
-multisets and the assignment actually found is reported.
+multisets.
 """
 
 from __future__ import annotations
@@ -107,27 +107,9 @@ def central_charge(vw: VariableWeights) -> Fraction:
     return sum((1 - w for _, w in vw.weights), Fraction(0))
 
 
-class WeightMatchReport(NamedTuple):
-    ok: bool
-    assignment: Dict[str, int]
-    message: str
-
-
-def check_weight_system(vw: VariableWeights, ws: WeightSystem) -> WeightMatchReport:
+def check_weight_system(vw: VariableWeights, ws: WeightSystem) -> bool:
     """Match rational weights against an integer system as a multiset."""
-    targets = list(ws.normalized_weights())
-    assignment: Dict[str, int] = {}
-    pool = list(zip((ws.a1, ws.a2, ws.a3), targets))
-    for name, w in vw.weights:
-        hit = next((k for k, (_, t) in enumerate(pool) if t == w), None)
-        if hit is None:
-            return WeightMatchReport(
-                False, {}, f"variable {name!r} has weight {w}, not matched by {targets}"
-            )
-        assignment[name] = pool.pop(hit)[0]
-    if pool:
-        return WeightMatchReport(False, {}, f"unused weight entries {pool}")
-    return WeightMatchReport(True, assignment, "multisets agree")
+    return sorted(w for _, w in vw.weights) == sorted(ws.normalized_weights())
 
 
 def euler_check(w_poly: Poly, vw: VariableWeights) -> bool:

@@ -37,7 +37,7 @@ from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence
 
 from ._groebner import reducer
 from ._linalg import solve_dense
-from .polyring import Monomial, Poly, VarTable, parse_poly
+from .polyring import Monomial, Poly, VarTable
 
 _ZERO = Fraction(0)
 
@@ -106,12 +106,6 @@ def reduce(p: Poly, spec: QuotientSpec) -> Poly:
     if p.vt != spec.vt:
         raise NumberFieldError("polynomial does not live in the quotient's table")
     return spec._normal_form(p)
-
-
-def element(text_or_poly, spec: QuotientSpec) -> Poly:
-    if not isinstance(text_or_poly, Poly):
-        text_or_poly = parse_poly(str(text_or_poly), spec.vt)
-    return reduce(text_or_poly, spec)
 
 
 def _basis_monomials(spec: QuotientSpec) -> List[Monomial]:

@@ -39,6 +39,13 @@ def catalog():
     return load_catalog()
 
 
+def _shipped_json(entry_id):
+    """The JSON object of the shipped file whose id is `entry_id`."""
+    paths = sorted(default_catalog_dir().glob("*.json"))
+    records = (json.loads(p.read_text()) for p in paths if p.name != "potentials.json")
+    return next(r for r in records if r["id"] == entry_id)
+
+
 def test_defs_are_parsed_once_per_entry(monkeypatch):
     from orbimf import catalog as catalog_module
 
@@ -54,21 +61,22 @@ def test_defs_are_parsed_once_per_entry(monkeypatch):
     entry = load_entry(default_catalog_dir() / "E14.json")
     entry.six()
     entry.six()
-    assert entry.defs
-    for _, text in entry.defs:
+    defs = _shipped_json(entry.id)["defs"]
+    assert defs
+    for text in defs.values():
         assert parsed.count(text) == 1
 
 
 @pytest.mark.parametrize("entry_id", ENTRY_IDS)
 def test_parsed_texts_equal_their_sympy_expansion(catalog, entry_id):
     # an independent reading of every shipped text, defs expanded by sympy
-    entry = catalog[entry_id]
+    entry, data = catalog[entry_id], _shipped_json(entry_id)
     for key, p in zip(ENTRY_NAMES, entry.six()):
-        assert same_as_sympy(p, entry.entry_texts[key], entry.defs), key
-    for text, p in zip(entry.paper_constraint_texts, entry.paper_constraints()):
+        assert same_as_sympy(p, data["entries"][key], data["defs"].items()), key
+    for text, p in zip(data["paper_constraints"], entry.paper_constraints()):
         assert same_as_sympy(p, text), text
-    assert same_as_sympy(entry.paper_qdim("left"), entry.paper_qdim_left_text)
-    assert same_as_sympy(entry.paper_qdim("right"), entry.paper_qdim_right_text)
+    assert same_as_sympy(entry.paper_qdim("left"), data["paper_qdim_left"])
+    assert same_as_sympy(entry.paper_qdim("right"), data["paper_qdim_right"])
 
 
 def test_shipped_catalog_ids(catalog):
@@ -328,6 +336,10 @@ def test_malformed_family_or_correction_record_exits_2(tmp_path, capsys, edit, w
     assert "bad catalog" in err and what in err
 
 
+def _as_pairs(obj):
+    return [list(kv) for kv in obj.items()]
+
+
 @pytest.mark.parametrize(
     "where, value, what",
     [
@@ -339,18 +351,37 @@ def test_malformed_family_or_correction_record_exits_2(tmp_path, capsys, edit, w
         ([], 5, "top-level value is not a JSON object"),
         (["families", 0, "free", 0], 5, "families[0] is malformed: 5 is not a string"),
         (["corrections", 0, "location"], ["d17"], "corrections[0] is malformed"),
+        # lists where an object is wanted, and the reverse, that tuple()
+        # and dict() would read without complaint
+        (["paper_constraints"], "c", "paper_constraints is malformed: 'c' is not a list"),
+        (["paper_constraints"], {"c": "c"}, "paper_constraints is malformed: {'c': 'c'} is not a list"),
+        (["entries"], _as_pairs, "entries is malformed: [['d15', "),
+        (["ring_vars_in", "renaming"], _as_pairs, "ring_vars_in is malformed: [['x', 'x'], "),
+        (["families"], {}, "families is malformed: {} is not a list"),
+        (["families", 0, "generators"], {"c": "c^4 - 2*c^2 + 2"}, "families[0] is malformed: {'c': "),
+        (["families", 0, "generators", 0], {"c": "c^4 - 2*c^2 + 2"}, "families[0] is malformed: {'c': "),
+        (["families", 0, "bindings"], _as_pairs, "families[0] is malformed: [['c', 'c']] is not an object"),
+        (["families", 0, "free_defaults"], [], "families[0] is malformed: [] is not an object"),
+        (["families", 0, "root_choice"], [], "families[0] is malformed: [] is not an object"),
+        (["corrections"], {}, "corrections is malformed: {} is not a list"),
     ],
-    ids=["side-vars", "side-renaming", "side", "side-potential", "id", "top-level", "free", "correction-location"],
+    ids=[
+        "side-vars", "side-renaming", "side", "side-potential", "id", "top-level", "free", "correction-location",
+        "paper-constraints-string", "paper-constraints-object", "entries-pairs", "renaming-pairs", "families-object",
+        "generators-object", "generator-object", "bindings-pairs", "free-defaults-list", "root-choice-list",
+        "corrections-object",
+    ],
 )
 def test_catalog_record_of_the_wrong_type_exits_2(tmp_path, capsys, where, value, what):
     from orbimf.cli import main
 
-    # the value at `where` in a copy of E14 replaced; [] is the whole file
+    # the value at `where` in a copy of E14 replaced, or mapped through
+    # `value` if it is callable; [] is the whole file
     node = holder = [json.loads((default_catalog_dir() / "E14.json").read_text())]
     keys = [0, *where]
     for key in keys[:-1]:
         node = node[key]
-    node[keys[-1]] = value
+    node[keys[-1]] = value(node[keys[-1]]) if callable(value) else value
     (tmp_path / "E14.json").write_text(json.dumps(holder[0]))
     assert main(["verify", "--all", "--catalog", str(tmp_path)]) == 2
     err = capsys.readouterr().err

@@ -390,17 +390,14 @@ COMPUTED_RIGHT = {
 def test_qdim_match_table_frozen(shipped_work):
     for eid, (left, right) in MATCHES.items():
         cq = compare_qdims(shipped_work(eid))
-        got = (
-            (cq.left.status, cq.left.matched_side, cq.left.scalar),
-            (cq.right.status, cq.right.matched_side, cq.right.scalar),
-        )
+        got = tuple((cq[side].status, cq[side].matched_side, cq[side].scalar) for side in ("left", "right"))
         assert got == (left, right), eid
         assert format_poly(shipped_work(eid).qdims["right"]) == COMPUTED_RIGHT[eid]
     # the one mod-ideal unit match
     w12 = compare_qdims(shipped_work("W12v1_W12v2"))
-    assert w12.right.mod_ideal and w12.left.status in ("unmatched", "vacuous")
-    assert not qdim_passes(w12.right)
-    assert qdim_passes(w12.right, allow_unit=True)
+    assert w12["right"].mod_ideal and w12["left"].status in ("unmatched", "vacuous")
+    assert not qdim_passes(w12["right"])
+    assert qdim_passes(w12["right"], allow_unit=True)
 
 
 def test_qdim_product_reduces_to_one(catalog):

@@ -6,8 +6,11 @@ import json
 import re
 from fractions import Fraction
 from importlib import resources
+from itertools import permutations
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orbimf.grading import (
     GradingError,
@@ -54,23 +57,33 @@ def test_weights_e14_v1():
     vt = VarTable(("x", "y", "z"), ring_vars=("x", "y", "z"))
     w = weights_from_potential(parse_poly("x^4*z + y^3 + z^2", vt), ("x", "y", "z"))
     assert set(w.as_dict().values()) == {Fraction(1, 4), Fraction(2, 3), Fraction(1)}
-    report = check_weight_system(w, WeightSystem(8, 3, 12, 24))
-    assert report.ok
-    assert report.assignment == {"x": 3, "y": 8, "z": 12}
+    assert check_weight_system(w, WeightSystem(8, 3, 12, 24))
 
 
 def test_check_weight_system_q10_assignment():
     vw = VariableWeights.of({"x": Fraction(1, 2), "y": Fraction(2, 3), "z": Fraction(3, 4)})
-    report = check_weight_system(vw, WeightSystem(9, 8, 6, 24))
-    assert report.ok
-    assert report.assignment == {"x": 6, "y": 8, "z": 9}
+    assert check_weight_system(vw, WeightSystem(9, 8, 6, 24))
 
 
 def test_check_weight_system_wrong_h():
     vw = VariableWeights.of({"x": Fraction(1, 2), "y": Fraction(2, 3), "z": Fraction(3, 4)})
-    report = check_weight_system(vw, WeightSystem(9, 8, 6, 25))
-    assert not report.ok
-    assert "weight" in report.message
+    assert not check_weight_system(vw, WeightSystem(9, 8, 6, 25))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_check_weight_system_agrees_with_every_assignment(data):
+    # weights drawn from a few small fractions and the system's own, so
+    # repeated weights and partial matches are common
+    h = data.draw(st.integers(2, 8), label="h")
+    triple = data.draw(st.tuples(*[st.integers(1, h - 1)] * 3).filter(lambda t: gcd(*t) == 1), label="a")
+    ws = WeightSystem(*triple, h)
+    targets = ws.normalized_weights()
+    pool = sorted({t for t in targets if t <= 1} | {Fraction(1, 3), Fraction(1, 2), Fraction(1)})
+    weights = data.draw(st.lists(st.sampled_from(pool), min_size=3, max_size=3), label="weights")
+    vw = VariableWeights(tuple(zip(("x", "y", "z"), weights)))
+    some_assignment = any(tuple(weights) == perm for perm in permutations(targets))
+    assert check_weight_system(vw, ws) == some_assignment
 
 
 def test_inhomogeneous_rejected():
@@ -116,7 +129,7 @@ def test_every_table_potential(key):
     vw = weights_from_potential(p, tuple(entry["vars"]))
     assert euler_check(p, vw)
     ws = WeightSystem(*entry["weight_system"])
-    assert check_weight_system(vw, ws).ok
+    assert check_weight_system(vw, ws)
     assert central_charge(vw) == Fraction(ws.h + 2, ws.h)
 
 

@@ -22,7 +22,6 @@ from orbimf.numberfield import (
     ZeroDivisorError,
     certified_root_box,
     certify_value,
-    element,
     embed_complex,
     invert,
     reduce,
@@ -49,17 +48,17 @@ ROOT_C = {"c": ("1.0986841134678098", "0.45508986056222733")}  # sqrt(1+i)
 
 def test_reduce_c8_is_minus_four():
     spec = _spec_c()
-    assert element("c^8", spec) == parse_poly("-4", spec.vt)
+    assert reduce(parse_poly("c^8", spec.vt), spec) == parse_poly("-4", spec.vt)
 
 
 def test_reduce_of_minimal_poly_is_zero():
     spec = _spec_c()
-    assert element("c^4 - 2*c^2 + 2", spec).is_zero()
+    assert reduce(parse_poly("c^4 - 2*c^2 + 2", spec.vt), spec).is_zero()
 
 
 def test_one_plus_i_fourth_power():
     spec = _spec_i()
-    e = element("1 + i", spec)
+    e = reduce(parse_poly("1 + i", spec.vt), spec)
     square = reduce(e * e, spec)
     assert reduce(square * square, spec) == parse_poly("-4", spec.vt)
 
@@ -71,15 +70,15 @@ def test_two_generator_reduction():
         ("r", "i"),
         (parse_poly("r^3 - 1/2", vt), parse_poly("i^2 + 1", vt)),
     )
-    assert element("i^2 * r^3", spec) == parse_poly("-1/2", vt)
-    ir = element("i*r", spec)
+    assert reduce(parse_poly("i^2 * r^3", spec.vt), spec) == parse_poly("-1/2", vt)
+    ir = reduce(parse_poly("i*r", spec.vt), spec)
     assert reduce(ir * ir, spec) == parse_poly("-r^2", vt)
 
 
 def test_spectator_variables_ride_along():
     vt = VarTable(("c", "b"), param_vars=("c", "b"))
     spec = QuotientSpec(vt, ("c",), (parse_poly("c^4 - 2*c^2 + 2", vt),))
-    assert element("b*c^4 + b", spec) == parse_poly("2*b*c^2 - b", vt)
+    assert reduce(parse_poly("b*c^4 + b", spec.vt), spec) == parse_poly("2*b*c^2 - b", vt)
 
 
 # the table carries two candidate generators and two spectators; a spec
@@ -186,7 +185,7 @@ def _euclid_inverse(num_coeffs, mod_coeffs):
 
 def test_invert_c_matches_euclid_oracle():
     spec = _spec_c()
-    inv = invert(element("c", spec), spec)
+    inv = invert(reduce(parse_poly("c", spec.vt), spec), spec)
     assert inv == parse_poly("c - c^3/2", spec.vt)
     mod = [Fraction(2), Fraction(0), Fraction(-2), Fraction(0), Fraction(1)]
     oracle = _euclid_inverse([Fraction(0), Fraction(1)], mod)
@@ -197,7 +196,7 @@ def test_invert_c_matches_euclid_oracle():
 
 def test_invert_random_elements_roundtrip():
     spec = _spec_c()
-    one = element("1", spec)
+    one = reduce(parse_poly("1", spec.vt), spec)
     rng = random.Random(7)
     for _ in range(25):
         coeffs = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(4)]
@@ -211,15 +210,15 @@ def test_invert_random_elements_roundtrip():
 def test_invert_zero_raises():
     with pytest.raises(ZeroDivisorError):
         spec = _spec_c()
-        invert(element("0", spec), spec)
+        invert(reduce(parse_poly("0", spec.vt), spec), spec)
 
 
 def test_invert_detects_zero_divisor():
     vt = VarTable(("t",), param_vars=("t",))
     spec = QuotientSpec(vt, ("t",), (parse_poly("t^2 - 1", vt),))
     with pytest.raises(ZeroDivisorError):
-        invert(element("t - 1", spec), spec)
-    inv = invert(element("t + 2", spec), spec)  # (t+2)(2-t)/3 = (4-t^2)/3 = 1
+        invert(reduce(parse_poly("t - 1", spec.vt), spec), spec)
+    inv = invert(reduce(parse_poly("t + 2", spec.vt), spec), spec)  # (t+2)(2-t)/3 = (4-t^2)/3 = 1
     assert inv == parse_poly("(2 - t)/3", vt)
 
 
@@ -227,7 +226,7 @@ def test_invert_rejects_free_variables():
     vt = VarTable(("c", "b"), param_vars=("c", "b"))
     spec = QuotientSpec(vt, ("c",), (parse_poly("c^2 + 1", vt),))
     with pytest.raises(NumberFieldError):
-        invert(element("b*c", spec), spec)
+        invert(reduce(parse_poly("b*c", spec.vt), spec), spec)
 
 
 # -- spec validation ----------------------------------------------------
@@ -250,14 +249,14 @@ def test_spec_rejects_multivariate_minimal_poly():
 
 def test_embed_exact_gaussian_point():
     spec = _spec_i()
-    box = embed_complex(element("3 + 2*i", spec), spec, {"i": ("0", "1")})
+    box = embed_complex(reduce(parse_poly("3 + 2*i", spec.vt), spec), spec, {"i": ("0", "1")})
     assert box == ComplexBox(Fraction(3), Fraction(3), Fraction(2), Fraction(2))
 
 
 def test_embed_contains_numeric_value():
     mpmath = pytest.importorskip("mpmath")
     spec = _spec_c()
-    e = element("c^3 - c/3 + 2", spec)
+    e = reduce(parse_poly("c^3 - c/3 + 2", spec.vt), spec)
     box = embed_complex(e, spec, ROOT_C, 128)
     assert box.width() < Fraction(1, 10**20)
     with mpmath.workprec(300):
@@ -311,16 +310,16 @@ T8_SPEC = QuotientSpec(T8, ("t",), (parse_poly("t^8 + 4", T8),))  # not a field
 def test_certify_zero_and_nonzero():
     vt = VarTable(("c",), param_vars=("c",))
     spec = QuotientSpec(vt, ("c",), (parse_poly("c^4 - 2*c^2 + 2", vt),))
-    zero = element("c^8 + 4", spec)
+    zero = reduce(parse_poly("c^8 + 4", spec.vt), spec)
     cert = certify_value(zero, spec, ROOT_C)
     assert cert.status == "zero"
     # a unit (c^8 = -4), certified by its inverse without an interval
-    cert = certify_value(element("-c^7/2", spec), spec, ROOT_C)
+    cert = certify_value(reduce(parse_poly("-c^7/2", spec.vt), spec), spec, ROOT_C)
     assert cert == ("nonzero_exact", None, None)
     # a zero divisor modulo t^8 + 4 = (t^4 - 2t^2 + 2)(t^4 + 2t^2 + 2),
     # nonzero (4 - 4i) at the root sqrt(-1 + i) of the second factor
     root = {"t": ("0.45508986056222733", "1.0986841134678098")}
-    cert = certify_value(element("t^4 - 2*t^2 + 2", T8_SPEC), T8_SPEC, root)
+    cert = certify_value(reduce(parse_poly("t^4 - 2*t^2 + 2", T8_SPEC.vt), T8_SPEC), T8_SPEC, root)
     assert cert.status == "nonzero_interval"
     assert not cert.box.contains_zero()
     assert cert.box.re_lo <= 4 <= cert.box.re_hi and cert.box.im_lo <= -4 <= cert.box.im_hi
@@ -333,12 +332,12 @@ def test_interval_certificate_needs_no_mpmath():
         "import sys\n"
         "sys.modules['mpmath'] = None\n"
         "sys.path.insert(0, sys.argv[1])\n"
-        "from orbimf.numberfield import QuotientSpec, certify_value, element\n"
+        "from orbimf.numberfield import QuotientSpec, certify_value, reduce\n"
         "from orbimf.polyring import VarTable, parse_poly\n"
         "vt = VarTable(('t',), param_vars=('t',))\n"
         "spec = QuotientSpec(vt, ('t',), (parse_poly('t^8 + 4', vt),))\n"
         "root = {'t': ('0.45508986056222733', '1.0986841134678098')}\n"
-        "cert = certify_value(element('t^4 - 2*t^2 + 2', spec), spec, root)\n"
+        "cert = certify_value(reduce(parse_poly('t^4 - 2*t^2 + 2', spec.vt), spec), spec, root)\n"
         "box = cert.box\n"
         "print(cert.status, cert.precision_bits, box.contains_zero(),\n"
         "      box.re_lo <= 4 <= box.re_hi and box.im_lo <= -4 <= box.im_hi)\n"
@@ -352,7 +351,7 @@ def test_certify_generator_as_a_unit():
     # c is a unit modulo c^4 - 2c^2 + 2, so its inverse certifies it
     # without a root choice
     spec = _spec_c()
-    cert = certify_value(element("c", spec), spec, None)
+    cert = certify_value(reduce(parse_poly("c", spec.vt), spec), spec, None)
     assert cert.status == "nonzero_exact"
 
 
@@ -360,10 +359,10 @@ def test_certify_requires_roots_for_nonfield():
     vt = VarTable(("t",), param_vars=("t",))
     spec = QuotientSpec(vt, ("t",), (parse_poly("t^2 - 1", vt),))
     with pytest.raises(NumberFieldError):
-        certify_value(element("t - 1", spec), spec, None)
+        certify_value(reduce(parse_poly("t - 1", spec.vt), spec), spec, None)
     # a unit needs no root
     spec = QuotientSpec(vt, ("t",), (parse_poly("t^2 - 2", vt),))
-    assert certify_value(element("t", spec), spec, None).status == "nonzero_exact"
+    assert certify_value(reduce(parse_poly("t", spec.vt), spec), spec, None).status == "nonzero_exact"
 
 
 @settings(max_examples=150, deadline=None)
@@ -378,7 +377,7 @@ def test_certify_exact_exactly_on_units_modulo_t8_plus_4(coeffs, factor):
     t = sympy.Symbol("t")
     product = sum(c * t**k for k, c in enumerate(coeffs)) * sympy.sympify(factor.replace("^", "**"))
     e = sympy.rem(sympy.expand(product), t**8 + 4, t)
-    value = element(str(e).replace("**", "^"), T8_SPEC)
+    value = reduce(parse_poly(str(e).replace("**", "^"), T8_SPEC.vt), T8_SPEC)
     unit = e != 0 and sympy.gcd(e, t**8 + 4) == 1
     try:
         status = certify_value(value, T8_SPEC, None).status
