@@ -11,9 +11,9 @@ exceed the degree, and `pack` refuses a degree above `cap` instead of
 wrapping: `reducer` then rebuilds its records, and `groebner_basis`
 restarts, with wider fields.  `groebner_basis` packs only the slots its
 generators use (S-polynomials and remainders never leave them, and
-degrevlex restricted to them is the same order), `interreduce` the
-support of its input, `reducer` the whole table; Polys are converted
-only there.
+degrevlex restricted to them is the same order) and interreduces its
+own records there, `interreduce` the support of its input, `reducer`
+the whole table; Polys are converted only on the way in and out.
 
 Pairs follow the Gebauer-Moeller update (J. Symb. Comp. 6, 1988), so no
 popped pair is scanned against the leads: a new element h keeps one new
@@ -25,9 +25,9 @@ against the S-pair budget, so a runaway system fails loudly.
 
 Reduction runs on ints: a divisor record holds a lead and its monic
 tail as numerators over one denominator; the polynomial being reduced
-is numerators over a common denominator, rescaled only when a divisor's
-denominator does not divide the step's coefficient; only remainder
-terms become Fractions.  `_Divisors` remembers per monomial the first
+and its remainder are numerators over one common denominator, rescaled
+together only when a divisor's denominator does not divide the step's
+coefficient.  `_Divisors` remembers per monomial the first
 record whose lead divides it and, after a miss, how many records it
 scanned; records are only appended, so that record is the first in list
 order.  `reducer(basis)` builds the records once for many reductions
@@ -46,9 +46,8 @@ from math import gcd, lcm
 from operator import itemgetter
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .polyring import Monomial, Poly, Terms, VarTable, _integer_terms, _Overflow
+from .polyring import Monomial, Poly, VarTable, _integer_terms, _Overflow
 
-_ONE = Fraction(1)
 SPAIR_CAP = 50000  # default S-pair budget per Groebner run
 
 # (packed lead, denominator, monic tail as (packed monomial, numerator))
@@ -90,20 +89,22 @@ class _Layout:
             out[i] = self.cap - ((m >> s) & self._mask)
         return tuple(out)
 
-    def pack_terms(self, terms: Terms) -> Dict[int, Fraction]:
-        return {self.pack(m): c for m, c in terms.items()}
-
 
 def _support(polys: Sequence[Poly]) -> List[int]:
     return sorted({i for p in polys for m in p._terms for i, e in enumerate(m) if e})
 
 
-def _record(terms: Dict[int, Fraction]) -> Record:
-    """Divisor record of a nonzero polynomial's packed terms: its lead
-    and its monic tail n/den, with den > 0 and the numerators sharing no
-    factor with it."""
-    lm = max(terms)
-    ints = dict(_integer_terms(terms)[1])
+def _packed(layout: _Layout, p: Poly) -> Tuple[int, Dict[int, int]]:
+    """(den, integer numerators by packed monomial) of p."""
+    den, items = _integer_terms(p._terms)
+    return den, {layout.pack(m): n for m, n in items}
+
+
+def _record(ints: Dict[int, int]) -> Record:
+    """Divisor record of a nonzero polynomial from (and consuming) its
+    packed numerators: its lead and its monic tail n/den, with den > 0
+    and the numerators sharing no factor with it."""
+    lm = max(ints)
     lead = ints.pop(lm)
     g = gcd(lead, *ints.values())
     if lead < 0:
@@ -141,20 +142,19 @@ class _Divisors(list):
         return None
 
 
-def _reduce_by(work: Tuple[int, Dict[int, int]], divisors: _Divisors) -> Dict[int, Fraction]:
+def _reduce_by(work: Tuple[int, Dict[int, int]], divisors: _Divisors) -> Tuple[int, Dict[int, int]]:
     """Full reduction of `work` = (den, integer numerators) against the
-    divisor records.
+    divisor records, returning the remainder in the same form.
 
-    Consumes the numerator dict; returns the remainder as Fractions.
-    Terms are visited largest-first through a lazily deduplicated heap
-    of negated monomials.
+    Consumes the numerator dict.  Terms are visited largest-first through
+    a lazily deduplicated heap of negated monomials.
     """
     den, coeffs = work
     heap = [-m for m in coeffs]
     heapq.heapify(heap)
     heappop, heappush = heapq.heappop, heapq.heappush
     first, get = divisors.first, coeffs.get
-    remainder: Dict[int, Fraction] = {}
+    remainder: Dict[int, int] = {}
     while heap:
         m = -heappop(heap)
         c = coeffs.pop(m, 0)
@@ -162,15 +162,16 @@ def _reduce_by(work: Tuple[int, Dict[int, int]], divisors: _Divisors) -> Dict[in
             continue
         record = first(m)
         if record is None:
-            remainder[m] = Fraction(c, den)
+            remainder[m] = c
             continue
         glm, gden, tail = record
         # c/den * (m + tail/gden) over den*s, with s = gden/gcd(c, gden)
         g = gcd(c, gden)
         s = gden // g
         if s != 1:
-            for t in coeffs:
-                coeffs[t] *= s
+            for terms in (coeffs, remainder):
+                for t in terms:
+                    terms[t] *= s
             den *= s
         q = -(c // g)
         shift = m - glm
@@ -186,7 +187,7 @@ def _reduce_by(work: Tuple[int, Dict[int, int]], divisors: _Divisors) -> Dict[in
                     coeffs[t] = v
                 else:
                     del coeffs[t]
-    return remainder
+    return den, remainder
 
 
 def reducer(basis: Sequence[Poly]) -> Callable[[Poly], Poly]:
@@ -197,7 +198,7 @@ def reducer(basis: Sequence[Poly]) -> Callable[[Poly], Poly]:
 
     def build(degree: int) -> Tuple[_Layout, _Divisors]:
         layout = _Layout(size, range(size), degree)
-        return layout, _Divisors(layout, [_record(layout.pack_terms(b._terms)) for b in polys])
+        return layout, _Divisors(layout, [_record(_packed(layout, b)[1]) for b in polys])
 
     layout, divisors = build(max((b.total_degree() for b in polys), default=0))
 
@@ -205,14 +206,14 @@ def reducer(basis: Sequence[Poly]) -> Callable[[Poly], Poly]:
         nonlocal layout, divisors
         if not divisors:
             return p
-        den, items = _integer_terms(p._terms)
         try:
-            work = {layout.pack(m): n for m, n in items}
+            work = _packed(layout, p)
         except _Overflow:
             layout, divisors = build(p.total_degree())
             return reduce(p)
+        den, remainder = _reduce_by(work, divisors)
         unpack = layout.unpack
-        return Poly._raw(p.vt, {unpack(m): c for m, c in _reduce_by((den, work), divisors).items()})
+        return Poly._raw(p.vt, {unpack(m): Fraction(n, den) for m, n in remainder.items()})
 
     return reduce
 
@@ -246,21 +247,16 @@ def groebner_basis(gens: Iterable[Poly], spair_cap: int = SPAIR_CAP) -> List[Pol
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return []
-    vt = gens[-1].vt
     popped = count(1)  # shared by restarts, so the budget bounds all work
     degree = max(g.total_degree() for g in gens)
     while True:
-        layout = _Layout(len(vt), _support(gens), 2 * degree)
+        layout = _Layout(len(gens[0].vt), _support(gens), 2 * degree)
         try:
             minimal = _buchberger(layout, gens, popped, spair_cap)
         except _Overflow as exc:
             degree = exc.args[0]
             continue
-        unpack = layout.unpack
-        return interreduce([
-            Poly._raw(vt, {unpack(lm): _ONE, **{unpack(m): Fraction(n, den) for m, n in tail}})
-            for lm, den, tail in minimal
-        ])
+        return _interreduced(gens[0].vt, layout, minimal)
 
 
 def _buchberger(
@@ -268,7 +264,7 @@ def _buchberger(
 ) -> List[Record]:
     """Records of a minimal Groebner basis of the generators: Buchberger
     with the Gebauer-Moeller update, reducing against every record."""
-    divisors = _Divisors(layout, [_record(layout.pack_terms(g._terms)) for g in gens])
+    divisors = _Divisors(layout, [_record(_packed(layout, g)[1]) for g in gens])
     guard, top, pack = layout.guard, layout.top, layout.pack_exponents
     exps: List[Tuple[int, ...]] = []  # lead exponents in the layout's slots
     pairs: List[Tuple[int, int, int]] = []  # heap of (lcm, i, j), i < j
@@ -302,7 +298,7 @@ def _buchberger(
         lcm_ij, i, j = heapq.heappop(pairs)
         if next(popped) > spair_cap:
             raise BudgetExceeded(f"S-pair budget of {spair_cap} exhausted")
-        remainder = _reduce_by(_spoly(divisors[i], divisors[j], lcm_ij), divisors)
+        remainder = _reduce_by(_spoly(divisors[i], divisors[j], lcm_ij), divisors)[1]
         if remainder:
             divisors.append(_record(remainder))
             update(len(divisors) - 1)
@@ -323,12 +319,16 @@ def interreduce(basis: Sequence[Poly]) -> List[Poly]:
     work = [p for p in basis if not p.is_zero()]
     if not work:
         return []
-    vt = work[0].vt
-    layout = _Layout(len(vt), _support(work), max(p.total_degree() for p in work))
+    layout = _Layout(len(work[0].vt), _support(work), max(p.total_degree() for p in work))
+    return _interreduced(work[0].vt, layout, [_record(_packed(layout, p)[1]) for p in work])
+
+
+def _interreduced(vt: VarTable, layout: _Layout, records: Iterable[Record]) -> List[Poly]:
+    """`interreduce`'s one pass over a Groebner basis's records in `layout`."""
     guard = layout.guard
     # Drop records whose lead another lead divides (ties: keep one copy).
     kept: List[Record] = []
-    for r in sorted((_record(layout.pack_terms(p._terms)) for p in work), key=itemgetter(0)):
+    for r in sorted(records, key=itemgetter(0)):
         if not any((k[0] - r[0] + guard) & guard == guard for k in kept):
             kept.append(r)
     divisors = _Divisors(layout, kept)
@@ -337,9 +337,9 @@ def interreduce(basis: Sequence[Poly]) -> List[Poly]:
     for lm, den, tail in kept:
         # Tail terms and everything reduction makes of them lie below lm,
         # so no element's own lead ever fires on its tail.
-        remainder = _reduce_by((den, dict(tail)), divisors)
-        remainder[lm] = _ONE
-        out.append(Poly._raw(vt, {unpack(m): c for m, c in remainder.items()}))
+        den, remainder = _reduce_by((den, dict(tail)), divisors)
+        remainder[lm] = den
+        out.append(Poly._raw(vt, {unpack(m): Fraction(n, den) for m, n in remainder.items()}))
     return out
 
 

@@ -315,7 +315,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         # imported here: the pool modules cost a serial run tens of ms
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        # a pool forks all its workers at the first submit: no more than entries
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(ids))) as pool:
             work = [(catalog[i], args.spair_cap) for i in ids]
             reports = list(pool.map(_worker_verify, work))
     else:
@@ -329,6 +330,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if len(reports) > 1:
             print(_summary_table(reports, catalog))
     return 0 if all(r["ok"] for r in reports) else 1
+
+
+def _positive_int(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {text}")
+    return int(text)
 
 
 def _find_family(entry: EquivalenceEntry, label: str):
@@ -438,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = v.add_mutually_exclusive_group(required=True)
     group.add_argument("--entry", help="entry id (prefix or substring accepted)")
     group.add_argument("--all", action="store_true")
-    v.add_argument("--jobs", type=int, default=1, help="verify entries in parallel processes")
+    v.add_argument("--jobs", type=_positive_int, default=1, help="verify entries in parallel processes")
     v.set_defaults(func=cmd_verify)
 
     q = sub.add_parser("qdim", help="print quantum dimensions")

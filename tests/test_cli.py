@@ -148,12 +148,17 @@ def test_verify_jobs_2_reports_sorted_by_id(capsys, tmp_path):
     assert ids == ["U12v1_U12v3", "W12v1_W12v2", "Z13v1_Z13v2"]
 
 
-def test_verify_jobs_submits_longest_entries_first(capsys, tmp_path, monkeypatch):
-    submitted = []
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Replaces the process pool by one that runs its work in this
+    process; returns the pools made, each with the workers it was asked
+    for and the entry ids submitted to it.  No process is started."""
+    pools = []
 
     class InlinePool:
         def __init__(self, max_workers):
-            pass
+            self.max_workers, self.submitted = max_workers, []
+            pools.append(self)
 
         def __enter__(self):
             return self
@@ -162,18 +167,46 @@ def test_verify_jobs_submits_longest_entries_first(capsys, tmp_path, monkeypatch
             return False
 
         def map(self, fn, work):
-            submitted.extend(w[0].id for w in work)
+            self.submitted.extend(w[0].id for w in work)
             return map(fn, work)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    return pools
+
+
+def test_verify_jobs_submits_longest_entries_first(capsys, tmp_path, inline_pool):
     _three_entry_catalog(tmp_path)
     rc, out, _ = _run(
         capsys, "verify", "--all", "--catalog", str(tmp_path), "--jobs", "2", "--json"
     )
     assert rc == 0
+    [pool] = inline_pool
+    submitted = pool.submitted
     assert submitted == ["Z13v1_Z13v2", "U12v1_U12v3", "W12v1_W12v2"]
     ids = [r["entry"] for r in json.loads(out)["reports"]]
     assert ids == sorted(submitted)
+
+
+def test_verify_jobs_starts_no_more_workers_than_entries(capsys, tmp_path, inline_pool):
+    # a pool forks all its workers at the first submit, so --jobs 50 over
+    # the six cheap shipped entries must ask for six
+    for path in SHIPPED_DIR.glob("*.json"):
+        if path.name != "Q12.json":
+            shutil.copy(path, tmp_path / path.name)
+    rc, out, _ = _run(
+        capsys, "verify", "--all", "--catalog", str(tmp_path), "--jobs", "50", "--json"
+    )
+    assert rc == 1  # W13's computed quantum dimensions vanish on its families
+    assert [pool.max_workers for pool in inline_pool] == [6]
+    assert len(json.loads(out)["reports"]) == 6
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_verify_nonpositive_jobs_exits_2(capsys, jobs):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--entry", "E14", "--jobs", jobs])
+    assert exc.value.code == 2
+    assert "--jobs: must be at least 1" in capsys.readouterr().err
 
 
 def test_cli_import_leaves_the_process_pool_unloaded():
@@ -187,14 +220,25 @@ def test_cli_import_leaves_the_process_pool_unloaded():
     assert out.stdout.strip() == "[]"
 
 
+def test_bare_package_import_loads_no_module():
+    # the package is used through its modules, and importing it loads none
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import orbimf; "
+        "print([m for m in sys.modules if m.startswith('orbimf.')])"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-I", "-c", code, src], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 def test_catalog_load_leaves_dataclasses_and_inspect_unloaded(tmp_path):
-    # cold start: a fresh process that imports the package and loads the
-    # packaged catalog and a --catalog copy pays for neither module
+    # cold start: a fresh process that loads the packaged catalog and a
+    # --catalog copy pays for neither module
     copy = tmp_path / "catalog"
     shutil.copytree(SHIPPED_DIR, copy)
     code = (
-        "import sys; sys.path.insert(0, sys.argv[1]); import orbimf; "
-        "orbimf.load_catalog(); orbimf.load_catalog(sys.argv[2]); "
+        "import sys; sys.path.insert(0, sys.argv[1]); from orbimf.catalog import load_catalog; "
+        "load_catalog(); load_catalog(sys.argv[2]); "
         "print([m for m in ('dataclasses', 'inspect') if m in sys.modules])"
     )
     src = str(Path(cli.__file__).resolve().parents[1])
@@ -498,7 +542,8 @@ def test_verify_entry_computes_each_fact_once(count_calls, entry_id):
     # and once per quotient ring, however many elements it reduces
     assert len({id(args[0]) for args in quotient_reducers}) == len(quotient_reducers)
     assert len(quotient_reducers) <= len(entry.families)
-    # groebner_basis and interreduce build one record set each
+    # groebner_basis builds one record set for Buchberger and one for
+    # its final interreduction pass
     assert len(divisor_sets) == 2 * len(bases) + len(constraint_reducers) + len(quotient_reducers)
 
 

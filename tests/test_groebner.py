@@ -121,6 +121,29 @@ def test_interreduce_reduces_in_one_pass(monkeypatch):
     assert interreduce(reduced) == reduced
 
 
+@pytest.mark.parametrize("ideal", ["small", "q12_a4_slice"])
+def test_groebner_basis_interreduces_its_own_records_once(count_calls, shipped_work, ideal):
+    if ideal == "small":
+        vt = _vt("x", "y")
+        gens = [parse_poly("x^3 - 2*x*y", vt), parse_poly("x^2*y - 2*y^2 + x", vt)]
+    else:
+        gens = shipped_work("Q12v1_Q12v2").derived.generators
+        two = Poly.const(gens[0].vt, 2)
+        gens = [g.substitute({"a4": two}) for g in gens]
+    interreduced = count_calls(_groebner, "interreduce")
+    reductions = count_calls(_groebner, "_reduce_by")
+    basis = groebner_basis(gens)
+    assert not interreduced
+    # the last pass reduces each kept record's tail once, against the kept
+    # records only, and those are Buchberger's own records, not rebuilt ones
+    final, search = reductions[-len(basis):], reductions[: -len(basis)]
+    kept = final[0][1]
+    assert len(kept) == len(basis)
+    assert all(divisors is kept for _, divisors in final)
+    assert search and all(divisors is search[0][1] is not kept for _, divisors in search)
+    assert all(any(r is b for b in search[0][1]) for r in kept)
+
+
 def test_full_q12_basis_matches_stored_sympy_basis(shipped_work):
     # tests/golden/make_groebner_Q12.py wrote the reduced basis with
     # sympy.groebner, which shares no code with orbimf._groebner
@@ -262,7 +285,7 @@ def test_divisor_lookup_is_first_in_list_order(polys, cut, probes):
     layout = _groebner._Layout(3, range(3), 6)
 
     def packed_record(p):
-        return _groebner._record(layout.pack_terms(p._terms))
+        return _groebner._record(_groebner._packed(layout, p)[1])
 
     divisors = _groebner._Divisors(layout, [packed_record(p) for p in polys[:cut]])
 
