@@ -125,8 +125,7 @@ def verify_entry(entry: EquivalenceEntry, spair_cap: int = SPAIR_CAP) -> dict:
     report["epsilon"] = derived.epsilon
     stage("constraints", True, {"count": len(derived.generators), "generators": list(derived.texts())})
 
-    reduce = work.reducer_for(derived)
-    pot = verify_potential(work.m, entry.potential_in(), entry.potential_out(), reduce, derived.epsilon)
+    pot = verify_potential(entry.vt, work.reducer_for(derived), derived.epsilon)
     stage("potential", pot.ok, {"epsilon": pot.epsilon, "message": pot.message()})
 
     cmp_ = con.compare_printed(work)
@@ -338,6 +337,12 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _nonnegative_int(text: str) -> int:
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, not {text}")
+    return int(text)
+
+
 def _find_family(entry: EquivalenceEntry, label: str):
     for fam in entry.families:
         if fam.label == label:
@@ -438,7 +443,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--catalog", type=Path, default=None, help="catalog directory (or env ORBIMF_CATALOG)")
         p.add_argument("--json", action="store_true", help="machine-readable report")
         p.add_argument("--seed", type=int, default=0, help="recorded for reproducibility; nothing is randomized")
-        p.add_argument("--spair-cap", type=int, default=SPAIR_CAP, help="S-pair budget per Groebner run")
+        p.add_argument(
+            "--spair-cap", type=_nonnegative_int, default=SPAIR_CAP, help="S-pair budget per Groebner run, 0 or more"
+        )
 
     v = sub.add_parser("verify", help="run every check for one entry or the whole catalog")
     common(v)

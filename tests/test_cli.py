@@ -209,6 +209,18 @@ def test_verify_nonpositive_jobs_exits_2(capsys, jobs):
     assert "--jobs: must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["verify", "qdim", "constraints"])
+def test_negative_spair_cap_exits_2(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--entry", "E14", "--spair-cap", "-1"])
+    assert exc.value.code == 2
+    assert "--spair-cap: must be at least 0" in capsys.readouterr().err
+    # a cap of 0 is a budget, not a usage error: E14's one generator
+    # needs no S-pair
+    rc, _, _ = _run(capsys, command, "--entry", "E14", "--spair-cap", "0")
+    assert rc == 0
+
+
 def test_cli_import_leaves_the_process_pool_unloaded():
     # a serial run never pays for the pool modules
     code = (
@@ -371,8 +383,8 @@ def _unit_ideal_demo(directory):
 
 
 def test_verify_fails_potential_on_unsatisfiable_constraints(capsys, tmp_path):
-    # grading still passes, but every residual would reduce to zero
-    # against the basis [1] of the derived constraints
+    # grading still passes, but the derived constraints have the basis
+    # [1], so no parameter values satisfy them
     catalog = _unit_ideal_demo(tmp_path)
     rc, out, _ = _run(capsys, "verify", "--entry", "DEMO", "--catalog", catalog, "--json")
     assert rc == 1
@@ -517,7 +529,7 @@ def test_verify_entry_computes_each_fact_once(count_calls, entry_id):
     assert not squares
     assert not matmuls
     # that scalar d15*d26 - d16*d25 - d17*d35 is formed once, with the
-    # factorization, and both the derivation and the potential read it
+    # factorization, and the derivation reads it
     d15, _, _, _, d26, _ = entry.six()
     assert sum(a is d15 and b is d26 for a, b in poly_products) == 1
     sets = [frozenset(args[0]) for args in bases]
@@ -580,6 +592,49 @@ def test_verify_entry_parses_nothing(count_calls, entry_id):
     parses = count_calls(polyring, "parse_poly")
     verify_entry(entry)
     assert not parses
+
+
+@pytest.mark.parametrize("entry_id", ENTRY_IDS + ("unit-ideal",))
+def test_verify_entry_splits_the_square_residual_once_per_sign(count_calls, monkeypatch, tmp_path, entry_id):
+    # derive_constraints is the one place that splits the residual over
+    # ring monomials, once per sign it tries (both, when the derived ideal
+    # is the unit ideal); the potential stage, which then only has to show
+    # that the constraints are consistent, reduces the constant 1 alone
+    if entry_id == "unit-ideal":
+        entry, signs_tried = load_catalog(_unit_ideal_demo(tmp_path))["DEMOv1_DEMOv2"], 2
+    else:
+        entry, signs_tried = load_catalog()[entry_id], 1
+    splits = count_calls(Poly, "coefficients_wrt")
+    make_reducer = constraints.reducer
+    in_stage = [False]
+    reduced_in_stage = []
+
+    def counting_reducer(basis):
+        reduce = make_reducer(basis)
+
+        def counted(p):
+            if in_stage[0]:
+                reduced_in_stage.append(p)
+            return reduce(p)
+
+        return counted
+
+    verify_potential = cli.verify_potential
+
+    def potential_stage(*args):
+        in_stage[0] = True
+        try:
+            return verify_potential(*args)
+        finally:
+            in_stage[0] = False
+
+    monkeypatch.setattr(constraints, "reducer", counting_reducer)
+    monkeypatch.setattr(cli, "verify_potential", potential_stage)
+    report = verify_entry(entry)
+    ring = set(entry.vt.ring_vars)
+    assert sum(set(names) == ring for _, names in splits) == signs_tried
+    assert reduced_in_stage == [Poly.const(entry.vt, 1)]
+    assert report["stages"]["potential"]["ok"] is (entry_id != "unit-ideal")
 
 
 def _substitute_by_adding(p, bindings):

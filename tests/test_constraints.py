@@ -85,6 +85,21 @@ def test_epsilon_is_plus_one_everywhere(catalog):
         assert derive_constraints(entry, build_8x8(entry.six())).epsilon == 1, entry.id
 
 
+@pytest.mark.parametrize("entry_id", sorted({**DERIVED, **SHAPES}))
+def test_derived_basis_reduces_the_square_residual_to_zero(shipped_work, entry_id):
+    # the contract the potential stage relies on: with the sign found,
+    # every ring-monomial coefficient of square - eps*(W_out - W_in) lies
+    # in the derived ideal, so the identity holds on its variety
+    work = shipped_work(entry_id)
+    entry = work.entry
+    difference = entry.potential_out() - entry.potential_in()
+    residual = work.m.scalar - difference.scale(Fraction(work.derived.epsilon))
+    coefficients = [c for c in residual.coefficients_wrt(entry.vt.ring_vars).values() if not c.is_zero()]
+    assert coefficients
+    reduce = work.reducer_for(work.derived)
+    assert all(reduce(c).is_zero() for c in coefficients)
+
+
 def test_constraint_set_normalizes_and_dedupes():
     vt = VarTable(("x", "y"), param_vars=("x", "y"))
     gens = [

