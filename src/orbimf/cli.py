@@ -125,7 +125,7 @@ def verify_entry(entry: EquivalenceEntry, spair_cap: int = SPAIR_CAP) -> dict:
     report["epsilon"] = derived.epsilon
     stage("constraints", True, {"count": len(derived.generators), "generators": list(derived.texts())})
 
-    pot = verify_potential(entry.vt, work.reducer_for(derived), derived.epsilon)
+    pot = verify_potential(lambda: work.is_unit(derived), derived.epsilon)
     stage("potential", pot.ok, {"epsilon": pot.epsilon, "message": pot.message()})
 
     cmp_ = con.compare_printed(work)
@@ -331,16 +331,22 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if all(r["ok"] for r in reports) else 1
 
 
+def _at_least(low: int, text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, not {text!r}") from None
+    if n < low:
+        raise argparse.ArgumentTypeError(f"must be at least {low}, not {text}")
+    return n
+
+
 def _positive_int(text: str) -> int:
-    if int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, not {text}")
-    return int(text)
+    return _at_least(1, text)
 
 
 def _nonnegative_int(text: str) -> int:
-    if int(text) < 0:
-        raise argparse.ArgumentTypeError(f"must be at least 0, not {text}")
-    return int(text)
+    return _at_least(0, text)
 
 
 def _find_family(entry: EquivalenceEntry, label: str):

@@ -112,13 +112,15 @@ class EntryWork:
     and then kept: the factorization `m`, the `derived` and `printed`
     constraint sets, both quantum dimensions `qdims`, the normal forms
     `qdim_nfs`, one Groebner basis with its reducer per distinct generator
-    set, one `verify_family` report per shipped family.  The quotient
-    rings of the shipped families are the entry's own, built at load."""
+    set and whether its ideal is the unit ideal, one `verify_family` report
+    per shipped family.  The quotient rings of the shipped families are
+    the entry's own, built at load."""
 
     def __init__(self, entry: EquivalenceEntry, spair_cap: int = SPAIR_CAP):
         self.entry = entry
         self.spair_cap = spair_cap
         self._reducers: Dict[Tuple[Poly, ...], Callable[[Poly], Poly]] = {}
+        self._units: Dict[Tuple[Poly, ...], bool] = {}
         self._family_reports: Dict[int, FamilyReport] = {}
 
     @cached_property
@@ -159,8 +161,12 @@ class EntryWork:
 
     def is_unit(self, cs: ConstraintSet) -> bool:
         """Is the ideal of `cs` the whole ring, so that no parameter values
-        satisfy it and everything lies in it?"""
-        return self.reducer_for(cs)(Poly.const(self.entry.vt, 1)).is_zero()
+        satisfy it and everything lies in it?  Decided once per generator
+        set."""
+        unit = self._units.get(cs.generators)
+        if unit is None:
+            unit = self._units[cs.generators] = self.reducer_for(cs)(Poly.const(self.entry.vt, 1)).is_zero()
+        return unit
 
     def family_ring(self, family: SolutionFamily) -> FamilyRing:
         """The quotient ring of `family` and its bindings of every entry

@@ -94,12 +94,13 @@ class PotentialReport(NamedTuple):
         return "the constraint ideal is the unit ideal: no parameter values satisfy it"
 
 
-def verify_potential(vt: VarTable, reduce: Callable[[Poly], Poly], epsilon: int) -> PotentialReport:
+def verify_potential(is_unit: Callable[[], bool], epsilon: int) -> PotentialReport:
     """Are the constraints derived with sign `epsilon` consistent, i.e.
-    is 1 nonzero under `reduce`, the normal form modulo their ideal?  On
-    their variety the identity holds by construction (module docstring).
+    is their ideal proper?  `is_unit` decides whether it is the unit
+    ideal.  On their variety the identity holds by construction (module
+    docstring).
     """
-    ok = not reduce(Poly.const(vt, 1)).is_zero()
+    ok = not is_unit()
     return PotentialReport(ok, epsilon if ok else None)
 
 

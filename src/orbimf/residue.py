@@ -7,9 +7,9 @@ transformation law: find a cofactor matrix H with H.(f1,f2,f3) =
 v1^(N1-1) v2^(N2-1) v3^(N3-1) in g*det(H).  That product is never
 formed: det(H) has one to four terms c*m on the shipped potentials, and
 one pass over g keys each term by its exponents in the v_i; a term at
-v^(N-1)/m adds its remaining monomial times c.  Any valid H gives the
-same answer; the test suite exercises that with independently built
-lifts.
+v^(N-1)/m, a key, adds its remaining monomial times c, in integers over
+one denominator.  Any valid H gives the same answer; the test suite
+exercises that with independently built lifts.
 
 Both entry points take W itself.  Its weights come from
 `grading.weights_from_potential`, and they bound the search for each
@@ -28,7 +28,11 @@ potential's partials; the right one the source variables against the
 source potential's.  Both results must be free of ring variables.  Both
 sides read the same supertrace, so `qdim_pair` forms it once, as the
 6x6 Jacobian determinant of the generators (`derivative_supertrace`),
-and integrates it twice.  The determinant runs on packed integer
+and integrates it twice.  A residue reads a term only when the term's
+exponents on the integrated variables form a key, so `qdim_pair` builds
+both lifts first and forms only the terms on their keys (6-20% of the
+determinant on the shipped entries): every other term could change
+neither result.  The determinant runs on packed integer
 monomials over one common denominator: rows are scaled to integers, and
 terms packed once, as offsets from the unit of a `_groebner._Layout` whose
 fields hold the sum of the rows' maximal total degrees (a bound on every
@@ -42,13 +46,13 @@ from functools import reduce
 from itertools import combinations
 from math import lcm, prod
 from operator import add, itemgetter
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Collection, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from ._groebner import _Layout, _support
 from ._linalg import solve_dense
 from .grading import GradingError, weights_from_potential
 from .matfac import Matrix8, MatrixFactorization, matmul
-from .polyring import Poly, _integer_terms, _over
+from .polyring import Monomial, Poly, VarTable, _integer_terms, _over
 
 _ZERO = Fraction(0)
 # row triples of a 6x6 matrix; the (-1-i)-th is the complement of the i-th
@@ -79,8 +83,12 @@ def derivative_matrix_product(m: MatrixFactorization, order: Sequence[str]) -> M
     return reduce(matmul, (_partial_matrix(m, v) for v in order))
 
 
-def derivative_supertrace(m: MatrixFactorization, order: Sequence[str]) -> Poly:
-    """supertrace(derivative_matrix_product(m, order)) for six variables:
+def derivative_supertrace(
+    m: MatrixFactorization, order: Sequence[str], reads: Mapping[Sequence[str], Collection[Monomial]]
+) -> Poly:
+    """The terms of supertrace(derivative_matrix_product(m, order)) for
+    six variables that `reads` asks for: those whose exponents on some
+    variable tuple of `reads` form one of its keys.  The supertrace is
     det J, with J[k][j] the partial of the k-th generator along order[j].
 
     Proof.  `build_8x8` is linear, so M = sum_k d_k G_k with G_k the
@@ -96,6 +104,11 @@ def derivative_supertrace(m: MatrixFactorization, order: Sequence[str]) -> Poly:
 
     Laplace expansion along the column halves: det J is the sum over row
     triples S (0-based) of (-1)^(sum S + 1) J[S; 0-2] J[rows not in S; 3-5].
+    A term's exponents on the read variables are the sums of its two
+    factors', so the terms of each second minor are grouped by their
+    packed read fields, and each term of the first is multiplied only by
+    the groups whose fields complete it to a key: the terms formed are
+    exactly the read ones, each with all of its contributions.
     """
     vt = m.vt
     jac = [[d.partial(v) for v in order] for d in m.six]
@@ -121,8 +134,41 @@ def derivative_supertrace(m: MatrixFactorization, order: Sequence[str]) -> Poly:
         return [dot((pj[r][c], two[s, t], 1), (pj[s][c], two[r, t], -1), (pj[t][c], two[r, s], 1))
                 for r, s, t in _TRIPLES]
 
-    pairs = zip(_TRIPLES, minors(0, 1, 2), reversed(minors(3, 4, 5)))
-    det = dot(*((h, t, 1 if sum(rows) % 2 else -1) for rows, h, t in pairs))
+    # per read: the mask of its fields, the unit's fields, and its keys as
+    # offsets; the fields of a term k are (k + unit) & mask, and they add
+    # under products once the unit's are taken off
+    field = dict(zip(layout.slots, layout.shifts))
+    rules, everywhere = [], 0
+    for names, keys in reads.items():
+        idx = [vt.index(n) for n in names]
+        mask = sum(layout.cap << field[i] for i in idx if i in field)
+        codes = {-sum(e << field[i] for i, e in zip(idx, key) if i in field)
+                 for key in keys if all(0 <= e <= (layout.cap if i in field else 0) for i, e in zip(idx, key))}
+        rules.append((mask, unit & mask, codes))
+        everywhere |= mask
+
+    def grouped(terms: List[Tuple[int, int]]) -> Dict[int, List[Tuple[int, int]]]:  # by read fields
+        groups: Dict[int, List[Tuple[int, int]]] = {}
+        for t in terms:
+            groups.setdefault((t[0] + unit) & everywhere, []).append(t)
+        return groups
+
+    products = []
+    for rows, head, tail in zip(_TRIPLES, minors(0, 1, 2), reversed(minors(3, 4, 5))):
+        tails = grouped(tail)
+        index: List[Dict[int, List[int]]] = [{} for _ in rules]
+        for fields in tails:
+            for (mask, base, _), by in zip(rules, index):
+                by.setdefault((fields & mask) - base, []).append(fields)
+        sign = 1 if sum(rows) % 2 else -1
+        for fields, heads in grouped(head).items():
+            hits = set()
+            for (mask, base, codes), by in zip(rules, index):
+                own = (fields & mask) - base
+                for code in codes:
+                    hits.update(by.get(code - own, ()))
+            products.extend((heads, tails[hit], sign) for hit in hits)
+    det = dot(*products)
     return Poly._raw(vt, _over({layout.unpack(k + unit): n for k, n in det}, prod(scales)))
 
 
@@ -227,43 +273,57 @@ def cofactor_lift(
     return CofactorLift(tuple(names), tuple(found), tuple(tuple(r) for r in rows))
 
 
+def _read_terms(lift: CofactorLift, vt: VarTable) -> Tuple[int, Dict[Monomial, List[Tuple[List[int], int]]]]:
+    """(den, read): the terms n/den * m of det(H), keyed by the exponents
+    v^(N-1)/m on the v_i that a term of g must carry to meet them, each
+    with the shift that clears those v_i from it."""
+    det = lift.determinant()
+    idx = [vt.index(name) for name in lift.vars]
+    den, terms = _integer_terms(det._terms)
+    read: Dict[Monomial, List[Tuple[List[int], int]]] = {}
+    for m, n in terms:
+        key = tuple(power - 1 - m[i] for power, i in zip(lift.exponents, idx))
+        shift = list(m)
+        for i, k in zip(idx, key):
+            shift[i] = -k
+        read.setdefault(key, []).append((shift, n))
+    return den, read
+
+
 def grothendieck_residue(
     g: Poly, w: Poly, names: Sequence[str], lift: Optional[CofactorLift] = None
 ) -> Poly:
     """Res[g dv/(f1,f2,f3)], the f_j the partials of `w`: the coefficient
-    of v^(N-1) in g*det(H), read off in one pass over g's terms."""
+    of v^(N-1) in g*det(H), read off in one pass over g's terms, in
+    integers over one denominator."""
     if lift is None:
         lift = cofactor_lift(w, names)
     vt = g.vt
-    det = lift.determinant()
-    idx = [vt.index(name) for name in lift.vars]
-    on_names = itemgetter(*idx)
-    wanted: Dict[Tuple[int, ...], List[Tuple[List[int], Fraction]]] = {}
-    for m, c in det.terms():
-        key = tuple(n - 1 - e for n, e in zip(lift.exponents, on_names(m)))
-        shift = list(m)
-        for i, k in zip(idx, key):
-            shift[i] = -k  # clears the v_i of the terms of g that match
-        wanted.setdefault(key, []).append((shift, c))
-    out: Dict[Tuple[int, ...], Fraction] = {}
-    for m, c in g.terms():
-        for shift, dc in wanted.get(on_names(m), ()):
+    den, read = _read_terms(lift, vt)
+    on_names = itemgetter(*(vt.index(name) for name in lift.vars))
+    g_den, g_terms = _integer_terms(g._terms)
+    acc: Dict[Monomial, int] = {}
+    for m, n in g_terms:
+        for shift, dn in read.get(on_names(m), ()):
             mono = tuple(map(add, m, shift))
-            out[mono] = out.get(mono, _ZERO) + c * dc
-    return Poly(vt, out)
+            acc[mono] = acc.get(mono, 0) + n * dn
+    return Poly._raw(vt, _over(acc, den * g_den))
 
 
 def qdim_pair(m: MatrixFactorization, v_in: Poly, w_out: Poly) -> Dict[str, Poly]:
     """Both quantum dimensions, by side, from one supertrace: sources
-    first, then targets, in declared order."""
+    first, then targets, in declared order.  The supertrace carries only
+    the terms the two residues read."""
     sources, targets = v_in.support_vars(), w_out.support_vars()
     if len(sources) != 3 or len(targets) != 3:
         raise ResidueError("each potential must involve exactly three variables")
-    s = derivative_supertrace(m, sources + targets)
+    sides = {"left": (w_out, targets), "right": (v_in, sources)}
+    lifts = {side: cofactor_lift(against, over) for side, (against, over) in sides.items()}
+    reads = {lift.vars: _read_terms(lift, m.vt)[1].keys() for lift in lifts.values()}
+    s = derivative_supertrace(m, sources + targets, reads)
     out = {}
-    for side in ("left", "right"):
-        over, against = (targets, w_out) if side == "left" else (sources, v_in)
-        value = grothendieck_residue(s, against, over, cofactor_lift(against, over))
+    for side, (against, over) in sides.items():
+        value = grothendieck_residue(s, against, over, lifts[side])
         ring_left = [v for v in value.support_vars() if v in m.vt.ring_vars]
         if ring_left:
             raise ResidueError(f"qdim_{side} retains ring variables {ring_left}")

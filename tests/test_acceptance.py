@@ -70,7 +70,7 @@ def test_criterion_1_squaring_identity(catalog):
         t0 = time.perf_counter()
         work = con.EntryWork(entry)
         sq = square(work.m)
-        report = verify_potential(entry.vt, work.reducer_for(work.derived), work.derived.epsilon)
+        report = verify_potential(lambda: work.is_unit(work.derived), work.derived.epsilon)
         elapsed = time.perf_counter() - t0
         notes.append(f"{eid}: {elapsed:.1f}s of 60s")
         if any(not sq[i][j].is_zero() for i in range(8) for j in range(8) if i != j):

@@ -221,6 +221,17 @@ def test_negative_spair_cap_exits_2(capsys, command):
     assert rc == 0
 
 
+@pytest.mark.parametrize("flag, value", [("--jobs", "x"), ("--jobs", "1.5"), ("--spair-cap", "x"), ("--spair-cap", "2.0")])
+def test_non_integer_count_exits_2_naming_the_flag(capsys, flag, value):
+    # the usage error says what is wrong, not which private parser ran
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--entry", "E14", flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"{flag}: must be an integer, not '{value}'" in err
+    assert "_int value" not in err
+
+
 def test_cli_import_leaves_the_process_pool_unloaded():
     # a serial run never pays for the pool modules
     code = (
@@ -635,6 +646,32 @@ def test_verify_entry_splits_the_square_residual_once_per_sign(count_calls, monk
     assert sum(set(names) == ring for _, names in splits) == signs_tried
     assert reduced_in_stage == [Poly.const(entry.vt, 1)]
     assert report["stages"]["potential"]["ok"] is (entry_id != "unit-ideal")
+
+
+@pytest.mark.parametrize("entry_id", ENTRY_IDS)
+def test_verify_entry_decides_each_unit_ideal_once(monkeypatch, entry_id):
+    # the potential stage, ideal-compare and qdim-match all ask whether an
+    # ideal is the unit ideal; each distinct generator set reduces the
+    # constant 1 once (W12's printed set differs from its derived one)
+    entry = load_catalog()[entry_id]
+    one = Poly.const(entry.vt, 1)
+    make_reducer = constraints.reducer
+    ones = []
+
+    def counting_reducer(basis):
+        reduce = make_reducer(basis)
+        ones.append(0)
+        at = len(ones) - 1
+
+        def counted(p):
+            ones[at] += p == one
+            return reduce(p)
+
+        return counted
+
+    monkeypatch.setattr(constraints, "reducer", counting_reducer)
+    verify_entry(entry)
+    assert ones == [1] * (2 if entry_id == "W12v1_W12v2" else 1)
 
 
 def _substitute_by_adding(p, bindings):

@@ -88,7 +88,7 @@ def test_demo_square_equals_difference_exactly(demo):
     m = build_8x8(demo.six())
     assert m.scalar == demo.difference()
     eps = derive_constraints(demo, m).epsilon
-    report = verify_potential(demo.vt, reducer([]), eps)
+    report = verify_potential(lambda: reducer([])(Poly.const(demo.vt, 1)).is_zero(), eps)
     assert report.ok and report.epsilon == 1
 
 
@@ -105,7 +105,7 @@ def test_all_entries_have_24_cells_and_uniform_diagonal(catalog):
 
 def test_e14_potential_certificate(shipped_work):
     work = shipped_work("E14v1_E14v2")
-    report = verify_potential(work.entry.vt, work.reducer_for(work.derived), work.derived.epsilon)
+    report = verify_potential(lambda: work.is_unit(work.derived), work.derived.epsilon)
     assert report.ok
     assert report.epsilon == 1
 

@@ -188,18 +188,50 @@ def test_qdim_results_live_in_parameters_only(shipped_work):
             assert all(v in entry.parameters for v in value.support_vars()), entry.id
 
 
+def _restricted(p: Poly, reads) -> Poly:
+    """The terms of p whose exponents on some variable tuple of `reads`
+    form one of its keys."""
+    picks = [([p.vt.index(n) for n in names], set(keys)) for names, keys in reads.items()]
+    return Poly(p.vt, {m: c for m, c in p.terms() if any(tuple(m[i] for i in idx) in keys for idx, keys in picks)})
+
+
+def _residue_reads(v_in: Poly, w_out: Poly):
+    """The keys v^(N-1)/m, m a term of det(H), of both sides' residues."""
+    reads = {}
+    for w in (w_out, v_in):
+        names = w.support_vars()
+        lift = cofactor_lift(w, names)
+        idx = [w.vt.index(n) for n in names]
+        det = lift.determinant()
+        reads[names] = {tuple(n - 1 - m[i] for n, i in zip(lift.exponents, idx)) for m in det.monomials()}
+    return reads
+
+
+# (terms formed, terms of the whole supertrace) on each shipped entry
+READ_TERMS = {
+    "E14v1_E14v2": (6, 92), "Q12v1_Q12v2": (61, 450), "U12v1_U12v3": (26, 198), "U12v2_U12v3": (36, 198),
+    "W12v1_W12v2": (16, 80), "W13v1_W13v2": (253, 1229), "Z13v1_Z13v2": (16, 167),
+}
+
+
 def test_shared_supertrace_matches_full_product_and_separate_sides(shipped_work):
-    # the Jacobian determinant against the whole sixfold 8x8 product, and
-    # the one-supertrace pair against one supertrace per side
-    for entry in load_catalog().values():
+    # the Jacobian determinant against the whole sixfold 8x8 product,
+    # restricted to the terms the two residues read, and the
+    # one-supertrace pair against each side's residue of the whole product
+    catalog = load_catalog()
+    assert set(catalog) == set(READ_TERMS)
+    for entry in catalog.values():
         m = build_8x8(entry.six())
         v_in, w_out = entry.potential_in(), entry.potential_out()
-        order = v_in.support_vars() + w_out.support_vars()
-        full = supertrace(derivative_matrix_product(m, order))
-        assert derivative_supertrace(m, order) == full, entry.id
+        sources, targets = v_in.support_vars(), w_out.support_vars()
+        full = supertrace(derivative_matrix_product(m, sources + targets))
+        reads = _residue_reads(v_in, w_out)
+        formed = derivative_supertrace(m, sources + targets, reads)
+        assert formed == _restricted(full, reads), entry.id
+        assert (len(dict(formed.terms())), len(dict(full.terms()))) == READ_TERMS[entry.id]
         pair = shipped_work(entry.id).qdims
-        assert pair["left"] == qdim_left(m, v_in, w_out), entry.id
-        assert pair["right"] == qdim_right(m, v_in, w_out), entry.id
+        assert pair["left"] == grothendieck_residue(full, w_out, targets), entry.id
+        assert pair["right"] == grothendieck_residue(full, v_in, sources), entry.id
 
 
 # -- the Clifford supertrace identity behind derivative_supertrace ------
@@ -273,18 +305,43 @@ def _det_generators(draw):
     return six
 
 
+_KEY = st.tuples(*[st.integers(-1, 4)] * 3)
+
+
 @settings(deadline=None, max_examples=25)
-@given(_det_generators())
-@example([
-    parse_poly(text, _DET_VT)
-    for text in ("x^26/3 - 2/5*y", "x^25*y^2 + 1/2", "x^25*z^2", "x^25*u^2 - 7/4*w^3", "x^25*v^2", "x^25*w^2/6")
-])
-def test_packed_determinant_matches_full_product(six):
+@given(_det_generators(), st.data())
+@example(
+    [
+        parse_poly(text, _DET_VT)
+        for text in ("x^26/3 - 2/5*y", "x^25*y^2 + 1/2", "x^25*z^2", "x^25*u^2 - 7/4*w^3", "x^25*v^2", "x^25*w^2/6")
+    ],
+    None,
+)
+def test_packed_determinant_matches_full_product(six, data):
     # random generators with mixed denominators and zero Jacobian entries;
-    # the example's determinant holds x^150, past an 8-bit field
+    # the example's determinant holds x^150, past an 8-bit field.  Read
+    # on every exponent triple of x, y, z it is the whole product; read
+    # on drawn keys of both halves, among them triples of its own terms
+    # and keys no term can carry, exactly the terms on those keys
     order = _DET_VT.names
     m = build_8x8(six)
-    assert derivative_supertrace(m, order) == supertrace(derivative_matrix_product(m, order))
+    full = supertrace(derivative_matrix_product(m, order))
+    halves = (order[:3], order[3:])
+    everything = {halves[0]: {mono[:3] for mono in full.monomials()}}
+    assert derivative_supertrace(m, order, everything) == full
+    reads = {half: set() for half in halves}
+    for (half, keys), at in zip(reads.items(), (slice(0, 3), slice(3, 6))):
+        own = sorted({mono[at] for mono in full.monomials()})
+        if data is None:  # the example: the last key of each half, and one past any field
+            keys.update(own[-1:] + [(4096, 0, 0)])
+        else:
+            if own:
+                keys.update(data.draw(st.lists(st.sampled_from(own), max_size=4)))
+            keys.update(data.draw(st.lists(_KEY, max_size=3)))
+        # a first entry past every field width, which a packed key would
+        # carry into the second variable's field, reads nothing
+        keys.update((a + 2**bits, b - 1, c) for a, b, c in own if b > 0 for bits in range(8, 13))
+    assert derivative_supertrace(m, order, reads) == _restricted(full, reads)
 
 
 # -- the one-coefficient residue against the whole product g*det(H) --
@@ -400,7 +457,7 @@ def test_quantum_dimensions_match_the_socle_route(shipped_work):
         work = shipped_work(entry.id)
         v_in, w_out = entry.potential_in(), entry.potential_out()
         sources, targets = v_in.support_vars(), w_out.support_vars()
-        s = derivative_supertrace(work.m, sources + targets)
+        s = supertrace(derivative_matrix_product(work.m, sources + targets))
         assert _socle_residue(s, w_out, targets) == work.qdims["left"], entry.id
         assert _socle_residue(s, v_in, sources) == work.qdims["right"], entry.id
 
