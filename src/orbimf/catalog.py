@@ -299,8 +299,9 @@ def load_entry(path: Path, potentials: Optional[Mapping[str, dict]] = None) -> E
             problems.append(f"{what} uses non-parameters {bad}")
     for fam in families:
         for name, value in fam.free_defaults.items():
-            if name not in fam.free or not _is_rational(value):
-                problems.append(f"family {fam.label!r}: free_defaults {name}={value!r} needs a free parameter and a rational")
+            if name not in fam.free or not (isinstance(value, str) and _is_rational(value)):
+                problems.append(f"family {fam.label!r}: free_defaults {name}={value!r} "
+                                "needs a free parameter and a rational in a string")
         for g, z in fam.root_choice.items():
             texts = z if isinstance(z, (list, tuple)) and len(z) == 2 else ()
             if g not in dict(fam.generators) or not texts or not all(isinstance(t, str) and _is_rational(t) for t in texts):

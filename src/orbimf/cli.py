@@ -251,21 +251,25 @@ def render_verify_text(report: dict) -> str:
             if isinstance(d, str):
                 extra = d
             else:
-                good = sum(
-                    r["computed"]["certificate"] is not None
-                    and r["computed"]["certificate"]["status"] != "zero"
-                    for r in d
-                )
-                extra = f"{good}/{len(d)} certified nonzero (computed invariant)"
-                zeros = [r for r in d if r["computed"]["certificate"] and r["computed"]["certificate"]["status"] == "zero"]
-                for r in zeros:
-                    extra += f"; {r['label']} {r['side']}: computed value is 0"
+                reasons = []  # per side without a nonzero certificate: its error, or the zero value
+                for r in d:
+                    cert = r["computed"]["certificate"]
+                    if cert is None or cert["status"] == "zero":
+                        why = r["computed"]["error"] if cert is None else "computed value is 0"
+                        reasons.append(f"; {r['label']} {r['side']}: {why}")
+                extra = f"{len(d) - len(reasons)}/{len(d)} certified nonzero (computed invariant)" + "".join(reasons)
         elif name == "grading":
             d = st["detail"]
             if "error" in d:
                 extra = d["error"]
             else:
-                extra = f"central charge {d['in']['central_charge']} both sides"
+                c_in, c_out = d["in"]["central_charge"], d["out"]["central_charge"]
+                extra = f"central charge {c_in} " + ("both sides" if c_in == c_out else f"in, {c_out} out")
+                for side in ("in", "out"):
+                    if not d[side]["weight_system_match"]:
+                        extra += f"; {side}: weights differ from {d[side]['potential']}'s weight system"
+                if not d["matrix"]["ok"]:
+                    extra += f"; matrix grading fails: {', '.join(d['matrix']['failing'])}"
         lines.append(f"  {name:<14} {mark}  {extra}")
     qm = report["qdim_match"]
     lines.append(f"  qdim-match     info  left: {_render_match(qm['left'])}; right: {_render_match(qm['right'])}")

@@ -12,11 +12,11 @@ one denominator.  Any valid H gives the same answer; the test suite
 exercises that with independently built lifts.
 
 Both entry points take W itself.  Its weights come from
-`grading.weights_from_potential`, and they bound the search for each
-power: the Hessian of W has weighted degree 2c = sum(2 - 2 w_j), and
-every monomial of higher weighted degree lies in the Jacobian ideal, so
-v_i^N with N = floor(2c / w_i) + 1 always does.  A power not found by
-then means W has no isolated singularity.
+`grading.weights_from_potential`, and they fix each power: the Hessian
+of W has weighted degree 2c = sum(2 - 2 w_j), and every monomial of
+higher weighted degree lies in the Jacobian ideal, so v_i^N with
+N = floor(2c / w_i) + 1 always does, and one solve per row finds H.  A
+solve that fails there means W has no isolated singularity.
 
 Quantum dimensions take the supertrace of the sixfold product of
 entry-wise partial derivatives of the twisted differential, sources
@@ -32,11 +32,12 @@ and integrates it twice.  A residue reads a term only when the term's
 exponents on the integrated variables form a key, so `qdim_pair` builds
 both lifts first and forms only the terms on their keys (6-20% of the
 determinant on the shipped entries): every other term could change
-neither result.  The determinant runs on packed integer
-monomials over one common denominator: rows are scaled to integers, and
-terms packed once, as offsets from the unit of a `_groebner._Layout` whose
-fields hold the sum of the rows' maximal total degrees (a bound on every
-minor), so a monomial product is one int addition.
+neither result.  The determinant runs on packed integer monomials over
+one common denominator: each generator is differentiated in integers,
+and terms are packed once, as offsets from the unit of a
+`_groebner._Layout` whose fields hold the sum of the generators' total
+degrees less one (a bound on every minor), so a monomial product is one
+int addition.
 """
 
 from __future__ import annotations
@@ -89,7 +90,9 @@ def derivative_supertrace(
     """The terms of supertrace(derivative_matrix_product(m, order)) for
     six variables that `reads` asks for: those whose exponents on some
     variable tuple of `reads` form one of its keys.  The supertrace is
-    det J, with J[k][j] the partial of the k-th generator along order[j].
+    det J, with J[k][j] the partial of the k-th generator along order[j]:
+    a term n/den*v^e of it gives e_i*n/den at e - 1_i, so row k is in
+    integers over the k-th generator's own denominator.
 
     Proof.  `build_8x8` is linear, so M = sum_k d_k G_k with G_k the
     matrix of the k-th unit vector, and each factor is sum_k J[k][j] G_k.
@@ -111,12 +114,11 @@ def derivative_supertrace(
     exactly the read ones, each with all of its contributions.
     """
     vt = m.vt
-    jac = [[d.partial(v) for v in order] for d in m.six]
-    degree = sum(max(0, *(p.total_degree() for p in row)) for row in jac)
-    layout = _Layout(len(vt), _support([p for row in jac for p in row]), degree)
-    unit, ints = layout.one, [[_integer_terms(p._terms) for p in row] for row in jac]
-    scales = [lcm(*(d for d, _ in row)) for row in ints]
-    pj = [[[(layout.pack(e) - unit, c * (s // d)) for e, c in t] for d, t in row] for s, row in zip(scales, ints)]
+    gens, cols = [_integer_terms(d._terms) for d in m.six], [vt.index(v) for v in order]
+    layout = _Layout(len(vt), _support(m.six), sum(max(0, d.total_degree() - 1) for d in m.six))
+    unit = layout.one
+    pj = [[[(layout.pack(e[:i] + (e[i] - 1,) + e[i + 1:]) - unit, e[i] * n) for e, n in t if e[i]] for i in cols]
+          for _, t in gens]
 
     def dot(*triples) -> List[Tuple[int, int]]:  # sum of sign * a * b
         acc: Dict[int, int] = {}
@@ -169,7 +171,7 @@ def derivative_supertrace(
                     hits.update(by.get(code - own, ()))
             products.extend((heads, tails[hit], sign) for hit in hits)
     det = dot(*products)
-    return Poly._raw(vt, _over({layout.unpack(k + unit): n for k, n in det}, prod(scales)))
+    return Poly._raw(vt, _over({layout.unpack(k + unit): n for k, n in det}, prod(d for d, _ in gens)))
 
 
 class CofactorLift(NamedTuple):
@@ -207,25 +209,15 @@ def _solve_power_certificate(
     if not ansatz:
         return None
     # One equation per monomial of sum_j h_j f_j, matching v^exponent.
-    col_terms: List[Dict[Tuple[int, ...], Fraction]] = []
-    support = set()
-    for j, m in ansatz:
-        terms: Dict[Tuple[int, ...], Fraction] = {}
-        for fm, fc in f[j].terms():
-            key = tuple(fm[i] + e for i, e in zip(idx, m))
-            terms[key] = terms.get(key, _ZERO) + fc
-        col_terms.append(terms)
-        support.update(terms)
     target_mono = tuple(exponent if k == var_index else 0 for k in range(len(names)))
-    support.add(target_mono)
-    support_list = sorted(support)
-    row_of = {mono: r for r, mono in enumerate(support_list)}
-    rows = [[_ZERO] * len(ansatz) for _ in support_list]
-    for cidx, terms in enumerate(col_terms):
-        for mono, c in terms.items():
-            rows[row_of[mono]][cidx] = c
-    rhs = [_ZERO] * len(support_list)
-    rhs[row_of[target_mono]] = Fraction(1)
+    cells: Dict[Tuple[int, ...], Dict[int, Fraction]] = {target_mono: {}}  # monomial -> column -> coefficient
+    for col, (j, m) in enumerate(ansatz):
+        for fm, fc in f[j].terms():
+            cell = cells.setdefault(tuple(fm[i] + e for i, e in zip(idx, m)), {})
+            cell[col] = cell.get(col, _ZERO) + fc
+    monos = sorted(cells)
+    rows = [[cells[mono].get(col, _ZERO) for col in range(len(ansatz))] for mono in monos]
+    rhs = [Fraction(mono == target_mono) for mono in monos]
     sol = solve_dense(rows, rhs)
     if sol is None:
         return None
@@ -245,8 +237,9 @@ def cofactor_lift(
     """Cofactor matrix H with H.(f1,f2,f3) = (v1^N1, v2^N2, v3^N3), the
     f_j being the partials of the potential `w` along `names`.
 
-    Without explicit exponents, each N_i is the smallest power admitting
-    a certificate; the search ends at floor(2c / w_i) + 1 (see above).
+    Without explicit exponents, N_i = floor(2c / w_i) + 1, where a
+    certificate exists whenever W has an isolated singularity (see
+    above), so each row is one solve.
     """
     if len(names) != 3:
         raise ResidueError("exactly three variables required")
@@ -254,23 +247,19 @@ def cofactor_lift(
         weights = [x for _, x in weights_from_potential(w, tuple(names)).weights]
     except GradingError as exc:
         raise ResidueError(str(exc)) from None
-    hessian = sum((2 - 2 * x for x in weights), _ZERO)
+    if exponents is None:
+        hessian = sum((2 - 2 * x for x in weights), _ZERO)
+        exponents = [hessian // x + 1 for x in weights]
     f = [w.partial(n) for n in names]
     rows: List[List[Poly]] = []
-    found: List[int] = []
-    for i in range(3):
-        last = hessian // weights[i] + 1 if exponents is None else exponents[i]
-        for n in range(1 if exponents is None else last, last + 1):
-            row = _solve_power_certificate(f, names, weights, i, n)
-            if row is not None:
-                break
-        else:
-            raise ResidueError(f"no power of {names[i]} up to {last} lies in the ideal")
-        if Poly.dot(w.vt, zip(row, f)) != Poly.var(w.vt, names[i]) ** n:
+    for i, (v, n) in enumerate(zip(names, exponents)):
+        row = _solve_power_certificate(f, names, weights, i, n)
+        if row is None:
+            raise ResidueError(f"no power of {v} up to {v}^{n} is in the Jacobian ideal: W has no isolated singularity")
+        if Poly.dot(w.vt, zip(row, f)) != Poly.var(w.vt, v) ** n:
             raise ResidueError("cofactor identity violated")
         rows.append(row)
-        found.append(n)
-    return CofactorLift(tuple(names), tuple(found), tuple(tuple(r) for r in rows))
+    return CofactorLift(tuple(names), tuple(exponents), tuple(tuple(r) for r in rows))
 
 
 def _read_terms(lift: CofactorLift, vt: VarTable) -> Tuple[int, Dict[Monomial, List[Tuple[List[int], int]]]]:

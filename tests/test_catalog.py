@@ -263,6 +263,19 @@ def test_family_free_defaults_must_be_rationals_of_free_parameters(tmp_path):
         load_entry(path)
 
 
+@pytest.mark.parametrize("value", [0.1, True, 1])
+def test_family_free_defaults_must_be_strings(tmp_path, capsys, value):
+    # a JSON number or boolean is no rational text: 0.1 would load as the
+    # binary fraction 3602879701896397/36028797018963968, and true as 1
+    from orbimf.cli import main
+
+    path = _e14_with(tmp_path, lambda fam: fam["free_defaults"].update(a1=value))
+    with pytest.raises(CatalogError, match=f"free_defaults a1={value!r}"):
+        load_entry(path)
+    assert main(["qdim", "--entry", "E14", "--family", "Family 1", "--catalog", str(tmp_path)]) == 2
+    assert "bad catalog" in capsys.readouterr().err
+
+
 def test_family_root_choice_must_give_a_generator_two_decimals(tmp_path):
     for bad in ({"c": ["1.09"]}, {"c": ["1.09", "i"]}, {"t": ["1", "0"]}):
         path = _e14_with(tmp_path, lambda fam: fam.update(root_choice=bad))

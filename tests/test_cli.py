@@ -406,6 +406,52 @@ def test_verify_fails_potential_on_unsatisfiable_constraints(capsys, tmp_path):
     assert "unit ideal" in stages["potential"]["detail"]["message"]
 
 
+def _spoiled_copy(tmp_path, name, edit):
+    """A copy of the packaged catalog with `edit` applied to the data of
+    its file `name`."""
+    shutil.copytree(SHIPPED_DIR, tmp_path, dirs_exist_ok=True)
+    path = tmp_path / name
+    data = json.loads(path.read_text())
+    edit(data)
+    path.write_text(json.dumps(data))
+    return str(tmp_path)
+
+
+def _d15_plus_one(data):
+    data["entries"]["d15"] = f"({data['entries']['d15']}) + 1"
+
+
+@pytest.mark.parametrize("name, edit, entry, line", [
+    # W12's out side on Z11: the two central charges differ
+    ("W12.json", lambda data: data["ring_vars_out"].update(potential="Z11"), "W12",
+     "central charge 11/10 in, 16/15 out"),
+    # E14's d15 plus a constant: no generator degree fits both of its terms
+    ("E14.json", _d15_plus_one, "E14",
+     "central charge 13/12 both sides; matrix grading fails: no degree assignment makes every generator homogeneous"),
+    # W12's in side declared with Z11's weight system
+    ("potentials.json", lambda data: data["W12v1"].update(weight_system=[8, 6, 15, 30]), "W12",
+     "central charge 11/10 both sides; in: weights differ from W12v1's weight system"),
+], ids=["charges-differ", "matrix-fails", "weight-system"])
+def test_failing_grading_line_gives_its_reason(capsys, tmp_path, name, edit, entry, line):
+    catalog = _spoiled_copy(tmp_path, name, edit)
+    rc, out, _ = _run(capsys, "verify", "--entry", entry, "--catalog", catalog)
+    assert rc == 1
+    assert f"  grading        FAIL  {line}" in out.splitlines()
+
+
+def test_failing_nonvanishing_line_names_each_side_without_certificate(capsys, tmp_path):
+    # E14 Family 1 on the relation c^4 - 3 leaves the constraint variety,
+    # so neither of its sides has a certificate
+    def edit(data):
+        data["families"][0]["generators"][0][1] = "c^4 - 3"
+
+    rc, out, _ = _run(capsys, "verify", "--entry", "E14", "--catalog", _spoiled_copy(tmp_path, "E14.json", edit))
+    assert rc == 1
+    off = "family does not lie on the constraint variety"
+    assert (f"  nonvanishing   FAIL  2/4 certified nonzero (computed invariant); "
+            f"E14 Family 1 left: {off}; E14 Family 1 right: {off}") in out.splitlines()
+
+
 def test_unit_ideal_comparisons_are_vacuous(capsys, tmp_path):
     # modulo the unit ideal every polynomial matches, so neither the ideal
     # comparison nor the quantum-dimension match may claim one

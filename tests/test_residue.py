@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from orbimf import residue
 from orbimf._groebner import groebner_basis, reducer
 from orbimf.catalog import load_catalog
 from orbimf.grading import weights_from_potential
@@ -24,11 +25,13 @@ from orbimf.residue import (
     derivative_supertrace,
     grothendieck_residue,
     qdim_left,
+    qdim_pair,
     qdim_right,
     supertrace,
 )
 
 DEMO_DIR = Path(__file__).parent / "data" / "demo"
+_POTENTIALS = json.loads(resources.files("orbimf").joinpath("data/potentials.json").read_text())
 
 
 def _ring(*names):
@@ -48,32 +51,50 @@ def test_supertrace_signs():
     assert supertrace(tuple(rows)) == Poly.const(vt, (1 + 2 + 3 + 4) - (5 + 6 + 7 + 8))
 
 
+def _bound_exponents(w: Poly, names):
+    """floor(2c / w_i) + 1, 2c = sum(2 - 2 w_j) the Hessian's weighted degree."""
+    weights = [x for _, x in weights_from_potential(w, tuple(names)).weights]
+    hessian = sum(2 - 2 * x for x in weights)
+    return tuple(int(hessian / x) + 1 for x in weights)
+
+
+def _assert_cofactor_identities(w: Poly, names, lift):
+    # sum_j h_ij f_j = v_i^N_i on every row
+    f = [w.partial(n) for n in names]
+    for i, name in enumerate(names):
+        acc = Poly.zero(w.vt)
+        for j in range(3):
+            acc = acc + lift.matrix[i][j] * f[j]
+        assert acc == parse_poly(f"{name}^{lift.exponents[i]}", w.vt)
+
+
 def test_diagonal_lift_is_scaled_identity():
+    # 2c = 44/21 with weights (2/7, 2/3, 1) puts the powers at (8, 4, 3),
+    # each a monomial multiple of its own partial; at the smallest powers
+    # (6, 2, 1) the lift is the scaled identity
     names = ("x", "y", "z")
     vt = _ring(*names)
     w = parse_poly("x^7 + y^3 + z^2", vt)
     lift = cofactor_lift(w, names)
-    assert lift.exponents == (6, 2, 1)
-    expect = {(0, 0): "1/7", (1, 1): "1/3", (2, 2): "1/2"}
-    for i in range(3):
-        for j in range(3):
-            assert format_poly(lift.matrix[i][j]) == expect.get((i, j), "0")
+    assert lift.exponents == _bound_exponents(w, names) == (8, 4, 3)
+    _assert_cofactor_identities(w, names, lift)
+    smallest = cofactor_lift(w, names, exponents=(6, 2, 1))
+    for got, diagonal in ((lift, ("1/7*x^2", "1/3*y^2", "1/2*z^2")), (smallest, ("1/7", "1/3", "1/2"))):
+        for i in range(3):
+            for j in range(3):
+                assert format_poly(got.matrix[i][j]) == (diagonal[i] if i == j else "0")
 
 
 def test_lift_handles_coupled_denominators():
     # x^4*z + y^3 + z^2 mixes x and z in two partials; the solved lift
-    # must still express pure powers
+    # must still express pure powers, at the bound and at the smallest ones
     names = ("x", "y", "z")
     vt = _ring(*names)
     w = parse_poly("x^4*z + y^3 + z^2", vt)
-    f = [w.partial(n) for n in names]
     lift = cofactor_lift(w, names)
-    assert lift.exponents == (7, 2, 2)
-    for i, name in enumerate(names):
-        acc = Poly.zero(vt)
-        for j in range(3):
-            acc = acc + lift.matrix[i][j] * f[j]
-        assert acc == parse_poly(f"{name}^{lift.exponents[i]}", vt)
+    assert lift.exponents == _bound_exponents(w, names) == (9, 4, 3)
+    _assert_cofactor_identities(w, names, lift)
+    _assert_cofactor_identities(w, names, cofactor_lift(w, names, exponents=(7, 2, 2)))
 
 
 def test_lift_rejects_inhomogeneous_denominators():
@@ -84,8 +105,9 @@ def test_lift_rejects_inhomogeneous_denominators():
         cofactor_lift(w, names)
 
 
-# the exponents the lift search found before it was bounded by the
-# Hessian degree; the bound must not change a single one
+# the smallest powers with a certificate on each table potential;
+# through `exponents=` they give a second lift, independent of the one
+# at the weight bound
 SHIPPED_LIFT_EXPONENTS = {
     "E12": (6, 2, 1), "E13": (9, 3, 1), "E14v1": (7, 2, 2), "E14v2": (7, 2, 1),
     "Q10": (4, 2, 3), "Q11": (6, 3, 3), "Q12v1": (5, 2, 3), "Q12v2": (5, 2, 3),
@@ -97,13 +119,33 @@ SHIPPED_LIFT_EXPONENTS = {
 
 
 def test_lift_exponents_of_every_shipped_potential():
-    table = json.loads(resources.files("orbimf").joinpath("data/potentials.json").read_text())
-    found = {}
-    for key, obj in table.items():
+    # every table potential lifts at the weight bound, and so at its
+    # smallest powers, which lie at or below it; both lifts integrate the
+    # Hessian to the Milnor number prod(2/w_i - 1)
+    assert set(_POTENTIALS) == set(SHIPPED_LIFT_EXPONENTS)
+    for key, obj in _POTENTIALS.items():
         names = tuple(obj["vars"])
         w = parse_poly(obj["poly"], _ring(*names))
-        found[key] = cofactor_lift(w, names).exponents
-    assert found == SHIPPED_LIFT_EXPONENTS
+        bound = cofactor_lift(w, names)
+        smallest = cofactor_lift(w, names, exponents=SHIPPED_LIFT_EXPONENTS[key])
+        assert bound.exponents == _bound_exponents(w, names), key
+        assert all(a <= b for a, b in zip(smallest.exponents, bound.exponents)), key
+        mu = 1
+        for _, x in weights_from_potential(w, names).weights:
+            mu *= 2 / x - 1
+        for lift in (bound, smallest):
+            _assert_cofactor_identities(w, names, lift)
+            assert grothendieck_residue(_hessian(w, names), w, names, lift=lift) == Poly.const(w.vt, mu), key
+
+
+def test_cofactor_lift_solves_each_row_once(count_calls):
+    # one certificate solve per row, at the weight bound
+    solves = count_calls(residue, "_solve_power_certificate")
+    for key, obj in _POTENTIALS.items():
+        names = tuple(obj["vars"])
+        lift = cofactor_lift(parse_poly(obj["poly"], _ring(*names)), names)
+        assert [args[3:] for args in solves] == list(enumerate(lift.exponents)), key
+        solves.clear()
 
 
 def test_lift_rejects_non_isolated_potential():
@@ -195,16 +237,20 @@ def _restricted(p: Poly, reads) -> Poly:
     return Poly(p.vt, {m: c for m, c in p.terms() if any(tuple(m[i] for i in idx) in keys for idx, keys in picks)})
 
 
-def _residue_reads(v_in: Poly, w_out: Poly):
-    """The keys v^(N-1)/m, m a term of det(H), of both sides' residues."""
+def _residue_reads(*lifts):
+    """The keys v^(N-1)/m, m a term of det(H), of each lift's residues."""
     reads = {}
-    for w in (w_out, v_in):
-        names = w.support_vars()
-        lift = cofactor_lift(w, names)
-        idx = [w.vt.index(n) for n in names]
+    for lift in lifts:
         det = lift.determinant()
-        reads[names] = {tuple(n - 1 - m[i] for n, i in zip(lift.exponents, idx)) for m in det.monomials()}
+        idx = [det.vt.index(n) for n in lift.vars]
+        reads[lift.vars] = {tuple(n - 1 - m[i] for n, i in zip(lift.exponents, idx)) for m in det.monomials()}
     return reads
+
+
+def _bound_lifts(entry):
+    """By side, the weight-bound lift of the potential it integrates against."""
+    return {side: cofactor_lift(w, w.support_vars()) for side, w in (("left", entry.potential_out()),
+                                                                     ("right", entry.potential_in()))}
 
 
 # (terms formed, terms of the whole supertrace) on each shipped entry
@@ -225,13 +271,58 @@ def test_shared_supertrace_matches_full_product_and_separate_sides(shipped_work)
         v_in, w_out = entry.potential_in(), entry.potential_out()
         sources, targets = v_in.support_vars(), w_out.support_vars()
         full = supertrace(derivative_matrix_product(m, sources + targets))
-        reads = _residue_reads(v_in, w_out)
+        reads = _residue_reads(*_bound_lifts(entry).values())
         formed = derivative_supertrace(m, sources + targets, reads)
         assert formed == _restricted(full, reads), entry.id
         assert (len(dict(formed.terms())), len(dict(full.terms()))) == READ_TERMS[entry.id]
         pair = shipped_work(entry.id).qdims
         assert pair["left"] == grothendieck_residue(full, w_out, targets), entry.id
         assert pair["right"] == grothendieck_residue(full, v_in, sources), entry.id
+
+
+def _smallest_power_lift(side, w: Poly):
+    """The lift of `w` at its table potential's SHIPPED_LIFT_EXPONENTS,
+    carried onto the entry's variables through the side's renaming."""
+    table_vars = _POTENTIALS[side.potential_key]["vars"]
+    back = {v: k for k, v in side.renaming.items()}
+    names = w.support_vars()
+    exponents = SHIPPED_LIFT_EXPONENTS[side.potential_key]
+    return cofactor_lift(w, names, exponents=tuple(exponents[table_vars.index(back[n])] for n in names))
+
+
+def test_smallest_power_lifts_give_the_same_quantum_dimensions(shipped_work):
+    # all fourteen catalog sides, integrated through the lifts at the
+    # smallest powers, over the supertrace terms those lifts read
+    for entry in load_catalog().values():
+        work = shipped_work(entry.id)
+        sides = {"left": (entry.side_out, entry.potential_out()), "right": (entry.side_in, entry.potential_in())}
+        lifts = {side: _smallest_power_lift(rec, w) for side, (rec, w) in sides.items()}
+        assert lifts != _bound_lifts(entry), entry.id
+        order = entry.potential_in().support_vars() + entry.potential_out().support_vars()
+        s = derivative_supertrace(work.m, order, _residue_reads(*lifts.values()))
+        for side, (_, w) in sides.items():
+            got = grothendieck_residue(s, w, lifts[side].vars, lift=lifts[side])
+            assert got == work.qdims[side], (entry.id, side)
+
+
+def test_qdim_pair_solves_six_rows(count_calls):
+    # two lifts of three rows each per entry: 42 solves over the catalog
+    solves = count_calls(residue, "_solve_power_certificate")
+    for entry in load_catalog().values():
+        qdim_pair(build_8x8(entry.six()), entry.potential_in(), entry.potential_out())
+    assert len(solves) == 42
+
+
+def test_derivative_supertrace_differentiates_in_integers(count_calls):
+    # the Jacobian is formed from each generator's integer terms, with no
+    # Fraction partial
+    entries = list(load_catalog().values())
+    reads = [_residue_reads(*_bound_lifts(entry).values()) for entry in entries]
+    partials = count_calls(Poly, "partial")
+    for entry, read in zip(entries, reads):
+        order = entry.potential_in().support_vars() + entry.potential_out().support_vars()
+        derivative_supertrace(build_8x8(entry.six()), order, read)
+    assert not partials
 
 
 # -- the Clifford supertrace identity behind derivative_supertrace ------
@@ -347,12 +438,11 @@ def test_packed_determinant_matches_full_product(six, data):
 # -- the one-coefficient residue against the whole product g*det(H) --
 
 _RES_VT = VarTable(("x", "y", "z", "a", "b"), ring_vars=("x", "y", "z"), param_vars=("a", "b"))
-_POTENTIALS = json.loads(resources.files("orbimf").joinpath("data/potentials.json").read_text())
 _LIFTS = {}
 
 
 def _lift(key: str, raised: bool):
-    """The searched lift of a shipped potential, or one with every power
+    """The weight-bound lift of a shipped potential, or one with every power
     raised by one, whose determinant has more terms."""
     if (key, raised) not in _LIFTS:
         w = parse_poly(_POTENTIALS[key]["poly"], _RES_VT)
