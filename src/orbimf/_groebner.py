@@ -20,8 +20,11 @@ popped pair is scanned against the leads: a new element h keeps one new
 pair per divisibility-minimal lcm, none whose lcm a pair of coprime
 leads shares; an old pair goes when lead(h) divides its lcm and equals
 neither lcm with h; elements whose lead lead(h) divides form no more
-pairs.  Each pair popped, smallest lcm first, is reduced and counts
-against the S-pair budget, so a runaway system fails loudly.
+pairs.  An lcm is formed on the packed ints (`_Layout.lcm`, field-wise
+min of `cap - e`), only with those live elements and, for an old pair,
+only once lead(h) divides its lcm.  Each pair popped, smallest lcm
+first, is reduced and counts against the S-pair budget, so a runaway
+system fails loudly.
 
 Reduction runs on ints: a divisor record holds a lead and its monic
 tail as numerators over one denominator; the polynomial being reduced
@@ -70,15 +73,30 @@ class _Layout:
         self.top = bits * len(self.slots)
         self.guard = sum(1 << (s + bits - 1) for s in self.shifts)
         self.one = sum(self.cap << s for s in self.shifts)
+        self._bits, self._ones = bits, sum(1 << s for s in self.shifts)
+
+    def lcm(self, a: int, b: int) -> int:
+        """Packed lcm of packed a and b, raising `_Overflow` as
+        `pack_exponents` does.  Its fields are the field-wise min of
+        `cap - e`: fb where `(fa | guard) - fb` keeps the guard bit, so
+        fa >= fb.  Its degree is deg(a) plus the fields of `fa - lo`,
+        summed in the top field of one product: every partial sum is at
+        most deg(b) <= cap, so none carries."""
+        bits, top, guard = self._bits, self.top, self.guard
+        fa, fb = a & self.one, b & self.one
+        ge = ((fa | guard) - fb) & guard
+        mask = ge - (ge >> (bits - 1))
+        lo = (fb & mask) | (fa & ~mask)
+        d = (a >> top) + (((fa - lo) * self._ones) >> max(top - bits, 0) & self._mask)
+        if d > self.cap:
+            raise _Overflow(d)
+        return (d << top) + lo
 
     def pack_exponents(self, exps: Sequence[int]) -> int:
         d = sum(exps)
         if d > self.cap:
             raise _Overflow(d)
         return (d << self.top) + self.one - sum(e << s for e, s in zip(exps, self.shifts))
-
-    def exponents(self, m: int) -> Tuple[int, ...]:
-        return tuple(self.cap - ((m >> s) & self._mask) for s in self.shifts)
 
     def pack(self, m: Monomial) -> int:
         return self.pack_exponents([m[i] for i in self.slots])
@@ -147,7 +165,10 @@ def _reduce_by(work: Tuple[int, Dict[int, int]], divisors: _Divisors) -> Tuple[i
     divisor records, returning the remainder in the same form.
 
     Consumes the numerator dict.  Terms are visited largest-first through
-    a lazily deduplicated heap of negated monomials.
+    a heap of negated monomials.  A step's terms lie strictly below the
+    monomial it reduces, so below every monomial popped so far: each
+    monomial enters the heap at most once, and one that cancels stays in
+    the dict as 0 until it is popped and skipped.
     """
     den, coeffs = work
     heap = [-m for m in coeffs]
@@ -157,7 +178,7 @@ def _reduce_by(work: Tuple[int, Dict[int, int]], divisors: _Divisors) -> Tuple[i
     remainder: Dict[int, int] = {}
     while heap:
         m = -heappop(heap)
-        c = coeffs.pop(m, 0)
+        c = coeffs.pop(m)
         if not c:
             continue
         record = first(m)
@@ -182,11 +203,7 @@ def _reduce_by(work: Tuple[int, Dict[int, int]], divisors: _Divisors) -> Tuple[i
                 coeffs[t] = q * n
                 heappush(heap, -t)
             else:
-                v = old + q * n
-                if v:
-                    coeffs[t] = v
-                else:
-                    del coeffs[t]
+                coeffs[t] = old + q * n
     return den, remainder
 
 
@@ -226,7 +243,8 @@ def normal_form(p: Poly, basis: Sequence[Poly]) -> Poly:
 
 def _spoly(fi: Record, fj: Record, lcm_ij: int) -> Tuple[int, Dict[int, int]]:
     """(den, integer numerators) of the S-polynomial of two records whose
-    leads have the lcm `lcm_ij`."""
+    leads have the lcm `lcm_ij`; a term that cancels stays as 0, which
+    `_reduce_by` skips."""
     (mi, di, tail_i), (mj, dj, tail_j) = fi, fj
     si, sj = lcm_ij - mi, lcm_ij - mj
     den = lcm(di, dj)
@@ -234,11 +252,7 @@ def _spoly(fi: Record, fj: Record, lcm_ij: int) -> Tuple[int, Dict[int, int]]:
     out = {gm + si: n * ui for gm, n in tail_i}
     for gm, n in tail_j:
         t = gm + sj
-        v = out.get(t, 0) - n * uj
-        if v:
-            out[t] = v
-        else:
-            del out[t]
+        out[t] = out.get(t, 0) - n * uj
     return den, out
 
 
@@ -265,20 +279,17 @@ def _buchberger(
     """Records of a minimal Groebner basis of the generators: Buchberger
     with the Gebauer-Moeller update, reducing against every record."""
     divisors = _Divisors(layout, [_record(_packed(layout, g)[1]) for g in gens])
-    guard, top, pack = layout.guard, layout.top, layout.pack_exponents
-    exps: List[Tuple[int, ...]] = []  # lead exponents in the layout's slots
+    guard, top, lcm = layout.guard, layout.top, layout.lcm
     pairs: List[Tuple[int, int, int]] = []  # heap of (lcm, i, j), i < j
     live: List[int] = []  # records no later lead divides: they form pairs
 
     def update(h: int) -> None:
         nonlocal pairs, live
         lh = divisors[h][0]
-        eh = layout.exponents(lh)
-        lcms = [pack(tuple(map(max, eh, e))) for e in exps]
-        exps.append(eh)
+        dh = lh >> top
         # new pairs, coprime leads first among equal lcms so that they
         # drop the rest; then one pair per divisibility-minimal lcm
-        new = sorted((lcms[k], lcms[k] >> top != (lh >> top) + (divisors[k][0] >> top), k) for k in live)
+        new = sorted((m := lcm(lh, lk := divisors[k][0]), m >> top != dh + (lk >> top), k) for k in live)
         kept: List[Tuple[int, bool, int]] = []
         for pair in new:
             if not any((m - pair[0] + guard) & guard == guard for m, _, _ in kept):
@@ -286,7 +297,8 @@ def _buchberger(
         pairs = [  # criterion B
             p
             for p in pairs
-            if (lh - p[0] + guard) & guard != guard or p[0] in (lcms[p[1]], lcms[p[2]])
+            if (lh - p[0] + guard) & guard != guard
+            or p[0] in (lcm(lh, divisors[p[1]][0]), lcm(lh, divisors[p[2]][0]))
         ]
         pairs.extend((lk, k, h) for lk, not_coprime, k in kept if not_coprime)
         heapq.heapify(pairs)

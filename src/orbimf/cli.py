@@ -5,13 +5,15 @@ pass/fail gate, `qdim` prints quantum dimensions (optionally evaluated at
 a family point with a certificate), and `constraints` lists or compares
 the parameter ideal.  Reports render as text by default and as versioned
 JSON with --json; both carry the same facts.  Exit codes are stable:
-0 all checks passed, 1 a verification failed, 2 usage or catalog error.
+0 all checks passed, 1 a verification failed or stdout was closed early,
+2 usage or catalog error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -485,12 +487,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # inside the try, so a closed pipe raises here
+        return code
     except CatalogError as exc:
         print(f"unknown entry or bad catalog: {exc}", file=sys.stderr)
         return 2
     except (BudgetExceeded, ResidueError) as exc:
         print(f"verification aborted: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull, so that the
+        # interpreter's flush at exit cannot fail again (Python's SIGPIPE recipe)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

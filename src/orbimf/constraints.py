@@ -203,7 +203,10 @@ class IdealComparison(NamedTuple):
 def ideal_compare(work: EntryWork, a: ConstraintSet, b: ConstraintSet) -> IdealComparison:
     """Two-way membership of generators, so transformed generating sets of
     one ideal still compare as equal.  Each side's generators reduce
-    against `work`'s basis of the other side."""
+    against `work`'s basis of the other side; equal generator tuples need
+    no reduction, each lying in the other's ideal by the identity."""
+    if a.generators == b.generators:
+        return IdealComparison(True, True, (), (), work.is_unit(b))
     reduce_a = work.reducer_for(a)
     reduce_b = work.reducer_for(b)
     failing_a = tuple(g for g in a.generators if not reduce_b(g).is_zero())

@@ -5,11 +5,12 @@ derivatives of a quasi-homogeneous potential W is computed through the
 transformation law: find a cofactor matrix H with H.(f1,f2,f3) =
 (v1^N1, v2^N2, v3^N3); the residue is the coefficient of
 v1^(N1-1) v2^(N2-1) v3^(N3-1) in g*det(H).  That product is never
-formed: det(H) has one to four terms c*m on the shipped potentials, and
-one pass over g keys each term by its exponents in the v_i; a term at
-v^(N-1)/m, a key, adds its remaining monomial times c, in integers over
-one denominator.  Any valid H gives the same answer; the test suite
-exercises that with independently built lifts.
+formed: det(H), formed once with the lift, has one to four terms c*m on
+the shipped potentials, and one pass over g keys each term by its
+exponents in the v_i; a term at v^(N-1)/m, a key, adds its remaining
+monomial times c, in integers over one denominator.  Any valid H gives
+the same answer; the test suite exercises that with independently built
+lifts.
 
 Both entry points take W itself.  Its weights come from
 `grading.weights_from_potential`, and they fix each power: the Hessian
@@ -178,11 +179,13 @@ class CofactorLift(NamedTuple):
     vars: Tuple[str, str, str]
     exponents: Tuple[int, int, int]
     matrix: Tuple[Tuple[Poly, ...], ...]  # rows h_i with sum_j h_ij f_j = v_i^N_i
+    determinant: Poly  # det(H), formed once by `cofactor_lift`
 
-    def determinant(self) -> Poly:
-        h = self.matrix  # cofactor expansion along the first row
-        minors = (h[1][j] * h[2][k] - h[1][k] * h[2][j] for j, k in ((1, 2), (2, 0), (0, 1)))
-        return Poly.dot(h[0][0].vt, zip(h[0], minors))
+
+def _determinant(h: Tuple[Tuple[Poly, ...], ...]) -> Poly:
+    """det of a 3x3 matrix, by cofactor expansion along the first row."""
+    minors = (h[1][j] * h[2][k] - h[1][k] * h[2][j] for j, k in ((1, 2), (2, 0), (0, 1)))
+    return Poly.dot(h[0][0].vt, zip(h[0], minors))
 
 
 def _monomials_of_weight(weights: Sequence[Fraction], target: Fraction) -> List[Tuple[int, ...]]:
@@ -259,14 +262,15 @@ def cofactor_lift(
         if Poly.dot(w.vt, zip(row, f)) != Poly.var(w.vt, v) ** n:
             raise ResidueError("cofactor identity violated")
         rows.append(row)
-    return CofactorLift(tuple(names), tuple(exponents), tuple(tuple(r) for r in rows))
+    matrix = tuple(tuple(r) for r in rows)
+    return CofactorLift(tuple(names), tuple(exponents), matrix, _determinant(matrix))
 
 
 def _read_terms(lift: CofactorLift, vt: VarTable) -> Tuple[int, Dict[Monomial, List[Tuple[List[int], int]]]]:
     """(den, read): the terms n/den * m of det(H), keyed by the exponents
     v^(N-1)/m on the v_i that a term of g must carry to meet them, each
     with the shift that clears those v_i from it."""
-    det = lift.determinant()
+    det = lift.determinant
     idx = [vt.index(name) for name in lift.vars]
     den, terms = _integer_terms(det._terms)
     read: Dict[Monomial, List[Tuple[List[int], int]]] = {}

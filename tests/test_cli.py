@@ -269,6 +269,19 @@ def test_catalog_load_leaves_dataclasses_and_inspect_unloaded(tmp_path):
     assert out.stdout.strip() == "[]"
 
 
+def test_verify_into_a_closed_pipe_exits_1_without_a_traceback():
+    # the read end is closed before the child writes its report, so its
+    # writes fail with EPIPE
+    code = "import sys; sys.path.insert(0, sys.argv[1]); from orbimf.cli import main; sys.exit(main(['verify', '--entry', 'E14']))"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.Popen([sys.executable, "-I", "-c", code, src], stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err and "Exception ignored" not in err, err
+
+
 def test_verify_all_leaves_mpmath_unloaded():
     # every nonzero certificate the shipped catalog needs is exact (each
     # value is a unit, certified by its inverse), so no interval is formed

@@ -16,6 +16,7 @@ from orbimf.constraints import (
     _gcd,
     _squarefree_part,
     bruteforce_family_oracle,
+    compare_printed,
     compare_qdims,
     computed_qdim,
     derive_constraints,
@@ -155,6 +156,18 @@ def test_ideal_compare_shares_one_basis_for_identical_generators(catalog, count_
     same = ideal_compare(work, derived, ConstraintSet(derived.generators))
     assert len(calls) == 1
     assert same.equal and not same.failing_a and not same.failing_b
+
+
+@pytest.mark.parametrize("entry_id, reduces", [("E14v1_E14v2", False), ("W12v1_W12v2", True)])
+def test_compare_printed_reduces_only_distinct_generator_sets(catalog, count_calls, entry_id, reduces):
+    # E14 prints its derived generators, so each inclusion holds by the
+    # identity; W12 prints 2 generators for 3 derived and still reduces
+    work = EntryWork(catalog[entry_id])
+    work.is_unit(work.derived)
+    reductions = count_calls(_groebner, "_reduce_by")
+    cmp_ = compare_printed(work)
+    assert bool(reductions) == reduces
+    assert cmp_.equal != reduces and cmp_.a_in_b and not cmp_.vacuous
 
 
 def test_ideal_compare_reports_failing_generators_on_w12(catalog, count_calls):

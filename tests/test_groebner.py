@@ -19,7 +19,7 @@ from orbimf._groebner import (
     reducer,
     resultant,
 )
-from orbimf.polyring import Poly, VarTable, degrevlex_key, parse_poly
+from orbimf.polyring import Poly, VarTable, _Overflow, degrevlex_key, parse_poly
 
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -163,6 +163,52 @@ def test_gebauer_moeller_update_pins_the_pairs_reduced(shipped_work):
     assert len(groebner_basis(gens, spair_cap=85)) == len(groebner_basis(gens))
     with pytest.raises(BudgetExceeded):
         groebner_basis(gens, spair_cap=84)
+
+
+@pytest.mark.parametrize("name, pairs", [("a4", 277), ("a5", 254)])
+def test_gebauer_moeller_update_pins_the_q12_slice_pairs(shipped_work, name, pairs):
+    # the Q12 slices a4 = 2 and a5 = 2, two inputs of the q12-slices
+    # benchmark: the pairs kept by the update, counted as in the W13 pin
+    gens = shipped_work("Q12v1_Q12v2").derived.generators
+    two = Poly.const(gens[0].vt, 2)
+    gens = [g.substitute({name: two}) for g in gens]
+    assert groebner_basis(gens, spair_cap=pairs) == groebner_basis(gens)
+    with pytest.raises(BudgetExceeded):
+        groebner_basis(gens, spair_cap=pairs - 1)
+
+
+@st.composite
+def _lcm_cases(draw):
+    """A layout of 1-7 slots sized for a degree of up to 1200, so its
+    fields are often wider than the exponents need, and two packable
+    exponent vectors of degree <= 300."""
+    n = draw(st.integers(1, 7))
+    layout = _groebner._Layout(n + 1, range(1, n + 1), draw(st.integers(0, 1200)))
+    limit = min(300, layout.cap)
+
+    def cut(exps):  # keep the total within `limit`
+        out = []
+        for e in exps:
+            out.append(min(e, limit - sum(out)))
+        return out
+
+    vectors = st.lists(st.integers(0, limit), min_size=n, max_size=n).map(cut)
+    return layout, draw(vectors), draw(vectors)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_lcm_cases())
+@example((_groebner._Layout(3, (1, 2), 0), [100, 0], [0, 27]))  # degree 127, the cap
+@example((_groebner._Layout(3, (1, 2), 0), [127, 0], [0, 1]))  # degree 128
+def test_packed_lcm_is_the_packed_exponentwise_max(case):
+    layout, a, b = case
+    top = list(map(max, a, b))
+    pa, pb = layout.pack_exponents(a), layout.pack_exponents(b)
+    if sum(top) > layout.cap:
+        with pytest.raises(_Overflow):
+            layout.lcm(pa, pb)
+    else:
+        assert layout.lcm(pa, pb) == layout.pack_exponents(top)
 
 
 def test_groebner_basis_matches_sympy_on_w13():

@@ -241,7 +241,7 @@ def _residue_reads(*lifts):
     """The keys v^(N-1)/m, m a term of det(H), of each lift's residues."""
     reads = {}
     for lift in lifts:
-        det = lift.determinant()
+        det = lift.determinant
         idx = [det.vt.index(n) for n in lift.vars]
         reads[lift.vars] = {tuple(n - 1 - m[i] for n, i in zip(lift.exponents, idx)) for m in det.monomials()}
     return reads
@@ -311,6 +311,15 @@ def test_qdim_pair_solves_six_rows(count_calls):
     for entry in load_catalog().values():
         qdim_pair(build_8x8(entry.six()), entry.potential_in(), entry.potential_out())
     assert len(solves) == 42
+
+
+def test_qdim_pair_forms_each_lift_determinant_once(count_calls):
+    # the read keys and both residues share each lift's det(H)
+    dets = count_calls(residue, "_determinant")
+    for entry in load_catalog().values():
+        before = len(dets)
+        qdim_pair(build_8x8(entry.six()), entry.potential_in(), entry.potential_out())
+        assert len(dets) - before == 2, entry.id
 
 
 def test_derivative_supertrace_differentiates_in_integers(count_calls):
@@ -456,7 +465,7 @@ def _lift(key: str, raised: bool):
 def _residue_by_full_product(g: Poly, lift) -> Poly:
     """The coefficient of v^(N-1) in the whole product g*det(H)."""
     key = tuple(n - 1 for n in lift.exponents) + (0, 0)
-    groups = (g * lift.determinant()).coefficients_wrt(("x", "y", "z"))
+    groups = (g * lift.determinant).coefficients_wrt(("x", "y", "z"))
     return groups.get(key, Poly.zero(_RES_VT))
 
 
@@ -469,7 +478,7 @@ def _residue_cases(draw):
     of det(H) or stay near it, so that most draws have a nonzero residue
     that several terms of det(H) contribute to."""
     w, lift = _lift(draw(st.sampled_from(sorted(_POTENTIALS))), draw(st.booleans()))
-    near = [tuple(n - 1 - e for n, e in zip(lift.exponents, m)) for m in lift.determinant().monomials()]
+    near = [tuple(n - 1 - e for n, e in zip(lift.exponents, m)) for m in lift.determinant.monomials()]
     ring = st.one_of(
         st.sampled_from([m for m in near if min(m) >= 0]),
         st.tuples(*[st.integers(0, n) for n in lift.exponents]),
