@@ -13,7 +13,9 @@ restarts, with wider fields.  `groebner_basis` packs only the slots its
 generators use (S-polynomials and remainders never leave them, and
 degrevlex restricted to them is the same order) and interreduces its
 own records there, `interreduce` the support of its input, `reducer`
-the whole table; Polys are converted only on the way in and out.
+the whole table.  A `Poly` is already integer numerators over one
+denominator, so going in packs its monomials and coming out unpacks
+them; no coefficient is converted either way.
 
 Pairs follow the Gebauer-Moeller update (J. Symb. Comp. 6, 1988), so no
 popped pair is scanned against the leads: a new element h keeps one new
@@ -42,14 +44,13 @@ elimination on the Sylvester matrix; its exact divisions peel leads.
 from __future__ import annotations
 
 import heapq
-from fractions import Fraction
 from functools import lru_cache
 from itertools import count
 from math import gcd, lcm
 from operator import itemgetter
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .polyring import Monomial, Poly, VarTable, _integer_terms, _Overflow
+from .polyring import Monomial, Poly, VarTable, _Overflow
 
 SPAIR_CAP = 50000  # default S-pair budget per Groebner run
 
@@ -109,13 +110,12 @@ class _Layout:
 
 
 def _support(polys: Sequence[Poly]) -> List[int]:
-    return sorted({i for p in polys for m in p._terms for i, e in enumerate(m) if e})
+    return sorted({i for p in polys for m in p.nums for i, e in enumerate(m) if e})
 
 
 def _packed(layout: _Layout, p: Poly) -> Tuple[int, Dict[int, int]]:
     """(den, integer numerators by packed monomial) of p."""
-    den, items = _integer_terms(p._terms)
-    return den, {layout.pack(m): n for m, n in items}
+    return p.den, {layout.pack(m): n for m, n in p.nums.items()}
 
 
 def _record(ints: Dict[int, int]) -> Record:
@@ -230,7 +230,7 @@ def reducer(basis: Sequence[Poly]) -> Callable[[Poly], Poly]:
             return reduce(p)
         den, remainder = _reduce_by(work, divisors)
         unpack = layout.unpack
-        return Poly._raw(p.vt, {unpack(m): Fraction(n, den) for m, n in remainder.items()})
+        return Poly._make(p.vt, den, {unpack(m): n for m, n in remainder.items()})
 
     return reduce
 
@@ -351,7 +351,7 @@ def _interreduced(vt: VarTable, layout: _Layout, records: Iterable[Record]) -> L
         # so no element's own lead ever fires on its tail.
         den, remainder = _reduce_by((den, dict(tail)), divisors)
         remainder[lm] = den
-        out.append(Poly._raw(vt, {unpack(m): Fraction(n, den) for m, n in remainder.items()}))
+        out.append(Poly._make(vt, den, {unpack(m): n for m, n in remainder.items()}))
     return out
 
 

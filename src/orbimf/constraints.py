@@ -24,7 +24,7 @@ from .catalog import EquivalenceEntry, FamilyRing, SolutionFamily, family_ring
 from .matfac import MatrixFactorization, build_8x8
 from .numberfield import NonzeroCertificate, NumberFieldError, certify_value
 from .numberfield import reduce as quotient_reduce
-from .polyring import Poly, _integer_terms, format_poly, parse_poly
+from .polyring import Poly, format_poly, parse_poly
 from .residue import qdim_pair
 
 _ONE = Fraction(1)
@@ -32,11 +32,10 @@ _ONE = Fraction(1)
 
 def _unit_normalize(p: Poly) -> Poly:
     """Integer coefficients with content 1 and positive leading sign."""
-    den, numerators = _integer_terms(p._terms)
-    content = gcd(*(n for _, n in numerators))
-    if p.coefficient(p.leading_monomial()) < 0:
+    content = gcd(*p.nums.values())
+    if p.nums[p.leading_monomial()] < 0:
         content = -content
-    return p.scale(Fraction(den, content))
+    return p.scale(Fraction(p.den, content))
 
 
 class _ConstraintSet(NamedTuple):

@@ -129,8 +129,8 @@ def invert(p: Poly, spec: QuotientSpec) -> Poly:
     # shifted by basis[j], reduced
     a = [[_ZERO] * len(basis) for _ in basis]
     for j, m in enumerate(basis):
-        shifted = {tuple(map(sum, zip(mono, m))): c for mono, c in p.terms()}
-        for mono, c in spec._normal_form(Poly._raw(spec.vt, shifted)).terms():
+        shifted = {tuple(map(sum, zip(mono, m))): n for mono, n in p.nums.items()}
+        for mono, c in spec._normal_form(Poly._raw(spec.vt, p.den, shifted)).terms():
             a[pos[mono]][j] = c
     b = [_ZERO] * len(basis)
     b[pos[(0,) * len(spec.vt)]] = Fraction(1)
@@ -269,9 +269,11 @@ def certify_value(
 
     A p that is exactly zero is reported as zero, and a unit is
     certified exactly by its inverse (nonzero at every root).  A zero
-    divisor, or an element with free variables left, is embedded at the
-    chosen roots from 128 bits, doubling up to 2048, until the rectangle
-    excludes zero.
+    divisor is embedded at the chosen roots from 128 bits, doubling up
+    to 2048, until the rectangle excludes zero.  An element with free
+    variables left is neither inverted nor embedded: it raises
+    NumberFieldError, which names those variables when a root choice is
+    given.
     """
     if p.is_zero():
         return NonzeroCertificate("zero", None, None)

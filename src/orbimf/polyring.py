@@ -1,9 +1,13 @@
 """Sparse multivariate polynomials with exact rational coefficients.
 
-A polynomial is a mapping from monomials to nonzero Fractions.  A monomial
-is a tuple of non-negative integer exponents, one slot per variable of the
-owning VarTable.  All arithmetic is exact; there is no floating point
-anywhere in this module.
+A polynomial is a mapping from monomials to nonzero integer numerators
+over one positive denominator, with no factor common to all of them, so
+equal polynomials are equal records.  A monomial is a tuple of
+non-negative integer exponents, one slot per variable of the owning
+VarTable.  The kernels here, in `_groebner` and in `residue` read the
+integers; Fractions are made only where a coefficient is read out
+(`terms`, `coefficient`, `constant_value`) or printed.  All arithmetic
+is exact; there is no floating point anywhere in this module.
 
 Variables are declared up front in a VarTable, which also records which
 names play the role of ring variables and which are parameters.  Two
@@ -33,11 +37,7 @@ from operator import add, lshift
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 Monomial = Tuple[int, ...]
-Terms = Dict[Monomial, Fraction]
-IntTerms = List[Tuple[Monomial, int]]
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+IntTerms = Iterable[Tuple[Monomial, int]]
 
 
 class PolyError(ValueError):
@@ -115,24 +115,25 @@ def degrevlex_key(m: Monomial) -> tuple:
 
 
 class Poly:
-    """Immutable sparse polynomial over a fixed VarTable."""
+    """Immutable sparse polynomial over a fixed VarTable: sum(n*m)/den
+    over the items (m, n) of `nums`, with den > 0, no n zero and
+    gcd(den, *nums.values()) == 1."""
 
-    __slots__ = ("vt", "_terms")
+    __slots__ = ("vt", "den", "nums")
 
     def __init__(self, vt: VarTable, terms: Mapping[Monomial, Fraction] | None = None):
-        cleaned: Terms = {}
+        coeffs: Dict[Monomial, Fraction] = {}
         width = len(vt)
-        if terms:
-            for mono, coeff in terms.items():
-                if len(mono) != width:
-                    raise PolyError(f"monomial {mono} has wrong width for table of {width} variables")
-                if any(e < 0 for e in mono):
-                    raise PolyError(f"negative exponent in monomial {mono}")
-                q = Fraction(coeff)
-                if q:
-                    cleaned[tuple(mono)] = q
-        object.__setattr__(self, "vt", vt)
-        object.__setattr__(self, "_terms", cleaned)
+        for mono, coeff in (terms or {}).items():
+            if len(mono) != width:
+                raise PolyError(f"monomial {mono} has wrong width for table of {width} variables")
+            if any(e < 0 for e in mono):
+                raise PolyError(f"negative exponent in monomial {mono}")
+            coeffs[tuple(mono)] = Fraction(coeff)
+        den = lcm(*(q.denominator for q in coeffs.values()))
+        p = Poly._make(vt, den, {m: q.numerator * (den // q.denominator) for m, q in coeffs.items()})
+        for name in Poly.__slots__:
+            object.__setattr__(self, name, getattr(p, name))
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("Poly is immutable")
@@ -141,72 +142,86 @@ class Poly:
 
     @staticmethod
     def zero(vt: VarTable) -> "Poly":
-        return Poly(vt)
+        return Poly._raw(vt, 1, {})
 
     @staticmethod
     def const(vt: VarTable, value) -> "Poly":
         q = Fraction(value)
-        return Poly._raw(vt, {(0,) * len(vt): q} if q else {})
+        return Poly._raw(vt, q.denominator, {(0,) * len(vt): q.numerator} if q else {})
 
     @staticmethod
     def var(vt: VarTable, name: str) -> "Poly":
         i = vt.index(name)
-        return Poly._raw(vt, {tuple(int(j == i) for j in range(len(vt))): _ONE})
+        return Poly._raw(vt, 1, {tuple(int(j == i) for j in range(len(vt))): 1})
 
     @staticmethod
-    def _raw(vt: VarTable, terms: Terms) -> "Poly":
-        """Trusted constructor: terms must already be canonical."""
+    def _make(vt: VarTable, den: int, acc: Mapping[Monomial, int]) -> "Poly":
+        """The canonical Poly sum(n*m)/den of the integer numerators in
+        `acc` over den > 0: zeros dropped, common factor divided out."""
+        nums = {m: n for m, n in acc.items() if n}
+        if den != 1:
+            g = gcd(den, *nums.values())
+            if g != 1:
+                den //= g
+                nums = {m: n // g for m, n in nums.items()}
+        return Poly._raw(vt, den, nums)
+
+    @staticmethod
+    def _raw(vt: VarTable, den: int, nums: Dict[Monomial, int]) -> "Poly":
+        """Trusted constructor: den and nums must already be canonical."""
         p = object.__new__(Poly)
         object.__setattr__(p, "vt", vt)
-        object.__setattr__(p, "_terms", terms)
+        object.__setattr__(p, "den", den)
+        object.__setattr__(p, "nums", nums)
         return p
 
     def __reduce__(self):
         # the immutability guard blocks pickle's default attribute restore
-        return Poly._raw, (self.vt, self._terms)
+        return Poly._raw, (self.vt, self.den, self.nums)
 
     # -- inspection ---------------------------------------------------
 
     def terms(self) -> Iterator[Tuple[Monomial, Fraction]]:
-        return iter(self._terms.items())
+        den = self.den
+        return ((m, Fraction(n, den)) for m, n in self.nums.items())
 
     def monomials(self) -> Iterator[Monomial]:
-        return iter(self._terms)
+        return iter(self.nums)
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self.nums
 
     def constant_value(self) -> Fraction:
-        if any(any(m) for m in self._terms):
+        if any(any(m) for m in self.nums):
             raise PolyError("polynomial is not constant")
-        return next(iter(self._terms.values()), _ZERO)
+        return Fraction(next(iter(self.nums.values()), 0), self.den)
 
     def coefficient(self, mono: Monomial) -> Fraction:
-        return self._terms.get(tuple(mono), _ZERO)
+        return Fraction(self.nums.get(tuple(mono), 0), self.den)
 
     def total_degree(self) -> int:
-        if not self._terms:
+        if not self.nums:
             return -1
-        return max(sum(m) for m in self._terms)
+        return max(sum(m) for m in self.nums)
 
     def degree_in(self, name: str) -> int:
         i = self.vt.index(name)
-        if not self._terms:
+        if not self.nums:
             return -1
-        return max(m[i] for m in self._terms)
+        return max(m[i] for m in self.nums)
 
     def support_vars(self) -> Tuple[str, ...]:
         used = [False] * len(self.vt)
-        for m in self._terms:
+        for m in self.nums:
             for i, e in enumerate(m):
                 if e:
                     used[i] = True
         return tuple(n for n, u in zip(self.vt.names, used) if u)
 
     def leading_monomial(self) -> Monomial:
-        if not self._terms:
+        if not self.nums:
             raise PolyError("zero polynomial has no leading monomial")
-        return max(self._terms, key=degrevlex_key)
+        return max(self.nums, key=degrevlex_key)
 
     # -- arithmetic ---------------------------------------------------
 
@@ -217,27 +232,26 @@ class Poly:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.vt == other.vt and self._terms == other._terms
+        return self.vt == other.vt and self.den == other.den and self.nums == other.nums
 
     def __hash__(self) -> int:
-        return hash((self.vt.names, frozenset(self._terms.items())))
+        return hash((self.vt.names, self.den, frozenset(self.nums.items())))
 
     def __add__(self, other: "Poly") -> "Poly":
         self._check(other)
-        out = dict(self._terms)
-        for m, c in other._terms.items():
-            s = out.get(m, _ZERO) + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        return Poly._raw(self.vt, out)
+        den = lcm(self.den, other.den)
+        s, t = den // self.den, den // other.den
+        out = {m: n * s for m, n in self.nums.items()}
+        get = out.get
+        for m, n in other.nums.items():
+            out[m] = get(m, 0) + n * t
+        return Poly._make(self.vt, den, out)
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + -other
 
     def __neg__(self) -> "Poly":
-        return Poly._raw(self.vt, {m: -c for m, c in self._terms.items()})
+        return Poly._raw(self.vt, self.den, {m: -n for m, n in self.nums.items()})
 
     def __mul__(self, other: "Poly") -> "Poly":
         return Poly.dot(self.vt, ((self, other),))
@@ -247,21 +261,18 @@ class Poly:
         """sum(x*y for x, y in pairs) over `vt`, zero for no pairs.
 
         Every product is accumulated as integer numerators over one
-        common denominator, so the only Fractions made are the output
-        coefficients; pairs with a zero operand are skipped.
+        common denominator; pairs with a zero operand are skipped.
         """
         products = []
         for x, y in pairs:
             if (x.vt is not vt and x.vt != vt) or (y.vt is not vt and y.vt != vt):
                 raise VarTableMismatch("polynomials belong to different variable tables")
-            a, b = x._terms, y._terms
+            a, b = x.nums, y.nums
             if not a or not b:
                 continue
             if len(a) > len(b):
                 a, b = b, a
-            da, ia = _integer_terms(a)
-            db, ib = _integer_terms(b)
-            products.append((da * db, ia, ib))
+            products.append((x.den * y.den, a.items(), b.items()))
         den = lcm(*(d for d, _, _ in products))
         acc: Dict[Monomial, int] = {}
         for d, ia, ib in products:
@@ -269,13 +280,11 @@ class Poly:
                 s = den // d
                 ia = [(m, c * s) for m, c in ia]
             _accumulate(acc, ia, ib)
-        return Poly._raw(vt, _over(acc, den))
+        return Poly._make(vt, den, acc)
 
     def scale(self, value) -> "Poly":
         q = Fraction(value)
-        if not q:
-            return Poly(self.vt)
-        return Poly._raw(self.vt, {m: c * q for m, c in self._terms.items()})
+        return Poly._make(self.vt, self.den * q.denominator, {m: n * q.numerator for m, n in self.nums.items()})
 
     def __truediv__(self, value) -> "Poly":
         q = Fraction(value)
@@ -300,26 +309,16 @@ class Poly:
 
     def partial(self, name: str) -> "Poly":
         i = self.vt.index(name)
-        out: Terms = {}
-        for m, c in self._terms.items():
-            e = m[i]
-            if e:
-                dm = m[:i] + (e - 1,) + m[i + 1:]
-                s = out.get(dm, _ZERO) + c * e
-                if s:
-                    out[dm] = s
-                else:
-                    del out[dm]
-        return Poly._raw(self.vt, out)
+        out = {m[:i] + (m[i] - 1,) + m[i + 1:]: n * m[i] for m, n in self.nums.items() if m[i]}
+        return Poly._make(self.vt, self.den, out)
 
     def substitute(self, bindings: Mapping[str, "Poly"]) -> "Poly":
         """Simultaneous substitution.  Values fix the target table.
 
         Every value must share one VarTable; unbound variables must exist
         in that target table (they map to themselves).  Each term folds
-        the integer numerators of its variables' cached image powers into
-        one accumulator over the common denominator of all terms, as in
-        `dot`.
+        the numerators of its variables' cached image powers into one
+        accumulator over the common denominator of all terms, as in `dot`.
         """
         if not bindings:
             return self
@@ -333,11 +332,11 @@ class Poly:
             bindings[n] if n in bindings else Poly.var(target, n) if n in target else None
             for n in self.vt.names
         ]
-        powers: Dict[Tuple[int, int], Tuple[int, IntTerms]] = {}
+        powers: Dict[Tuple[int, int], Poly] = {}
         one = (0,) * len(target)
-        terms = []  # (numerator, denominator, integer image powers) per term
-        for m, c in self._terms.items():
-            den, factors = c.denominator, []
+        terms = []  # (numerator, denominator, image powers' numerators) per term
+        for m, n in self.nums.items():
+            den, factors = self.den, []
             for i, e in enumerate(m):
                 if e:
                     if (i, e) not in powers:
@@ -345,11 +344,10 @@ class Poly:
                             raise PolyError(
                                 f"variable {self.vt.names[i]!r} is unbound and missing from the target table"
                             )
-                        powers[i, e] = _integer_terms((images[i] ** e)._terms)
-                    d, ip = powers[i, e]
-                    den *= d
-                    factors.append(ip)
-            terms.append((c.numerator, den, factors or [[(one, 1)]]))
+                        powers[i, e] = images[i] ** e
+                    den *= powers[i, e].den
+                    factors.append(powers[i, e].nums.items())
+            terms.append((n, den, factors or [[(one, 1)]]))
         den = lcm(*(d for _, d, _ in terms))
         acc: Dict[Monomial, int] = {}
         for n, d, factors in terms:
@@ -359,7 +357,7 @@ class Poly:
                 _accumulate(prod, part, ip)
                 part = list(prod.items())
             _accumulate(acc, part, factors[-1])
-        return Poly._raw(target, _over(acc, den))
+        return Poly._make(target, den, acc)
 
     def coeffs_in(self, name: str) -> List["Poly"]:
         """Coefficients in `name`, lowest degree first, each free of it."""
@@ -378,12 +376,12 @@ class Poly:
         idxs = sorted(self.vt.index(n) for n in names)
         idx_set = set(idxs)
         width = len(self.vt)
-        out: Dict[Monomial, Terms] = {}
-        for m, c in self._terms.items():
+        out: Dict[Monomial, Dict[Monomial, int]] = {}
+        for m, n in self.nums.items():
             key = tuple(e if i in idx_set else 0 for i, e in enumerate(m))
             rest = tuple(0 if i in idx_set else e for i, e in enumerate(m))
-            out.setdefault(key, {})[rest] = c
-        return {k: Poly._raw(self.vt, t) for k, t in sorted(out.items(), key=lambda kv: degrevlex_key(kv[0]), reverse=True)}
+            out.setdefault(key, {})[rest] = n
+        return {k: Poly._make(self.vt, self.den, t) for k, t in sorted(out.items(), key=lambda kv: degrevlex_key(kv[0]), reverse=True)}
 
     # -- printing -----------------------------------------------------
 
@@ -398,15 +396,6 @@ class Poly:
 # integer kernel of multiplication
 
 
-def _integer_terms(terms: Terms) -> Tuple[int, IntTerms]:
-    """(d, [(m, c*d)]) with d the lcm of the coefficient denominators,
-    so every scaled coefficient is an int."""
-    d = lcm(*(c.denominator for c in terms.values()))
-    if d == 1:
-        return 1, [(m, c.numerator) for m, c in terms.items()]
-    return d, [(m, c.numerator * (d // c.denominator)) for m, c in terms.items()]
-
-
 def _accumulate(acc: Dict[Monomial, int], ia: IntTerms, ib: IntTerms) -> None:
     """Add the product of two integer term lists into `acc`."""
     get = acc.get
@@ -414,13 +403,6 @@ def _accumulate(acc: Dict[Monomial, int], ia: IntTerms, ib: IntTerms) -> None:
         for m2, c2 in ib:
             m = tuple(map(add, m1, m2))
             acc[m] = get(m, 0) + c1 * c2
-
-
-def _over(acc: Dict[Monomial, int], den: int) -> Terms:
-    """Canonical terms n/den of the nonzero integer numerators."""
-    if den == 1:
-        return {m: Fraction(n) for m, n in acc.items() if n}
-    return {m: Fraction(n, den) for m, n in acc.items() if n}
 
 
 # ---------------------------------------------------------------------
@@ -448,8 +430,8 @@ def format_poly(p: Poly) -> str:
     if p.is_zero():
         return "0"
     chunks = []
-    for m in sorted(p._terms, key=degrevlex_key, reverse=True):
-        c = p._terms[m]
+    for m in sorted(p.nums, key=degrevlex_key, reverse=True):
+        c = Fraction(p.nums[m], p.den)
         mono = _format_monomial(p.vt, m)
         mag = abs(c)
         if not mono:
@@ -599,12 +581,11 @@ class _Parser:
             p = self.defs[tok]
             if p.vt != self.vt:
                 raise VarTableMismatch(f"def {tok!r} belongs to another variable table")
-            den, ints = _integer_terms(p._terms)
             shifts = range(0, self.bits * len(p.vt), self.bits)
             deg = max(p.total_degree(), 0)
             if deg > self.cap:
                 raise _Overflow(deg)
-            self.values[tok] = value = {sum(map(lshift, m, shifts)): c for m, c in ints}, den, deg
+            self.values[tok] = value = {sum(map(lshift, m, shifts)): n for m, n in p.nums.items()}, p.den, deg
             return value
         if tok.isidentifier():
             raise self.error(f"undeclared identifier {tok!r}", self.i - 1)
@@ -645,4 +626,4 @@ def parse_poly(
         tuple(int.from_bytes(b[i:i + k], "little") for i in range(0, len(b), k))
         for b in (m.to_bytes(k * len(vt), "little") for m in terms)
     ]
-    return Poly._raw(vt, _over(dict(zip(monos, terms.values())), den))
+    return Poly._make(vt, den, dict(zip(monos, terms.values())))

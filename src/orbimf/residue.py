@@ -16,8 +16,9 @@ Both entry points take W itself.  Its weights come from
 `grading.weights_from_potential`, and they fix each power: the Hessian
 of W has weighted degree 2c = sum(2 - 2 w_j), and every monomial of
 higher weighted degree lies in the Jacobian ideal, so v_i^N with
-N = floor(2c / w_i) + 1 always does, and one solve per row finds H.  A
-solve that fails there means W has no isolated singularity.
+N = floor(2c / w_i) + 1 always does, and one solve per row finds H; its
+equations are the partials' integer numerators.  A solve that fails
+there means W has no isolated singularity.
 
 Quantum dimensions take the supertrace of the sixfold product of
 entry-wise partial derivatives of the twisted differential, sources
@@ -34,11 +35,11 @@ exponents on the integrated variables form a key, so `qdim_pair` builds
 both lifts first and forms only the terms on their keys (6-20% of the
 determinant on the shipped entries): every other term could change
 neither result.  The determinant runs on packed integer monomials over
-one common denominator: each generator is differentiated in integers,
-and terms are packed once, as offsets from the unit of a
-`_groebner._Layout` whose fields hold the sum of the generators' total
-degrees less one (a bound on every minor), so a monomial product is one
-int addition.
+one common denominator: each generator's stored numerators are
+differentiated in integers, and terms are packed once, as offsets from
+the unit of a `_groebner._Layout` whose fields hold the sum of the
+generators' total degrees less one (a bound on every minor), so a
+monomial product is one int addition.
 """
 
 from __future__ import annotations
@@ -54,9 +55,8 @@ from ._groebner import _Layout, _support
 from ._linalg import solve_dense
 from .grading import GradingError, weights_from_potential
 from .matfac import Matrix8, MatrixFactorization, matmul
-from .polyring import Monomial, Poly, VarTable, _integer_terms, _over
+from .polyring import Monomial, Poly, VarTable
 
-_ZERO = Fraction(0)
 # row triples of a 6x6 matrix; the (-1-i)-th is the complement of the i-th
 _TRIPLES = tuple(combinations(range(6), 3))
 
@@ -115,11 +115,11 @@ def derivative_supertrace(
     exactly the read ones, each with all of its contributions.
     """
     vt = m.vt
-    gens, cols = [_integer_terms(d._terms) for d in m.six], [vt.index(v) for v in order]
+    cols = [vt.index(v) for v in order]
     layout = _Layout(len(vt), _support(m.six), sum(max(0, d.total_degree() - 1) for d in m.six))
     unit = layout.one
-    pj = [[[(layout.pack(e[:i] + (e[i] - 1,) + e[i + 1:]) - unit, e[i] * n) for e, n in t if e[i]] for i in cols]
-          for _, t in gens]
+    pj = [[[(layout.pack(e[:i] + (e[i] - 1,) + e[i + 1:]) - unit, e[i] * n) for e, n in d.nums.items() if e[i]]
+           for i in cols] for d in m.six]
 
     def dot(*triples) -> List[Tuple[int, int]]:  # sum of sign * a * b
         acc: Dict[int, int] = {}
@@ -172,7 +172,7 @@ def derivative_supertrace(
                     hits.update(by.get(code - own, ()))
             products.extend((heads, tails[hit], sign) for hit in hits)
     det = dot(*products)
-    return Poly._raw(vt, _over({layout.unpack(k + unit): n for k, n in det}, prod(d for d, _ in gens)))
+    return Poly._make(vt, prod(d.den for d in m.six), {layout.unpack(k + unit): n for k, n in det})
 
 
 class CofactorLift(NamedTuple):
@@ -211,16 +211,18 @@ def _solve_power_certificate(
             ansatz.extend((j, m) for m in _monomials_of_weight(weights, dj))
     if not ansatz:
         return None
-    # One equation per monomial of sum_j h_j f_j, matching v^exponent.
+    # One equation per monomial of sum_j h_j f_j, matching v^exponent; a
+    # column (j, m) holds f_j's numerators, so its solution is the
+    # cofactor coefficient over f_j's denominator.
     target_mono = tuple(exponent if k == var_index else 0 for k in range(len(names)))
-    cells: Dict[Tuple[int, ...], Dict[int, Fraction]] = {target_mono: {}}  # monomial -> column -> coefficient
+    cells: Dict[Tuple[int, ...], Dict[int, int]] = {target_mono: {}}  # monomial -> column -> numerator
     for col, (j, m) in enumerate(ansatz):
-        for fm, fc in f[j].terms():
+        for fm, fn in f[j].nums.items():
             cell = cells.setdefault(tuple(fm[i] + e for i, e in zip(idx, m)), {})
-            cell[col] = cell.get(col, _ZERO) + fc
+            cell[col] = cell.get(col, 0) + fn
     monos = sorted(cells)
-    rows = [[cells[mono].get(col, _ZERO) for col in range(len(ansatz))] for mono in monos]
-    rhs = [Fraction(mono == target_mono) for mono in monos]
+    rows = [[cells[mono].get(col, 0) for col in range(len(ansatz))] for mono in monos]
+    rhs = [int(mono == target_mono) for mono in monos]
     sol = solve_dense(rows, rhs)
     if sol is None:
         return None
@@ -230,7 +232,7 @@ def _solve_power_certificate(
             full = [0] * len(vt)
             for i, e in zip(idx, m):
                 full[i] = e
-            buckets[j][tuple(full)] = c
+            buckets[j][tuple(full)] = c * f[j].den
     return [Poly(vt, b) for b in buckets]
 
 
@@ -251,7 +253,7 @@ def cofactor_lift(
     except GradingError as exc:
         raise ResidueError(str(exc)) from None
     if exponents is None:
-        hessian = sum((2 - 2 * x for x in weights), _ZERO)
+        hessian = sum(2 - 2 * x for x in weights)
         exponents = [hessian // x + 1 for x in weights]
     f = [w.partial(n) for n in names]
     rows: List[List[Poly]] = []
@@ -272,15 +274,14 @@ def _read_terms(lift: CofactorLift, vt: VarTable) -> Tuple[int, Dict[Monomial, L
     with the shift that clears those v_i from it."""
     det = lift.determinant
     idx = [vt.index(name) for name in lift.vars]
-    den, terms = _integer_terms(det._terms)
     read: Dict[Monomial, List[Tuple[List[int], int]]] = {}
-    for m, n in terms:
+    for m, n in det.nums.items():
         key = tuple(power - 1 - m[i] for power, i in zip(lift.exponents, idx))
         shift = list(m)
         for i, k in zip(idx, key):
             shift[i] = -k
         read.setdefault(key, []).append((shift, n))
-    return den, read
+    return det.den, read
 
 
 def grothendieck_residue(
@@ -294,13 +295,12 @@ def grothendieck_residue(
     vt = g.vt
     den, read = _read_terms(lift, vt)
     on_names = itemgetter(*(vt.index(name) for name in lift.vars))
-    g_den, g_terms = _integer_terms(g._terms)
     acc: Dict[Monomial, int] = {}
-    for m, n in g_terms:
+    for m, n in g.nums.items():
         for shift, dn in read.get(on_names(m), ()):
             mono = tuple(map(add, m, shift))
             acc[mono] = acc.get(mono, 0) + n * dn
-    return Poly._raw(vt, _over(acc, den * g_den))
+    return Poly._make(vt, den * g.den, acc)
 
 
 def qdim_pair(m: MatrixFactorization, v_in: Poly, w_out: Poly) -> Dict[str, Poly]:

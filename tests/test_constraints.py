@@ -385,6 +385,17 @@ def test_family_off_the_variety_gets_no_values(shipped_work):
         assert not nv.ok and not nv.excluded and not nv.agree
 
 
+def test_a_point_with_a_free_variable_left_gets_no_certificate(shipped_work):
+    # a3 = b leaves the printed left value 1/8*t^7*b with b free, which
+    # certify_value neither inverts nor embeds; the computed value is 0
+    work = shipped_work("W13v1_W13v2")
+    family = next(f for f in work.entry.families if f.label == "W13 reduced relation t^8+4")
+    nv = nonvanishing_check(work, family, "left", point={"a3": "b"})
+    assert nv.printed.value == "1/8*t^7*b" and nv.printed.certificate is None
+    assert nv.printed.error == "cannot embed element with free variables ['b']"
+    assert nv.computed.value == "0" and nv.computed.certificate.status == "zero"
+
+
 def test_point_values_override_defaults(shipped_work):
     work = shipped_work("E14v1_E14v2")
     nv = nonvanishing_check(work, work.entry.families[0], "left", point={"a3": "8", "b3": "0"})

@@ -355,6 +355,18 @@ def test_certify_generator_as_a_unit():
     assert cert.status == "nonzero_exact"
 
 
+def test_certify_refuses_an_element_with_free_variables():
+    # W13's zero divisor t^4 + 2t^2 + 2 modulo t^8 + 4 certifies by an
+    # interval; with a free b added it is neither inverted nor embedded
+    vt = VarTable(("t", "b"), param_vars=("t", "b"))
+    spec = QuotientSpec(vt, ("t",), (parse_poly("t^8 + 4", vt),))
+    root = {"t": ("1.0986841134678098", "0.45508986056222733")}
+    value = reduce(parse_poly("t^4 + 2*t^2 + 2", vt), spec)
+    assert certify_value(value, spec, root).status == "nonzero_interval"
+    with pytest.raises(NumberFieldError, match=r"^cannot embed element with free variables \['b'\]$"):
+        certify_value(value + parse_poly("b", vt), spec, root)
+
+
 def test_certify_requires_roots_for_nonfield():
     vt = VarTable(("t",), param_vars=("t",))
     spec = QuotientSpec(vt, ("t",), (parse_poly("t^2 - 1", vt),))

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import same_as_sympy
 
+from orbimf._groebner import groebner_basis, normal_form, reducer
 from orbimf.polyring import (
     ParseError,
     Poly,
@@ -148,9 +149,10 @@ def _reference_product(pairs) -> dict:
 
 
 def _assert_canonical(p: Poly) -> None:
-    for _, c in p.terms():
-        assert type(c) is Fraction and c
-        assert c.denominator > 0 and gcd(c.numerator, c.denominator) == 1
+    """den > 0, no numerator zero, and no factor common to all of them."""
+    assert type(p.den) is int and p.den > 0
+    assert all(type(n) is int and n for n in p.nums.values())
+    assert gcd(p.den, *p.nums.values()) == 1
 
 
 @settings(deadline=None)
@@ -373,6 +375,34 @@ def test_substitute_matches_term_by_term_reference(p, bindings):
     got = p.substitute(bindings)
     assert dict(got.terms()) == _reference_substitute(p, bindings)
     _assert_canonical(got)
+
+
+_SMALL_POLYS = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)).map(lambda m: m + (0,) * 4), _COEFFS, max_size=3
+).map(lambda t: Poly(VT, t))
+
+
+@settings(deadline=None, max_examples=60)
+@given(_POLYS, _POLYS, _COEFFS, _SMALL_POLYS, _SMALL_POLYS)
+@example(P("x/2 + y/2"), P("x/2 - y/2"), Fraction(2), P("x^2/3 - y/6"), P("x*y/4 + 1/2"))
+@example(Poly(VT), P("2/3*x"), Fraction(-3, 2), Poly(VT), P("y^2/5"))
+def test_every_operation_returns_the_canonical_form(a, b, q, g, h):
+    basis = groebner_basis([g, h])
+    reduce = reducer(basis)
+    results = [
+        parse_poly(format_poly(a), VT), parse_poly("(2*x + 6)/4 - y*6/-9", VT),
+        a + b, a - b, a * b, Poly.dot(VT, [(a, b), (b, a)]), a.scale(q), a / q, a.partial("x"),
+        a.substitute({"x": b, "y": P("y/2")}), *a.coefficients_wrt(["x"]).values(),
+        *basis, reduce(a), reduce(a * b), normal_form(b, basis),
+    ]
+    for r in results:
+        _assert_canonical(r)
+        again = Poly(VT, dict(r.terms()))
+        assert (again.den, again.nums) == (r.den, r.nums) and hash(again) == hash(r)
+        back = pickle.loads(pickle.dumps(r))
+        assert (back.den, back.nums) == (r.den, r.nums)
+    assert a * b == b * a and hash(a * b) == hash(b * a)
+    assert (a + b) - b == a and hash((a + b) - b) == hash(a)
 
 
 @settings(deadline=None)
