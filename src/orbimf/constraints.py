@@ -63,7 +63,7 @@ class ConstraintSet(_ConstraintSet):
             if g.is_zero():
                 continue
             n = _unit_normalize(g)
-            seen.setdefault(tuple(sorted(n.terms())), n)
+            seen.setdefault(tuple(sorted(n.nums.items())), n)  # den == 1
         ordered = sorted(
             seen.items(), key=lambda kv: (max(sum(m) for m, _ in kv[0]), kv[0])
         )

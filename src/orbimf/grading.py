@@ -17,8 +17,6 @@ from typing import Dict, Mapping, NamedTuple, Tuple
 from ._linalg import LinearSystemError, solve_unique
 from .polyring import Poly
 
-_TWO = Fraction(2)
-
 
 class GradingError(ValueError):
     pass
@@ -93,12 +91,12 @@ def weights_from_potential(w_poly: Poly, names: Tuple[str, ...]) -> VariableWeig
                 raise GradingError(
                     f"potential involves {w_poly.vt.names[j]!r}, not among {names}"
                 )
-        rows.append([Fraction(mono[i]) for i in idx])
+        rows.append([mono[i] for i in idx])
     try:
-        sol = solve_unique(rows, [_TWO] * len(rows))
+        nums, den = solve_unique(rows, [2] * len(rows))
     except LinearSystemError as exc:
         raise GradingError(f"not quasi-homogeneous of degree 2: {exc}") from None
-    return VariableWeights(tuple(zip(names, sol)))
+    return VariableWeights(tuple((name, Fraction(n, den)) for name, n in zip(names, nums)))
 
 
 def central_charge(vw: VariableWeights) -> Fraction:

@@ -23,6 +23,7 @@ to prove is that they are consistent (`verify_potential`).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ._linalg import solve_dense
@@ -124,17 +125,21 @@ def grading_check(m: MatrixFactorization, combined: VariableWeights) -> GradingR
     params = vt.param_vars
     n_params = len(params)
     param_col = {p: i for i, p in enumerate(params)}
-    col_w = [Fraction(weights.get(n, 0)) if n not in param_col else None for n in vt.names]
-    rows: List[List[Fraction]] = []
-    rhs: List[Fraction] = []
+    # the unknowns are d times the degrees, d the weights' common
+    # denominator, so every cell is an integer
+    d = lcm(*(w.denominator for w in weights.values()))
+    scaled = {n: w.numerator * (d // w.denominator) for n, w in weights.items()}
+    col_w = [scaled.get(n, 0) if n not in param_col else None for n in vt.names]
+    rows: List[List[int]] = []
+    rhs: List[int] = []
     failing: List[str] = []
     for k, (name, p) in enumerate(zip(ENTRY_NAMES, m.six)):
         if p.is_zero():
             failing.append(f"{name} is zero")
             continue
         for mono in p.monomials():
-            row = [Fraction(0)] * (n_params + len(ENTRY_NAMES))
-            ring_part = Fraction(0)
+            row = [0] * (n_params + len(ENTRY_NAMES))
+            ring_part = 0
             for i, e in enumerate(mono):
                 if not e:
                     continue
@@ -143,7 +148,7 @@ def grading_check(m: MatrixFactorization, combined: VariableWeights) -> GradingR
                     row[param_col[vt.names[i]]] += e
                 else:
                     ring_part += w * e
-            row[n_params + k] = Fraction(-1)
+            row[n_params + k] = -1
             rows.append(row)
             rhs.append(-ring_part)
     solution = solve_dense(rows, rhs) if rows else None
@@ -151,9 +156,10 @@ def grading_check(m: MatrixFactorization, combined: VariableWeights) -> GradingR
     if solution is None:
         failing.append("no degree assignment makes every generator homogeneous")
     else:
-        degree = dict(zip(ENTRY_NAMES, solution[n_params:]))
+        nums, den = solution
+        degree = dict(zip(ENTRY_NAMES, nums[n_params:]))
         for left, right in (("d15", "d26"), ("d16", "d25"), ("d17", "d35")):
-            total = degree[left] + degree[right]
+            total = Fraction(degree[left] + degree[right], den * d)
             pair_sums[f"{left}+{right}"] = total
             if total != 2:
                 failing.append(f"deg {left} + deg {right} = {total}, want 2")

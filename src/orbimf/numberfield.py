@@ -12,7 +12,11 @@ also involve extra "spectator" variables (free parameters riding along),
 which reduction never touches.
 
 Inversion solves an exact linear system over the monomial basis of the
-quotient (values must be supported on generators only).  A
+quotient (values must be supported on generators only): column j is the
+normal form of the value times the j-th basis monomial, and every
+column's integer numerators are brought over the columns' common
+denominator, so the solve reads integers and returns the inverse as
+numerators over one denominator, which is how a `Poly` stores it.  A
 failed inversion reports a zero divisor instead of guessing; an element
 that inverts is a unit, and by Stickelberger's theorem a unit is nonzero
 at every root of the relations.  So every exact nonzero verdict is an
@@ -33,6 +37,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property
+from operator import add
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from ._groebner import reducer
@@ -126,18 +131,25 @@ def invert(p: Poly, spec: QuotientSpec) -> Poly:
     basis = _basis_monomials(spec)
     pos = {m: i for i, m in enumerate(basis)}
     # column j holds the coordinates of p * basis[j]: p's exponents
-    # shifted by basis[j], reduced
-    a = [[_ZERO] * len(basis) for _ in basis]
-    for j, m in enumerate(basis):
-        shifted = {tuple(map(sum, zip(mono, m))): n for mono, n in p.nums.items()}
-        for mono, c in spec._normal_form(Poly._raw(spec.vt, p.den, shifted)).terms():
-            a[pos[mono]][j] = c
-    b = [_ZERO] * len(basis)
-    b[pos[(0,) * len(spec.vt)]] = Fraction(1)
+    # shifted by basis[j], reduced; every equation is taken times the
+    # columns' common denominator d, right-hand side included
+    columns = [
+        spec._normal_form(Poly._raw(spec.vt, p.den, {tuple(map(add, mono, m)): n for mono, n in p.nums.items()}))
+        for m in basis
+    ]
+    d = math.lcm(*(col.den for col in columns))
+    a = [[0] * len(basis) for _ in basis]
+    for j, col in enumerate(columns):
+        s = d // col.den
+        for mono, n in col.nums.items():
+            a[pos[mono]][j] = n * s
+    b = [0] * len(basis)
+    b[pos[(0,) * len(spec.vt)]] = d
     x = solve_dense(a, b)
     if x is None:
         raise ZeroDivisorError(f"{p} is a zero divisor in this quotient")
-    return Poly(spec.vt, {m: q for m, q in zip(basis, x) if q})
+    nums, den = x
+    return Poly._make(spec.vt, den, dict(zip(basis, nums)))
 
 
 # ---------------------------------------------------------------------

@@ -5,9 +5,10 @@ over one positive denominator, with no factor common to all of them, so
 equal polynomials are equal records.  A monomial is a tuple of
 non-negative integer exponents, one slot per variable of the owning
 VarTable.  The kernels here, in `_groebner` and in `residue` read the
-integers; Fractions are made only where a coefficient is read out
-(`terms`, `coefficient`, `constant_value`) or printed.  All arithmetic
-is exact; there is no floating point anywhere in this module.
+integers, and so does the printer; Fractions are made only where a
+coefficient is read out (`terms`, `coefficient`, `constant_value`).
+All arithmetic is exact; there is no floating point anywhere in this
+module.
 
 Variables are declared up front in a VarTable, which also records which
 names play the role of ring variables and which are parameters.  Two
@@ -146,7 +147,7 @@ class Poly:
 
     @staticmethod
     def const(vt: VarTable, value) -> "Poly":
-        q = Fraction(value)
+        q = value if isinstance(value, int) else Fraction(value)
         return Poly._raw(vt, q.denominator, {(0,) * len(vt): q.numerator} if q else {})
 
     @staticmethod
@@ -419,28 +420,24 @@ def _format_monomial(vt: VarTable, m: Monomial) -> str:
     return "*".join(parts)
 
 
-def _format_coefficient(c: Fraction) -> str:
-    if c.denominator == 1:
-        return str(c.numerator)
-    return f"{c.numerator}/{c.denominator}"
-
-
 def format_poly(p: Poly) -> str:
     """Canonical textual form: degrevlex-descending, re-parseable."""
     if p.is_zero():
         return "0"
     chunks = []
     for m in sorted(p.nums, key=degrevlex_key, reverse=True):
-        c = Fraction(p.nums[m], p.den)
+        n = p.nums[m]
+        g = gcd(n, p.den)  # |n|/den in lowest terms is (|n|/g)/(den/g)
+        mag, d = abs(n) // g, p.den // g
+        coeff = str(mag) if d == 1 else f"{mag}/{d}"
         mono = _format_monomial(p.vt, m)
-        mag = abs(c)
         if not mono:
-            body = _format_coefficient(mag)
-        elif mag == 1:
+            body = coeff
+        elif mag == d:
             body = mono
         else:
-            body = f"{_format_coefficient(mag)}*{mono}"
-        chunks.append(("-" if c < 0 else "+", body))
+            body = f"{coeff}*{mono}"
+        chunks.append(("-" if n < 0 else "+", body))
     sign, body = chunks[0]
     text = body if sign == "+" else f"-{body}"
     for sign, body in chunks[1:]:

@@ -226,14 +226,15 @@ def _solve_power_certificate(
     sol = solve_dense(rows, rhs)
     if sol is None:
         return None
-    buckets: List[Dict[tuple, Fraction]] = [{}, {}, {}]
-    for (j, m), c in zip(ansatz, sol):  # the (j, m) are distinct
+    nums, den = sol
+    buckets: List[Dict[tuple, int]] = [{}, {}, {}]
+    for (j, m), c in zip(ansatz, nums):  # the (j, m) are distinct
         if c:
             full = [0] * len(vt)
             for i, e in zip(idx, m):
                 full[i] = e
             buckets[j][tuple(full)] = c * f[j].den
-    return [Poly(vt, b) for b in buckets]
+    return [Poly._make(vt, den, b) for b in buckets]
 
 
 def cofactor_lift(

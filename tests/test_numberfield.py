@@ -10,7 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from orbimf import numberfield
 from orbimf.catalog import load_catalog
@@ -227,6 +227,47 @@ def test_invert_rejects_free_variables():
     spec = QuotientSpec(vt, ("c",), (parse_poly("c^2 + 1", vt),))
     with pytest.raises(NumberFieldError):
         invert(reduce(parse_poly("b*c", spec.vt), spec), spec)
+
+
+def _quotient(generators, texts):
+    vt = VarTable(generators, param_vars=generators)
+    return QuotientSpec(vt, generators, tuple(parse_poly(text, vt) for text in texts))
+
+
+# Relations with rational coefficients, so the reduced columns of one
+# inversion carry different denominators.  The first two quotients are
+# fields (4t^10 + 1 is irreducible; Q(i, sqrt 2) has degree 4); in the
+# third (i - s)(i + s) = i^2 - s^2 = 0.
+_T10 = _quotient(("t",), ("t^10 + 1/4",))  # the Q12 witness relation
+_FIELDS = (_T10, _quotient(("i", "s"), ("i^2 + 1", "s^2 - 2")))
+_SPLIT = _quotient(("i", "s"), ("i^2 + 1/4", "s^2 + 1/4"))
+
+
+@st.composite
+def _elements(draw, specs):
+    spec = draw(st.sampled_from(specs))
+    monos = st.tuples(*[st.integers(0, 12)] * len(spec.vt))
+    terms = draw(st.dictionaries(monos, _rationals.filter(bool), min_size=1, max_size=6))
+    return spec, reduce(Poly(spec.vt, terms), spec)
+
+
+@settings(deadline=None, max_examples=60)
+@given(_elements(_FIELDS))
+@example((_T10, parse_poly("t", _T10.vt)))  # one column over 4, nine over 1
+def test_invert_over_rational_relations(spec_and_element):
+    spec, e = spec_and_element
+    assume(not e.is_zero())
+    assert reduce(e * invert(e, spec), spec) == Poly.const(spec.vt, 1)
+
+
+@settings(deadline=None, max_examples=40)
+@given(_elements((_SPLIT,)))
+def test_invert_over_rational_relations_detects_zero_divisors(spec_and_element):
+    spec, r = spec_and_element
+    e = reduce(parse_poly("i - s", spec.vt) * r, spec)
+    assume(not e.is_zero())
+    with pytest.raises(ZeroDivisorError):
+        invert(e, spec)
 
 
 # -- spec validation ----------------------------------------------------

@@ -337,6 +337,39 @@ def test_parse_inverts_format(p):
     assert parse_poly(format_poly(p), VT) == p
 
 
+def _reference_format(p: Poly) -> str:
+    """The printer on one Fraction per term, read through `terms()`."""
+
+    def coefficient(c: Fraction) -> str:
+        return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+
+    if p.is_zero():
+        return "0"
+    chunks = []
+    for m, c in sorted(p.terms(), key=lambda t: degrevlex_key(t[0]), reverse=True):
+        mono = "*".join(n if e == 1 else f"{n}^{e}" for n, e in zip(p.vt.names, m) if e)
+        mag = abs(c)
+        body = coefficient(mag) if not mono else mono if mag == 1 else f"{coefficient(mag)}*{mono}"
+        chunks.append(("-" if c < 0 else "+", body))
+    sign, body = chunks[0]
+    return (body if sign == "+" else f"-{body}") + "".join(f" {s} {b}" for s, b in chunks[1:])
+
+
+# units, integers and non-integers of either sign, constants among the terms
+_PRINT_COEFFS = st.one_of(st.sampled_from((1, -1)), st.integers(-30, 30).filter(bool), _COEFFS)
+_PRINT_MONOS = st.one_of(st.just((0,) * 6), _WIDE_MONOS)
+_PRINT_POLYS = st.dictionaries(_PRINT_MONOS, _PRINT_COEFFS, max_size=6).map(lambda t: Poly(VT, t))
+
+
+@settings(deadline=None, max_examples=300)
+@given(_PRINT_POLYS)
+@example(Poly(VT))
+@example(P("-x + y/2 - 1"))  # a unit over a shared denominator of 2
+@example(P("-7/3"))
+def test_format_matches_fraction_reference(p):
+    assert format_poly(p) == _reference_format(p)
+
+
 @settings(deadline=None)
 @given(_WIDE_POLYS, _WIDE_POLYS, _WIDE_POLYS)
 @example(P("2/3*x"), P("y + 1"), P("-1/4"))  # one-term factors
