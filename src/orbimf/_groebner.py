@@ -3,7 +3,9 @@ in the degrevlex order fixed by the VarTable.
 
 Inside the kernel a monomial is one int, packed by a `_Layout` over some
 table slots: per slot, first slot lowest, a field holding `cap - e` under
-a guard bit; the total degree sits above every field.  So integer order
+a guard bit; the total degree sits above every field.  Fields are whole
+bytes, so the exponents go in and come out as the little-endian bytes of
+one int, with no loop in Python.  So integer order
 is degrevlex, a tail monomial t of a divisor with lead g becomes
 `t + m - g` when g reduces m, and g divides m when no field of
 `g - m + guard` borrows (every guard bit stays set).  Exponents never
@@ -48,6 +50,7 @@ from functools import lru_cache
 from itertools import count
 from math import gcd, lcm
 from operator import itemgetter
+from struct import Struct
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .polyring import Monomial, Poly, VarTable, _Overflow
@@ -64,17 +67,25 @@ class BudgetExceeded(RuntimeError):
 
 class _Layout:
     """Packs monomials of a `size`-slot table, supported on `slots`, into
-    ints whose fields hold exponents up to at least `degree`."""
+    ints whose fields, 1, 2, 4 or 8 bytes wide, hold exponents up to at
+    least `degree`; `bytes` or a `struct` format lays the exponents out."""
 
     def __init__(self, size: int, slots: Iterable[int], degree: int):
-        self.size, self.slots = size, tuple(slots)
-        bits = max(8, (degree + 1).bit_length() + 1)
+        self.slots = tuple(slots)
+        n = len(self.slots)
+        width = next(w for w in (1, 2, 4, 8) if (degree + 1).bit_length() < 8 * w)
+        bits = 8 * width
         self.cap, self._mask = (1 << (bits - 1)) - 1, (1 << bits) - 1
-        self.shifts = tuple(bits * k for k in range(len(self.slots)))
-        self.top = bits * len(self.slots)
+        self.shifts = tuple(bits * k for k in range(n))
+        self.top = bits * n
         self.guard = sum(1 << (s + bits - 1) for s in self.shifts)
         self.one = sum(self.cap << s for s in self.shifts)
         self._bits, self._ones = bits, sum(1 << s for s in self.shifts)
+        at = {slot: k for k, slot in enumerate(self.slots)}  # other slots read the zero field n
+        self._gather, scatter = _picker(self.slots), _picker([at.get(i, n) for i in range(size)])
+        self._nbytes, fields = width * (n + 1), Struct(f"<{n + 1}{'BHIQ'[width.bit_length() - 1]}")
+        self._encode, self._decode = (bytes, scatter) if width == 1 else (
+            lambda exps: fields.pack(*exps, 0), lambda raw: scatter(fields.unpack(raw)))
 
     def lcm(self, a: int, b: int) -> int:
         """Packed lcm of packed a and b, raising `_Overflow` as
@@ -97,16 +108,18 @@ class _Layout:
         d = sum(exps)
         if d > self.cap:
             raise _Overflow(d)
-        return (d << self.top) + self.one - sum(e << s for e, s in zip(exps, self.shifts))
+        return (d << self.top) + self.one - int.from_bytes(self._encode(exps), "little")
 
     def pack(self, m: Monomial) -> int:
-        return self.pack_exponents([m[i] for i in self.slots])
+        return self.pack_exponents(self._gather(m))
 
     def unpack(self, m: int) -> Monomial:
-        out = [0] * self.size
-        for i, s in zip(self.slots, self.shifts):
-            out[i] = self.cap - ((m >> s) & self._mask)
-        return tuple(out)
+        return self._decode((self.one - (m & self.one)).to_bytes(self._nbytes, "little"))
+
+
+def _picker(idx: Sequence[int]) -> Callable[[Sequence[int]], Tuple[int, ...]]:
+    """t -> tuple(t[i] for i in idx), by `itemgetter` where it gives a tuple."""
+    return itemgetter(*idx) if len(idx) > 1 else lambda t: tuple(t[i] for i in idx)
 
 
 def _support(polys: Sequence[Poly]) -> List[int]:

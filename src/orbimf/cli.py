@@ -28,9 +28,8 @@ from .grading import (
     central_charge,
     check_weight_system,
     euler_check,
-    weights_from_potential,
 )
-from .matfac import MatrixFactorization, grading_check, verify_potential
+from .matfac import grading_check, verify_potential
 from .numberfield import NonzeroCertificate
 from .polyring import format_poly
 from .residue import ResidueError
@@ -63,16 +62,13 @@ def _qdim_point_dict(p: con.QdimAtPoint) -> dict:
     return out
 
 
-def _grading_stage(entry: EquivalenceEntry, m: MatrixFactorization) -> Tuple[bool, dict]:
+def _grading_stage(work: con.EntryWork) -> Tuple[bool, dict]:
+    entry = work.entry
     detail: dict = {}
     ok = True
-    vws = {}
-    for label, side, potential in (
-        ("in", entry.side_in, entry.potential_in()),
-        ("out", entry.side_out, entry.potential_out()),
+    for label, side, potential, vw in zip(
+        ("in", "out"), (entry.side_in, entry.side_out), (entry.potential_in(), entry.potential_out()), work.weights
     ):
-        vw = weights_from_potential(potential, side.vars)
-        vws[label] = vw
         weights_match = check_weight_system(vw, side.weight_system)
         cc = central_charge(vw)
         h = side.weight_system.h
@@ -88,7 +84,7 @@ def _grading_stage(entry: EquivalenceEntry, m: MatrixFactorization) -> Tuple[boo
     equal_cc = detail["in"]["central_charge"] == detail["out"]["central_charge"]
     detail["central_charges_equal"] = equal_cc
     ok = ok and equal_cc
-    gr = grading_check(m, vws["in"].combine(vws["out"]))
+    gr = grading_check(work.m, work.weights[0].combine(work.weights[1]))
     detail["matrix"] = {
         "ok": gr.ok,
         "pair_sums": {k: str(v) for k, v in sorted(gr.pair_sums.items())},
@@ -118,7 +114,7 @@ def verify_entry(entry: EquivalenceEntry, spair_cap: int = SPAIR_CAP) -> dict:
         report["ok"] = report["ok"] and bool(ok)
 
     try:
-        g_ok, g_detail = _grading_stage(entry, work.m)
+        g_ok, g_detail = _grading_stage(work)
     except GradingError as exc:
         g_ok, g_detail = False, {"error": str(exc)}
     stage("grading", g_ok, g_detail)
@@ -493,7 +489,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except CatalogError as exc:
         print(f"unknown entry or bad catalog: {exc}", file=sys.stderr)
         return 2
-    except (BudgetExceeded, ResidueError) as exc:
+    except (BudgetExceeded, GradingError, ResidueError) as exc:
         print(f"verification aborted: {exc}", file=sys.stderr)
         return 1
     except BrokenPipeError:

@@ -21,6 +21,7 @@ from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence
 
 from ._groebner import SPAIR_CAP, _divide_exact, groebner_basis, normal_form, reducer, resultant
 from .catalog import EquivalenceEntry, FamilyRing, SolutionFamily, family_ring
+from .grading import VariableWeights, weights_from_potential
 from .matfac import MatrixFactorization, build_8x8
 from .numberfield import NonzeroCertificate, NumberFieldError, certify_value
 from .numberfield import reduce as quotient_reduce
@@ -108,8 +109,8 @@ def groebner(constraints: ConstraintSet, spair_cap: int = SPAIR_CAP) -> List[Pol
 
 class EntryWork:
     """The facts the stages of one entry read, each computed on first use
-    and then kept: the factorization `m`, the `derived` and `printed`
-    constraint sets, both quantum dimensions `qdims`, the normal forms
+    and then kept: the factorization `m`, both sides' `weights`, the
+    `derived` and `printed` constraint sets, both `qdims`, the normal forms
     `qdim_nfs`, one Groebner basis with its reducer per distinct generator
     set and whether its ideal is the unit ideal, one `verify_family` report
     per shipped family.  The quotient rings of the shipped families are
@@ -135,9 +136,16 @@ class EntryWork:
         return paper_constraint_set(self.entry)
 
     @cached_property
+    def weights(self) -> Tuple[VariableWeights, VariableWeights]:
+        """The source and target potentials' weights (`GradingError` if none)."""
+        e = self.entry
+        return (weights_from_potential(e.potential_in(), e.side_in.vars),
+                weights_from_potential(e.potential_out(), e.side_out.vars))
+
+    @cached_property
     def qdims(self) -> Dict[str, Poly]:
-        """Both quantum dimensions from one sixfold derivative product."""
-        return qdim_pair(self.m, self.entry.potential_in(), self.entry.potential_out())
+        """Both quantum dimensions from the Jacobian determinant."""
+        return qdim_pair(self.m, self.entry.potential_in(), self.entry.potential_out(), self.weights)
 
     @cached_property
     def qdim_nfs(self) -> Dict[Tuple[str, str], Poly]:

@@ -12,13 +12,14 @@ monomial times c, in integers over one denominator.  Any valid H gives
 the same answer; the test suite exercises that with independently built
 lifts.
 
-Both entry points take W itself.  Its weights come from
-`grading.weights_from_potential`, and they fix each power: the Hessian
-of W has weighted degree 2c = sum(2 - 2 w_j), and every monomial of
-higher weighted degree lies in the Jacobian ideal, so v_i^N with
-N = floor(2c / w_i) + 1 always does, and one solve per row finds H; its
-equations are the partials' integer numerators.  A solve that fails
-there means W has no isolated singularity.
+Both entry points take W itself.  Its weights, from
+`grading.weights_from_potential` unless the caller has them, fix each
+power: the Hessian of W has weighted degree 2c = sum(2 - 2 w_j), and
+every monomial of higher weighted degree lies in the Jacobian ideal, so
+v_i^N with N = floor(2c / w_i) + 1 always does, and one solve per row
+finds H; its equations are the partials' integer numerators, and its
+degrees are integers once the weights are scaled by their common
+denominator.  A solve that fails means W has no isolated singularity.
 
 Quantum dimensions take the supertrace of the sixfold product of
 entry-wise partial derivatives of the twisted differential, sources
@@ -27,19 +28,24 @@ product is order-sensitive and the order is part of the data).  With
 three variables a side, the global sign prefactor is +1.  The left
 dimension integrates the target variables out against the target
 potential's partials; the right one the source variables against the
-source potential's.  Both results must be free of ring variables.  Both
-sides read the same supertrace, so `qdim_pair` forms it once, as the
-6x6 Jacobian determinant of the generators (`derivative_supertrace`),
-and integrates it twice.  A residue reads a term only when the term's
-exponents on the integrated variables form a key, so `qdim_pair` builds
-both lifts first and forms only the terms on their keys (6-20% of the
-determinant on the shipped entries): every other term could change
-neither result.  The determinant runs on packed integer monomials over
-one common denominator: each generator's stored numerators are
-differentiated in integers, and terms are packed once, as offsets from
-the unit of a `_groebner._Layout` whose fields hold the sum of the
-generators' total degrees less one (a bound on every minor), so a
-monomial product is one int addition.
+source potential's.  Both results must be free of ring variables.  The
+supertrace is the 6x6 Jacobian determinant det J of the generators
+(`derivative_supertrace`), and the grading bounds what each side reads.
+Suppose each generator d_k is quasi-homogeneous in the ring variables,
+parameters weighing 0, of degree q_k; the q_k sum to 6; and the source
+and target weights have equal sums.  Then det J has degree
+6 - sum w_src - sum w_tgt, while a key v^(N-1)/m that the left residue
+reads has the Hessian's degree sum(2 - 2 w_tgt), so the source part of
+a read term has degree sum w_tgt - sum w_src = 0: as weights are
+positive, every source exponent is 0.  The right side is the mirror
+image.  So when `qdim_pair` finds the three conditions on the lifts'
+weights, the left residue integrates the slice of det J free of
+sources and the right one the slice free of targets; otherwise both
+read the whole determinant, formed once.  The determinant runs on
+packed integer monomials over one common denominator: each generator's
+stored numerators are packed once, as offsets from the unit of a
+`_groebner._Layout` whose fields hold the sum of the generators' total
+degrees, so a partial and a monomial product are each one int addition.
 """
 
 from __future__ import annotations
@@ -48,14 +54,14 @@ from fractions import Fraction
 from functools import reduce
 from itertools import combinations
 from math import lcm, prod
-from operator import add, itemgetter
+from operator import add, itemgetter, mul
 from typing import Collection, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from ._groebner import _Layout, _support
 from ._linalg import solve_dense
-from .grading import GradingError, weights_from_potential
+from .grading import GradingError, VariableWeights, weights_from_potential
 from .matfac import Matrix8, MatrixFactorization, matmul
-from .polyring import Monomial, Poly, VarTable
+from .polyring import Monomial, Poly
 
 # row triples of a 6x6 matrix; the (-1-i)-th is the complement of the i-th
 _TRIPLES = tuple(combinations(range(6), 3))
@@ -85,15 +91,13 @@ def derivative_matrix_product(m: MatrixFactorization, order: Sequence[str]) -> M
     return reduce(matmul, (_partial_matrix(m, v) for v in order))
 
 
-def derivative_supertrace(
-    m: MatrixFactorization, order: Sequence[str], reads: Mapping[Sequence[str], Collection[Monomial]]
-) -> Poly:
+def derivative_supertrace(m: MatrixFactorization, order: Sequence[str], zero: Collection[str]) -> Poly:
     """The terms of supertrace(derivative_matrix_product(m, order)) for
-    six variables that `reads` asks for: those whose exponents on some
-    variable tuple of `reads` form one of its keys.  The supertrace is
-    det J, with J[k][j] the partial of the k-th generator along order[j]:
-    a term n/den*v^e of it gives e_i*n/den at e - 1_i, so row k is in
-    integers over the k-th generator's own denominator.
+    six variables whose exponent is 0 on every variable in `zero` (all of
+    them when `zero` is empty).  The supertrace is det J, with J[k][j]
+    the partial of the k-th generator along order[j]: a term n/den*v^e
+    of it gives e_i*n/den at e - 1_i, so row k is in integers over the
+    k-th generator's own denominator.
 
     Proof.  `build_8x8` is linear, so M = sum_k d_k G_k with G_k the
     matrix of the k-th unit vector, and each factor is sum_k J[k][j] G_k.
@@ -106,20 +110,24 @@ def derivative_supertrace(
     eps(k) since str(G_1...G_6) = 1; the sum is Leibniz's formula for
     det J.  (The tests check str(G_k1...G_k6) = eps(k) on all 6^6 k.)
 
-    Laplace expansion along the column halves: det J is the sum over row
-    triples S (0-based) of (-1)^(sum S + 1) J[S; 0-2] J[rows not in S; 3-5].
-    A term's exponents on the read variables are the sums of its two
-    factors', so the terms of each second minor are grouped by their
-    packed read fields, and each term of the first is multiplied only by
-    the groups whose fields complete it to a key: the terms formed are
-    exactly the read ones, each with all of its contributions.
+    Exponents only add, so every entry's terms that carry a variable of
+    `zero` are dropped, by a mask test on the packed ints, before any
+    minor is formed.  Laplace expansion along the column halves: det J
+    is the sum over row triples S (0-based) of (-1)^(sum S + 1)
+    J[S; 0-2] J[rows not in S; 3-5].
     """
     vt = m.vt
-    cols = [vt.index(v) for v in order]
-    layout = _Layout(len(vt), _support(m.six), sum(max(0, d.total_degree() - 1) for d in m.six))
-    unit = layout.one
-    pj = [[[(layout.pack(e[:i] + (e[i] - 1,) + e[i + 1:]) - unit, e[i] * n) for e, n in d.nums.items() if e[i]]
-           for i in cols] for d in m.six]
+    layout = _Layout(len(vt), _support(m.six), sum(d.total_degree() for d in m.six))
+    unit, field = layout.one, dict(zip(layout.slots, layout.shifts))
+    mask = sum(layout.cap << field[i] for i in map(vt.index, zero) if i in field)
+    free = unit & mask  # the fields of a term with no variable of `zero`
+    terms = [[(layout.pack(e), e, n) for e, n in d.nums.items()] for d in m.six]
+
+    def partial(k: int, i: int) -> List[Tuple[int, int]]:  # as offsets from the unit
+        step = (1 << field[i]) - (1 << layout.top) if i in field else 0  # e -> e - 1_i
+        return [(p - unit, e[i] * n) for q, e, n in terms[k] if e[i] and (p := q + step) & mask == free]
+
+    pj = [[partial(k, vt.index(v)) for v in order] for k in range(6)]
 
     def dot(*triples) -> List[Tuple[int, int]]:  # sum of sign * a * b
         acc: Dict[int, int] = {}
@@ -137,41 +145,8 @@ def derivative_supertrace(
         return [dot((pj[r][c], two[s, t], 1), (pj[s][c], two[r, t], -1), (pj[t][c], two[r, s], 1))
                 for r, s, t in _TRIPLES]
 
-    # per read: the mask of its fields, the unit's fields, and its keys as
-    # offsets; the fields of a term k are (k + unit) & mask, and they add
-    # under products once the unit's are taken off
-    field = dict(zip(layout.slots, layout.shifts))
-    rules, everywhere = [], 0
-    for names, keys in reads.items():
-        idx = [vt.index(n) for n in names]
-        mask = sum(layout.cap << field[i] for i in idx if i in field)
-        codes = {-sum(e << field[i] for i, e in zip(idx, key) if i in field)
-                 for key in keys if all(0 <= e <= (layout.cap if i in field else 0) for i, e in zip(idx, key))}
-        rules.append((mask, unit & mask, codes))
-        everywhere |= mask
-
-    def grouped(terms: List[Tuple[int, int]]) -> Dict[int, List[Tuple[int, int]]]:  # by read fields
-        groups: Dict[int, List[Tuple[int, int]]] = {}
-        for t in terms:
-            groups.setdefault((t[0] + unit) & everywhere, []).append(t)
-        return groups
-
-    products = []
-    for rows, head, tail in zip(_TRIPLES, minors(0, 1, 2), reversed(minors(3, 4, 5))):
-        tails = grouped(tail)
-        index: List[Dict[int, List[int]]] = [{} for _ in rules]
-        for fields in tails:
-            for (mask, base, _), by in zip(rules, index):
-                by.setdefault((fields & mask) - base, []).append(fields)
-        sign = 1 if sum(rows) % 2 else -1
-        for fields, heads in grouped(head).items():
-            hits = set()
-            for (mask, base, codes), by in zip(rules, index):
-                own = (fields & mask) - base
-                for code in codes:
-                    hits.update(by.get(code - own, ()))
-            products.extend((heads, tails[hit], sign) for hit in hits)
-    det = dot(*products)
+    det = dot(*((head, tail, 1 if sum(rows) % 2 else -1)
+                for rows, head, tail in zip(_TRIPLES, minors(0, 1, 2), reversed(minors(3, 4, 5)))))
     return Poly._make(vt, prod(d.den for d in m.six), {layout.unpack(k + unit): n for k, n in det})
 
 
@@ -188,25 +163,25 @@ def _determinant(h: Tuple[Tuple[Poly, ...], ...]) -> Poly:
     return Poly.dot(h[0][0].vt, zip(h[0], minors))
 
 
-def _monomials_of_weight(weights: Sequence[Fraction], target: Fraction) -> List[Tuple[int, ...]]:
+def _monomials_of_weight(weights: Sequence[int], target: int) -> List[Tuple[int, ...]]:
     """Exponent triples e with sum(e_i * w_i) == target >= 0, in lexicographic
-    order: e_1, e_2 enumerated and e_3 solved for, in integers over d."""
-    d = lcm(target.denominator, *(w.denominator for w in weights))
-    t, (w1, w2, w3) = int(target * d), (int(w * d) for w in weights)
-    firsts = ((a, b) for a in range(t // w1 + 1) for b in range((t - a * w1) // w2 + 1))
-    return [(a, b, r // w3) for a, b in firsts if (r := t - a * w1 - b * w2) % w3 == 0]
+    order: e_1, e_2 enumerated and e_3 solved for."""
+    w1, w2, w3 = weights
+    firsts = ((a, b) for a in range(target // w1 + 1) for b in range((target - a * w1) // w2 + 1))
+    return [(a, b, r // w3) for a, b in firsts if (r := target - a * w1 - b * w2) % w3 == 0]
 
 
 def _solve_power_certificate(
-    f: Sequence[Poly], names: Sequence[str], weights: Sequence[Fraction], var_index: int, exponent: int
+    f: Sequence[Poly], names: Sequence[str], weights: Sequence[int], two: int, var_index: int, exponent: int
 ) -> Optional[List[Poly]]:
-    """Row h with sum_j h_j f_j = v^exponent, homogeneous ansatz, or None."""
+    """Row h with sum_j h_j f_j = v^exponent, homogeneous ansatz, or None;
+    the weights are integers in units in which W has degree `two`."""
     vt = f[0].vt
     idx = [vt.index(n) for n in names]
     target = exponent * weights[var_index]
     ansatz: List[Tuple[int, Tuple[int, ...]]] = []  # (which f, exponents on names)
     for j in range(3):
-        dj = target - (2 - weights[j])
+        dj = target - (two - weights[j])
         if dj >= 0:
             ansatz.extend((j, m) for m in _monomials_of_weight(weights, dj))
     if not ansatz:
@@ -237,29 +212,36 @@ def _solve_power_certificate(
     return [Poly._make(vt, den, b) for b in buckets]
 
 
+def _weights(w: Poly, names: Sequence[str]) -> VariableWeights:
+    try:
+        return weights_from_potential(w, tuple(names))
+    except GradingError as exc:
+        raise ResidueError(str(exc)) from None
+
+
 def cofactor_lift(
-    w: Poly, names: Sequence[str], exponents: Optional[Sequence[int]] = None
+    w: Poly, names: Sequence[str], exponents: Optional[Sequence[int]] = None, weights: Optional[VariableWeights] = None
 ) -> CofactorLift:
     """Cofactor matrix H with H.(f1,f2,f3) = (v1^N1, v2^N2, v3^N3), the
     f_j being the partials of the potential `w` along `names`.
 
     Without explicit exponents, N_i = floor(2c / w_i) + 1, where a
     certificate exists whenever W has an isolated singularity (see
-    above), so each row is one solve.
+    above), so each row is one solve.  The weights of `w`, solved from it
+    when not given, are scaled once by their common denominator D.
     """
     if len(names) != 3:
         raise ResidueError("exactly three variables required")
-    try:
-        weights = [x for _, x in weights_from_potential(w, tuple(names)).weights]
-    except GradingError as exc:
-        raise ResidueError(str(exc)) from None
+    rational = (weights if weights is not None else _weights(w, names)).as_dict()
+    scale = lcm(*(rational[n].denominator for n in names))
+    ints = [rational[n].numerator * (scale // rational[n].denominator) for n in names]
     if exponents is None:
-        hessian = sum(2 - 2 * x for x in weights)
-        exponents = [hessian // x + 1 for x in weights]
+        hessian = sum(2 * scale - 2 * x for x in ints)
+        exponents = [hessian // x + 1 for x in ints]
     f = [w.partial(n) for n in names]
     rows: List[List[Poly]] = []
     for i, (v, n) in enumerate(zip(names, exponents)):
-        row = _solve_power_certificate(f, names, weights, i, n)
+        row = _solve_power_certificate(f, names, ints, 2 * scale, i, n)
         if row is None:
             raise ResidueError(f"no power of {v} up to {v}^{n} is in the Jacobian ideal: W has no isolated singularity")
         if Poly.dot(w.vt, zip(row, f)) != Poly.var(w.vt, v) ** n:
@@ -269,11 +251,17 @@ def cofactor_lift(
     return CofactorLift(tuple(names), tuple(exponents), matrix, _determinant(matrix))
 
 
-def _read_terms(lift: CofactorLift, vt: VarTable) -> Tuple[int, Dict[Monomial, List[Tuple[List[int], int]]]]:
-    """(den, read): the terms n/den * m of det(H), keyed by the exponents
-    v^(N-1)/m on the v_i that a term of g must carry to meet them, each
-    with the shift that clears those v_i from it."""
-    det = lift.determinant
+def grothendieck_residue(
+    g: Poly, w: Poly, names: Sequence[str], lift: Optional[CofactorLift] = None
+) -> Poly:
+    """Res[g dv/(f1,f2,f3)], the f_j the partials of `w`: the coefficient
+    of v^(N-1) in g*det(H), read off in one pass over g's terms, in
+    integers over one denominator.  Each term n*m of det(H) is keyed by
+    the exponents v^(N-1)/m on the v_i that a term of g must carry to
+    meet it, with the shift that clears those v_i from the product."""
+    if lift is None:
+        lift = cofactor_lift(w, names)
+    vt, det = g.vt, lift.determinant
     idx = [vt.index(name) for name in lift.vars]
     read: Dict[Monomial, List[Tuple[List[int], int]]] = {}
     for m, n in det.nums.items():
@@ -282,42 +270,44 @@ def _read_terms(lift: CofactorLift, vt: VarTable) -> Tuple[int, Dict[Monomial, L
         for i, k in zip(idx, key):
             shift[i] = -k
         read.setdefault(key, []).append((shift, n))
-    return det.den, read
-
-
-def grothendieck_residue(
-    g: Poly, w: Poly, names: Sequence[str], lift: Optional[CofactorLift] = None
-) -> Poly:
-    """Res[g dv/(f1,f2,f3)], the f_j the partials of `w`: the coefficient
-    of v^(N-1) in g*det(H), read off in one pass over g's terms, in
-    integers over one denominator."""
-    if lift is None:
-        lift = cofactor_lift(w, names)
-    vt = g.vt
-    den, read = _read_terms(lift, vt)
-    on_names = itemgetter(*(vt.index(name) for name in lift.vars))
+    on_names = itemgetter(*idx)
     acc: Dict[Monomial, int] = {}
     for m, n in g.nums.items():
         for shift, dn in read.get(on_names(m), ()):
             mono = tuple(map(add, m, shift))
             acc[mono] = acc.get(mono, 0) + n * dn
-    return Poly._make(vt, den * g.den, acc)
+    return Poly._make(vt, det.den * g.den, acc)
 
 
-def qdim_pair(m: MatrixFactorization, v_in: Poly, w_out: Poly) -> Dict[str, Poly]:
-    """Both quantum dimensions, by side, from one supertrace: sources
-    first, then targets, in declared order.  The supertrace carries only
-    the terms the two residues read."""
+def _graded(m: MatrixFactorization, weights: Mapping[str, Fraction], sources, targets) -> bool:
+    """The three conditions above, in integers in units of 1/D."""
+    scale = lcm(*(x.denominator for x in weights.values()))
+    ints = {n: x.numerator * (scale // x.denominator) for n, x in weights.items()}
+    by_slot = [ints.get(n, 0) for n in m.vt.names]
+    degrees = [{sum(map(mul, e, by_slot)) for e in d.nums} for d in m.six]
+    return (all(len(q) == 1 for q in degrees) and sum(min(q) for q in degrees) == 6 * scale
+            and sum(ints[n] for n in sources) == sum(ints[n] for n in targets))
+
+
+def qdim_pair(
+    m: MatrixFactorization, v_in: Poly, w_out: Poly, weights: Optional[Tuple[VariableWeights, VariableWeights]] = None
+) -> Dict[str, Poly]:
+    """Both quantum dimensions, by side, from the Jacobian determinant,
+    each read off its slice when the grading allows (see above).  The
+    source and target `weights`, solved from the potentials when not
+    given, serve both lifts and the grading test."""
     sources, targets = v_in.support_vars(), w_out.support_vars()
     if len(sources) != 3 or len(targets) != 3:
         raise ResidueError("each potential must involve exactly three variables")
-    sides = {"left": (w_out, targets), "right": (v_in, sources)}
-    lifts = {side: cofactor_lift(against, over) for side, (against, over) in sides.items()}
-    reads = {lift.vars: _read_terms(lift, m.vt)[1].keys() for lift in lifts.values()}
-    s = derivative_supertrace(m, sources + targets, reads)
+    vw_in, vw_out = weights if weights is not None else (_weights(v_in, sources), _weights(w_out, targets))
+    sides = {"left": (w_out, targets, vw_out, sources), "right": (v_in, sources, vw_in, targets)}
+    lifts = {side: cofactor_lift(against, over, weights=vw) for side, (against, over, vw, _) in sides.items()}
+    graded = _graded(m, {**vw_in.as_dict(), **vw_out.as_dict()}, sources, targets)
+    zeros = {side: free if graded else () for side, (_, _, _, free) in sides.items()}
+    slices = {zero: derivative_supertrace(m, sources + targets, zero) for zero in dict.fromkeys(zeros.values())}
     out = {}
-    for side, (against, over) in sides.items():
-        value = grothendieck_residue(s, against, over, lifts[side])
+    for side, (against, over, _, _) in sides.items():
+        value = grothendieck_residue(slices[zeros[side]], against, over, lifts[side])
         ring_left = [v for v in value.support_vars() if v in m.vt.ring_vars]
         if ring_left:
             raise ResidueError(f"qdim_{side} retains ring variables {ring_left}")

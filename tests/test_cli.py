@@ -7,11 +7,12 @@ import json
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from orbimf import _groebner, cli, constraints, matfac, numberfield, polyring, residue
+from orbimf import _groebner, cli, constraints, grading, matfac, numberfield, polyring, residue
 from orbimf.catalog import EquivalenceEntry, load_catalog
 from orbimf.cli import SCHEMA_VERSION, main, verify_entry
 from orbimf.polyring import Poly, parse_poly
@@ -585,6 +586,7 @@ def test_verify_entry_computes_each_fact_once(count_calls, entry_id):
     matmuls = count_calls(matfac, "matmul")
     specs = count_calls(numberfield, "QuotientSpec")
     poly_products = count_calls(Poly, "__mul__")
+    solves = count_calls(grading, "weights_from_potential")
     catalog = load_catalog()
     entry = catalog[entry_id]
     # one quotient ring per family, built at load and shared by its
@@ -608,7 +610,13 @@ def test_verify_entry_computes_each_fact_once(count_calls, entry_id):
     # ships printed generators identical to the derived ones
     w12 = entry_id == "W12v1_W12v2"
     assert len(sets) == len(set(sets)) == (2 if w12 else 1)
-    assert len(products) == 1
+    # each side's weights are solved once, for the grading stage, both
+    # lifts and the grading test; every shipped factorization is graded,
+    # so each residue forms only its slice: the terms free of sources for
+    # the left one, of targets for the right one
+    assert [args[1] for args in solves] == [entry.side_in.vars, entry.side_out.vars]
+    sources, targets = entry.potential_in().support_vars(), entry.potential_out().support_vars()
+    assert [args[2] for args in products] == [sources, targets]
     # quotient rings reduce through `reducer` too, over their minimal
     # polynomials, which live in the family's own table
     def over_entry(args):
@@ -627,6 +635,30 @@ def test_verify_entry_computes_each_fact_once(count_calls, entry_id):
     # groebner_basis builds one record set for Buchberger and one for
     # its final interreduction pass
     assert len(divisor_sets) == 2 * len(bases) + len(constraint_reducers) + len(quotient_reducers)
+
+
+def test_verify_all_fraction_budget(capsys, monkeypatch, tmp_path):
+    # a warm `verify --all --json` over the six entries other than Q12
+    # keeps its exact arithmetic in integers: 1,431 Fractions before the
+    # lifts ran on integer weights and each side's weights were solved once
+    for path in SHIPPED_DIR.glob("*.json"):
+        if path.name == "potentials.json" or json.loads(path.read_text())["id"] != "Q12v1_Q12v2":
+            shutil.copy(path, tmp_path / path.name)
+    argv = ("verify", "--all", "--catalog", str(tmp_path), "--json")
+    assert _run(capsys, *argv)[0] == 1  # W13 fails by design
+    made = []
+    original = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    rc = main(list(argv))
+    monkeypatch.undo()
+    capsys.readouterr()
+    assert rc == 1
+    assert len(made) <= 800
 
 
 @pytest.mark.parametrize("entry_id", ENTRY_IDS)

@@ -211,6 +211,47 @@ def test_packed_lcm_is_the_packed_exponentwise_max(case):
         assert layout.lcm(pa, pb) == layout.pack_exponents(top)
 
 
+@st.composite
+def _pack_cases(draw):
+    """A table of 1-13 slots, a layout over a subset of them (empty or
+    whole now and then) sized for a degree of 0-300, so that its fields
+    are one or two bytes wide, and two monomials supported on the subset
+    with degrees of up to 300, some of them past the layout's cap."""
+    size = draw(st.integers(1, 13))
+    slots = sorted(draw(st.sets(st.integers(0, size - 1))))
+    degree = draw(st.integers(0, 300))
+    layout = _groebner._Layout(size, slots, degree)
+    assert layout.cap >= degree
+
+    def monomial(exps):
+        out = [0] * size
+        for i, e in zip(slots, exps):
+            out[i] = min(e, 300 - sum(out))
+        return tuple(out)
+
+    exps = st.lists(st.integers(0, 300), min_size=len(slots), max_size=len(slots)).map(monomial)
+    return layout, draw(exps), draw(exps)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pack_cases())
+@example((_groebner._Layout(4, (0, 2), 126), (127, 0, 0, 0), (0, 0, 128, 0)))  # the 8-bit cap, and one past it
+@example((_groebner._Layout(4, (0, 2), 127), (127, 0, 0, 0), (0, 0, 128, 0)))  # the first 16-bit layout
+def test_packed_monomials_round_trip_in_degrevlex_order(case):
+    layout, a, b = case
+    packed = []
+    for m in (a, b):
+        if sum(m) > layout.cap:
+            with pytest.raises(_Overflow):
+                layout.pack(m)
+        else:
+            packed.append(layout.pack(m))
+            assert layout.unpack(packed[-1]) == m
+    if len(packed) == 2:
+        pa, pb = packed
+        assert (pa < pb, pa == pb) == (degrevlex_key(a) < degrevlex_key(b), a == b)
+
+
 def test_groebner_basis_matches_sympy_on_w13():
     sympy = pytest.importorskip("sympy")
     from orbimf.catalog import load_catalog

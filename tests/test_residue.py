@@ -144,7 +144,7 @@ def test_cofactor_lift_solves_each_row_once(count_calls):
     for key, obj in _POTENTIALS.items():
         names = tuple(obj["vars"])
         lift = cofactor_lift(parse_poly(obj["poly"], _ring(*names)), names)
-        assert [args[3:] for args in solves] == list(enumerate(lift.exponents)), key
+        assert [args[4:] for args in solves] == list(enumerate(lift.exponents)), key
         solves.clear()
 
 
@@ -230,21 +230,10 @@ def test_qdim_results_live_in_parameters_only(shipped_work):
             assert all(v in entry.parameters for v in value.support_vars()), entry.id
 
 
-def _restricted(p: Poly, reads) -> Poly:
-    """The terms of p whose exponents on some variable tuple of `reads`
-    form one of its keys."""
-    picks = [([p.vt.index(n) for n in names], set(keys)) for names, keys in reads.items()]
-    return Poly(p.vt, {m: c for m, c in p.terms() if any(tuple(m[i] for i in idx) in keys for idx, keys in picks)})
-
-
-def _residue_reads(*lifts):
-    """The keys v^(N-1)/m, m a term of det(H), of each lift's residues."""
-    reads = {}
-    for lift in lifts:
-        det = lift.determinant
-        idx = [det.vt.index(n) for n in lift.vars]
-        reads[lift.vars] = {tuple(n - 1 - m[i] for n, i in zip(lift.exponents, idx)) for m in det.monomials()}
-    return reads
+def _free_of(p: Poly, zero) -> Poly:
+    """The terms of p whose exponent is 0 on every variable in `zero`."""
+    idx = [p.vt.index(n) for n in zero]
+    return Poly(p.vt, {m: c for m, c in p.terms() if not any(m[i] for i in idx)})
 
 
 def _bound_lifts(entry):
@@ -253,31 +242,70 @@ def _bound_lifts(entry):
                                                                      ("right", entry.potential_in()))}
 
 
-# (terms formed, terms of the whole supertrace) on each shipped entry
-READ_TERMS = {
-    "E14v1_E14v2": (6, 92), "Q12v1_Q12v2": (61, 450), "U12v1_U12v3": (26, 198), "U12v2_U12v3": (36, 198),
-    "W12v1_W12v2": (16, 80), "W13v1_W13v2": (253, 1229), "Z13v1_Z13v2": (16, 167),
+def _graded_cases():
+    """(label, factorization, source potential, target potential) of every
+    shipped entry and of the Q12 slices at a4 = 2 and at a5 = 2."""
+    catalog = load_catalog()
+    cases = [(entry.id, build_8x8(entry.six()), entry.potential_in(), entry.potential_out()) for entry in catalog.values()]
+    q12 = catalog["Q12v1_Q12v2"]
+    for name in ("a4", "a5"):
+        fixed = {name: Poly.const(q12.vt, 2)}
+        six = [d.substitute(fixed) for d in q12.six()]
+        cases.append((f"Q12 {name} = 2", build_8x8(six), q12.potential_in(), q12.potential_out()))
+    return cases
+
+
+def _both_weights(v_in: Poly, w_out: Poly):
+    return {**weights_from_potential(v_in, v_in.support_vars()).as_dict(),
+            **weights_from_potential(w_out, w_out.support_vars()).as_dict()}
+
+
+# (left slice, right slice, whole supertrace) term counts on each shipped entry
+SLICE_TERMS = {
+    "E14v1_E14v2": (8, 5, 92), "Q12v1_Q12v2": (84, 9, 450), "U12v1_U12v3": (38, 12, 198), "U12v2_U12v3": (38, 12, 198),
+    "W12v1_W12v2": (12, 5, 80), "W13v1_W13v2": (310, 13, 1229), "Z13v1_Z13v2": (15, 11, 167),
 }
 
 
-def test_shared_supertrace_matches_full_product_and_separate_sides(shipped_work):
-    # the Jacobian determinant against the whole sixfold 8x8 product,
-    # restricted to the terms the two residues read, and the
-    # one-supertrace pair against each side's residue of the whole product
-    catalog = load_catalog()
-    assert set(catalog) == set(READ_TERMS)
-    for entry in catalog.values():
-        m = build_8x8(entry.six())
-        v_in, w_out = entry.potential_in(), entry.potential_out()
+def test_graded_slices_match_full_product_and_separate_sides(shipped_work):
+    # on every shipped entry and both Q12 slices the three grading
+    # conditions hold; each side's slice is the sixfold 8x8 product's
+    # supertrace restricted to the terms free of the other side, and the
+    # pair is each side's residue of the whole product
+    assert set(load_catalog()) == set(SLICE_TERMS)
+    for label, m, v_in, w_out in _graded_cases():
         sources, targets = v_in.support_vars(), w_out.support_vars()
+        assert residue._graded(m, _both_weights(v_in, w_out), sources, targets), label
         full = supertrace(derivative_matrix_product(m, sources + targets))
-        reads = _residue_reads(*_bound_lifts(entry).values())
-        formed = derivative_supertrace(m, sources + targets, reads)
-        assert formed == _restricted(full, reads), entry.id
-        assert (len(dict(formed.terms())), len(dict(full.terms()))) == READ_TERMS[entry.id]
-        pair = shipped_work(entry.id).qdims
-        assert pair["left"] == grothendieck_residue(full, w_out, targets), entry.id
-        assert pair["right"] == grothendieck_residue(full, v_in, sources), entry.id
+        left = derivative_supertrace(m, sources + targets, sources)
+        right = derivative_supertrace(m, sources + targets, targets)
+        assert left == _free_of(full, sources), label
+        assert right == _free_of(full, targets), label
+        if label in SLICE_TERMS:
+            assert (len(left.nums), len(right.nums), len(full.nums)) == SLICE_TERMS[label]
+        pair = shipped_work(label).qdims if label in SLICE_TERMS else qdim_pair(m, v_in, w_out)
+        assert pair["left"] == grothendieck_residue(full, w_out, targets), label
+        assert pair["right"] == grothendieck_residue(full, v_in, sources), label
+
+
+def test_ungraded_factorization_reads_the_whole_determinant(count_calls):
+    # E14 with d15 + 1: no degree makes d15 homogeneous, so both residues
+    # read the whole determinant, formed once, and give today's values
+    # (the constant leaves the Jacobian, and so both residues, unchanged)
+    entry = load_catalog()["E14v1_E14v2"]
+    six = list(entry.six())
+    six[0] = six[0] + Poly.const(entry.vt, 1)
+    m = build_8x8(six)
+    v_in, w_out = entry.potential_in(), entry.potential_out()
+    sources, targets = v_in.support_vars(), w_out.support_vars()
+    assert not residue._graded(m, _both_weights(v_in, w_out), sources, targets)
+    products = count_calls(residue, "derivative_supertrace")
+    pair = qdim_pair(m, v_in, w_out)
+    assert [args[2] for args in products] == [()]
+    full = supertrace(derivative_matrix_product(m, sources + targets))
+    assert pair["left"] == grothendieck_residue(full, w_out, targets)
+    assert pair["right"] == grothendieck_residue(full, v_in, sources)
+    assert (format_poly(pair["left"]), format_poly(pair["right"])) == ("-1/4*c^7", "c")
 
 
 def _smallest_power_lift(side, w: Poly):
@@ -291,16 +319,18 @@ def _smallest_power_lift(side, w: Poly):
 
 
 def test_smallest_power_lifts_give_the_same_quantum_dimensions(shipped_work):
-    # all fourteen catalog sides, integrated through the lifts at the
-    # smallest powers, over the supertrace terms those lifts read
+    # all fourteen catalog sides, each integrated through the lift at the
+    # smallest powers over its slice: the slice holds every term that
+    # lift reads too
     for entry in load_catalog().values():
         work = shipped_work(entry.id)
         sides = {"left": (entry.side_out, entry.potential_out()), "right": (entry.side_in, entry.potential_in())}
         lifts = {side: _smallest_power_lift(rec, w) for side, (rec, w) in sides.items()}
         assert lifts != _bound_lifts(entry), entry.id
-        order = entry.potential_in().support_vars() + entry.potential_out().support_vars()
-        s = derivative_supertrace(work.m, order, _residue_reads(*lifts.values()))
+        sources, targets = entry.potential_in().support_vars(), entry.potential_out().support_vars()
+        zeros = {"left": sources, "right": targets}
         for side, (_, w) in sides.items():
+            s = derivative_supertrace(work.m, sources + targets, zeros[side])
             got = grothendieck_residue(s, w, lifts[side].vars, lift=lifts[side])
             assert got == work.qdims[side], (entry.id, side)
 
@@ -314,7 +344,7 @@ def test_qdim_pair_solves_six_rows(count_calls):
 
 
 def test_qdim_pair_forms_each_lift_determinant_once(count_calls):
-    # the read keys and both residues share each lift's det(H)
+    # the residue reads each lift's det(H), formed with the lift
     dets = count_calls(residue, "_determinant")
     for entry in load_catalog().values():
         before = len(dets)
@@ -324,14 +354,34 @@ def test_qdim_pair_forms_each_lift_determinant_once(count_calls):
 
 def test_derivative_supertrace_differentiates_in_integers(count_calls):
     # the Jacobian is formed from each generator's integer terms, with no
-    # Fraction partial
+    # Fraction partial, for the whole determinant and for both slices
     entries = list(load_catalog().values())
-    reads = [_residue_reads(*_bound_lifts(entry).values()) for entry in entries]
     partials = count_calls(Poly, "partial")
-    for entry, read in zip(entries, reads):
-        order = entry.potential_in().support_vars() + entry.potential_out().support_vars()
-        derivative_supertrace(build_8x8(entry.six()), order, read)
+    for entry in entries:
+        sources, targets = entry.potential_in().support_vars(), entry.potential_out().support_vars()
+        for zero in ((), sources, targets):
+            derivative_supertrace(build_8x8(entry.six()), sources + targets, zero)
     assert not partials
+
+
+def test_cofactor_lift_makes_no_fraction_after_its_weight_solve(monkeypatch):
+    # with its weights given, a lift runs on integer weights in units of
+    # their common denominator
+    made = []
+    original = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return original(cls, *args, **kwargs)
+
+    for key, obj in _POTENTIALS.items():
+        names = tuple(obj["vars"])
+        w = parse_poly(obj["poly"], _ring(*names))
+        weights = weights_from_potential(w, names)
+        monkeypatch.setattr(Fraction, "__new__", counted)
+        cofactor_lift(w, names, weights=weights)
+        monkeypatch.undo()
+        assert not made, key
 
 
 # -- the Clifford supertrace identity behind derivative_supertrace ------
@@ -405,43 +455,25 @@ def _det_generators(draw):
     return six
 
 
-_KEY = st.tuples(*[st.integers(-1, 4)] * 3)
-
-
 @settings(deadline=None, max_examples=25)
-@given(_det_generators(), st.data())
+@given(_det_generators(), st.sets(st.sampled_from(_DET_VT.names)))
 @example(
     [
         parse_poly(text, _DET_VT)
         for text in ("x^26/3 - 2/5*y", "x^25*y^2 + 1/2", "x^25*z^2", "x^25*u^2 - 7/4*w^3", "x^25*v^2", "x^25*w^2/6")
     ],
-    None,
+    {"y", "u"},
 )
-def test_packed_determinant_matches_full_product(six, data):
+def test_packed_determinant_matches_full_product(six, zero):
     # random generators with mixed denominators and zero Jacobian entries;
-    # the example's determinant holds x^150, past an 8-bit field.  Read
-    # on every exponent triple of x, y, z it is the whole product; read
-    # on drawn keys of both halves, among them triples of its own terms
-    # and keys no term can carry, exactly the terms on those keys
+    # the example's determinant holds x^150, past an 8-bit field.  Free of
+    # a drawn set of variables, the empty set among them, the determinant
+    # is the whole product's supertrace restricted to the terms free of them
     order = _DET_VT.names
     m = build_8x8(six)
     full = supertrace(derivative_matrix_product(m, order))
-    halves = (order[:3], order[3:])
-    everything = {halves[0]: {mono[:3] for mono in full.monomials()}}
-    assert derivative_supertrace(m, order, everything) == full
-    reads = {half: set() for half in halves}
-    for (half, keys), at in zip(reads.items(), (slice(0, 3), slice(3, 6))):
-        own = sorted({mono[at] for mono in full.monomials()})
-        if data is None:  # the example: the last key of each half, and one past any field
-            keys.update(own[-1:] + [(4096, 0, 0)])
-        else:
-            if own:
-                keys.update(data.draw(st.lists(st.sampled_from(own), max_size=4)))
-            keys.update(data.draw(st.lists(_KEY, max_size=3)))
-        # a first entry past every field width, which a packed key would
-        # carry into the second variable's field, reads nothing
-        keys.update((a + 2**bits, b - 1, c) for a, b, c in own if b > 0 for bits in range(8, 13))
-    assert derivative_supertrace(m, order, reads) == _restricted(full, reads)
+    zero = tuple(sorted(zero, key=order.index))
+    assert derivative_supertrace(m, order, zero) == _free_of(full, zero)
 
 
 # -- the one-coefficient residue against the whole product g*det(H) --
