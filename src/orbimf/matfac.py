@@ -18,15 +18,21 @@ scalar minus a sign times the difference of potentials
 (`constraints.derive_constraints`), so on their variety the square is
 that sign times the difference times Id by construction; what remains
 to prove is that they are consistent (`verify_potential`).
+
+The factorization is graded when every generator is quasi-homogeneous
+in the ring variables, its parameters weighing 0 since they are
+constants, and each complementary pair has degrees summing to 2
+(`grading_check`).  `generator_degrees` reads those degrees off the
+terms in integers; the residue layer reads the same degrees.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from ._linalg import solve_dense
 from .grading import VariableWeights
 from .polyring import Poly, VarTable
 
@@ -105,6 +111,18 @@ def verify_potential(is_unit: Callable[[], bool], epsilon: int) -> PotentialRepo
     return PotentialReport(ok, epsilon if ok else None)
 
 
+def generator_degrees(m: MatrixFactorization, weights: Sequence[Tuple[str, Fraction]]) -> Tuple[int, Dict[str, int], Optional[List[int]]]:
+    """D, the common denominator of the ring variables' `weights`; each
+    weight in units of 1/D; and each generator's weighted degree in those
+    units, parameters weighing 0 as constants do (0 for a zero generator),
+    or None when some generator mixes degrees."""
+    d = lcm(*(w.denominator for _, w in weights))
+    ints = {n: w.numerator * (d // w.denominator) for n, w in weights}
+    by_slot = [ints.get(n, 0) for n in m.vt.names]
+    degrees = [{sum(map(mul, e, by_slot)) for e in g.nums} or {0} for g in m.six]
+    return d, ints, [q.pop() for q in degrees] if all(len(q) == 1 for q in degrees) else None
+
+
 class GradingReport(NamedTuple):
     ok: bool
     pair_sums: Dict[str, Fraction]
@@ -112,55 +130,16 @@ class GradingReport(NamedTuple):
 
 
 def grading_check(m: MatrixFactorization, combined: VariableWeights) -> GradingReport:
-    """Infer a rational degree for each parameter and each generator.
-
-    One linear equation per term: ring weight of the term plus the
-    parameter degrees it carries equals its generator's degree.  The
-    joint system must be solvable (free unknowns default to 0), and the
-    complementary pairs (d15,d26), (d16,d25), (d17,d35) must then have
-    degrees summing to 2.
-    """
-    weights = combined.as_dict()
-    vt = m.vt
-    params = vt.param_vars
-    n_params = len(params)
-    param_col = {p: i for i, p in enumerate(params)}
-    # the unknowns are d times the degrees, d the weights' common
-    # denominator, so every cell is an integer
-    d = lcm(*(w.denominator for w in weights.values()))
-    scaled = {n: w.numerator * (d // w.denominator) for n, w in weights.items()}
-    col_w = [scaled.get(n, 0) if n not in param_col else None for n in vt.names]
-    rows: List[List[int]] = []
-    rhs: List[int] = []
-    failing: List[str] = []
-    for k, (name, p) in enumerate(zip(ENTRY_NAMES, m.six)):
-        if p.is_zero():
-            failing.append(f"{name} is zero")
-            continue
-        for mono in p.monomials():
-            row = [0] * (n_params + len(ENTRY_NAMES))
-            ring_part = 0
-            for i, e in enumerate(mono):
-                if not e:
-                    continue
-                w = col_w[i]
-                if w is None:
-                    row[param_col[vt.names[i]]] += e
-                else:
-                    ring_part += w * e
-            row[n_params + k] = -1
-            rows.append(row)
-            rhs.append(-ring_part)
-    solution = solve_dense(rows, rhs) if rows else None
-    pair_sums: Dict[str, Fraction] = {}
-    if solution is None:
-        failing.append("no degree assignment makes every generator homogeneous")
-    else:
-        nums, den = solution
-        degree = dict(zip(ENTRY_NAMES, nums[n_params:]))
-        for left, right in (("d15", "d26"), ("d16", "d25"), ("d17", "d35")):
-            total = Fraction(degree[left] + degree[right], den * d)
-            pair_sums[f"{left}+{right}"] = total
-            if total != 2:
-                failing.append(f"deg {left} + deg {right} = {total}, want 2")
+    """Is each generator quasi-homogeneous, with the degrees that
+    `generator_degrees` reads at parameters of weight 0, and do the
+    complementary pairs (d15,d26), (d16,d25), (d17,d35) have degrees
+    summing to 2?"""
+    d, _, degrees = generator_degrees(m, combined.weights)
+    failing = [f"{name} is zero" for name, p in zip(ENTRY_NAMES, m.six) if p.is_zero()]
+    if degrees is None:
+        return GradingReport(False, {}, (*failing, "no degree assignment makes every generator homogeneous"))
+    degree = dict(zip(ENTRY_NAMES, degrees))
+    pairs = (("d15", "d26"), ("d16", "d25"), ("d17", "d35"))
+    pair_sums = {f"{a}+{b}": Fraction(degree[a] + degree[b], d) for a, b in pairs}
+    failing += [f"deg {a} + deg {b} = {total}, want 2" for (a, b), total in zip(pairs, pair_sums.values()) if total != 2]
     return GradingReport(not failing, pair_sums, tuple(failing))

@@ -38,10 +38,10 @@ and target weights have equal sums.  Then det J has degree
 reads has the Hessian's degree sum(2 - 2 w_tgt), so the source part of
 a read term has degree sum w_tgt - sum w_src = 0: as weights are
 positive, every source exponent is 0.  The right side is the mirror
-image.  So when `qdim_pair` finds the three conditions on the lifts'
-weights, the left residue integrates the slice of det J free of
-sources and the right one the slice free of targets; otherwise both
-read the whole determinant, formed once.  The determinant runs on
+image.  When the degrees that `matfac.generator_degrees` reads for the
+grading stage meet the three conditions, the left residue integrates
+the slice of det J free of sources and the right one the slice free of
+targets; otherwise both read the whole of it.  det J is formed on
 packed integer monomials over one common denominator: each generator's
 stored numerators are packed once, as offsets from the unit of a
 `_groebner._Layout` whose fields hold the sum of the generators' total
@@ -50,17 +50,16 @@ degrees, so a partial and a monomial product are each one int addition.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import reduce
-from itertools import combinations
+from itertools import combinations, cycle
 from math import lcm, prod
-from operator import add, itemgetter, mul
-from typing import Collection, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from operator import add, itemgetter
+from typing import Collection, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ._groebner import _Layout, _support
 from ._linalg import solve_dense
 from .grading import GradingError, VariableWeights, weights_from_potential
-from .matfac import Matrix8, MatrixFactorization, matmul
+from .matfac import Matrix8, MatrixFactorization, generator_degrees, matmul
 from .polyring import Monomial, Poly
 
 # row triples of a 6x6 matrix; the (-1-i)-th is the complement of the i-th
@@ -91,13 +90,26 @@ def derivative_matrix_product(m: MatrixFactorization, order: Sequence[str]) -> M
     return reduce(matmul, (_partial_matrix(m, v) for v in order))
 
 
-def derivative_supertrace(m: MatrixFactorization, order: Sequence[str], zero: Collection[str]) -> Poly:
-    """The terms of supertrace(derivative_matrix_product(m, order)) for
-    six variables whose exponent is 0 on every variable in `zero` (all of
-    them when `zero` is empty).  The supertrace is det J, with J[k][j]
-    the partial of the k-th generator along order[j]: a term n/den*v^e
-    of it gives e_i*n/den at e - 1_i, so row k is in integers over the
-    k-th generator's own denominator.
+def _dot(*triples) -> List[Tuple[int, int]]:  # sum of sign * a * b over (a, b, sign), packed terms
+    acc: Dict[int, int] = {}
+    get = acc.get
+    for a, b, sign in triples:
+        for m1, c1 in a:
+            c1 *= sign
+            for m2, c2 in b:
+                k = m1 + m2
+                acc[k] = get(k, 0) + c1 * c2
+    return [t for t in acc.items() if t[1]]
+
+
+def derivative_supertrace(m: MatrixFactorization, order: Sequence[str], zeros: Sequence[Collection[str]]) -> List[Poly]:
+    """For each set in `zeros`, the terms of
+    supertrace(derivative_matrix_product(m, order)) for six variables whose
+    exponent is 0 on every variable of the set (all of them for an empty
+    set).  The supertrace is det J, with J[k][j] the partial of the k-th
+    generator along order[j]: a term n/den*v^e of it gives e_i*n/den at
+    e - 1_i, so row k is in integers over the k-th generator's own
+    denominator.
 
     Proof.  `build_8x8` is linear, so M = sum_k d_k G_k with G_k the
     matrix of the k-th unit vector, and each factor is sum_k J[k][j] G_k.
@@ -110,44 +122,39 @@ def derivative_supertrace(m: MatrixFactorization, order: Sequence[str], zero: Co
     eps(k) since str(G_1...G_6) = 1; the sum is Leibniz's formula for
     det J.  (The tests check str(G_k1...G_k6) = eps(k) on all 6^6 k.)
 
-    Exponents only add, so every entry's terms that carry a variable of
-    `zero` are dropped, by a mask test on the packed ints, before any
-    minor is formed.  Laplace expansion along the column halves: det J
+    The generators are packed and differentiated once for all the sets.
+    Exponents only add, so for each set every entry's terms that carry a
+    variable of it are dropped, by a mask test on the packed ints, before
+    any minor is formed.  Laplace expansion along the column halves: det J
     is the sum over row triples S (0-based) of (-1)^(sum S + 1)
     J[S; 0-2] J[rows not in S; 3-5].
     """
     vt = m.vt
     layout = _Layout(len(vt), _support(m.six), sum(d.total_degree() for d in m.six))
     unit, field = layout.one, dict(zip(layout.slots, layout.shifts))
-    mask = sum(layout.cap << field[i] for i in map(vt.index, zero) if i in field)
-    free = unit & mask  # the fields of a term with no variable of `zero`
     terms = [[(layout.pack(e), e, n) for e, n in d.nums.items()] for d in m.six]
 
-    def partial(k: int, i: int) -> List[Tuple[int, int]]:  # as offsets from the unit
+    def partial(k: int, i: int) -> List[Tuple[int, int]]:
         step = (1 << field[i]) - (1 << layout.top) if i in field else 0  # e -> e - 1_i
-        return [(p - unit, e[i] * n) for q, e, n in terms[k] if e[i] and (p := q + step) & mask == free]
+        return [(q + step, e[i] * n) for q, e, n in terms[k] if e[i]]
 
-    pj = [[partial(k, vt.index(v)) for v in order] for k in range(6)]
+    jacobian = [[partial(k, vt.index(v)) for v in order] for k in range(6)]
 
-    def dot(*triples) -> List[Tuple[int, int]]:  # sum of sign * a * b
-        acc: Dict[int, int] = {}
-        get = acc.get
-        for a, b, sign in triples:
-            for m1, c1 in a:
-                c1 *= sign
-                for m2, c2 in b:
-                    k = m1 + m2
-                    acc[k] = get(k, 0) + c1 * c2
-        return [t for t in acc.items() if t[1]]
+    def determinant(zero: Collection[str]) -> Poly:
+        mask = sum(layout.cap << field[i] for i in map(vt.index, zero) if i in field)
+        free = unit & mask  # the fields of a term with no variable of `zero`
+        pj = [[[(p - unit, c) for p, c in cell if p & mask == free] for cell in row] for row in jacobian]  # as offsets
 
-    def minors(a: int, b: int, c: int) -> List[List[Tuple[int, int]]]:  # on columns a, b, c
-        two = {(r, s): dot((pj[r][a], pj[s][b], 1), (pj[r][b], pj[s][a], -1)) for r, s in combinations(range(6), 2)}
-        return [dot((pj[r][c], two[s, t], 1), (pj[s][c], two[r, t], -1), (pj[t][c], two[r, s], 1))
-                for r, s, t in _TRIPLES]
+        def minors(a: int, b: int, c: int) -> List[List[Tuple[int, int]]]:  # on columns a, b, c
+            two = {(r, s): _dot((pj[r][a], pj[s][b], 1), (pj[r][b], pj[s][a], -1)) for r, s in combinations(range(6), 2)}
+            return [_dot((pj[r][c], two[s, t], 1), (pj[s][c], two[r, t], -1), (pj[t][c], two[r, s], 1))
+                    for r, s, t in _TRIPLES]
 
-    det = dot(*((head, tail, 1 if sum(rows) % 2 else -1)
-                for rows, head, tail in zip(_TRIPLES, minors(0, 1, 2), reversed(minors(3, 4, 5)))))
-    return Poly._make(vt, prod(d.den for d in m.six), {layout.unpack(k + unit): n for k, n in det})
+        det = _dot(*((head, tail, 1 if sum(rows) % 2 else -1)
+                     for rows, head, tail in zip(_TRIPLES, minors(0, 1, 2), reversed(minors(3, 4, 5)))))
+        return Poly._make(vt, prod(d.den for d in m.six), {layout.unpack(k + unit): n for k, n in det})
+
+    return [determinant(zero) for zero in zeros]
 
 
 class CofactorLift(NamedTuple):
@@ -279,16 +286,6 @@ def grothendieck_residue(
     return Poly._make(vt, det.den * g.den, acc)
 
 
-def _graded(m: MatrixFactorization, weights: Mapping[str, Fraction], sources, targets) -> bool:
-    """The three conditions above, in integers in units of 1/D."""
-    scale = lcm(*(x.denominator for x in weights.values()))
-    ints = {n: x.numerator * (scale // x.denominator) for n, x in weights.items()}
-    by_slot = [ints.get(n, 0) for n in m.vt.names]
-    degrees = [{sum(map(mul, e, by_slot)) for e in d.nums} for d in m.six]
-    return (all(len(q) == 1 for q in degrees) and sum(min(q) for q in degrees) == 6 * scale
-            and sum(ints[n] for n in sources) == sum(ints[n] for n in targets))
-
-
 def qdim_pair(
     m: MatrixFactorization, v_in: Poly, w_out: Poly, weights: Optional[Tuple[VariableWeights, VariableWeights]] = None
 ) -> Dict[str, Poly]:
@@ -300,14 +297,13 @@ def qdim_pair(
     if len(sources) != 3 or len(targets) != 3:
         raise ResidueError("each potential must involve exactly three variables")
     vw_in, vw_out = weights if weights is not None else (_weights(v_in, sources), _weights(w_out, targets))
-    sides = {"left": (w_out, targets, vw_out, sources), "right": (v_in, sources, vw_in, targets)}
-    lifts = {side: cofactor_lift(against, over, weights=vw) for side, (against, over, vw, _) in sides.items()}
-    graded = _graded(m, {**vw_in.as_dict(), **vw_out.as_dict()}, sources, targets)
-    zeros = {side: free if graded else () for side, (_, _, _, free) in sides.items()}
-    slices = {zero: derivative_supertrace(m, sources + targets, zero) for zero in dict.fromkeys(zeros.values())}
+    d, ints, degrees = generator_degrees(m, vw_in.weights + vw_out.weights)
+    graded = degrees is not None and sum(degrees) == 6 * d and sum(map(ints.get, sources)) == sum(map(ints.get, targets))
+    # graded: left reads the slice free of sources, right free of targets
+    slices = cycle(derivative_supertrace(m, sources + targets, (sources, targets) if graded else ((),)))
     out = {}
-    for side, (against, over, _, _) in sides.items():
-        value = grothendieck_residue(slices[zeros[side]], against, over, lifts[side])
+    for side, against, over, vw in (("left", w_out, targets, vw_out), ("right", v_in, sources, vw_in)):
+        value = grothendieck_residue(next(slices), against, over, cofactor_lift(against, over, weights=vw))
         ring_left = [v for v in value.support_vars() if v in m.vt.ring_vars]
         if ring_left:
             raise ResidueError(f"qdim_{side} retains ring variables {ring_left}")

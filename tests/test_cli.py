@@ -435,10 +435,15 @@ def _d15_plus_one(data):
     data["entries"]["d15"] = f"({data['entries']['d15']}) + 1"
 
 
+def _w12_out_on_z11(data):
+    data["ring_vars_out"].update(potential="Z11")
+
+
 @pytest.mark.parametrize("name, edit, entry, line", [
-    # W12's out side on Z11: the two central charges differ
-    ("W12.json", lambda data: data["ring_vars_out"].update(potential="Z11"), "W12",
-     "central charge 11/10 in, 16/15 out"),
+    # W12's out side on Z11: the two central charges differ, and d15 mixes
+    # weighted degrees 1, 31/30 and 16/15
+    ("W12.json", _w12_out_on_z11, "W12",
+     "central charge 11/10 in, 16/15 out; matrix grading fails: no degree assignment makes every generator homogeneous"),
     # E14's d15 plus a constant: no generator degree fits both of its terms
     ("E14.json", _d15_plus_one, "E14",
      "central charge 13/12 both sides; matrix grading fails: no degree assignment makes every generator homogeneous"),
@@ -451,6 +456,23 @@ def test_failing_grading_line_gives_its_reason(capsys, tmp_path, name, edit, ent
     rc, out, _ = _run(capsys, "verify", "--entry", entry, "--catalog", catalog)
     assert rc == 1
     assert f"  grading        FAIL  {line}" in out.splitlines()
+
+
+def test_parameters_take_no_degree(capsys, tmp_path):
+    # W12 on Z11: d15 = z + w + a1*u*x + a2*x^2 has one degree only if a1
+    # and a2 take degrees -1/30 and -1/15; parameters are constants, of
+    # degree 0, so at any nonzero a1 or a2 d15 is not quasi-homogeneous
+    catalog = _spoiled_copy(tmp_path, "W12.json", _w12_out_on_z11)
+    work = constraints.EntryWork(load_catalog(catalog)["W12v1_W12v2"])
+    report = matfac.grading_check(work.m, work.weights[0].combine(work.weights[1]))
+    assert report == (False, {}, ("no degree assignment makes every generator homogeneous",))
+    rc, out, _ = _run(capsys, "verify", "--entry", "W12", "--catalog", catalog, "--json")
+    assert rc == 1
+    grading_stage = json.loads(out)["reports"][0]["stages"]["grading"]
+    assert grading_stage["ok"] is False
+    assert grading_stage["detail"]["matrix"] == {
+        "ok": False, "pair_sums": {}, "failing": ["no degree assignment makes every generator homogeneous"],
+    }
 
 
 def test_failing_nonvanishing_line_names_each_side_without_certificate(capsys, tmp_path):
@@ -612,11 +634,12 @@ def test_verify_entry_computes_each_fact_once(count_calls, entry_id):
     assert len(sets) == len(set(sets)) == (2 if w12 else 1)
     # each side's weights are solved once, for the grading stage, both
     # lifts and the grading test; every shipped factorization is graded,
-    # so each residue forms only its slice: the terms free of sources for
-    # the left one, of targets for the right one
+    # so each residue forms only its slice, both from one packing of the
+    # Jacobian: the terms free of sources for the left one, of targets for
+    # the right one
     assert [args[1] for args in solves] == [entry.side_in.vars, entry.side_out.vars]
     sources, targets = entry.potential_in().support_vars(), entry.potential_out().support_vars()
-    assert [args[2] for args in products] == [sources, targets]
+    assert [args[2] for args in products] == [(sources, targets)]
     # quotient rings reduce through `reducer` too, over their minimal
     # polynomials, which live in the family's own table
     def over_entry(args):
@@ -640,7 +663,8 @@ def test_verify_entry_computes_each_fact_once(count_calls, entry_id):
 def test_verify_all_fraction_budget(capsys, monkeypatch, tmp_path):
     # a warm `verify --all --json` over the six entries other than Q12
     # keeps its exact arithmetic in integers: 1,431 Fractions before the
-    # lifts ran on integer weights and each side's weights were solved once
+    # lifts ran on integer weights and each side's weights were solved
+    # once, 603 with generator degrees read in integers as well
     for path in SHIPPED_DIR.glob("*.json"):
         if path.name == "potentials.json" or json.loads(path.read_text())["id"] != "Q12v1_Q12v2":
             shutil.copy(path, tmp_path / path.name)
@@ -658,7 +682,7 @@ def test_verify_all_fraction_budget(capsys, monkeypatch, tmp_path):
     monkeypatch.undo()
     capsys.readouterr()
     assert rc == 1
-    assert len(made) <= 800
+    assert len(made) <= 650
 
 
 @pytest.mark.parametrize("entry_id", ENTRY_IDS)

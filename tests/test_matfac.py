@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from orbimf import _linalg
 from orbimf._groebner import reducer
 from orbimf.catalog import load_catalog
 from orbimf.constraints import derive_constraints
@@ -122,6 +123,15 @@ def test_grading_pair_sums_are_two(catalog):
         assert report.ok, (entry.id, report.failing)
         assert set(report.pair_sums.values()) == {Fraction(2)}
         assert set(report.pair_sums) == {"d15+d26", "d16+d25", "d17+d35"}
+
+
+def test_grading_solves_no_linear_system(catalog, count_calls):
+    # parameters weigh 0, so each generator's degree is read off its terms
+    cases = [(build_8x8(entry.six()), _combined_weights(entry)) for entry in catalog.values()]
+    solves = count_calls(_linalg, "solve_dense")
+    for m, weights in cases:
+        assert grading_check(m, weights).ok
+    assert not solves
 
 
 def test_grading_detects_inhomogeneous_entry(demo):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
+import shutil
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -16,7 +17,7 @@ from orbimf import residue
 from orbimf._groebner import groebner_basis, reducer
 from orbimf.catalog import load_catalog
 from orbimf.grading import weights_from_potential
-from orbimf.matfac import build_8x8
+from orbimf.matfac import build_8x8, generator_degrees
 from orbimf.polyring import Poly, VarTable, format_poly, parse_poly
 from orbimf.residue import (
     ResidueError,
@@ -255,9 +256,16 @@ def _graded_cases():
     return cases
 
 
-def _both_weights(v_in: Poly, w_out: Poly):
-    return {**weights_from_potential(v_in, v_in.support_vars()).as_dict(),
-            **weights_from_potential(w_out, w_out.support_vars()).as_dict()}
+def _reads_slices(m, v_in: Poly, w_out: Poly) -> bool:
+    """The condition on which `qdim_pair` reads each side's slice, from
+    `generator_degrees` in units of 1/D: every generator has one degree,
+    parameters weighing 0, the degrees sum to 6, and the source and target
+    weights have equal sums."""
+    sources, targets = v_in.support_vars(), w_out.support_vars()
+    weights = weights_from_potential(v_in, sources).weights + weights_from_potential(w_out, targets).weights
+    d, ints, degrees = generator_degrees(m, weights)
+    return (degrees is not None and sum(degrees) == 6 * d
+            and sum(ints[n] for n in sources) == sum(ints[n] for n in targets))
 
 
 # (left slice, right slice, whole supertrace) term counts on each shipped entry
@@ -275,10 +283,9 @@ def test_graded_slices_match_full_product_and_separate_sides(shipped_work):
     assert set(load_catalog()) == set(SLICE_TERMS)
     for label, m, v_in, w_out in _graded_cases():
         sources, targets = v_in.support_vars(), w_out.support_vars()
-        assert residue._graded(m, _both_weights(v_in, w_out), sources, targets), label
+        assert _reads_slices(m, v_in, w_out), label
         full = supertrace(derivative_matrix_product(m, sources + targets))
-        left = derivative_supertrace(m, sources + targets, sources)
-        right = derivative_supertrace(m, sources + targets, targets)
+        left, right = derivative_supertrace(m, sources + targets, (sources, targets))
         assert left == _free_of(full, sources), label
         assert right == _free_of(full, targets), label
         if label in SLICE_TERMS:
@@ -288,24 +295,43 @@ def test_graded_slices_match_full_product_and_separate_sides(shipped_work):
         assert pair["right"] == grothendieck_residue(full, v_in, sources), label
 
 
-def test_ungraded_factorization_reads_the_whole_determinant(count_calls):
-    # E14 with d15 + 1: no degree makes d15 homogeneous, so both residues
-    # read the whole determinant, formed once, and give today's values
-    # (the constant leaves the Jacobian, and so both residues, unchanged)
-    entry = load_catalog()["E14v1_E14v2"]
-    six = list(entry.six())
-    six[0] = six[0] + Poly.const(entry.vt, 1)
-    m = build_8x8(six)
-    v_in, w_out = entry.potential_in(), entry.potential_out()
-    sources, targets = v_in.support_vars(), w_out.support_vars()
-    assert not residue._graded(m, _both_weights(v_in, w_out), sources, targets)
-    products = count_calls(residue, "derivative_supertrace")
-    pair = qdim_pair(m, v_in, w_out)
-    assert [args[2] for args in products] == [()]
-    full = supertrace(derivative_matrix_product(m, sources + targets))
-    assert pair["left"] == grothendieck_residue(full, w_out, targets)
-    assert pair["right"] == grothendieck_residue(full, v_in, sources)
-    assert (format_poly(pair["left"]), format_poly(pair["right"])) == ("-1/4*c^7", "c")
+def _w12_on_z11(tmp_path):
+    """W12 with its out side set to Z11, in a copy of the packaged catalog:
+    central charges 11/10 in and 16/15 out, and d15 = z + w + a1*u*x +
+    a2*x^2 has terms of weighted degree 1, 31/30 and 16/15."""
+    shutil.copytree(Path(residue.__file__).parent / "data", tmp_path, dirs_exist_ok=True)
+    path = tmp_path / "W12.json"
+    data = json.loads(path.read_text())
+    data["ring_vars_out"]["potential"] = "Z11"
+    path.write_text(json.dumps(data))
+    return load_catalog(tmp_path)["W12v1_W12v2"]
+
+
+def test_ungraded_factorization_reads_the_whole_determinant(count_calls, tmp_path):
+    # E14 with d15 + 1, and W12 on Z11: in neither does d15 have one
+    # degree, so both residues read the whole determinant, formed once,
+    # and give the values they had when a parameter could take a degree
+    # (the constant leaves E14's Jacobian, and so both residues, unchanged)
+    e14 = load_catalog()["E14v1_E14v2"]
+    six = list(e14.six())
+    six[0] = six[0] + Poly.const(e14.vt, 1)
+    w12 = _w12_on_z11(tmp_path)
+    cases = [
+        (build_8x8(six), e14.potential_in(), e14.potential_out(), ("-1/4*c^7", "c")),
+        (build_8x8(w12.six()), w12.potential_in(), w12.potential_out(), ("0", "-2*a1 + b1 - b2")),
+    ]
+    for m, v_in, w_out, values in cases:
+        sources, targets = v_in.support_vars(), w_out.support_vars()
+        weights = weights_from_potential(v_in, sources).weights + weights_from_potential(w_out, targets).weights
+        assert generator_degrees(m, weights)[2] is None
+        assert not _reads_slices(m, v_in, w_out)
+        products = count_calls(residue, "derivative_supertrace")
+        pair = qdim_pair(m, v_in, w_out)
+        assert [args[2] for args in products] == [((),)]
+        full = supertrace(derivative_matrix_product(m, sources + targets))
+        assert pair["left"] == grothendieck_residue(full, w_out, targets)
+        assert pair["right"] == grothendieck_residue(full, v_in, sources)
+        assert (format_poly(pair["left"]), format_poly(pair["right"])) == values
 
 
 def _smallest_power_lift(side, w: Poly):
@@ -328,9 +354,9 @@ def test_smallest_power_lifts_give_the_same_quantum_dimensions(shipped_work):
         lifts = {side: _smallest_power_lift(rec, w) for side, (rec, w) in sides.items()}
         assert lifts != _bound_lifts(entry), entry.id
         sources, targets = entry.potential_in().support_vars(), entry.potential_out().support_vars()
-        zeros = {"left": sources, "right": targets}
+        slices = dict(zip(("left", "right"), derivative_supertrace(work.m, sources + targets, (sources, targets))))
         for side, (_, w) in sides.items():
-            s = derivative_supertrace(work.m, sources + targets, zeros[side])
+            s = slices[side]
             got = grothendieck_residue(s, w, lifts[side].vars, lift=lifts[side])
             assert got == work.qdims[side], (entry.id, side)
 
@@ -359,8 +385,7 @@ def test_derivative_supertrace_differentiates_in_integers(count_calls):
     partials = count_calls(Poly, "partial")
     for entry in entries:
         sources, targets = entry.potential_in().support_vars(), entry.potential_out().support_vars()
-        for zero in ((), sources, targets):
-            derivative_supertrace(build_8x8(entry.six()), sources + targets, zero)
+        derivative_supertrace(build_8x8(entry.six()), sources + targets, ((), sources, targets))
     assert not partials
 
 
@@ -466,14 +491,15 @@ def _det_generators(draw):
 )
 def test_packed_determinant_matches_full_product(six, zero):
     # random generators with mixed denominators and zero Jacobian entries;
-    # the example's determinant holds x^150, past an 8-bit field.  Free of
-    # a drawn set of variables, the empty set among them, the determinant
-    # is the whole product's supertrace restricted to the terms free of them
+    # the example's determinant holds x^150, past an 8-bit field.  From one
+    # packing, the whole determinant is the whole product's supertrace, and
+    # the slice free of a drawn set of variables, the empty set among them,
+    # is that supertrace restricted to the terms free of them
     order = _DET_VT.names
     m = build_8x8(six)
     full = supertrace(derivative_matrix_product(m, order))
     zero = tuple(sorted(zero, key=order.index))
-    assert derivative_supertrace(m, order, zero) == _free_of(full, zero)
+    assert derivative_supertrace(m, order, ((), zero)) == [full, _free_of(full, zero)]
 
 
 # -- the one-coefficient residue against the whole product g*det(H) --
