@@ -23,18 +23,13 @@ from typing import Optional, Sequence, Tuple
 from . import constraints as con
 from ._groebner import SPAIR_CAP, BudgetExceeded
 from .catalog import CatalogError, EquivalenceEntry, load_catalog, resolve_entry
-from .grading import (
-    GradingError,
-    central_charge,
-    check_weight_system,
-    euler_check,
-)
+from .grading import GradingError, central_charge, check_weight_system
 from .matfac import grading_check, verify_potential
 from .numberfield import NonzeroCertificate
 from .polyring import format_poly
 from .residue import ResidueError
 
-SCHEMA_VERSION = "orbimf-report/1"
+SCHEMA_VERSION = "orbimf-report/2"
 
 _PASS = "PASS"
 _FAIL = "FAIL"
@@ -63,28 +58,26 @@ def _qdim_point_dict(p: con.QdimAtPoint) -> dict:
 
 
 def _grading_stage(work: con.EntryWork) -> Tuple[bool, dict]:
+    # no Euler check: the weight solve has met sum(e_i * w_i) = 2 on every monomial
     entry = work.entry
     detail: dict = {}
     ok = True
-    for label, side, potential, vw in zip(
-        ("in", "out"), (entry.side_in, entry.side_out), (entry.potential_in(), entry.potential_out()), work.weights
-    ):
+    for label, side, vw in zip(("in", "out"), (entry.side_in, entry.side_out), work.weights):
         weights_match = check_weight_system(vw, side.weight_system)
         cc = central_charge(vw)
         h = side.weight_system.h
         detail[label] = {
             "potential": side.potential_key,
-            "euler": euler_check(potential, vw),
             "weight_system_match": weights_match,
             "central_charge": str(cc),
             "coxeter_charge": str(Fraction(h + 2, h)),
             "charge_is_coxeter": cc == Fraction(h + 2, h),
         }
-        ok = ok and weights_match and detail[label]["euler"]
+        ok = ok and weights_match
     equal_cc = detail["in"]["central_charge"] == detail["out"]["central_charge"]
     detail["central_charges_equal"] = equal_cc
     ok = ok and equal_cc
-    gr = grading_check(work.m, work.weights[0].combine(work.weights[1]))
+    gr = grading_check(work.m, work.grading)
     detail["matrix"] = {
         "ok": gr.ok,
         "pair_sums": {k: str(v) for k, v in sorted(gr.pair_sums.items())},
@@ -324,7 +317,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         reports = [verify_entry(catalog[i], args.spair_cap) for i in ids]
     reports.sort(key=lambda r: r["entry"])
     if args.json:
-        print(json.dumps({"schema": SCHEMA_VERSION, "seed": args.seed, "reports": reports}, indent=2))
+        print(json.dumps({"schema": SCHEMA_VERSION, "reports": reports}, indent=2))
     else:
         for rep in reports:
             print(render_verify_text(rep))
@@ -450,7 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--catalog", type=Path, default=None, help="catalog directory (or env ORBIMF_CATALOG)")
         p.add_argument("--json", action="store_true", help="machine-readable report")
-        p.add_argument("--seed", type=int, default=0, help="recorded for reproducibility; nothing is randomized")
         p.add_argument(
             "--spair-cap", type=_nonnegative_int, default=SPAIR_CAP, help="S-pair budget per Groebner run, 0 or more"
         )

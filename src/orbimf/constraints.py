@@ -22,7 +22,7 @@ from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence
 from ._groebner import SPAIR_CAP, _divide_exact, groebner_basis, normal_form, reducer, resultant
 from .catalog import EquivalenceEntry, FamilyRing, SolutionFamily, family_ring
 from .grading import VariableWeights, weights_from_potential
-from .matfac import MatrixFactorization, build_8x8
+from .matfac import Grading, MatrixFactorization, build_8x8, generator_degrees
 from .numberfield import NonzeroCertificate, NumberFieldError, certify_value
 from .numberfield import reduce as quotient_reduce
 from .polyring import Poly, format_poly, parse_poly
@@ -109,11 +109,11 @@ def groebner(constraints: ConstraintSet, spair_cap: int = SPAIR_CAP) -> List[Pol
 
 class EntryWork:
     """The facts the stages of one entry read, each computed on first use
-    and then kept: the factorization `m`, both sides' `weights`, the
-    `derived` and `printed` constraint sets, both `qdims`, the normal forms
-    `qdim_nfs`, one Groebner basis with its reducer per distinct generator
-    set and whether its ideal is the unit ideal, one `verify_family` report
-    per shipped family.  The quotient rings of the shipped families are
+    and then kept: the factorization `m`, both sides' `weights`, the one
+    `grading` of `m`, the `derived` and `printed` constraint sets, both
+    `qdims`, the normal forms `qdim_nfs`, one Groebner basis with its
+    reducer per distinct generator set and whether its ideal is the unit
+    ideal, one `verify_family` report per shipped family.  The quotient rings of the shipped families are
     the entry's own, built at load."""
 
     def __init__(self, entry: EquivalenceEntry, spair_cap: int = SPAIR_CAP):
@@ -143,9 +143,14 @@ class EntryWork:
                 weights_from_potential(e.potential_out(), e.side_out.vars))
 
     @cached_property
+    def grading(self) -> Grading:
+        """`generator_degrees` of `m` at both sides' weights."""
+        return generator_degrees(self.m, self.weights[0].weights + self.weights[1].weights)
+
+    @cached_property
     def qdims(self) -> Dict[str, Poly]:
         """Both quantum dimensions from the Jacobian determinant."""
-        return qdim_pair(self.m, self.entry.potential_in(), self.entry.potential_out(), self.weights)
+        return qdim_pair(self.m, self.entry.potential_in(), self.entry.potential_out(), self.grading)
 
     @cached_property
     def qdim_nfs(self) -> Dict[Tuple[str, str], Poly]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Dict, Mapping, NamedTuple, Tuple
+from typing import NamedTuple, Tuple
 
 from ._linalg import LinearSystemError, solve_unique
 from .polyring import Poly
@@ -62,22 +62,6 @@ class VariableWeights(_VariableWeights):
             raise GradingError("duplicate variable in weights")
         return super().__new__(cls, weights)
 
-    @staticmethod
-    def of(mapping: Mapping[str, Fraction]) -> "VariableWeights":
-        return VariableWeights(tuple((n, Fraction(w)) for n, w in mapping.items()))
-
-    def as_dict(self) -> Dict[str, Fraction]:
-        return dict(self.weights)
-
-    def names(self) -> Tuple[str, ...]:
-        return tuple(n for n, _ in self.weights)
-
-    def combine(self, other: "VariableWeights") -> "VariableWeights":
-        overlap = set(self.names()) & set(other.names())
-        if overlap:
-            raise GradingError(f"cannot combine weights sharing variables {sorted(overlap)}")
-        return VariableWeights(self.weights + other.weights)
-
 
 def weights_from_potential(w_poly: Poly, names: Tuple[str, ...]) -> VariableWeights:
     """Solve sum(e_i * w_i) = 2 over all monomials of the potential."""
@@ -111,7 +95,9 @@ def check_weight_system(vw: VariableWeights, ws: WeightSystem) -> bool:
 
 
 def euler_check(w_poly: Poly, vw: VariableWeights) -> bool:
-    """True iff sum (w_i/2) * x_i * dW/dx_i equals W."""
+    """True iff sum (w_i/2) * x_i * dW/dx_i equals W.  It holds for every
+    weight system `weights_from_potential` returns, which solves
+    sum(e_i * w_i) = 2 on each monomial of W: Euler's identity term by term."""
     acc = Poly.zero(w_poly.vt)
     for name, w in vw.weights:
         acc = acc + (Poly.var(w_poly.vt, name) * w_poly.partial(name)).scale(w / 2)

@@ -22,8 +22,9 @@ to prove is that they are consistent (`verify_potential`).
 The factorization is graded when every generator is quasi-homogeneous
 in the ring variables, its parameters weighing 0 since they are
 constants, and each complementary pair has degrees summing to 2
-(`grading_check`).  `generator_degrees` reads those degrees off the
-terms in integers; the residue layer reads the same degrees.
+(`grading_check`).  An entry has one grading, which the grading stage
+and both residues read: `generator_degrees` reads each generator's
+degree off its terms, in the integer weights of `integer_weights`.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from math import lcm
 from operator import mul
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .grading import VariableWeights
 from .polyring import Poly, VarTable
 
 Matrix8 = Tuple[Tuple[Poly, ...], ...]
@@ -111,13 +111,21 @@ def verify_potential(is_unit: Callable[[], bool], epsilon: int) -> PotentialRepo
     return PotentialReport(ok, epsilon if ok else None)
 
 
-def generator_degrees(m: MatrixFactorization, weights: Sequence[Tuple[str, Fraction]]) -> Tuple[int, Dict[str, int], Optional[List[int]]]:
-    """D, the common denominator of the ring variables' `weights`; each
-    weight in units of 1/D; and each generator's weighted degree in those
-    units, parameters weighing 0 as constants do (0 for a zero generator),
-    or None when some generator mixes degrees."""
+def integer_weights(weights: Sequence[Tuple[str, Fraction]]) -> Tuple[int, Dict[str, int]]:
+    """D, the common denominator of `weights`, and each weight in units of 1/D."""
     d = lcm(*(w.denominator for _, w in weights))
-    ints = {n: w.numerator * (d // w.denominator) for n, w in weights}
+    return d, {n: w.numerator * (d // w.denominator) for n, w in weights}
+
+
+Grading = Tuple[int, Dict[str, int], Optional[List[int]]]
+
+
+def generator_degrees(m: MatrixFactorization, weights: Sequence[Tuple[str, Fraction]]) -> Grading:
+    """The grading of `m`: `integer_weights` of the ring variables'
+    `weights`, and each generator's weighted degree in units of 1/D,
+    parameters weighing 0 as constants do (0 for a zero generator), or
+    None when some generator mixes degrees."""
+    d, ints = integer_weights(weights)
     by_slot = [ints.get(n, 0) for n in m.vt.names]
     degrees = [{sum(map(mul, e, by_slot)) for e in g.nums} or {0} for g in m.six]
     return d, ints, [q.pop() for q in degrees] if all(len(q) == 1 for q in degrees) else None
@@ -129,12 +137,11 @@ class GradingReport(NamedTuple):
     failing: Tuple[str, ...] = ()
 
 
-def grading_check(m: MatrixFactorization, combined: VariableWeights) -> GradingReport:
-    """Is each generator quasi-homogeneous, with the degrees that
-    `generator_degrees` reads at parameters of weight 0, and do the
-    complementary pairs (d15,d26), (d16,d25), (d17,d35) have degrees
-    summing to 2?"""
-    d, _, degrees = generator_degrees(m, combined.weights)
+def grading_check(m: MatrixFactorization, grading: Grading) -> GradingReport:
+    """Does the `grading` of `m` (`generator_degrees` at both sides'
+    weights) give each generator one degree, and do the complementary
+    pairs (d15,d26), (d16,d25), (d17,d35) have degrees summing to 2?"""
+    d, _, degrees = grading
     failing = [f"{name} is zero" for name, p in zip(ENTRY_NAMES, m.six) if p.is_zero()]
     if degrees is None:
         return GradingReport(False, {}, (*failing, "no degree assignment makes every generator homogeneous"))

@@ -12,14 +12,13 @@ monomial times c, in integers over one denominator.  Any valid H gives
 the same answer; the test suite exercises that with independently built
 lifts.
 
-Both entry points take W itself.  Its weights, from
-`grading.weights_from_potential` unless the caller has them, fix each
-power: the Hessian of W has weighted degree 2c = sum(2 - 2 w_j), and
-every monomial of higher weighted degree lies in the Jacobian ideal, so
-v_i^N with N = floor(2c / w_i) + 1 always does, and one solve per row
-finds H; its equations are the partials' integer numerators, and its
-degrees are integers once the weights are scaled by their common
-denominator.  A solve that fails means W has no isolated singularity.
+Both entry points take W itself.  Its weights, integers in units of 1/D
+from the entry's grading (`matfac.generator_degrees`) or else from
+`matfac.integer_weights`, fix each power: the Hessian of W has weighted
+degree 2c = sum(2 - 2 w_j), and every monomial of higher weighted degree
+lies in the Jacobian ideal, so v_i^N with N = floor(2c / w_i) + 1 always
+does, and one solve per row finds H; its equations are the partials'
+integer numerators.  A solve that fails means W has no isolated singularity.
 
 Quantum dimensions take the supertrace of the sixfold product of
 entry-wise partial derivatives of the twisted differential, sources
@@ -38,28 +37,28 @@ and target weights have equal sums.  Then det J has degree
 reads has the Hessian's degree sum(2 - 2 w_tgt), so the source part of
 a read term has degree sum w_tgt - sum w_src = 0: as weights are
 positive, every source exponent is 0.  The right side is the mirror
-image.  When the degrees that `matfac.generator_degrees` reads for the
-grading stage meet the three conditions, the left residue integrates
-the slice of det J free of sources and the right one the slice free of
-targets; otherwise both read the whole of it.  det J is formed on
-packed integer monomials over one common denominator: each generator's
-stored numerators are packed once, as offsets from the unit of a
-`_groebner._Layout` whose fields hold the sum of the generators' total
-degrees, so a partial and a monomial product are each one int addition.
+image.  When the entry's grading meets the three conditions, the left
+residue integrates the slice of det J free of sources and the right one
+the slice free of targets; otherwise both read the whole of it.  det J
+is formed on packed integer monomials over one common denominator: each
+generator's stored numerators are packed once, as offsets from the unit
+of a `_groebner._Layout` whose fields hold the sum of the generators'
+total degrees, so a partial and a monomial product are each one int
+addition.
 """
 
 from __future__ import annotations
 
 from functools import reduce
 from itertools import combinations, cycle
-from math import lcm, prod
+from math import prod
 from operator import add, itemgetter
 from typing import Collection, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ._groebner import _Layout, _support
 from ._linalg import solve_dense
-from .grading import GradingError, VariableWeights, weights_from_potential
-from .matfac import Matrix8, MatrixFactorization, generator_degrees, matmul
+from .grading import GradingError, weights_from_potential
+from .matfac import Grading, Matrix8, MatrixFactorization, generator_degrees, integer_weights, matmul
 from .polyring import Monomial, Poly
 
 # row triples of a 6x6 matrix; the (-1-i)-th is the complement of the i-th
@@ -219,29 +218,28 @@ def _solve_power_certificate(
     return [Poly._make(vt, den, b) for b in buckets]
 
 
-def _weights(w: Poly, names: Sequence[str]) -> VariableWeights:
+def _weights(w: Poly, names: Sequence[str]) -> Tuple[tuple, ...]:
     try:
-        return weights_from_potential(w, tuple(names))
+        return weights_from_potential(w, tuple(names)).weights
     except GradingError as exc:
         raise ResidueError(str(exc)) from None
 
 
 def cofactor_lift(
-    w: Poly, names: Sequence[str], exponents: Optional[Sequence[int]] = None, weights: Optional[VariableWeights] = None
+    w: Poly, names: Sequence[str], exponents: Optional[Sequence[int]] = None, grading: Optional[Grading] = None
 ) -> CofactorLift:
     """Cofactor matrix H with H.(f1,f2,f3) = (v1^N1, v2^N2, v3^N3), the
     f_j being the partials of the potential `w` along `names`.
 
     Without explicit exponents, N_i = floor(2c / w_i) + 1, where a
     certificate exists whenever W has an isolated singularity (see
-    above), so each row is one solve.  The weights of `w`, solved from it
-    when not given, are scaled once by their common denominator D.
+    above), so each row is one solve.  The weights are those of the
+    entry's `grading`, or, without one, `integer_weights` of `w`'s own.
     """
     if len(names) != 3:
         raise ResidueError("exactly three variables required")
-    rational = (weights if weights is not None else _weights(w, names)).as_dict()
-    scale = lcm(*(rational[n].denominator for n in names))
-    ints = [rational[n].numerator * (scale // rational[n].denominator) for n in names]
+    scale, by_name = grading[:2] if grading is not None else integer_weights(_weights(w, names))
+    ints = [by_name[n] for n in names]
     if exponents is None:
         hessian = sum(2 * scale - 2 * x for x in ints)
         exponents = [hessian // x + 1 for x in ints]
@@ -286,24 +284,23 @@ def grothendieck_residue(
     return Poly._make(vt, det.den * g.den, acc)
 
 
-def qdim_pair(
-    m: MatrixFactorization, v_in: Poly, w_out: Poly, weights: Optional[Tuple[VariableWeights, VariableWeights]] = None
-) -> Dict[str, Poly]:
+def qdim_pair(m: MatrixFactorization, v_in: Poly, w_out: Poly, grading: Optional[Grading] = None) -> Dict[str, Poly]:
     """Both quantum dimensions, by side, from the Jacobian determinant,
-    each read off its slice when the grading allows (see above).  The
-    source and target `weights`, solved from the potentials when not
-    given, serve both lifts and the grading test."""
+    each read off its slice when the entry's `grading` allows (see above);
+    that grading, formed from the potentials when not given, serves both
+    lifts too."""
     sources, targets = v_in.support_vars(), w_out.support_vars()
     if len(sources) != 3 or len(targets) != 3:
         raise ResidueError("each potential must involve exactly three variables")
-    vw_in, vw_out = weights if weights is not None else (_weights(v_in, sources), _weights(w_out, targets))
-    d, ints, degrees = generator_degrees(m, vw_in.weights + vw_out.weights)
+    if grading is None:
+        grading = generator_degrees(m, _weights(v_in, sources) + _weights(w_out, targets))
+    d, ints, degrees = grading
     graded = degrees is not None and sum(degrees) == 6 * d and sum(map(ints.get, sources)) == sum(map(ints.get, targets))
     # graded: left reads the slice free of sources, right free of targets
     slices = cycle(derivative_supertrace(m, sources + targets, (sources, targets) if graded else ((),)))
     out = {}
-    for side, against, over, vw in (("left", w_out, targets, vw_out), ("right", v_in, sources, vw_in)):
-        value = grothendieck_residue(next(slices), against, over, cofactor_lift(against, over, weights=vw))
+    for side, against, over in (("left", w_out, targets), ("right", v_in, sources)):
+        value = grothendieck_residue(next(slices), against, over, cofactor_lift(against, over, grading=grading))
         ring_left = [v for v in value.support_vars() if v in m.vt.ring_vars]
         if ring_left:
             raise ResidueError(f"qdim_{side} retains ring variables {ring_left}")

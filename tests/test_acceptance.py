@@ -29,7 +29,7 @@ from orbimf.grading import (
     weights_from_potential,
     WeightSystem,
 )
-from orbimf.matfac import build_8x8, grading_check, square, verify_potential
+from orbimf.matfac import build_8x8, generator_degrees, grading_check, square, verify_potential
 from orbimf.numberfield import QuotientSpec, reduce
 from orbimf.polyring import Poly, VarTable, format_poly, parse_poly
 from orbimf.residue import cofactor_lift, grothendieck_residue
@@ -268,7 +268,8 @@ def test_criterion_7_grading_table(catalog):
             issues.append(f"{eid}: central charges differ across the pair")
         vw_in = weights_from_potential(entry.potential_in(), entry.side_in.vars)
         vw_out = weights_from_potential(entry.potential_out(), entry.side_out.vars)
-        gr = grading_check(build_8x8(entry.six()), vw_in.combine(vw_out))
+        m = build_8x8(entry.six())
+        gr = grading_check(m, generator_degrees(m, vw_in.weights + vw_out.weights))
         if not gr.ok or set(gr.pair_sums.values()) != {Fraction(2)}:
             issues.append(f"{eid}: complementary entry degrees do not sum to 2")
     elapsed = time.perf_counter() - t0

@@ -14,7 +14,7 @@ import pytest
 
 from orbimf import _groebner, cli, constraints, grading, matfac, numberfield, polyring, residue
 from orbimf.catalog import EquivalenceEntry, load_catalog
-from orbimf.cli import SCHEMA_VERSION, main, verify_entry
+from orbimf.cli import SCHEMA_VERSION, main, render_verify_text, verify_entry
 from orbimf.polyring import Poly, parse_poly
 
 DEMO_DIR = Path(__file__).parent / "data" / "demo"
@@ -85,10 +85,45 @@ def test_verify_demo_json_matches_golden(capsys):
 
 @pytest.mark.parametrize("entry_id", ENTRY_IDS)
 def test_verify_entry_report_matches_golden(entry_id):
-    # byte for byte, key order included
+    # byte for byte, key order included, and so is its text rendering
     report = _mask_seconds(verify_entry(load_catalog()[entry_id]))
     golden = (GOLDEN_DIR / f"verify_{entry_id}.json").read_text()
     assert json.dumps(report, indent=2) + "\n" == golden
+    assert render_verify_text(report) + "\n" == (GOLDEN_DIR / f"verify_{entry_id}.txt").read_text()
+
+
+SHIPPED_FAMILIES = (
+    ("E14v1_E14v2", "E14 Family 1"),
+    ("E14v1_E14v2", "E14 Family 2"),
+    ("U12v1_U12v3", "U12 v1v3 cube-root-of-unity solutions"),
+    ("U12v2_U12v3", "U12 v2v3 family a2=0"),
+    ("U12v2_U12v3", "U12 v2v3 family b2=0"),
+    ("U12v2_U12v3", "U12 v2v3 family a2=b2"),
+    ("W12v1_W12v2", "W12 Family 1"),
+    ("W12v1_W12v2", "W12 Family 2"),
+    ("W13v1_W13v2", "W13 Family 1"),
+    ("W13v1_W13v2", "W13 Family 2"),
+    ("W13v1_W13v2", "W13 reduced relation t^8+4"),
+    ("Z13v1_Z13v2", "Z13 t^18 solutions"),
+)
+QDIM_COMMANDS = tuple(
+    ("qdim", "--entry", entry_id, *family, "--compare-paper", *json_flag)
+    for entry_id, family in [(e, ()) for e in ENTRY_IDS] + [(e, ("--family", f)) for e, f in SHIPPED_FAMILIES]
+    for json_flag in ((), ("--json",))
+)
+
+
+def test_shipped_families_are_listed():
+    assert sorted(SHIPPED_FAMILIES) == sorted((e.id, f.label) for e in load_catalog().values() for f in e.families)
+
+
+@pytest.mark.parametrize("argv", QDIM_COMMANDS, ids=" ".join)
+def test_qdim_compare_paper_matches_golden(capsys, argv):
+    # stdout, byte for byte, and exit code of every entry's and every
+    # shipped family's comparison with the printed quantum dimensions
+    rc, out, _ = _run(capsys, *argv)
+    golden = json.loads((GOLDEN_DIR / "qdim_compare_paper.json").read_text())[" ".join(argv)]
+    assert (rc, out) == (golden["exit"], "\n".join(golden["stdout"]))
 
 
 def test_verify_demo_text_mentions_every_stage(capsys):
@@ -102,13 +137,17 @@ def test_verify_demo_text_mentions_every_stage(capsys):
     assert out.count("FAIL") == 0
 
 
-def test_verify_seed_recorded_in_json(capsys):
-    rc, out, _ = _run(
-        capsys,
-        "verify", "--entry", "DEMO", "--catalog", str(DEMO_DIR), "--json", "--seed", "7",
-    )
+def test_verify_json_holds_schema_and_reports(capsys):
+    # nothing is randomized, so there is no seed to record or to pass
+    rc, out, _ = _run(capsys, "verify", "--entry", "DEMO", "--catalog", str(DEMO_DIR), "--json")
     assert rc == 0
-    assert json.loads(out)["seed"] == 7
+    payload = json.loads(out)
+    assert list(payload) == ["schema", "reports"]
+    assert payload["schema"] == SCHEMA_VERSION == "orbimf-report/2"
+    for command in ("verify", "qdim", "constraints"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--entry", "DEMO", "--catalog", str(DEMO_DIR), "--seed", "7"])
+        assert exc.value.code == 2
 
 
 def test_verify_all_with_jobs(capsys, tmp_path):
@@ -464,7 +503,7 @@ def test_parameters_take_no_degree(capsys, tmp_path):
     # degree 0, so at any nonzero a1 or a2 d15 is not quasi-homogeneous
     catalog = _spoiled_copy(tmp_path, "W12.json", _w12_out_on_z11)
     work = constraints.EntryWork(load_catalog(catalog)["W12v1_W12v2"])
-    report = matfac.grading_check(work.m, work.weights[0].combine(work.weights[1]))
+    report = matfac.grading_check(work.m, work.grading)
     assert report == (False, {}, ("no degree assignment makes every generator homogeneous",))
     rc, out, _ = _run(capsys, "verify", "--entry", "W12", "--catalog", catalog, "--json")
     assert rc == 1
@@ -609,6 +648,8 @@ def test_verify_entry_computes_each_fact_once(count_calls, entry_id):
     specs = count_calls(numberfield, "QuotientSpec")
     poly_products = count_calls(Poly, "__mul__")
     solves = count_calls(grading, "weights_from_potential")
+    gradings = count_calls(matfac, "generator_degrees")
+    eulers = count_calls(grading, "euler_check")
     catalog = load_catalog()
     entry = catalog[entry_id]
     # one quotient ring per family, built at load and shared by its
@@ -632,12 +673,17 @@ def test_verify_entry_computes_each_fact_once(count_calls, entry_id):
     # ships printed generators identical to the derived ones
     w12 = entry_id == "W12v1_W12v2"
     assert len(sets) == len(set(sets)) == (2 if w12 else 1)
-    # each side's weights are solved once, for the grading stage, both
-    # lifts and the grading test; every shipped factorization is graded,
+    # each side's weights are solved once, for the grading stage and the
+    # residues; every shipped factorization is graded,
     # so each residue forms only its slice, both from one packing of the
     # Jacobian: the terms free of sources for the left one, of targets for
     # the right one
     assert [args[1] for args in solves] == [entry.side_in.vars, entry.side_out.vars]
+    # and they give the entry one grading, which the grading stage, the
+    # slice test and both lifts read; Euler's identity is not checked
+    # again, since the weight solve meets it on every monomial
+    assert len(gradings) == 1
+    assert not eulers
     sources, targets = entry.potential_in().support_vars(), entry.potential_out().support_vars()
     assert [args[2] for args in products] == [(sources, targets)]
     # quotient rings reduce through `reducer` too, over their minimal
@@ -664,7 +710,8 @@ def test_verify_all_fraction_budget(capsys, monkeypatch, tmp_path):
     # a warm `verify --all --json` over the six entries other than Q12
     # keeps its exact arithmetic in integers: 1,431 Fractions before the
     # lifts ran on integer weights and each side's weights were solved
-    # once, 603 with generator degrees read in integers as well
+    # once, 603 with generator degrees read in integers as well, 531 with
+    # one grading per entry and no Euler check
     for path in SHIPPED_DIR.glob("*.json"):
         if path.name == "potentials.json" or json.loads(path.read_text())["id"] != "Q12v1_Q12v2":
             shutil.copy(path, tmp_path / path.name)
@@ -682,7 +729,7 @@ def test_verify_all_fraction_budget(capsys, monkeypatch, tmp_path):
     monkeypatch.undo()
     capsys.readouterr()
     assert rc == 1
-    assert len(made) <= 650
+    assert len(made) <= 560
 
 
 @pytest.mark.parametrize("entry_id", ENTRY_IDS)

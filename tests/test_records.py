@@ -30,8 +30,8 @@ RECORDS = {
     "VarTable": (_table, lambda: _table(("a", "c")), "names"),
     "WeightSystem": (lambda: WeightSystem(3, 4, 5, 13), lambda: WeightSystem(3, 4, 5, 14), "h"),
     "VariableWeights": (
-        lambda: VariableWeights.of({"x": Fraction(1, 3), "y": Fraction(1, 2)}),
-        lambda: VariableWeights.of({"x": Fraction(1, 3), "y": Fraction(1, 4)}),
+        lambda: VariableWeights((("x", Fraction(1, 3)), ("y", Fraction(1, 2)))),
+        lambda: VariableWeights((("x", Fraction(1, 3)), ("y", Fraction(1, 4)))),
         "weights",
     ),
     "ConstraintSet": (

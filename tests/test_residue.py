@@ -17,7 +17,7 @@ from orbimf import residue
 from orbimf._groebner import groebner_basis, reducer
 from orbimf.catalog import load_catalog
 from orbimf.grading import weights_from_potential
-from orbimf.matfac import build_8x8, generator_degrees
+from orbimf.matfac import build_8x8, generator_degrees, integer_weights
 from orbimf.polyring import Poly, VarTable, format_poly, parse_poly
 from orbimf.residue import (
     ResidueError,
@@ -390,7 +390,7 @@ def test_derivative_supertrace_differentiates_in_integers(count_calls):
 
 
 def test_cofactor_lift_makes_no_fraction_after_its_weight_solve(monkeypatch):
-    # with its weights given, a lift runs on integer weights in units of
+    # with a grading given, a lift runs on its integer weights in units of
     # their common denominator
     made = []
     original = Fraction.__new__
@@ -402,9 +402,9 @@ def test_cofactor_lift_makes_no_fraction_after_its_weight_solve(monkeypatch):
     for key, obj in _POTENTIALS.items():
         names = tuple(obj["vars"])
         w = parse_poly(obj["poly"], _ring(*names))
-        weights = weights_from_potential(w, names)
+        grading = (*integer_weights(weights_from_potential(w, names).weights), None)
         monkeypatch.setattr(Fraction, "__new__", counted)
-        cofactor_lift(w, names, weights=weights)
+        cofactor_lift(w, names, grading=grading)
         monkeypatch.undo()
         assert not made, key
 
