@@ -86,96 +86,24 @@ def _grading_stage(work: con.EntryWork) -> Tuple[bool, dict]:
     return ok and gr.ok, detail
 
 
-def verify_entry(entry: EquivalenceEntry, spair_cap: int = SPAIR_CAP) -> dict:
-    """All checks for one entry; the returned dict is the JSON report.
+def _constraints_stage(work: con.EntryWork) -> Tuple[bool, dict]:
+    texts = list(work.derived.texts())
+    return True, {"count": len(texts), "generators": texts}
 
-    Every stage reads its facts from one `EntryWork`, which computes each
-    once: one factorization, one derived constraint set with its sign,
-    one Groebner basis and reducer per distinct generator set, and both
-    quantum dimensions from one supertrace."""
-    report: dict = {"entry": entry.id, "stages": {}, "ok": True}
-    work = con.EntryWork(entry, spair_cap)
-    started = time.perf_counter()
-    last = [started]  # when the previous stage ended
 
-    def elapsed() -> float:
-        start, last[0] = last[0], time.perf_counter()
-        return round(last[0] - start, 3)
-
-    def stage(name: str, ok: bool, detail) -> None:
-        report["stages"][name] = {"ok": bool(ok), "detail": detail, "seconds": elapsed()}
-        report["ok"] = report["ok"] and bool(ok)
-
-    try:
-        g_ok, g_detail = _grading_stage(work)
-    except GradingError as exc:
-        g_ok, g_detail = False, {"error": str(exc)}
-    stage("grading", g_ok, g_detail)
-
-    derived = work.derived
-    report["epsilon"] = derived.epsilon
-    stage("constraints", True, {"count": len(derived.generators), "generators": list(derived.texts())})
-
-    pot = verify_potential(lambda: work.is_unit(derived), derived.epsilon)
-    stage("potential", pot.ok, {"epsilon": pot.epsilon, "message": pot.message()})
-
-    cmp_ = con.compare_printed(work)
-    stage("ideal-compare", cmp_.a_in_b and not cmp_.vacuous, _ideal_dict(cmp_))
-
-    fam_reports = [work.family_report(fam) for fam in entry.families]
-    stage(
-        "families",
-        all(r.ok for r in fam_reports),
-        [
-            {"label": r.label, "ok": r.ok, "checked": r.checked, "failures": list(r.failures)}
-            for r in fam_reports
-        ]
-        or "no families shipped",
-    )
-
-    non_detail = []
-    non_ok = True
-    for fam in entry.families:
-        for side in ("left", "right"):
-            nv = con.nonvanishing_check(work, fam, side)
-            non_ok = non_ok and nv.ok
-            non_detail.append(
-                {
-                    "label": nv.label,
-                    "side": side,
-                    "point": dict(nv.point),
-                    "computed": _qdim_point_dict(nv.computed),
-                    "printed": _qdim_point_dict(nv.printed),
-                    "agree": nv.agree,
-                }
-            )
-    stage("nonvanishing", non_ok, non_detail or "no families shipped")
-
-    cq = con.compare_qdims(work)
-    report["qdim_match"] = {
-        "computed_left": format_poly(work.qdims["left"]),
-        "computed_right": format_poly(work.qdims["right"]),
-        "printed_left": format_poly(entry.paper_qdim("left")),
-        "printed_right": format_poly(entry.paper_qdim("right")),
-        "left": _match_dict(cq["left"]),
-        "right": _match_dict(cq["right"]),
-        "seconds": elapsed(),
-    }
-
-    report["corrections"] = [
-        {"location": c.location, "justification": c.justification}
-        for c in entry.corrections
-    ]
-    report["seconds"] = round(time.perf_counter() - started, 3)
-    return report
+def _potential_stage(work: con.EntryWork) -> Tuple[bool, dict]:
+    pot = verify_potential(lambda: work.is_unit(work.derived), work.derived.epsilon)
+    return pot.ok, {"epsilon": pot.epsilon, "message": pot.message()}
 
 
 _VACUOUS = "the derived ideal is the unit ideal"
 
 
-def _ideal_dict(cmp_: con.IdealComparison) -> dict:
-    """The report keys of a printed-against-derived ideal comparison."""
-    out = {
+def _ideal_stage(work: con.EntryWork) -> Tuple[bool, dict]:
+    """The printed ideal against the derived one; ok when the printed ideal
+    lies in a derived ideal that is not the unit ideal."""
+    cmp_ = con.compare_printed(work)
+    detail = {
         "printed_in_derived": cmp_.a_in_b,
         "derived_in_printed": cmp_.b_in_a,
         "equal": cmp_.equal,
@@ -183,10 +111,92 @@ def _ideal_dict(cmp_: con.IdealComparison) -> dict:
         "failing_derived": [format_poly(g) for g in cmp_.failing_b],
     }
     if cmp_.vacuous:
-        out["vacuous"] = _VACUOUS
+        detail["vacuous"] = _VACUOUS
     if cmp_.equal_after_eliminating:
-        out["equal_after_eliminating"] = list(cmp_.equal_after_eliminating)
-    return out
+        detail["equal_after_eliminating"] = list(cmp_.equal_after_eliminating)
+    return cmp_.a_in_b and not cmp_.vacuous, detail
+
+
+def _families_stage(work: con.EntryWork) -> Tuple[bool, object]:
+    reports = [work.family_report(fam) for fam in work.entry.families]
+    detail = [{"label": r.label, "ok": r.ok, "checked": r.checked, "failures": list(r.failures)} for r in reports]
+    return all(r.ok for r in reports), detail or "no families shipped"
+
+
+def _nonvanishing_block(work: con.EntryWork, family, side: str) -> Tuple[bool, dict]:
+    """One family point's quantum dimension on one side, certified."""
+    nv = con.nonvanishing_check(work, family, side)
+    return nv.ok, {
+        "label": nv.label,
+        "side": side,
+        "point": dict(nv.point),
+        "computed": _qdim_point_dict(nv.computed),
+        "printed": _qdim_point_dict(nv.printed),
+        "agree": nv.agree,
+    }
+
+
+def _nonvanishing_stage(work: con.EntryWork) -> Tuple[bool, object]:
+    blocks = [_nonvanishing_block(work, fam, side) for fam in work.entry.families for side in ("left", "right")]
+    return all(ok for ok, _ in blocks), [b for _, b in blocks] or "no families shipped"
+
+
+def _qdim_match(work: con.EntryWork) -> dict:
+    """The computed quantum dimensions against the printed ones; reported,
+    not a stage that can fail."""
+    cq = con.compare_qdims(work)
+    qm = {
+        "computed_left": format_poly(work.qdims["left"]),
+        "computed_right": format_poly(work.qdims["right"]),
+        "printed_left": format_poly(work.entry.paper_qdim("left")),
+        "printed_right": format_poly(work.entry.paper_qdim("right")),
+    }
+    for side in ("left", "right"):
+        m = cq[side]
+        scalar = None if m.scalar is None else str(m.scalar)
+        qm[side] = {"status": m.status, "matched_side": m.matched_side, "scalar": scalar, "mod_ideal": m.mod_ideal}
+    return qm
+
+
+# the report's stages in order; each builder returns (ok, detail).  The
+# grading stage is called through its module global, which a tracer rebinds
+_STAGES = (
+    ("grading", lambda work: _grading_stage(work)),
+    ("constraints", _constraints_stage),
+    ("potential", _potential_stage),
+    ("ideal-compare", _ideal_stage),
+    ("families", _families_stage),
+    ("nonvanishing", _nonvanishing_stage),
+)
+
+
+def verify_entry(entry: EquivalenceEntry, spair_cap: int = SPAIR_CAP) -> dict:
+    """All checks for one entry; the returned dict is the JSON report.
+
+    The report holds each `_STAGES` builder's block in order, then
+    `_qdim_match`; `qdim` and `constraints` print blocks made by the same
+    builders.  Each stage is timed from the end of the one before.  Every
+    builder reads its facts from one `EntryWork`, which computes each
+    once: one factorization, one derived constraint set with its sign,
+    one Groebner basis and reducer per distinct generator set, and both
+    quantum dimensions from one supertrace."""
+    report: dict = {"entry": entry.id, "stages": {}, "ok": True}
+    work = con.EntryWork(entry, spair_cap)
+    started = last = time.perf_counter()
+    for name, build in _STAGES:
+        ok, detail = build(work)
+        now = time.perf_counter()
+        report["stages"][name] = {"ok": bool(ok), "detail": detail, "seconds": round(now - last, 3)}
+        report["ok"] = report["ok"] and bool(ok)
+        last = now
+    report["epsilon"] = work.derived.epsilon
+    report["qdim_match"] = {**_qdim_match(work), "seconds": round(time.perf_counter() - last, 3)}
+    report["corrections"] = [
+        {"location": c.location, "justification": c.justification}
+        for c in entry.corrections
+    ]
+    report["seconds"] = round(time.perf_counter() - started, 3)
+    return report
 
 
 def _render_ideal(d: dict) -> str:
@@ -198,15 +208,6 @@ def _render_ideal(d: dict) -> str:
     if "equal_after_eliminating" in d:
         out += f" (equal after eliminating {', '.join(d['equal_after_eliminating'])})"
     return out
-
-
-def _match_dict(match: con.QdimMatch) -> dict:
-    return {
-        "status": match.status,
-        "matched_side": match.matched_side,
-        "scalar": None if match.scalar is None else str(match.scalar),
-        "mod_ideal": match.mod_ideal,
-    }
 
 
 def _render_match(match: dict) -> str:
@@ -222,9 +223,7 @@ def _render_match(match: dict) -> str:
 
 def render_verify_text(report: dict) -> str:
     lines = [f"== {report['entry']} =="]
-    order = ["grading", "constraints", "potential", "ideal-compare", "families", "nonvanishing"]
-    for name in order:
-        st = report["stages"][name]
+    for name, st in report["stages"].items():
         mark = _PASS if st["ok"] else _FAIL
         extra = ""
         if name == "constraints":
@@ -251,16 +250,13 @@ def render_verify_text(report: dict) -> str:
                 extra = f"{len(d) - len(reasons)}/{len(d)} certified nonzero (computed invariant)" + "".join(reasons)
         elif name == "grading":
             d = st["detail"]
-            if "error" in d:
-                extra = d["error"]
-            else:
-                c_in, c_out = d["in"]["central_charge"], d["out"]["central_charge"]
-                extra = f"central charge {c_in} " + ("both sides" if c_in == c_out else f"in, {c_out} out")
-                for side in ("in", "out"):
-                    if not d[side]["weight_system_match"]:
-                        extra += f"; {side}: weights differ from {d[side]['potential']}'s weight system"
-                if not d["matrix"]["ok"]:
-                    extra += f"; matrix grading fails: {', '.join(d['matrix']['failing'])}"
+            c_in, c_out = d["in"]["central_charge"], d["out"]["central_charge"]
+            extra = f"central charge {c_in} " + ("both sides" if c_in == c_out else f"in, {c_out} out")
+            for side in ("in", "out"):
+                if not d[side]["weight_system_match"]:
+                    extra += f"; {side}: weights differ from {d[side]['potential']}'s weight system"
+            if not d["matrix"]["ok"]:
+                extra += f"; matrix grading fails: {', '.join(d['matrix']['failing'])}"
         lines.append(f"  {name:<14} {mark}  {extra}")
     qm = report["qdim_match"]
     lines.append(f"  qdim-match     info  left: {_render_match(qm['left'])}; right: {_render_match(qm['right'])}")
@@ -364,21 +360,14 @@ def cmd_qdim(args: argparse.Namespace) -> int:
     fam = _find_family(entry, args.family) if args.family else None
     if fam is not None:
         out["family"] = fam.label
+        keys = ("computed", "point", "printed", "agree") if args.compare_paper else ("computed", "point")
         for side in sides:
-            nv = con.nonvanishing_check(work, fam, side)
-            block = {"computed": _qdim_point_dict(nv.computed), "point": dict(nv.point)}
-            if args.compare_paper:
-                block["printed"] = _qdim_point_dict(nv.printed)
-                block["agree"] = nv.agree
-            out["sides"][side] = block
+            block = _nonvanishing_block(work, fam, side)[1]
+            out["sides"][side] = {k: block[k] for k in keys}
     elif args.compare_paper:
-        cq = con.compare_qdims(work)
+        qm = _qdim_match(work)
         for side in sides:
-            out["sides"][side] = {
-                "computed": format_poly(work.qdims[side]),
-                "printed": format_poly(entry.paper_qdim(side)),
-                "match": _match_dict(cq[side]),
-            }
+            out["sides"][side] = {"computed": qm[f"computed_{side}"], "printed": qm[f"printed_{side}"], "match": qm[side]}
     else:
         for side in sides:
             out["sides"][side] = {"computed": format_poly(work.qdims[side])}
@@ -407,30 +396,25 @@ def cmd_constraints(args: argparse.Namespace) -> int:
     catalog = load_catalog(args.catalog)
     entry = resolve_entry(catalog, args.entry)
     work = con.EntryWork(entry, args.spair_cap)
-    derived = work.derived
-    payload = {"schema": SCHEMA_VERSION, "entry": entry.id, "epsilon": derived.epsilon}
+    generators = _constraints_stage(work)[1]["generators"]
+    payload = {"schema": SCHEMA_VERSION, "entry": entry.id, "epsilon": work.derived.epsilon}
+    ok = True
     if args.compare_paper:
-        cmp_ = con.compare_printed(work)
-        payload.update(derived=list(derived.texts()), printed=list(work.printed.texts()), **_ideal_dict(cmp_))
-        if args.json:
-            print(json.dumps(payload, indent=2))
-        else:
-            print(f"{entry.id}: {_render_ideal(payload)}")
-            for g in payload["failing_printed"]:
-                print(f"  printed generator outside the derived ideal: {g}")
-            for g in payload["failing_derived"]:
-                print(f"  derived generator outside the printed ideal: {g}")
-        return 0 if cmp_.a_in_b and not cmp_.vacuous else 1
-    if args.json:
-        payload["generators"] = list(derived.texts())
-        print(json.dumps(payload, indent=2))
-        return 0
-    if not derived.generators:
-        print("(no constraints)")
+        ok, ideal = _ideal_stage(work)
+        payload.update(derived=generators, printed=list(work.printed.texts()), **ideal)
     else:
-        for text in derived.texts():
-            print(text)
-    return 0
+        payload["generators"] = generators
+    if args.json:
+        print(json.dumps(payload, indent=2))
+    elif args.compare_paper:
+        print(f"{entry.id}: {_render_ideal(payload)}")
+        for g in payload["failing_printed"]:
+            print(f"  printed generator outside the derived ideal: {g}")
+        for g in payload["failing_derived"]:
+            print(f"  derived generator outside the printed ideal: {g}")
+    else:
+        print("\n".join(generators) or "(no constraints)")
+    return 0 if ok else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

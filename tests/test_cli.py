@@ -126,6 +126,48 @@ def test_qdim_compare_paper_matches_golden(capsys, argv):
     assert (rc, out) == (golden["exit"], "\n".join(golden["stdout"]))
 
 
+# the views no other golden covers; Q12's --compare-paper views build its
+# basis and are covered by qdim_compare_paper.json and verify_Q12v1_Q12v2.*
+VIEW_COMMANDS = (
+    tuple(
+        ("qdim", "--entry", e, "--side", side, *j)
+        for e in ENTRY_IDS
+        for side in ("both", "left")
+        for j in ((), ("--json",))
+    )
+    + tuple(("qdim", "--entry", e, "--family", f, *j) for e, f in SHIPPED_FAMILIES for j in ((), ("--json",)))
+    + tuple(("constraints", "--entry", e) for e in ENTRY_IDS)
+    + tuple(
+        ("constraints", "--entry", e, "--compare-paper", *j)
+        for e in ENTRY_IDS
+        if e != "Q12v1_Q12v2"
+        for j in ((), ("--json",))
+    )
+)
+
+
+@pytest.mark.parametrize("argv", VIEW_COMMANDS, ids=" ".join)
+def test_qdim_and_constraints_views_match_golden(capsys, argv):
+    # stdout, byte for byte, and exit code
+    rc, out, _ = _run(capsys, *argv)
+    golden = json.loads((GOLDEN_DIR / "qdim_constraints_views.json").read_text())[" ".join(argv)]
+    assert (rc, out) == (golden["exit"], "\n".join(golden["stdout"]))
+
+
+@pytest.mark.parametrize("argv", [
+    (command, "--entry", "Q12v1_Q12v2", *compare, *json_flag)
+    for command in ("qdim", "constraints")
+    for compare in ((), ("--compare-paper",))
+    for json_flag in ((), ("--json",))
+], ids=" ".join)
+def test_views_build_only_what_they_print(capsys, count_calls, argv):
+    # plain qdim and constraints print no fact that needs Q12's basis;
+    # their comparisons with the paper build it once
+    calls = count_calls(_groebner, "groebner_basis")
+    _run(capsys, *argv)
+    assert len(calls) == ("--compare-paper" in argv)
+
+
 def test_verify_demo_text_mentions_every_stage(capsys):
     rc, out, _ = _run(
         capsys, "verify", "--entry", "DEMO", "--catalog", str(DEMO_DIR)
@@ -512,6 +554,40 @@ def test_parameters_take_no_degree(capsys, tmp_path):
     assert grading_stage["detail"]["matrix"] == {
         "ok": False, "pair_sums": {}, "failing": ["no degree assignment makes every generator homogeneous"],
     }
+
+
+def _w12v1_plus_x7(data):
+    data["W12v1"]["poly"] += " + x^7"
+
+
+_NOT_GRADED = "verification aborted: not quasi-homogeneous of degree 2: inconsistent linear system\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--entry", "W12"),
+    ("verify", "--entry", "W12", "--json"),
+    ("verify", "--all", "--jobs", "2", "--json"),
+    ("qdim", "--entry", "W12"),
+], ids=" ".join)
+def test_potential_without_weights_aborts(capsys, tmp_path, argv):
+    # W12v1's potential plus x^7 has no weights: both the grading stage and
+    # the quantum dimensions read them, so no report can be made
+    catalog = _spoiled_copy(tmp_path, "potentials.json", _w12v1_plus_x7)
+    assert _run(capsys, *argv, "--catalog", catalog) == (1, "", _NOT_GRADED)
+
+
+def test_potential_without_weights_still_lists_the_constraints(capsys, tmp_path):
+    # the derived constraints read the factorization, not the weights
+    catalog = _spoiled_copy(tmp_path, "potentials.json", _w12v1_plus_x7)
+    rc, out, err = _run(capsys, "constraints", "--entry", "W12", "--catalog", catalog)
+    assert (rc, err) == (0, "")
+    assert out.splitlines() == [
+        "1",
+        "2*a1*b1 - b1^2 - 2*a1*b2 + 2*b1*b2 - b2^2 + 2*a2",
+        "a1^2 - a1*b1",
+        "4*a1^3*b1 - 4*a1^2*b1^2 + a1*b1^3 + 4*a1^2*b1*b2 - 2*a1*b1^2*b2 + a1*b1*b2^2 "
+        "+ 4*a1^2*a2 - 2*a1*a2*b1 + 2*a1*a2*b2 + a2^2 + 1",
+    ]
 
 
 def test_failing_nonvanishing_line_names_each_side_without_certificate(capsys, tmp_path):
